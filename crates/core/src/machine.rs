@@ -177,6 +177,44 @@ pub struct Event {
     pub(crate) ev: NodeEvent,
 }
 
+/// The pump worklist: one bit per node that may have network work
+/// (DESIGN.md §5j), iterated in ascending node id.
+#[derive(Debug)]
+struct ActiveNodes {
+    words: Vec<u64>,
+}
+
+impl ActiveNodes {
+    /// A set of `n` nodes, all active.
+    fn all(n: usize) -> Self {
+        let mut set = ActiveNodes { words: vec![0; n.div_ceil(64)] };
+        set.mark_all(n);
+        set
+    }
+
+    fn mark_all(&mut self, n: usize) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let live = n - w * 64;
+            *word = if live >= 64 { !0 } else { (1 << live) - 1 };
+        }
+    }
+
+    #[inline]
+    fn mark(&mut self, node: u16) {
+        self.words[node as usize / 64] |= 1 << (node % 64);
+    }
+
+    #[inline]
+    fn clear(&mut self, node: u16) {
+        self.words[node as usize / 64] &= !(1 << (node % 64));
+    }
+
+    #[cfg(debug_assertions)]
+    fn contains(&self, node: u16) -> bool {
+        self.words[node as usize / 64] & (1 << (node % 64)) != 0
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Registration {
     #[allow(dead_code)] // returned to callers; kept for future unmap()
@@ -270,6 +308,9 @@ pub struct Machine {
     /// Reused buffer for draining the mesh's flight log (avoids a
     /// mesh/recorder double borrow and steady-state allocation).
     scratch_flight: Vec<TraceEvent>,
+    /// Nodes the next network pump must visit; every other node is
+    /// fully idle, so visiting it would be a no-op (DESIGN.md §5j).
+    active: ActiveNodes,
 }
 
 impl Machine {
@@ -298,6 +339,7 @@ impl Machine {
         let slot_of = vec![-1; nodes.len()];
         let armed = vec![0; nodes.len()];
         let node_events = vec![0; nodes.len()];
+        let active = ActiveNodes::all(nodes.len());
         Machine {
             config,
             nodes,
@@ -328,6 +370,7 @@ impl Machine {
             profiler: EngineProfiler::new(config.telemetry.profile),
             recorder,
             scratch_flight: Vec::new(),
+            active,
         }
     }
 
@@ -921,6 +964,7 @@ impl Machine {
     /// component, say), the flight recorder's recent events are dumped
     /// to stderr before the panic resumes.
     pub fn run_until(&mut self, limit: SimTime) {
+        self.mark_all_active();
         self.window_enabled = true;
         self.window_limit = Some(limit);
         let bound = StepBound::until(limit);
@@ -953,6 +997,7 @@ impl Machine {
     /// generating events (e.g. a CPU is spin-waiting forever).
     pub fn run_until_idle(&mut self) -> Result<(), MachineError> {
         const MAX_IDLE_STEPS: u64 = 50_000_000;
+        self.mark_all_active();
         self.window_enabled = true;
         self.window_limit = None;
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -981,6 +1026,13 @@ impl Machine {
         }
     }
 
+    /// Puts every node on the pump worklist. Called at the entry of each
+    /// run wrapper: the host API may have mutated any node between runs,
+    /// and cannot mutate one during a run.
+    fn mark_all_active(&mut self) {
+        self.active.mark_all(self.nodes.len());
+    }
+
     /// Prints the flight recorder's retained events to stderr; called on
     /// the panic path of the run wrappers so a failing assertion ships
     /// its causal context.
@@ -999,6 +1051,7 @@ impl Machine {
         // between predicate checks, which would let the run overshoot
         // the state the predicate is waiting for.
         self.window_enabled = false;
+        self.mark_all_active();
         let bound = StepBound::until(limit);
         loop {
             if pred(self) {
@@ -1038,8 +1091,8 @@ impl Machine {
         // anywhere (an armed node's write fault reaches across nodes
         // with zero delay) and the lead event is windowable: CpuStep and
         // KernelMsg touch only their own node, while DmaComplete pumps
-        // the whole network and the wakeup events touch the mesh
-        // (DESIGN.md §5e).
+        // the network and the wakeup events touch the mesh (DESIGN.md
+        // §5e).
         if self.window_enabled
             && matches!(ev.ev, NodeEvent::CpuStep | NodeEvent::KernelMsg { .. })
         {
@@ -1061,6 +1114,7 @@ impl Machine {
             }
         }
         self.node_events[ev.node as usize] += 1;
+        self.active.mark(ev.node);
         self.execute_inline(t, ev.node, ev.ev);
     }
 
@@ -1246,6 +1300,7 @@ impl Machine {
             max_t = max_t.max(time);
             let node = owners[slot as usize];
             self.node_events[node as usize] += 1;
+            self.active.mark(node);
             let (start, len, kernel_msg) = {
                 let rec = &outcomes[slot as usize].records[rec_idx as usize];
                 (rec.act_start as usize, rec.act_len as usize, rec.kernel_msg)
@@ -1330,22 +1385,63 @@ impl Machine {
                 Action::Push { at, node, ev } => self.push_event(at, node, ev),
                 Action::Syscall { pid, code } => self.syscall_log.push((t, node, pid, code)),
                 Action::Fault { pid, error } => self.handle_fault(t, node, pid, error),
-                Action::PumpNetwork => self.pump_network(t),
+                Action::PumpNetwork => {
+                    let p = self.profiler.begin_sampled(EnginePhase::MeshPump);
+                    self.pump_network(t);
+                    self.profiler.end_sampled(EnginePhase::MeshPump, p);
+                }
             }
         }
     }
 
     // ────────────────────────── network pumping ──────────────────────────
 
+    /// Delivers due ejections, drains Outgoing FIFOs into the mesh and
+    /// collects interrupts on every node of the active worklist, in
+    /// ascending node id. Runs after every mesh advance and after every
+    /// `DmaComplete`; the run loops interleave mesh events natively, so
+    /// no wakeup needs to be scheduled here.
+    ///
+    /// Nodes off the worklist are fully idle — no outgoing packet, NIC
+    /// deadline or incoming delivery, and an empty ejection buffer — so
+    /// their visit would do nothing; skipping them keeps every visit
+    /// that still happens in its old order (DESIGN.md §5j). A visit
+    /// touches only its own node and the mesh's injection side, so no
+    /// node joins the worklist mid-pump.
     fn pump_network(&mut self, t: SimTime) {
-        // The run loops interleave mesh events natively (they take
-        // min(machine events, mesh events)), so no wakeup needs to be
-        // scheduled here — pumping happens after every mesh advance.
-        for i in 0..self.nodes.len() {
+        #[cfg(debug_assertions)]
+        self.assert_skipped_nodes_idle();
+        let mut visits = 0u64;
+        for w in 0..self.active.words.len() {
+            let mut bits = self.active.words[w];
+            while bits != 0 {
+                let node = (w * 64) as u16 + bits.trailing_zeros() as u16;
+                bits &= bits - 1;
+                let id = NodeId(node);
+                self.deliver_ejections(t, id);
+                let nic_quiet = self.drain_outgoing(t, id);
+                self.collect_interrupts(t, id);
+                if nic_quiet && self.mesh.peek_ejection(id).is_none() {
+                    self.active.clear(node);
+                }
+                visits += 1;
+            }
+        }
+        self.profiler.note_pump_visits(visits);
+    }
+
+    /// The worklist invariant: every node a pump skips is fully idle.
+    #[cfg(debug_assertions)]
+    fn assert_skipped_nodes_idle(&self) {
+        for (i, n) in self.nodes.iter().enumerate() {
             let id = NodeId(i as u16);
-            self.deliver_ejections(t, id);
-            self.drain_outgoing(t, id);
-            self.collect_interrupts(t, id);
+            if !self.active.contains(id.0) {
+                assert!(
+                    Component::next_event_time(n).is_none()
+                        && self.mesh.peek_ejection(id).is_none(),
+                    "{id:?} is off the pump worklist but has network work"
+                );
+            }
         }
     }
 
@@ -1394,7 +1490,10 @@ impl Machine {
         self.scratch_wakeups = fx;
     }
 
-    fn drain_outgoing(&mut self, t: SimTime, node: NodeId) {
+    /// Injects every ready Outgoing-FIFO packet the mesh accepts, then
+    /// schedules the node's wakeups. Returns true when the NIC has no
+    /// pending work at all (see [`Node::schedule_wakeups`]).
+    fn drain_outgoing(&mut self, t: SimTime, node: NodeId) -> bool {
         loop {
             if !self.mesh.can_inject(node) {
                 // Mesh backpressure: retried on the next mesh event.
@@ -1441,7 +1540,7 @@ impl Machine {
                 None => break,
             }
         }
-        self.schedule_node_wakeups(t, node);
+        self.schedule_node_wakeups(t, node)
     }
 
     fn pop_incoming(&mut self, t: SimTime, node: NodeId) {
@@ -1544,11 +1643,12 @@ impl Machine {
         }
     }
 
-    fn schedule_node_wakeups(&mut self, t: SimTime, node: NodeId) {
+    fn schedule_node_wakeups(&mut self, t: SimTime, node: NodeId) -> bool {
         let mut fx = std::mem::take(&mut self.scratch_wakeups);
-        self.nodes[node.0 as usize].schedule_wakeups(t, &mut fx);
+        let nic_quiet = self.nodes[node.0 as usize].schedule_wakeups(t, &mut fx);
         self.apply_pushes(&mut fx);
         self.scratch_wakeups = fx;
+        nic_quiet
     }
 
     /// Applies a wakeup-only effect list (nothing but event pushes).
@@ -1613,6 +1713,9 @@ impl Machine {
             return false;
         };
         let req = reg.req;
+        // The faulting node is on the pump worklist already (its own
+        // event raised the fault); the receiver is touched from here.
+        self.active.mark(req.dst_node.0);
         // Which destination pages does this source page touch?
         let page_rel = rec.vpn.raw() - req.src_va.page().raw();
         let first_byte = (page_rel * PAGE_SIZE).saturating_sub(req.src_va.offset());
@@ -1899,6 +2002,8 @@ impl SimHost for Machine {
         // exact per-call timing would cost more than the pump itself.
         let p = self.profiler.begin_sampled(EnginePhase::MeshPump);
         Component::advance(&mut self.mesh, t);
+        let active = &mut self.active;
+        self.mesh.drain_ejection_notices(|node| active.mark(node.0));
         if self.recorder.is_enabled() {
             // Reroute/bounce decisions happen deep inside the mesh's
             // advance; pull them into the per-node rings (keyed by the

@@ -396,11 +396,16 @@ impl Node {
     // ────────────────────────── wakeup scheduling ─────────────────────────
 
     /// Records deduplicated NIC wakeup events (housekeep / drain / pop)
-    /// for whatever the NIC currently has pending.
-    pub(crate) fn schedule_wakeups(&mut self, t: SimTime, fx: &mut NodeEffects) {
+    /// for whatever the NIC currently has pending. Returns true when the
+    /// NIC has nothing pending at all — no deadline, no outgoing packet
+    /// (ready now or later), no incoming delivery — which is the NIC
+    /// half of the pump worklist's idle test (DESIGN.md §5j).
+    pub(crate) fn schedule_wakeups(&mut self, t: SimTime, fx: &mut NodeEffects) -> bool {
         let housekeep = self.nic.next_deadline().map(|d| d.max(t));
-        let drain = self.nic.outgoing_ready_at().filter(|&r| r > t);
+        let outgoing = self.nic.outgoing_ready_at();
         let pop = self.nic.incoming_ready_at().map(|r| r.max(t));
+        let quiet = housekeep.is_none() && outgoing.is_none() && pop.is_none();
+        let drain = outgoing.filter(|&r| r > t);
         if let Some(at) = housekeep {
             if self.housekeep_wakeup.is_none_or(|w| at < w || w < t) {
                 self.housekeep_wakeup = Some(at);
@@ -416,6 +421,7 @@ impl Node {
         if let Some(at) = pop {
             self.due_pop_wakeup(t, at, fx);
         }
+        quiet
     }
 
     /// Records a deduplicated PopIncoming wakeup at `at`.

@@ -133,7 +133,11 @@ pub struct MeshNetwork<P = Bytes> {
     routers: Vec<RouterState>,
     /// `free_at` per directed link, indexed `node * 4 + direction`.
     link_free_at: Vec<SimTime>,
+    /// Packet slab: a packet's id is its slot for as long as it is in
+    /// flight. Freed slots are reused through `free_ids`, so the slab
+    /// never outgrows the peak number of packets in flight.
     packets: Vec<Option<InFlight<P>>>,
+    free_ids: Vec<usize>,
     events: EventQueue<Event>,
     now: SimTime,
     in_flight: usize,
@@ -163,6 +167,12 @@ pub struct MeshNetwork<P = Bytes> {
     /// observation: it never affects routing or timing.
     flight_enabled: bool,
     flight_log: Vec<TraceEvent>,
+    /// Nodes whose ejection buffer received a packet since the last
+    /// [`MeshNetwork::drain_ejection_notices`], so the host can pump only
+    /// those nodes. `noticed` lists each node once, which bounds the list
+    /// by the node count even when nobody drains it.
+    ejection_notices: Vec<u16>,
+    noticed: Vec<bool>,
 }
 
 impl<P: MeshPayload> MeshNetwork<P> {
@@ -186,6 +196,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
                 .collect(),
             link_free_at: vec![SimTime::ZERO; n * 4],
             packets: Vec::new(),
+            free_ids: Vec::new(),
             events: EventQueue::new(),
             now: SimTime::ZERO,
             in_flight: 0,
@@ -201,6 +212,8 @@ impl<P: MeshPayload> MeshNetwork<P> {
             tracer: Tracer::disabled(),
             flight_enabled: false,
             flight_log: Vec::new(),
+            ejection_notices: Vec::new(),
+            noticed: vec![false; n],
         }
     }
 
@@ -376,13 +389,24 @@ impl<P: MeshPayload> MeshNetwork<P> {
         if !self.can_inject(node) {
             return Err(packet);
         }
-        let id = self.packets.len();
-        self.packets.push(Some(InFlight {
+        let inflight = Some(InFlight {
             packet,
             injected_at: now,
             hops: 0,
             tail_at: now,
-        }));
+        });
+        // Ids only name slots: the event queue breaks ties by sequence
+        // number, never by packet id, so reusing a slot is invisible.
+        let id = match self.free_ids.pop() {
+            Some(id) => {
+                self.packets[id] = inflight;
+                id
+            }
+            None => {
+                self.packets.push(inflight);
+                self.packets.len() - 1
+            }
+        };
         self.in_flight += 1;
         self.stats.packets_injected += 1;
         self.routers[node.0 as usize].inputs[PORT_INJECT]
@@ -457,13 +481,39 @@ impl<P: MeshPayload> MeshNetwork<P> {
         self.routers[node.0 as usize].ejection.front().map(|&(_, t)| t)
     }
 
+    /// Calls `f` once for every node whose ejection buffer received a
+    /// packet (delivered or bounced) since the previous drain, in the
+    /// order the buffers first filled.
+    pub fn drain_ejection_notices(&mut self, mut f: impl FnMut(NodeId)) {
+        for node in self.ejection_notices.drain(..) {
+            self.noticed[node as usize] = false;
+            f(NodeId(node));
+        }
+    }
+
+    /// Appends `packet` to `node`'s ejection buffer, noting the node for
+    /// [`MeshNetwork::drain_ejection_notices`].
+    fn push_ejection(&mut self, node: NodeId, packet: usize, arrival: SimTime) {
+        self.routers[node.0 as usize].ejection.push_back((packet, arrival));
+        if !std::mem::replace(&mut self.noticed[node.0 as usize], true) {
+            self.ejection_notices.push(node.0);
+        }
+    }
+
+    /// Frees packet `id`'s slab slot, returning what it held.
+    fn release(&mut self, id: usize) -> InFlight<P> {
+        let inflight = self.packets[id].take().expect("released packet must exist");
+        self.free_ids.push(id);
+        self.in_flight -= 1;
+        inflight
+    }
+
     /// Pulls the next delivered packet (and its arrival time) from `node`'s
     /// ejection buffer. Pulling frees a slot, which may restart a stalled
     /// upstream pipeline.
     pub fn eject(&mut self, node: NodeId) -> Option<(MeshPacket<P>, SimTime)> {
         let (id, arrival) = self.routers[node.0 as usize].ejection.pop_front()?;
-        let inflight = self.packets[id].take().expect("ejected packet must exist");
-        self.in_flight -= 1;
+        let inflight = self.release(id);
         self.stats.packets_ejected += 1;
         self.stats
             .transit_latency
@@ -523,7 +573,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
                     return false;
                 }
                 router.inputs[port].queue.pop_front();
-                router.ejection.push_back((id, t));
+                self.push_ejection(node, id, t);
                 // The input slot frees immediately: wake the feeder.
                 self.wake_feeder(node, port, t);
                 true
@@ -587,8 +637,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
                 if fault.drop {
                     // The wire serialized the bytes but the packet is
                     // gone: no downstream reservation, no Arrive.
-                    self.packets[id] = None;
-                    self.in_flight -= 1;
+                    self.release(id);
                     self.stats.packets_dropped += 1;
                     return true;
                 }
@@ -679,7 +728,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
         let src = inflight.packet.src();
         let dst = inflight.packet.dst();
         let back_at = t + self.config.hop_latency;
-        self.routers[src.0 as usize].ejection.push_back((id, back_at));
+        self.push_ejection(src, id, back_at);
         self.stats.bounced += 1;
         self.flight(
             t,
@@ -1127,6 +1176,48 @@ mod tests {
             a_stats.packets_ejected,
             "bounces come back through ejection: totals reconcile"
         );
+    }
+
+    #[test]
+    fn packet_slab_is_bounded_by_peak_in_flight() {
+        let mut n = net(4, 4);
+        let mut peak = 0;
+        let mut injected = 0usize;
+        for round in 0..200u16 {
+            let burst = 1 + round % 6;
+            for k in 0..burst {
+                let src = (round + k) % 16;
+                n.try_inject(n.now(), pkt(src, (src + 5) % 16, 48)).unwrap();
+                injected += 1;
+            }
+            peak = peak.max(n.in_flight());
+            n.advance(FAR);
+            for node in 0..16 {
+                while n.eject(NodeId(node)).is_some() {}
+            }
+        }
+        assert_eq!(n.stats().packets_ejected, injected as u64);
+        assert!(peak * 50 < injected, "the test must recycle: peak {peak}");
+        assert!(
+            n.packets.len() <= peak,
+            "slab grew to {} slots with at most {peak} packets in flight",
+            n.packets.len()
+        );
+    }
+
+    #[test]
+    fn ejection_notices_name_each_filled_buffer_once() {
+        let mut n = net(4, 1);
+        for src in [0, 1, 2] {
+            n.try_inject(SimTime::ZERO, pkt(src, 3, 16)).unwrap();
+        }
+        n.try_inject(SimTime::ZERO, pkt(3, 0, 16)).unwrap();
+        n.advance(FAR);
+        let mut noticed = Vec::new();
+        n.drain_ejection_notices(|node| noticed.push(node.0));
+        noticed.sort_unstable();
+        assert_eq!(noticed, [0, 3], "one notice per filled buffer");
+        n.drain_ejection_notices(|_| panic!("drained notices must not repeat"));
     }
 
     #[test]

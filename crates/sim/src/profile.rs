@@ -153,7 +153,8 @@ pub enum EnginePhase {
     Execution,
     /// Replaying recorded consequences in global `(time, seq)` order.
     Commit,
-    /// Serial mesh advancement and NIC pumping between windows.
+    /// Serial mesh advancement and NIC pumping: every network pump,
+    /// whether after a mesh advance or after a `DmaComplete`.
     MeshPump,
 }
 
@@ -207,6 +208,7 @@ pub struct EngineProfiler {
     enabled: bool,
     nanos: [u64; EnginePhase::ALL.len()],
     calls: [u64; EnginePhase::ALL.len()],
+    pump_node_visits: u64,
 }
 
 impl EngineProfiler {
@@ -266,6 +268,20 @@ impl EngineProfiler {
         }
     }
 
+    /// Counts `visits` node visits made by one network pump (a plain
+    /// counter: no clock read). Inert when disabled.
+    #[inline]
+    pub fn note_pump_visits(&mut self, visits: u64) {
+        if self.enabled {
+            self.pump_node_visits = self.pump_node_visits.saturating_add(visits);
+        }
+    }
+
+    /// Node visits made by network pumps so far.
+    pub fn pump_node_visits(&self) -> u64 {
+        self.pump_node_visits
+    }
+
     /// Sampling period for [`EngineProfiler::begin_sampled`].
     pub const SAMPLE: u64 = 8;
 
@@ -295,6 +311,9 @@ pub struct EngineProfileReport {
     pub worker_idle_ns: u64,
     /// Configured worker count (1 = no pool, coordinator only).
     pub workers: usize,
+    /// Node visits made by network pumps; divided by the `mesh_pump`
+    /// calls it gives the mean worklist length per pump.
+    pub pump_node_visits: u64,
 }
 
 impl EngineProfileReport {
@@ -312,6 +331,7 @@ impl EngineProfileReport {
             worker_busy_ns,
             worker_idle_ns,
             workers,
+            pump_node_visits: profiler.pump_node_visits(),
         }
     }
 
@@ -330,6 +350,7 @@ impl EngineProfileReport {
         reg.set_counter("engine.profile.worker_busy_ns", self.worker_busy_ns);
         reg.set_counter("engine.profile.worker_idle_ns", self.worker_idle_ns);
         reg.set_counter("engine.profile.workers", self.workers as u64);
+        reg.set_counter("engine.profile.pump_node_visits", self.pump_node_visits);
     }
 
     /// A human-readable phase table for terminal reports.
@@ -354,6 +375,16 @@ impl EngineProfileReport {
             self.workers,
             self.worker_busy_ns as f64 / 1e6,
             self.worker_idle_ns as f64 / 1e6,
+        ));
+        let pumps = self
+            .phases
+            .iter()
+            .find(|&&(name, _, _)| name == EnginePhase::MeshPump.name())
+            .map_or(0, |&(_, _, calls)| calls);
+        out.push_str(&format!(
+            "pump node visits={} ({:.1} per pump)\n",
+            self.pump_node_visits,
+            self.pump_node_visits as f64 / pumps.max(1) as f64,
         ));
         out
     }
@@ -411,6 +442,8 @@ mod tests {
         assert_eq!(p.nanos(EnginePhase::Formation), 0);
         assert_eq!(p.calls(EnginePhase::Formation), 0);
         assert!(!p.is_enabled());
+        p.note_pump_visits(5);
+        assert_eq!(p.pump_node_visits(), 0, "disabled profiler counts no visits");
     }
 
     #[test]
@@ -438,6 +471,7 @@ mod tests {
         }
         assert_eq!(p.calls(EnginePhase::MeshPump), 3);
         assert_eq!(p.calls(EnginePhase::Commit), 0);
+        p.note_pump_visits(7);
         let report = EngineProfileReport::new(&p, 4, 10);
         assert_eq!(report.workers, 4);
         assert_eq!(report.phases.len(), EnginePhase::ALL.len());
@@ -447,5 +481,6 @@ mod tests {
         let s = reg.snapshot();
         assert_eq!(s.counter("engine.profile.mesh_pump_calls"), Some(3));
         assert_eq!(s.counter("engine.profile.workers"), Some(4));
+        assert_eq!(s.counter("engine.profile.pump_node_visits"), Some(7));
     }
 }

@@ -140,6 +140,41 @@ fn profiling_and_recorder_are_perturbation_free() {
     assert_eq!(base.flight_recorder().recorded(), 0, "disabled recorder stays empty");
 }
 
+/// The network pump visits only nodes on its active worklist
+/// (DESIGN.md §5j): on a 1024-node ring a pump visits a few dozen
+/// nodes at most, not all of them — and skipping the idle ones changes
+/// nothing observable. The visit counter is profiling-only.
+#[test]
+fn pump_visits_only_active_nodes() {
+    let plain = run_ring(32, 1, |cfg| cfg.telemetry.profile = false);
+    let profiled = run_ring(32, 1, |cfg| cfg.telemetry.profile = true);
+    assert_eq!(delivery_hash(&plain), delivery_hash(&profiled), "deliveries perturbed");
+    assert_eq!(
+        plain.metrics_snapshot().to_json(),
+        profiled.metrics_snapshot().to_json(),
+        "metrics snapshot perturbed"
+    );
+    assert!(
+        !plain.metrics_snapshot().to_json().contains("pump_node_visits"),
+        "the visit counter is wall-clock-side profile data"
+    );
+
+    let report = profiled.profile().expect("profiling on");
+    let pumps = report
+        .phases
+        .iter()
+        .find(|(name, _, _)| *name == "mesh_pump")
+        .map(|&(_, _, calls)| calls)
+        .expect("mesh_pump phase");
+    // Every delivery's DmaComplete pumps once, on top of the mesh pumps.
+    assert!(pumps > profiled.deliveries().len() as u64, "DmaComplete pumps are counted");
+    let per_pump = report.pump_node_visits as f64 / pumps as f64;
+    assert!(
+        per_pump < 64.0,
+        "mean {per_pump:.1} node visits per pump on a 1024-node ring"
+    );
+}
+
 /// The deterministic window telemetry is worker-invariant, the
 /// per-cause breakdown sums to the total, and a mesh-saturating ring
 /// must show mesh-event clamps.
