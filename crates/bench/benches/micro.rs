@@ -11,7 +11,9 @@ use shrimp_cpu::{Assembler, Cpu, FlatMemory, Reg};
 use shrimp_mem::{CacheConfig, CacheModel, PageNum, PhysAddr, Tlb, VirtPageNum};
 use shrimp_mesh::{MeshShape, NodeId};
 use shrimp_nic::packet::crc32;
-use shrimp_nic::{Nipt, OutSegment, PacketFifo, ShrimpPacket, UpdatePolicy, WireHeader};
+use shrimp_nic::{
+    FrameKind, LinkCtl, Nipt, OutSegment, PacketFifo, ShrimpPacket, UpdatePolicy, WireHeader,
+};
 use shrimp_sim::{EventQueue, SimTime};
 
 fn bench_crc32(c: &mut Criterion) {
@@ -19,6 +21,24 @@ fn bench_crc32(c: &mut Criterion) {
     c.bench_function("crc32/4096B", |b| b.iter(|| crc32(black_box(&page))));
     let word = [0x5au8; 22];
     c.bench_function("crc32/22B_packet", |b| b.iter(|| crc32(black_box(&word))));
+}
+
+fn bench_frame(c: &mut Criterion) {
+    // What go-back-N pays per reliable data packet: framing a page-sized
+    // packet extends its CRC over the 5-byte trailer only.
+    let header = WireHeader {
+        dst_coord: shrimp_mesh::MeshCoord { x: 1, y: 0 },
+        src: NodeId(0),
+        dst_addr: PhysAddr::new(0x4000),
+    };
+    let packet = ShrimpPacket::new(header, vec![0xa5u8; 4096]);
+    let link = LinkCtl {
+        kind: FrameKind::Data,
+        seq: 7,
+    };
+    c.bench_function("packet/frame_4096B", |b| {
+        b.iter_batched(|| packet.clone(), |p| p.framed(link), BatchSize::SmallInput)
+    });
 }
 
 fn bench_nipt(c: &mut Criterion) {
@@ -129,6 +149,24 @@ fn bench_tlb(c: &mut Criterion) {
             black_box(tlb.lookup(VirtPageNum::new(i)))
         })
     });
+    // The store path's real pattern: after the first word of a page,
+    // every lookup is for the page just used (the MRU entry).
+    c.bench_function("tlb/lookup_same_page", |b| {
+        let mut tlb = Tlb::new(64);
+        for i in 0..64u64 {
+            tlb.insert(
+                VirtPageNum::new(i),
+                PageNum::new(i),
+                shrimp_mem::PageFlags::default(),
+            );
+        }
+        let page = VirtPageNum::new(0);
+        b.iter(|| {
+            for _ in 0..1024 {
+                black_box(tlb.lookup(black_box(page)));
+            }
+        })
+    });
 }
 
 fn bench_cpu(c: &mut Criterion) {
@@ -155,6 +193,7 @@ fn bench_cpu(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_crc32,
+    bench_frame,
     bench_nipt,
     bench_fifo,
     bench_event_queue,

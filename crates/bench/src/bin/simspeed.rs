@@ -50,13 +50,22 @@ impl Sample {
     fn sim_bytes_per_sec(&self) -> f64 {
         self.sim_bytes as f64 / self.wall_seconds
     }
-    fn allocs_per_event(&self) -> f64 {
-        if self.events == 0 {
-            0.0
+    /// Heap allocations per event, or `None` when this build did not
+    /// count them (no `alloc-stats`): an unmeasured count is not zero.
+    fn allocs_per_event(&self) -> Option<f64> {
+        if !alloc_stats::ENABLED {
+            None
+        } else if self.events == 0 {
+            Some(0.0)
         } else {
-            self.allocs as f64 / self.events as f64
+            Some(self.allocs as f64 / self.events as f64)
         }
     }
+}
+
+/// An allocs/event figure for the printed tables (`-` when unmeasured).
+fn table_allocs(a: Option<f64>) -> String {
+    a.map_or_else(|| "-".to_string(), |a| format!("{a:.3}"))
 }
 
 /// FNV-1a over every field of every delivery record — one number that
@@ -362,7 +371,7 @@ fn json_field(s: &Sample) -> String {
             "    \"events_per_sec\": {:.1},\n",
             "    \"sim_bytes\": {},\n",
             "    \"sim_bytes_per_sec\": {:.1},\n",
-            "    \"allocs_per_event\": {:.4}\n",
+            "    \"allocs_per_event\": {}\n",
             "  }}"
         ),
         s.name,
@@ -371,7 +380,8 @@ fn json_field(s: &Sample) -> String {
         s.events_per_sec(),
         s.sim_bytes,
         s.sim_bytes_per_sec(),
-        s.allocs_per_event(),
+        s.allocs_per_event()
+            .map_or_else(|| "null".to_string(), |a| format!("{a:.4}")),
     )
 }
 
@@ -451,14 +461,14 @@ fn main() {
     );
     for s in &samples {
         println!(
-            "{:<14} {:>10.4} {:>12} {:>14.0} {:>12} {:>16.0} {:>10.3}",
+            "{:<14} {:>10.4} {:>12} {:>14.0} {:>12} {:>16.0} {:>10}",
             s.name,
             s.wall_seconds,
             s.events,
             s.events_per_sec(),
             s.sim_bytes,
             s.sim_bytes_per_sec(),
-            s.allocs_per_event(),
+            table_allocs(s.allocs_per_event()),
         );
     }
 
@@ -481,13 +491,13 @@ fn main() {
         .collect();
     for (w, s, batches, hash, _) in &sweep {
         println!(
-            "{:<10} {:>10.4} {:>12} {:>14.0} {:>10} {:>10.3}",
+            "{:<10} {:>10.4} {:>12} {:>14.0} {:>10} {:>10}",
             w,
             s.wall_seconds,
             s.events,
             s.events_per_sec(),
             batches,
-            s.allocs_per_event(),
+            table_allocs(s.allocs_per_event()),
         );
         assert_eq!(
             s.events, sweep[0].1.events,
@@ -522,7 +532,9 @@ fn main() {
         reg.set_gauge(format!("{p}.events_per_sec"), s.events_per_sec());
         reg.set_counter(format!("{p}.sim_bytes"), s.sim_bytes);
         reg.set_gauge(format!("{p}.sim_bytes_per_sec"), s.sim_bytes_per_sec());
-        reg.set_gauge(format!("{p}.allocs_per_event"), s.allocs_per_event());
+        if let Some(a) = s.allocs_per_event() {
+            reg.set_gauge(format!("{p}.allocs_per_event"), a);
+        }
     }
     for (w, s, batches, _, _) in &sweep {
         let p = format!("simspeed.scaling1k.workers{w}");
@@ -530,7 +542,9 @@ fn main() {
         reg.set_counter(format!("{p}.events"), s.events);
         reg.set_gauge(format!("{p}.events_per_sec"), s.events_per_sec());
         reg.set_counter(format!("{p}.batches"), *batches);
-        reg.set_gauge(format!("{p}.allocs_per_event"), s.allocs_per_event());
+        if let Some(a) = s.allocs_per_event() {
+            reg.set_gauge(format!("{p}.allocs_per_event"), a);
+        }
     }
     // The ring's barrier-cause breakdown — worker-invariant, so the
     // first sweep leg speaks for all of them (asserted in --smoke).

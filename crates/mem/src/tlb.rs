@@ -47,17 +47,24 @@ impl Tlb {
     }
 
     /// Looks up a translation, updating LRU order and hit/miss statistics.
+    ///
+    /// The search starts at the MRU end, so the store path's common case
+    /// (another word on the page it just touched) hits on the first
+    /// compare and leaves the order as it is. A page has at most one
+    /// entry, so the match found is the same one a search from the LRU
+    /// end would find.
     pub fn lookup(&mut self, vpn: VirtPageNum) -> Option<(PageNum, PageFlags)> {
-        if let Some(pos) = self.entries.iter().position(|e| e.0 == vpn) {
-            let e = self.entries.remove(pos);
-            let result = (e.1, e.2);
-            self.entries.push(e);
-            self.hits += 1;
-            Some(result)
-        } else {
+        let Some(pos) = self.entries.iter().rposition(|e| e.0 == vpn) else {
             self.misses += 1;
-            None
+            return None;
+        };
+        self.hits += 1;
+        let mru = self.entries.len() - 1;
+        if pos != mru {
+            self.entries[pos..].rotate_left(1);
         }
+        let (_, frame, flags) = self.entries[mru];
+        Some((frame, flags))
     }
 
     /// Inserts a translation, evicting the least recently used entry if

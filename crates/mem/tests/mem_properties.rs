@@ -82,6 +82,67 @@ proptest! {
         }
     }
 
+    /// The TLB is exactly a true-LRU cache: against a naive LRU list on
+    /// traces with long runs on one page (the store path's pattern),
+    /// every lookup result, the hit and miss counts, and the resident
+    /// set after every step (hence every eviction victim) agree.
+    #[test]
+    fn tlb_matches_naive_lru(
+        capacity in 1usize..9,
+        // (page, run length, action): 0..=5 look up (inserting on a
+        // miss, as the store path does), 6 invalidates, 7 flushes.
+        runs in prop::collection::vec((0u64..12, 1usize..200, 0u8..8), 1..40),
+    ) {
+        let mut tlb = Tlb::new(capacity);
+        // LRU first, MRU last; frame = vpn + 100.
+        let mut model: Vec<u64> = Vec::new();
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for (vpn, run, action) in runs {
+            let v = VirtPageNum::new(vpn);
+            match action {
+                6 => {
+                    let had = model.iter().position(|&e| e == vpn).map(|i| model.remove(i));
+                    prop_assert_eq!(tlb.invalidate(v), had.is_some());
+                }
+                7 => {
+                    tlb.flush();
+                    model.clear();
+                }
+                _ => {
+                    for _ in 0..run {
+                        let got = tlb.lookup(v).map(|(f, _)| f.raw());
+                        let expect = match model.iter().position(|&e| e == vpn) {
+                            Some(i) => {
+                                model.remove(i);
+                                model.push(vpn);
+                                hits += 1;
+                                Some(vpn + 100)
+                            }
+                            None => {
+                                misses += 1;
+                                if model.len() == capacity {
+                                    model.remove(0);
+                                }
+                                model.push(vpn);
+                                tlb.insert(v, PageNum::new(vpn + 100), PageFlags::default());
+                                None
+                            }
+                        };
+                        prop_assert_eq!(got, expect, "lookup of page {}", vpn);
+                    }
+                }
+            }
+            prop_assert_eq!((tlb.hits(), tlb.misses()), (hits, misses));
+            prop_assert_eq!(tlb.len(), model.len());
+            // Probe residency on a copy so the probe's own LRU update
+            // cannot steer the trace.
+            for page in 0..12 {
+                let resident = tlb.clone().lookup(VirtPageNum::new(page)).is_some();
+                prop_assert_eq!(resident, model.contains(&page), "residency of page {}", page);
+            }
+        }
+    }
+
     /// The cache never reports a hit for a line that was snooped away,
     /// and its occupancy never exceeds its configured geometry.
     #[test]

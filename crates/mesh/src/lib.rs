@@ -41,5 +41,5 @@ pub mod topology;
 pub use config::MeshConfig;
 pub use network::{LinkUse, MeshNetwork, NetworkStats};
 pub use packet::{MeshPacket, MeshPayload};
-pub use routing::{RouteDecision, RouteTable};
+pub use routing::{RouteColumns, RouteDecision, RouteTable};
 pub use topology::{Direction, MeshCoord, MeshShape, NodeId};

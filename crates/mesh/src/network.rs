@@ -23,7 +23,7 @@ use shrimp_sim::{
 
 use crate::config::MeshConfig;
 use crate::packet::{MeshPacket, MeshPayload};
-use crate::routing::{RouteDecision, RouteTable, CH_START};
+use crate::routing::{RouteColumns, RouteDecision, CH_START};
 use crate::topology::{Direction, MeshShape, NodeId};
 
 const PORT_INJECT: usize = 4;
@@ -152,15 +152,13 @@ pub struct MeshNetwork<P = Bytes> {
     link_use: Vec<LinkUse>,
     /// Per-directed-link up/down state (same indexing as `link_free_at`).
     link_up: Vec<bool>,
-    /// Link-state epoch: bumped on every up/down transition. Route
-    /// tables are valid for exactly one epoch.
+    /// Link-state epoch: bumped on every up/down transition. A route
+    /// column is valid for exactly the epoch it was built in.
     epoch: u64,
-    /// True once a churn schedule was armed: adaptive west-first
-    /// routing and the bounce paths replace static dimension-order.
-    churn_armed: bool,
-    /// Lazily (re)built west-first table for `table_epoch`.
-    table: Option<RouteTable>,
-    table_epoch: u64,
+    /// West-first routes, one destination column rebuilt lazily per
+    /// epoch. Present exactly while a churn schedule is armed: adaptive
+    /// routing and the bounce paths then replace static dimension-order.
+    routes: Option<RouteColumns>,
     tracer: Tracer,
     /// When on, reroute/bounce decisions made inside [`Component::advance`]
     /// are logged here for the host's flight recorder to drain. Pure
@@ -206,9 +204,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
             link_use: vec![LinkUse::default(); n * 4],
             link_up: vec![true; n * 4],
             epoch: 0,
-            churn_armed: false,
-            table: None,
-            table_epoch: 0,
+            routes: None,
             tracer: Tracer::disabled(),
             flight_enabled: false,
             flight_log: Vec::new(),
@@ -232,9 +228,8 @@ impl<P: MeshPayload> MeshNetwork<P> {
         } else {
             self.faults = Vec::new();
         }
-        self.churn_armed = cfg.churn.is_active();
-        self.table = None;
-        if !self.churn_armed {
+        self.routes = cfg.churn.is_active().then(|| RouteColumns::new(self.shape));
+        if self.routes.is_none() {
             return;
         }
         for link in 0..links {
@@ -298,7 +293,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
     }
 
     /// Applies one churn transition: flips the link, bumps the epoch
-    /// (invalidating the route table), and wakes every router so heads
+    /// (staling every route column), and wakes every router so heads
     /// that were waiting on — or newly have — a route re-decide.
     fn set_link_state(&mut self, link: usize, up: bool, t: SimTime) {
         if self.link_up[link] == up {
@@ -431,7 +426,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
                     // the wire, the worm is torn: bounce it to its source
                     // NIC for go-back-N recovery instead of letting a
                     // half-arrived packet vanish.
-                    if self.churn_armed && port != PORT_INJECT {
+                    if self.routes.is_some() && port != PORT_INJECT {
                         let feeder = self
                             .shape
                             .neighbor(node, Direction::ALL[port])
@@ -642,7 +637,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
                     return true;
                 }
                 self.routers[down.0 as usize].inputs[dport].reserved += 1;
-                if self.churn_armed && self.shape.route_next(node, dst) != Some(dir) {
+                if self.routes.is_some() && self.shape.route_next(node, dst) != Some(dir) {
                     self.stats.reroutes += 1;
                     let src = self.packets[id]
                         .as_ref()
@@ -698,24 +693,21 @@ impl<P: MeshPayload> MeshNetwork<P> {
 
     /// The routing decision for the head of `(node, port)`: static
     /// dimension-order while the topology is fixed, west-first adaptive
-    /// (table rebuilt lazily per link-state epoch) once churn is armed.
+    /// (the destination's column rebuilt lazily per link-state epoch)
+    /// once churn is armed.
     fn route(&mut self, node: NodeId, port: usize, dst: NodeId) -> RouteDecision {
-        if !self.churn_armed {
+        let Some(routes) = self.routes.as_mut() else {
             return match self.shape.route_next(node, dst) {
                 None => RouteDecision::Eject,
                 Some(dir) => RouteDecision::Forward(dir),
             };
-        }
-        if self.table.is_none() || self.table_epoch != self.epoch {
-            self.table = Some(RouteTable::build(self.shape, &self.link_up));
-            self.table_epoch = self.epoch;
-        }
+        };
         let channel = if port == PORT_INJECT {
             CH_START
         } else {
             Direction::ALL[port].opposite().index()
         };
-        self.table.as_ref().expect("table built above").decide(node, channel, dst)
+        routes.decide(&self.link_up, self.epoch, node, channel, dst)
     }
 
     /// Returns packet `id` to its source node's ejection buffer. The
@@ -1056,7 +1048,7 @@ mod tests {
         // 2x2 mesh: 0 -> 1 is one East hop. Kill it; west-first routes
         // the long way round (0 -> 2 -> 3 -> 1 or equivalent).
         let mut n = net(2, 2);
-        n.churn_armed = true;
+        n.routes = Some(RouteColumns::new(n.shape()));
         n.set_link_state(link(0, Direction::East), false, SimTime::ZERO);
         n.try_inject(SimTime::ZERO, pkt(0, 1, 64)).unwrap();
         let got = drain(&mut n, NodeId(1));
@@ -1073,7 +1065,7 @@ mod tests {
         // dead there is no legal west-first detour. The packet must
         // come back to node 1's ejection buffer for go-back-N.
         let mut n = net(2, 1);
-        n.churn_armed = true;
+        n.routes = Some(RouteColumns::new(n.shape()));
         n.set_link_state(link(1, Direction::West), false, SimTime::ZERO);
         n.try_inject(SimTime::ZERO, pkt(1, 0, 64)).unwrap();
         assert!(drain(&mut n, NodeId(0)).is_empty(), "nothing reaches node 0");
@@ -1093,7 +1085,7 @@ mod tests {
         // Head leaves node 0 at t=0 and arrives at t=hop_latency; the
         // link dies in between. The packet must bounce, not vanish.
         let mut n = net(2, 1);
-        n.churn_armed = true;
+        n.routes = Some(RouteColumns::new(n.shape()));
         n.try_inject(SimTime::ZERO, pkt(0, 1, 64)).unwrap();
         // Process the injection retry at t=0 only: the forward happens,
         // the Arrive is now in flight.

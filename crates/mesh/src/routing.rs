@@ -21,13 +21,14 @@
 //!
 //! # Why this is livelock-free
 //!
-//! Routes come from a table built per link-state epoch by breadth-first
-//! search over the *channel graph*: the states `(router, last hop
-//! direction)` plus an injection state, with an edge per legal live
-//! turn. Each table entry steps to a state whose BFS distance is
-//! exactly one smaller, so every hop strictly decreases the remaining
-//! distance and a routed packet reaches its destination in at most
-//! `5 * nodes` hops — it cannot revisit a channel.
+//! Routes come from a table whose per-destination columns are built for
+//! a link-state epoch by breadth-first search over the *channel graph*:
+//! the states `(router, last hop direction)` plus an injection state,
+//! with an edge per legal live turn. Each table entry steps to a state
+//! whose BFS distance is exactly one smaller, so every hop strictly
+//! decreases the remaining distance and a routed packet reaches its
+//! destination in at most `5 * nodes` hops — it cannot revisit a
+//! channel.
 //!
 //! # Incompleteness is real, and handled elsewhere
 //!
@@ -77,15 +78,18 @@ pub fn turn_legal(last: usize, d: Direction) -> bool {
     d != last.opposite() && (d != Direction::West || last == Direction::West)
 }
 
-/// Routing table for one link-state epoch: for every (destination,
-/// router, arrival channel) the next hop, pre-validated against the
-/// live link set the table was built from.
+/// Routing table: for every (destination, router, arrival channel) the
+/// next hop, pre-validated against the live link set its destination
+/// column was built from.
 #[derive(Debug)]
 pub struct RouteTable {
-    nodes: usize,
+    shape: MeshShape,
     /// `[dst][node][channel]`, entries 0..4 = Direction index, or
     /// `EJECT` / `UNREACHABLE`.
     next: Vec<u8>,
+    /// Per-node-channel BFS distance, reused by every column build.
+    dist: Vec<u32>,
+    queue: VecDeque<(usize, usize)>,
 }
 
 impl RouteTable {
@@ -94,62 +98,126 @@ impl RouteTable {
     /// function of its arguments.
     #[must_use]
     pub fn build(shape: MeshShape, link_up: &[bool]) -> Self {
+        let mut table = RouteTable::unbuilt(shape);
+        for dst in 0..shape.nodes() as usize {
+            table.build_column(link_up, dst);
+        }
+        table
+    }
+
+    fn unbuilt(shape: MeshShape) -> Self {
+        let n = shape.nodes() as usize;
+        RouteTable {
+            shape,
+            next: vec![UNREACHABLE; n * n * NUM_CHANNELS],
+            dist: vec![u32::MAX; n * NUM_CHANNELS],
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// (Re)builds the column of routes towards `dst` from `link_up`.
+    fn build_column(&mut self, link_up: &[bool], dst: usize) {
+        let shape = self.shape;
         let n = shape.nodes() as usize;
         assert_eq!(link_up.len(), n * 4, "one state per directed link");
-        let mut next = vec![UNREACHABLE; n * n * NUM_CHANNELS];
-        let mut dist = vec![u32::MAX; n * NUM_CHANNELS];
-        let mut queue = VecDeque::new();
-        for dst in 0..n {
-            let table = &mut next[dst * n * NUM_CHANNELS..(dst + 1) * n * NUM_CHANNELS];
-            dist.fill(u32::MAX);
-            queue.clear();
-            // A packet at its destination ejects no matter how it got
-            // there — the coord check is on the node, not the path.
-            for ch in 0..NUM_CHANNELS {
-                dist[dst * NUM_CHANNELS + ch] = 0;
-                table[dst * NUM_CHANNELS + ch] = EJECT;
-                queue.push_back((dst, ch));
+        let table = &mut self.next[dst * n * NUM_CHANNELS..(dst + 1) * n * NUM_CHANNELS];
+        let dist = &mut self.dist;
+        let queue = &mut self.queue;
+        table.fill(UNREACHABLE);
+        dist.fill(u32::MAX);
+        queue.clear();
+        // A packet at its destination ejects no matter how it got
+        // there — the coord check is on the node, not the path.
+        for ch in 0..NUM_CHANNELS {
+            dist[dst * NUM_CHANNELS + ch] = 0;
+            table[dst * NUM_CHANNELS + ch] = EJECT;
+            queue.push_back((dst, ch));
+        }
+        // Backward BFS over the channel graph. Popping state
+        // (m, mch) — "at m, last hop was ALL[mch]" — its forward
+        // predecessors are the states (p, pch) at the node p one
+        // hop against ALL[mch], for every channel pch allowed to
+        // turn into ALL[mch], provided the p→m link is up.
+        while let Some((m, mch)) = queue.pop_front() {
+            if mch == CH_START {
+                continue; // nothing moves a packet *into* injection
             }
-            // Backward BFS over the channel graph. Popping state
-            // (m, mch) — "at m, last hop was ALL[mch]" — its forward
-            // predecessors are the states (p, pch) at the node p one
-            // hop against ALL[mch], for every channel pch allowed to
-            // turn into ALL[mch], provided the p→m link is up.
-            while let Some((m, mch)) = queue.pop_front() {
-                if mch == CH_START {
-                    continue; // nothing moves a packet *into* injection
-                }
-                let d = Direction::ALL[mch];
-                let Some(p) = shape.neighbor(NodeId(m as u16), d.opposite()) else {
-                    continue;
-                };
-                let p = p.0 as usize;
-                if !link_up[p * 4 + mch] {
+            let d = Direction::ALL[mch];
+            let Some(p) = shape.neighbor(NodeId(m as u16), d.opposite()) else {
+                continue;
+            };
+            let p = p.0 as usize;
+            if !link_up[p * 4 + mch] {
+                continue;
+            }
+            for pch in 0..NUM_CHANNELS {
+                if !turn_legal(pch, d) || dist[p * NUM_CHANNELS + pch] != u32::MAX {
                     continue;
                 }
-                for pch in 0..NUM_CHANNELS {
-                    if !turn_legal(pch, d) || dist[p * NUM_CHANNELS + pch] != u32::MAX {
-                        continue;
-                    }
-                    dist[p * NUM_CHANNELS + pch] = dist[m * NUM_CHANNELS + mch] + 1;
-                    table[p * NUM_CHANNELS + pch] = mch as u8;
-                    queue.push_back((p, pch));
-                }
+                dist[p * NUM_CHANNELS + pch] = dist[m * NUM_CHANNELS + mch] + 1;
+                table[p * NUM_CHANNELS + pch] = mch as u8;
+                queue.push_back((p, pch));
             }
         }
-        RouteTable { nodes: n, next }
     }
 
     /// The routing decision for a packet on `channel` at `node` bound
     /// for `dst`.
     #[must_use]
     pub fn decide(&self, node: NodeId, channel: usize, dst: NodeId) -> RouteDecision {
-        let idx = (dst.0 as usize * self.nodes + node.0 as usize) * NUM_CHANNELS + channel;
+        let nodes = self.shape.nodes() as usize;
+        let idx = (dst.0 as usize * nodes + node.0 as usize) * NUM_CHANNELS + channel;
         match self.next[idx] {
             EJECT => RouteDecision::Eject,
             UNREACHABLE => RouteDecision::Unreachable,
             d => RouteDecision::Forward(Direction::ALL[d as usize]),
         }
+    }
+}
+
+/// West-first routes over a link set that changes by epochs, built one
+/// destination column at a time and only when a decision needs it.
+///
+/// Each column remembers the link-state epoch it was built in and is
+/// rebuilt by [`RouteTable`]'s BFS when asked in a later one. A column
+/// depends only on the link set, so every decision equals
+/// `RouteTable::build(shape, link_up).decide(..)` for the current
+/// `link_up` — provided the caller bumps `epoch` on every change to it.
+/// Under churn most epochs route to few destinations, so this builds
+/// those columns instead of the whole table.
+#[derive(Debug)]
+pub struct RouteColumns {
+    table: RouteTable,
+    /// Epoch each destination's column was last built in.
+    built_in: Vec<Option<u64>>,
+}
+
+impl RouteColumns {
+    /// An empty table for `shape`; no column is built yet.
+    #[must_use]
+    pub fn new(shape: MeshShape) -> Self {
+        RouteColumns {
+            table: RouteTable::unbuilt(shape),
+            built_in: vec![None; shape.nodes() as usize],
+        }
+    }
+
+    /// The routing decision for a packet on `channel` at `node` bound
+    /// for `dst`, under the link set `link_up` of link-state `epoch`.
+    pub fn decide(
+        &mut self,
+        link_up: &[bool],
+        epoch: u64,
+        node: NodeId,
+        channel: usize,
+        dst: NodeId,
+    ) -> RouteDecision {
+        let col = dst.0 as usize;
+        if self.built_in[col] != Some(epoch) {
+            self.table.build_column(link_up, col);
+            self.built_in[col] = Some(epoch);
+        }
+        self.table.decide(node, channel, dst)
     }
 }
 

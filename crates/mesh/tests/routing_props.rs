@@ -3,11 +3,15 @@
 //! table either walks the packet to the destination over live links
 //! with only legal turns and no repeated channel state (so routes are
 //! cycle-free by construction), or honestly reports the destination
-//! unreachable — and with every link up the walk is minimal.
+//! unreachable — and with every link up the walk is minimal. The
+//! column-lazy table the mesh uses under churn decides exactly as a
+//! table built whole for the current link set.
 
 use proptest::prelude::*;
 
-use shrimp_mesh::routing::{turn_legal, RouteDecision, RouteTable, CH_START};
+use shrimp_mesh::routing::{
+    turn_legal, RouteColumns, RouteDecision, RouteTable, CH_START, NUM_CHANNELS,
+};
 use shrimp_mesh::{Direction, MeshShape, NodeId};
 
 /// Walks `src -> dst` through the table. Returns `Ok(hops)` on
@@ -96,6 +100,43 @@ proptest! {
                         walk(&table, shape, &link_up, src, dst).map_err(TestCaseError::fail)?;
                     }
                 }
+            }
+        }
+    }
+
+    /// Over any sequence of link-state epochs, each flipping a few
+    /// links and asking a few decisions (or none, so columns go stale
+    /// across several epochs), the lazily built columns decide exactly
+    /// as `RouteTable::build` over the current link set.
+    #[test]
+    fn lazy_columns_match_full_build(
+        w in 1u16..5,
+        h in 1u16..5,
+        epochs in prop::collection::vec(
+            (
+                prop::collection::vec(any::<u16>(), 0..4),
+                prop::collection::vec((any::<u16>(), 0usize..NUM_CHANNELS, any::<u16>()), 0..12),
+            ),
+            1..24,
+        ),
+    ) {
+        let shape = MeshShape::new(w, h);
+        let n = shape.nodes();
+        let mut link_up = vec![true; n as usize * 4];
+        let mut lazy = RouteColumns::new(shape);
+        for (epoch, (flips, queries)) in epochs.into_iter().enumerate() {
+            for f in flips {
+                let link = f as usize % link_up.len();
+                link_up[link] = !link_up[link];
+            }
+            let full = RouteTable::build(shape, &link_up);
+            for (node, channel, dst) in queries {
+                let (node, dst) = (NodeId(node % n), NodeId(dst % n));
+                prop_assert_eq!(
+                    lazy.decide(&link_up, epoch as u64, node, channel, dst),
+                    full.decide(node, channel, dst),
+                    "epoch {} node {} channel {} dst {}", epoch, node.0, channel, dst.0
+                );
             }
         }
     }

@@ -164,16 +164,10 @@ impl NetworkInterface {
             let (packet, _) = self.out_fifo.pop().expect("head peeked above");
             let seq = peer.next_seq;
             peer.next_seq += 1;
-            let stamp = packet.stamp;
-            let mut framed = ShrimpPacket::with_link(
-                *packet.header(),
-                packet.into_payload(),
-                LinkCtl {
-                    kind: FrameKind::Data,
-                    seq,
-                },
-            );
-            framed.stamp = stamp;
+            let mut framed = packet.framed(LinkCtl {
+                kind: FrameKind::Data,
+                seq,
+            });
             framed.stamp.injected = now;
             // Defensive: refill_from_overflow preserves `born` as the
             // ready time, so injection can no longer precede it; the

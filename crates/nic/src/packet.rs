@@ -282,7 +282,9 @@ impl AsRef<[u8]> for Payload {
 ///
 /// The CRC is computed once at construction (over the logical wire bytes:
 /// header, length field, payload) and carried with the packet;
-/// [`ShrimpPacket::verify_crc`] recomputes and compares on receipt.
+/// [`ShrimpPacket::framed`] extends it over a go-back-N trailer without
+/// re-reading the body, and [`ShrimpPacket::verify_crc`] recomputes and
+/// compares on receipt.
 ///
 /// # Examples
 ///
@@ -366,6 +368,29 @@ impl ShrimpPacket {
             crc,
             stamp: PacketStamp::default(),
         }
+    }
+
+    /// Frames an unframed packet for go-back-N: the same packet as
+    /// [`with_link`](ShrimpPacket::with_link) over its header and
+    /// payload, but the CRC costs only the trailer. The trailer follows
+    /// the payload on the wire, so the stored body CRC is resumed and
+    /// extended by the five trailer bytes. The lifecycle stamp is kept.
+    ///
+    /// The stored CRC must still match the body. Corruption only happens
+    /// on mesh links, after framing, so the NIC never frames a damaged
+    /// packet; debug builds check it.
+    pub fn framed(mut self, link: LinkCtl) -> Self {
+        debug_assert!(self.link.is_none(), "packet is already framed");
+        debug_assert_eq!(
+            self.crc,
+            body_crc(&self.header, self.payload.as_slice(), None),
+            "framing a packet whose stored CRC no longer matches its body"
+        );
+        let mut crc = Crc32::resume(self.crc);
+        crc.update(&link.wire_bytes());
+        self.crc = crc.finish();
+        self.link = Some(link);
+        self
     }
 
     /// Builds an empty-payload ack/nack control frame.
@@ -569,9 +594,14 @@ fn body_crc(header: &WireHeader, payload: &[u8], link: Option<LinkCtl>) -> u32 {
     crc.finish()
 }
 
-/// Byte-at-a-time table for the IEEE 802.3 polynomial.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 tables for the reflected IEEE 802.3 polynomial.
+/// `T[0]` is the classic byte-at-a-time table; `T[k][b]` is the CRC
+/// state of byte `b` followed by `k` zero bytes, so sixteen lookups
+/// advance the state over a 16-byte block at once.
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -581,11 +611,21 @@ const CRC32_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xedb8_8320 & mask);
             bit += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
-};
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
 
 /// Incremental IEEE 802.3 CRC-32.
 #[derive(Debug, Clone)]
@@ -597,11 +637,42 @@ impl Crc32 {
         Crc32(0xffff_ffff)
     }
 
-    /// Feeds bytes into the checksum.
+    /// Continues a checksum whose [`finish`](Crc32::finish)ed value is
+    /// `crc`: feeding more bytes yields the CRC of the concatenation.
+    pub fn resume(crc: u32) -> Self {
+        Crc32(!crc)
+    }
+
+    /// Feeds bytes into the checksum: sixteen bytes per step through the
+    /// slicing tables, then a byte loop for the tail.
     pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC32_TABLES;
         let mut crc = self.0;
-        for &byte in data {
-            crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ byte as u32) & 0xff) as usize];
+        let mut blocks = data.chunks_exact(16);
+        for b in &mut blocks {
+            // The state folds into the first four bytes; those bytes are
+            // furthest from the block's end, so they take the deepest
+            // tables.
+            let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            crc = t[15][(lo & 0xff) as usize]
+                ^ t[14][((lo >> 8) & 0xff) as usize]
+                ^ t[13][((lo >> 16) & 0xff) as usize]
+                ^ t[12][(lo >> 24) as usize]
+                ^ t[11][b[4] as usize]
+                ^ t[10][b[5] as usize]
+                ^ t[9][b[6] as usize]
+                ^ t[8][b[7] as usize]
+                ^ t[7][b[8] as usize]
+                ^ t[6][b[9] as usize]
+                ^ t[5][b[10] as usize]
+                ^ t[4][b[11] as usize]
+                ^ t[3][b[12] as usize]
+                ^ t[2][b[13] as usize]
+                ^ t[1][b[14] as usize]
+                ^ t[0][b[15] as usize];
+        }
+        for &byte in blocks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xff) as usize];
         }
         self.0 = crc;
     }
@@ -642,6 +713,88 @@ mod tests {
         // Standard check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Bit-at-a-time CRC-32 over the reflected IEEE polynomial: the
+    /// definition the slicing tables must reproduce, sharing no table
+    /// with them. Works on the raw (un-finished) state.
+    fn reference_update(mut state: u32, data: &[u8]) -> u32 {
+        for &byte in data {
+            state ^= byte as u32;
+            for _ in 0..8 {
+                state = (state >> 1) ^ (0xedb8_8320 & (state & 1).wrapping_neg());
+            }
+        }
+        state
+    }
+
+    fn reference_crc(data: &[u8]) -> u32 {
+        !reference_update(0xffff_ffff, data)
+    }
+
+    /// `len` reproducible noise bytes.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slicing_matches_reference_at_every_length() {
+        // Every length 0..=4200 (a page plus the largest header), hence
+        // every tail length 0..15 after the 16-byte blocks, from several
+        // start offsets.
+        let data = noise(4200 + 16, 0x5eed);
+        for start in [0usize, 1, 7, 15] {
+            let mut state = 0xffff_ffff;
+            for len in 0..=4200 {
+                assert_eq!(
+                    crc32(&data[start..start + len]),
+                    !state,
+                    "start {start} len {len}"
+                );
+                state = reference_update(state, &data[start + len..start + len + 1]);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Any split of the input across `update` calls, and any point
+        /// where a finished CRC is resumed, gives the reference CRC of
+        /// the whole input.
+        #[test]
+        fn split_and_resumed_updates_match_reference(
+            data in proptest::collection::vec(proptest::any::<u8>(), 0usize..4200),
+            cuts in proptest::collection::vec(proptest::any::<u16>(), 0usize..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c as usize % (data.len() + 1)).collect();
+            cuts.push(0);
+            cuts.push(data.len());
+            cuts.sort_unstable();
+            let expected = reference_crc(&data);
+
+            let mut split = Crc32::new();
+            for w in cuts.windows(2) {
+                split.update(&data[w[0]..w[1]]);
+            }
+            proptest::prop_assert_eq!(split.finish(), expected);
+
+            // Finish after every piece and resume from the finished value.
+            let mut crc = Crc32::new().finish();
+            for w in cuts.windows(2) {
+                let mut c = Crc32::resume(crc);
+                c.update(&data[w[0]..w[1]]);
+                crc = c.finish();
+                proptest::prop_assert_eq!(crc, reference_crc(&data[..w[1]]));
+            }
+            proptest::prop_assert_eq!(crc, expected);
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use shrimp_mem::{PageNum, PhysAddr, PAGE_SIZE};
 use shrimp_mesh::{MeshCoord, MeshShape, NodeId};
 use shrimp_nic::{
-    crc32, CommandOp, Crc32, FrameKind, LinkCtl, NetworkInterface, NicConfig, OutSegment,
-    PacketFifo, ShrimpPacket, UpdatePolicy, WireHeader,
+    crc32, pooled_payload, CommandOp, Crc32, FrameKind, LinkCtl, NetworkInterface, NicConfig,
+    OutSegment, PacketFifo, Payload, ShrimpPacket, UpdatePolicy, WireHeader, INLINE_PAYLOAD_MAX,
 };
 use shrimp_sim::{SimDuration, SimTime};
 
@@ -248,6 +248,68 @@ proptest! {
         // And the wire image round-trips.
         let back = ShrimpPacket::decode(&encoded).expect("decode");
         prop_assert_eq!(back, pkt);
+    }
+
+    /// Framing by resuming the stored CRC over the trailer builds the
+    /// very packet `with_link` builds by re-reading the whole body, for
+    /// any header, payload representation and frame kind; the stamp
+    /// rides along; and a flipped bit anywhere on the framed wire image
+    /// still fails the check.
+    #[test]
+    fn framed_equals_with_link(
+        x in 0u16..64,
+        y in 0u16..64,
+        src in any::<u16>(),
+        dst_addr in any::<u64>(),
+        repr in 0u8..4,
+        len in 0usize..4200,
+        fill in any::<u8>(),
+        kind in 0u8..3,
+        seq in any::<u32>(),
+        payload_bits in prop::collection::vec(any::<u64>(), 1usize..8),
+    ) {
+        let header = WireHeader {
+            dst_coord: MeshCoord { x, y },
+            src: NodeId(src),
+            dst_addr: PhysAddr::new(dst_addr),
+        };
+        let bytes = |n: usize| (0..n).map(|i| fill.wrapping_add(i as u8)).collect::<Vec<u8>>();
+        let payload = match repr {
+            0 => Payload::default(),
+            1 => Payload::copy_from_slice(&bytes(len % (INLINE_PAYLOAD_MAX + 1))),
+            2 => {
+                let n = INLINE_PAYLOAD_MAX + 1 + len;
+                pooled_payload(n, |b| b.copy_from_slice(&bytes(n)))
+            }
+            _ => Payload::from(bytes(len)),
+        };
+        let kind = [FrameKind::Data, FrameKind::Ack, FrameKind::Nack][kind as usize];
+        let link = LinkCtl { kind, seq };
+
+        let mut plain = ShrimpPacket::new(header, payload.clone());
+        plain.stamp.born = SimTime::from_picos(seq as u64);
+        let framed = plain.clone().framed(link);
+        let reference = ShrimpPacket::with_link(header, payload, link);
+        prop_assert_eq!(&framed, &reference);
+        prop_assert_eq!(framed.crc(), reference.crc());
+        prop_assert_eq!(framed.stamp, plain.stamp);
+        prop_assert!(framed.verify_crc());
+        prop_assert_eq!(ShrimpPacket::decode(&framed.encode()).expect("decode"), reference);
+
+        // Every bit outside the payload, plus random payload bits.
+        let wire_bits = framed.wire_len() * 8;
+        let body_start = WireHeader::WIRE_BYTES * 8;
+        let body_end = body_start + framed.payload().len() as u64 * 8;
+        let bits = (0..body_start)
+            .chain(body_end..wire_bits)
+            .chain(payload_bits.iter().filter(|_| body_end > body_start).map(|b| {
+                body_start + b % (body_end - body_start)
+            }));
+        for bit in bits {
+            let mut bad = framed.clone();
+            bad.corrupt_bit(bit);
+            prop_assert!(!bad.verify_crc(), "bit {} of {} slipped past the CRC", bit, wire_bits);
+        }
     }
 }
 
