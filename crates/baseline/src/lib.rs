@@ -15,6 +15,8 @@
 //! same mesh backplane underneath. The message-passing benches run both
 //! machines and compare.
 
+#![forbid(unsafe_code)]
+
 pub mod machine;
 pub mod model;
 

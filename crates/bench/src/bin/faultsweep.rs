@@ -164,7 +164,7 @@ fn run_churn_point(mttf_us: Option<u64>) -> ChurnSample {
          session dsm count=4 src=any dst=any pages=2 ops=4 write=64 think=1us..5us\n"
     );
     let sc = Scenario::parse(&text).expect("generated scenario is valid");
-    let (r, m) = run_scenario_observed(&sc, Some(1)).expect("churn point completes");
+    let (r, m) = run_scenario_observed(&sc).expect("churn point completes");
     assert_eq!(r.sessions_completed, sc.total_sessions(), "churn must not lose sessions");
     let mesh = m.mesh_stats();
     let nics: Vec<_> = (0..sc.nodes()).map(|n| m.nic_stats(NodeId(n))).collect();

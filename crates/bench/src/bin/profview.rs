@@ -1,19 +1,15 @@
 //! Engine self-profile viewer: runs any scenario DSL file with the
 //! engine profiler and flight recorder on, then reports where the
-//! simulator spent its wall clock, why lookahead windows closed, and
-//! how the windows were shaped.
+//! simulator spent its wall clock.
 //!
 //! ```text
 //! cargo run --release -p shrimp-bench --bin profview -- \
-//!     scenarios/mixed.shrimp [--workers N] [--metrics-out PATH] \
-//!     [--overhead-budget PCT]
+//!     scenarios/mixed.shrimp [--metrics-out PATH] [--overhead-budget PCT]
 //! ```
 //!
-//! The deterministic window telemetry (`engine.windows.*`,
-//! `engine.barrier.*`) is byte-identical for every worker count; the
-//! wall-clock phase profile (`engine.profile.*`) is this run's
-//! measurement and varies run to run. Both land in the metrics file
-//! (default `BENCH_profview.metrics.json`).
+//! The report's deterministic metrics and this run's wall-clock phase
+//! profile (`engine.profile.*`, which varies run to run) both land in
+//! the metrics file (default `BENCH_profview.metrics.json`).
 //!
 //! `--overhead-budget PCT` additionally re-runs the scenario with
 //! profiling off and on (best of three ~250 ms batched regions each),
@@ -21,30 +17,24 @@
 //! fails when the profiled wall clock exceeds the unprofiled one by
 //! more than PCT percent.
 
-use shrimp_bench::{banner, write_metrics, Table};
-use shrimp_sim::{BarrierCause, Histogram, MetricsRegistry};
+use shrimp_bench::{banner, write_metrics};
+use shrimp_sim::MetricsRegistry;
 use shrimp_workload::dsl::Scenario;
 use shrimp_workload::gen::run_scenario_tuned;
 
 struct Args {
     scenario: String,
-    workers: Option<usize>,
     overhead_budget: Option<f64>,
 }
 
 fn parse_args() -> Args {
     let mut scenario = None;
-    let mut workers = None;
     let mut overhead_budget = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--metrics-out" => {
                 args.next(); // consumed again by metrics_out_path
-            }
-            "--workers" => {
-                let v = args.next().expect("--workers requires a count");
-                workers = Some(v.parse().expect("--workers takes an integer"));
             }
             "--overhead-budget" => {
                 let v = args.next().expect("--overhead-budget requires a percentage");
@@ -56,50 +46,33 @@ fn parse_args() -> Args {
             other => {
                 eprintln!(
                     "unknown argument `{other}`; usage: profview <scenario.shrimp> \
-                     [--workers N] [--metrics-out PATH] [--overhead-budget PCT]"
+                     [--metrics-out PATH] [--overhead-budget PCT]"
                 );
                 std::process::exit(2);
             }
         }
     }
     let Some(scenario) = scenario else {
-        eprintln!(
-            "usage: profview <scenario.shrimp> [--workers N] [--metrics-out PATH] \
-             [--overhead-budget PCT]"
-        );
+        eprintln!("usage: profview <scenario.shrimp> [--metrics-out PATH] [--overhead-budget PCT]");
         std::process::exit(2);
     };
-    Args { scenario, workers, overhead_budget }
-}
-
-fn hist_row(name: &str, h: &Histogram) -> Vec<String> {
-    vec![
-        name.to_string(),
-        h.count().to_string(),
-        h.min().map_or_else(|| "-".into(), |v| v.to_string()),
-        h.p50().map_or_else(|| "-".into(), |v| v.to_string()),
-        h.p95().map_or_else(|| "-".into(), |v| v.to_string()),
-        h.p99().map_or_else(|| "-".into(), |v| v.to_string()),
-        h.max().map_or_else(|| "-".into(), |v| v.to_string()),
-    ]
+    Args {
+        scenario,
+        overhead_budget,
+    }
 }
 
 /// Best-of-three wall clock over timed regions of `iters` back-to-back
 /// scenario runs each. A single short scenario is scheduler-noise all
 /// the way down; batching runs into ~quarter-second regions and taking
 /// the minimum region gives a stable overhead ratio.
-fn best_wall(
-    sc: &Scenario,
-    workers: Option<usize>,
-    profile: bool,
-    iters: usize,
-) -> (std::time::Duration, u64) {
+fn best_wall(sc: &Scenario, profile: bool, iters: usize) -> (std::time::Duration, u64) {
     let mut best = std::time::Duration::MAX;
     let mut hash = 0;
     for _ in 0..3 {
         let t0 = std::time::Instant::now();
         for _ in 0..iters {
-            let (r, _) = run_scenario_tuned(sc, workers, |cfg| {
+            let (r, _) = run_scenario_tuned(sc, None, |cfg| {
                 cfg.telemetry.profile = profile;
             })
             .expect("scenario completes");
@@ -118,46 +91,21 @@ fn main() {
 
     banner(format!("Engine profile: scenario `{}`", sc.name));
     let start = std::time::Instant::now();
-    let (report, machine) = run_scenario_tuned(&sc, args.workers, |cfg| {
+    let (report, machine) = run_scenario_tuned(&sc, None, |cfg| {
         cfg.telemetry.profile = true;
     })
     .expect("scenario completes");
     let wall = start.elapsed();
 
     println!(
-        "sessions={} deliveries={} events={} sim_time={:.3} ms wall={wall:.2?} workers={}\n",
+        "sessions={} deliveries={} events={} sim_time={:.3} ms wall={wall:.2?}\n",
         report.sessions_completed,
         report.deliveries,
         report.events_processed,
         report.final_time_ps as f64 / 1e9,
-        machine.config().workers,
     );
 
-    // Why windows closed — the deterministic barrier-cause breakdown.
-    let ws = machine.window_stats();
-    let total = ws.total_closed().max(1);
-    let mut causes = Table::new(vec!["barrier cause", "windows", "share"]);
-    for cause in BarrierCause::ALL {
-        let n = ws.closes(cause);
-        causes.row(vec![
-            cause.name().into(),
-            n.to_string(),
-            format!("{:.1}%", n as f64 * 100.0 / total as f64),
-        ]);
-    }
-    causes.row(vec!["total".into(), ws.total_closed().to_string(), "100.0%".into()]);
-    causes.print();
-
-    // Window shape.
-    let mut shape = Table::new(vec!["window shape", "count", "min", "p50", "p95", "p99", "max"]);
-    shape.row(hist_row("depth (events)", &ws.depth));
-    shape.row(hist_row("participants", &ws.participants));
-    shape.row(hist_row("slice events", &ws.slice_events));
-    println!();
-    shape.print();
-
     // Wall-clock phase attribution.
-    println!();
     let profile = machine.profile().expect("profiler was enabled");
     print!("{}", profile.render());
 
@@ -169,8 +117,8 @@ fn main() {
         fr.capacity(),
     );
 
-    // Metrics file: the report's scalars, the live window histograms,
-    // and this run's wall-clock phase profile.
+    // Metrics file: the report's scalars and this run's wall-clock phase
+    // profile.
     let mut reg = MetricsRegistry::new();
     for (name, value) in report.metrics.entries() {
         match value {
@@ -179,7 +127,6 @@ fn main() {
             shrimp_sim::MetricValue::Histogram(_) => {}
         }
     }
-    ws.register(&mut reg);
     profile.register(&mut reg);
     write_metrics("profview", &reg.snapshot());
 
@@ -189,8 +136,8 @@ fn main() {
         // run above, so short scenarios get enough repetitions to
         // average out scheduler noise.
         let iters = ((0.25 / wall.as_secs_f64().max(1e-4)).ceil() as usize).clamp(1, 200);
-        let (off, hash_off) = best_wall(&sc, args.workers, false, iters);
-        let (on, hash_on) = best_wall(&sc, args.workers, true, iters);
+        let (off, hash_off) = best_wall(&sc, false, iters);
+        let (on, hash_on) = best_wall(&sc, true, iters);
         assert_eq!(
             hash_off, hash_on,
             "profiling perturbed the simulation (delivery hash drifted)"

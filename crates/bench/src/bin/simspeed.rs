@@ -1,5 +1,6 @@
 //! Simulator throughput benchmark: wall-clock events/sec and
-//! simulated-bytes/sec on the paper's bandwidth and latency workloads.
+//! simulated-bytes/sec on the paper's bandwidth and latency workloads
+//! and on a 1024-node ring.
 //!
 //! Unlike the other bench binaries (which regenerate *paper* numbers),
 //! this one measures the *simulator itself*, so perf PRs have a tracked
@@ -17,16 +18,14 @@
 //! simulated event — the number the packet arena is meant to drive
 //! toward zero on streaming workloads.
 //!
-//! `--smoke` runs a reduced 32×32-mesh scaling check meant for CI: the
-//! 1024-node ring at workers 1 and 8, asserting the delivery hash and
-//! event count are bit-identical and that single-worker throughput
-//! stays above a lenient floor.
+//! `--smoke` runs only the 32×32-mesh ring, meant for CI: it asserts the
+//! ring's pinned delivery hash and event count and that throughput stays
+//! above a lenient floor.
 
 use std::time::Instant;
 
 use shrimp_bench::{alloc_stats, banner, write_metrics};
 use shrimp_core::{DeliveryRecord, Machine, MachineConfig, MapRequest};
-use shrimp_sim::{BarrierCause, WindowStats};
 use shrimp_cpu::Reg;
 use shrimp_mem::PAGE_SIZE;
 use shrimp_mesh::{MeshShape, NodeId};
@@ -143,9 +142,6 @@ fn sender_setup(cfg: MachineConfig, pages: u64, policy: UpdatePolicy) -> Sender 
 /// Deliberate-update streaming of `bytes` (DMA bandwidth workload).
 fn bandwidth_workload(bytes: u64) -> Sample {
     let mut cfg = MachineConfig::prototype(MeshShape::new(2, 1));
-    // The trajectory samples always measure the sequential engine; the
-    // scaling sweep below covers the parallel one.
-    cfg.workers = 1;
     let pages = bytes.div_ceil(PAGE_SIZE);
     // Paper configs keep nodes at 1 MB to stay test-sized; this workload
     // streams more, so widen the physical memory (data + command pages).
@@ -181,7 +177,6 @@ fn bandwidth_workload(bytes: u64) -> Sample {
 /// word crosses the snoop, merge and packetization path).
 fn blocked_write_workload(bytes: u64) -> Sample {
     let mut cfg = MachineConfig::prototype(MeshShape::new(2, 1));
-    cfg.workers = 1;
     let pages = bytes.div_ceil(PAGE_SIZE);
     cfg.pages_per_node = 4 * pages.max(256);
     let mut w = sender_setup(cfg, pages, UpdatePolicy::AutomaticBlocked);
@@ -208,8 +203,7 @@ fn blocked_write_workload(bytes: u64) -> Sample {
 /// Repeated single-word automatic updates across a 4×4 mesh (latency
 /// workload: event-loop and per-packet overhead dominated).
 fn latency_workload(rounds: u64) -> Sample {
-    let mut cfg = MachineConfig::prototype(MeshShape::new(4, 4));
-    cfg.workers = 1;
+    let cfg = MachineConfig::prototype(MeshShape::new(4, 4));
     let src_node = NodeId(0);
     let dst_node = NodeId(15);
     let mut m = Machine::new(cfg);
@@ -254,20 +248,22 @@ fn latency_workload(rounds: u64) -> Sample {
     }
 }
 
-/// One leg of the worker-scaling sweep: a fully symmetric ring stream
-/// over **every node of a `dim`×`dim` mesh**. Each node runs the
-/// deliberate-update stream program to its ring successor, all programs
-/// started at the same instant, so eligible events land on shared
-/// lookahead windows across distinct nodes — the shape the conservative
-/// parallel engine batches. Returns the measurement, the number of
-/// window batches the engine shipped, the delivery-log fingerprint for
-/// cross-worker-count comparison, and the window telemetry (window
-/// formation runs at every worker count, so the barrier-cause counters
-/// must also be worker-invariant).
-fn scaling_workload(dim: u16, workers: usize, pages: u64) -> (Sample, u64, u64, WindowStats) {
+/// Delivery fingerprint of [`ring_workload`]'s measured region.
+const RING_HASH: u64 = 0x1a5d_1166_df16_23e5;
+
+/// Events in [`ring_workload`]'s measured region.
+const RING_EVENTS: u64 = 13_312;
+
+/// A fully symmetric ring stream over **every node of a 32×32 mesh**:
+/// each node runs the deliberate-update stream program to its ring
+/// successor, all programs started at the same instant — the mesh and
+/// the scheduler at scale. The run must reproduce its pinned delivery
+/// hash and event count, so any change to simulated behaviour fails
+/// here.
+fn ring_workload() -> Sample {
+    let (dim, pages) = (32u16, 2u64);
     let n = dim as usize * dim as usize;
     let mut cfg = MachineConfig::prototype(MeshShape::new(dim, dim));
-    cfg.workers = workers;
     // Each node only touches `2 × pages` data pages plus kernel
     // metadata; on a 1024-node mesh the paper default of 1 MB/node
     // would cost a gigabyte of host RAM, so size memory to the workload.
@@ -339,27 +335,20 @@ fn scaling_workload(dim: u16, workers: usize, pages: u64) -> (Sample, u64, u64, 
     let allocs = alloc_stats::allocations() - a0;
     let delivered: u64 = m.deliveries().iter().map(|d| d.len).sum();
     assert_eq!(delivered, n as u64 * pages * PAGE_SIZE, "every byte must arrive");
-    let name = match workers {
-        1 => "scaling1k_w1",
-        2 => "scaling1k_w2",
-        4 => "scaling1k_w4",
-        8 => "scaling1k_w8",
-        16 => "scaling1k_w16",
-        _ => "scaling1k",
-    };
     let hash = delivery_hash(m.deliveries());
-    (
-        Sample {
-            name,
-            wall_seconds,
-            events: m.events_processed() - ev0,
-            sim_bytes: delivered,
-            allocs,
-        },
-        m.parallel_batches(),
-        hash,
-        m.window_stats().clone(),
-    )
+    assert_eq!(
+        hash, RING_HASH,
+        "ring delivery hash drifted (got 0x{hash:016x})"
+    );
+    let events = m.events_processed() - ev0;
+    assert_eq!(events, RING_EVENTS, "ring event count drifted");
+    Sample {
+        name: "ring1k",
+        wall_seconds,
+        events,
+        sim_bytes: delivered,
+        allocs,
+    }
 }
 
 fn json_field(s: &Sample) -> String {
@@ -385,54 +374,29 @@ fn json_field(s: &Sample) -> String {
     )
 }
 
-/// CI smoke: the 32×32 ring at workers 1 and 8 must produce the same
-/// delivery fingerprint and event count, and single-worker throughput
-/// must clear a floor lenient enough for noisy shared runners.
+/// CI smoke: the 32×32 ring must reproduce its pinned delivery hash and
+/// event count, and its throughput must clear a floor lenient enough
+/// for noisy shared runners.
 fn smoke() {
-    banner("simspeed --smoke: 32x32 scaling determinism check");
+    banner("simspeed --smoke: 32x32 pinned-ring check");
     const FLOOR_EVENTS_PER_SEC: f64 = 25_000.0;
-    let (s1, b1, h1, w1) = scaling_workload(32, 1, 2);
-    let (s8, b8, h8, w8) = scaling_workload(32, 8, 2);
-    for s in [&s1, &s8] {
-        println!(
-            "{:<14} {:>10.4}s {:>12} events {:>14.0} ev/s",
-            s.name,
-            s.wall_seconds,
-            s.events,
-            s.events_per_sec(),
-        );
-    }
-    println!("windows shipped: workers=1 {b1}, workers=8 {b8}");
-    assert_eq!(h1, h8, "delivery hash diverged between workers=1 and workers=8");
-    assert_eq!(s1.events, s8.events, "event count diverged between worker counts");
-
-    // The barrier-cause breakdown is deterministic window telemetry:
-    // it must be worker-invariant, it must sum to the total windows
-    // closed, and a mesh-saturating ring must show mesh-event clamps.
-    println!("\nbarrier causes (worker-invariant):");
-    let mut sum = 0;
-    for cause in BarrierCause::ALL {
-        assert_eq!(
-            w1.closes(cause),
-            w8.closes(cause),
-            "engine.barrier.{} diverged between worker counts",
-            cause.name(),
-        );
-        sum += w1.closes(cause);
-        println!("  engine.barrier.{:<18} {}", cause.name(), w1.closes(cause));
-    }
-    assert_eq!(sum, w1.total_closed(), "per-cause counters must sum to windows closed");
-    assert!(
-        w1.closes(BarrierCause::MeshEventClamp) > 0,
-        "a mesh-heavy ring must clamp windows on pending mesh events"
+    let s = ring_workload();
+    println!(
+        "{:<14} {:>10.4}s {:>12} events {:>14.0} ev/s",
+        s.name,
+        s.wall_seconds,
+        s.events,
+        s.events_per_sec(),
     );
-
     assert!(
-        s1.events_per_sec() >= FLOOR_EVENTS_PER_SEC,
-        "workers=1 throughput {:.0} ev/s fell below the {FLOOR_EVENTS_PER_SEC} floor",
-        s1.events_per_sec(),
+        s.events_per_sec() >= FLOOR_EVENTS_PER_SEC,
+        "ring throughput {:.0} ev/s fell below the {FLOOR_EVENTS_PER_SEC} floor",
+        s.events_per_sec(),
     );
-    println!("\nsmoke OK: hashes match, {} events, floor cleared", s1.events);
+    println!(
+        "\nsmoke OK: pinned hash and {} events reproduced, floor cleared",
+        s.events
+    );
 }
 
 fn main() {
@@ -453,6 +417,7 @@ fn main() {
         bandwidth_workload(4096 * PAGE_SIZE),
         blocked_write_workload(768 * PAGE_SIZE),
         latency_workload(20_000),
+        ring_workload(),
     ];
 
     println!(
@@ -472,48 +437,10 @@ fn main() {
         );
     }
 
-    // Worker-count scaling sweep: every node of a 32×32 mesh (1024
-    // nodes) streaming to its ring successor. The event counts and
-    // delivery fingerprints must agree across worker counts — the
-    // parallel engine is bit-deterministic — so only wall clock may
-    // differ.
-    println!("\nscaling sweep (32x32 mesh, 1024-node ring, all nodes streaming):");
-    println!(
-        "{:<10} {:>10} {:>12} {:>14} {:>10} {:>10}",
-        "workers", "wall s", "events", "events/s", "batches", "allocs/ev"
-    );
-    let sweep: Vec<(usize, Sample, u64, u64, WindowStats)> = [1usize, 2, 4, 8, 16]
-        .into_iter()
-        .map(|w| {
-            let (s, batches, hash, stats) = scaling_workload(32, w, 2);
-            (w, s, batches, hash, stats)
-        })
-        .collect();
-    for (w, s, batches, hash, _) in &sweep {
-        println!(
-            "{:<10} {:>10.4} {:>12} {:>14.0} {:>10} {:>10}",
-            w,
-            s.wall_seconds,
-            s.events,
-            s.events_per_sec(),
-            batches,
-            table_allocs(s.allocs_per_event()),
-        );
-        assert_eq!(
-            s.events, sweep[0].1.events,
-            "worker count changed the event count — determinism broken"
-        );
-        assert_eq!(
-            *hash, sweep[0].3,
-            "worker count changed the delivery log — determinism broken"
-        );
-    }
-
     // Historical trajectory file, kept format-stable so perf PRs stay
     // comparable across revisions.
     let body = samples
         .iter()
-        .chain(sweep.iter().map(|(_, s, _, _, _)| s))
         .map(json_field)
         .collect::<Vec<_>>()
         .join(",\n");
@@ -536,18 +463,5 @@ fn main() {
             reg.set_gauge(format!("{p}.allocs_per_event"), a);
         }
     }
-    for (w, s, batches, _, _) in &sweep {
-        let p = format!("simspeed.scaling1k.workers{w}");
-        reg.set_gauge(format!("{p}.wall_seconds"), s.wall_seconds);
-        reg.set_counter(format!("{p}.events"), s.events);
-        reg.set_gauge(format!("{p}.events_per_sec"), s.events_per_sec());
-        reg.set_counter(format!("{p}.batches"), *batches);
-        if let Some(a) = s.allocs_per_event() {
-            reg.set_gauge(format!("{p}.allocs_per_event"), a);
-        }
-    }
-    // The ring's barrier-cause breakdown — worker-invariant, so the
-    // first sweep leg speaks for all of them (asserted in --smoke).
-    sweep[0].4.register(&mut reg);
     write_metrics("simspeed", &reg.snapshot());
 }

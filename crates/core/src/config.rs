@@ -49,12 +49,6 @@ pub struct MachineConfig {
     /// Telemetry: typed tracing and packet-lifecycle latency recording.
     /// Off by default; turning it on never perturbs simulated time.
     pub telemetry: TelemetryConfig,
-    /// Worker threads for the conservative parallel engine. `1` (the
-    /// default) runs the classic sequential loop; `2..` shards
-    /// same-instant node-local events across a thread pool. Results are
-    /// bit-identical at every setting — this is purely a wall-clock
-    /// knob. Defaults to `$SHRIMP_WORKERS` when set.
-    pub workers: usize,
 }
 
 impl MachineConfig {
@@ -78,7 +72,6 @@ impl MachineConfig {
             tlb_entries: 64,
             fault: FaultConfig::default(),
             telemetry: TelemetryConfig::default(),
-            workers: workers_from_env(),
         }
     }
 
@@ -98,18 +91,6 @@ impl MachineConfig {
         MachineConfig::prototype(MeshShape::new(2, 1))
     }
 
-    /// The parallel engine's static lookahead bound: the minimum
-    /// latency of any cross-node effect. A node executing at time `t`
-    /// cannot influence another node before `t + lookahead()` — mesh
-    /// packets pay at least one router hop
-    /// ([`MeshConfig::min_cross_node_latency`]) and kernel-to-kernel
-    /// control messages pay [`MachineConfig::kernel_msg_latency`] — so
-    /// events of different nodes inside one such window are
-    /// independent and may run concurrently (DESIGN.md §5e).
-    pub fn lookahead(&self) -> SimDuration {
-        std::cmp::min(self.mesh.min_cross_node_latency(), self.kernel_msg_latency)
-    }
-
     /// Validates all sub-configurations.
     ///
     /// # Panics
@@ -120,21 +101,7 @@ impl MachineConfig {
         self.mesh.validate();
         assert!(self.pages_per_node >= 32, "nodes need at least 32 pages");
         assert!(self.tlb_entries > 0, "TLB must hold at least one entry");
-        assert!(
-            (1..=64).contains(&self.workers),
-            "workers must be between 1 and 64"
-        );
     }
-}
-
-/// Reads `$SHRIMP_WORKERS` (1–64), defaulting to 1 (sequential) when
-/// unset or unparsable.
-fn workers_from_env() -> usize {
-    std::env::var("SHRIMP_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|w| (1..=64).contains(w))
-        .unwrap_or(1)
 }
 
 #[cfg(test)]

@@ -24,9 +24,10 @@
 //!
 //! See the [`Machine`] docs for an end-to-end example.
 
+#![forbid(unsafe_code)]
+
 pub mod collective;
 pub mod config;
-mod engine;
 pub mod error;
 pub mod machine;
 pub mod mqueue;

@@ -27,14 +27,13 @@ use shrimp_nic::{AnyNic, NicError, NicInterrupt, NicModel, OutSegment, ShrimpPac
 use shrimp_os::kernel::OutgoingRecord;
 use shrimp_os::{ExportId, Kernel, OsError, Pid};
 use shrimp_sim::{
-    step, to_chrome_json_with_counters, BarrierCause, Component, ComponentId, CounterSample,
-    EnginePhase, EngineProfileReport, EngineProfiler, FlightEntry, FlightRecorder, Histogram,
-    MetricsRegistry, MetricsSnapshot, Scheduler, SimDuration, SimHost, SimTime, StepBound,
-    StepOutcome, TraceData, TraceEvent, TraceLevel, Tracer, WindowStats,
+    step, to_chrome_json_with_counters, Component, ComponentId, CounterSample, EnginePhase,
+    EngineProfileReport, EngineProfiler, FlightEntry, FlightRecorder, Histogram, MetricsRegistry,
+    MetricsSnapshot, Scheduler, SimDuration, SimHost, SimTime, StepBound, StepOutcome, TraceData,
+    TraceEvent, TraceLevel, Tracer,
 };
 
 use crate::config::MachineConfig;
-use crate::engine::{execute_window, NodeWindowOutcome, SliceClose, WindowEntry, WorkerPool};
 use crate::error::MachineError;
 use crate::node::{Action, Node, NodeEffects, NodeEvent};
 
@@ -162,11 +161,6 @@ impl MachineTelemetry {
     }
 }
 
-/// Bucket width of the per-node calendar queues: 1 ns clusters the
-/// ns-scale CPU/NIC event populations a few per bucket; µs-scale kernel
-/// timers overflow to the far heap, which is tiny per node.
-const WINDOW_BUCKET_WIDTH_PS: u64 = 1_000;
-
 /// A scheduled machine event: which node, and what it should do. The
 /// per-node behaviour lives in [`NodeEvent`]; this type only exists as
 /// the machine scheduler's event payload (it is public because it leaks
@@ -217,7 +211,6 @@ impl ActiveNodes {
 
 #[derive(Debug, Clone)]
 struct Registration {
-    #[allow(dead_code)] // returned to callers; kept for future unmap()
     id: MappingId,
     req: MapRequest,
 }
@@ -266,39 +259,12 @@ pub struct Machine {
     syscall_log: Vec<(SimTime, NodeId, Pid, u32)>,
     delivery_log: Vec<DeliveryRecord>,
     drop_log: Vec<(SimTime, NodeId, NicError)>,
-    node_events: Vec<u64>,
     tracer: Tracer,
     telemetry: MachineTelemetry,
-    /// Worker threads for the parallel engine (`None` when
-    /// `config.workers == 1`: the classic sequential loop).
-    pool: Option<WorkerPool>,
-    /// Per-node count of §4.4 invalidations armed and awaiting a write
-    /// fault (mirrors `Kernel::armed_invalidations`); while any is
-    /// non-zero the reestablish path may mutate a *remote* node with
-    /// zero delay, so no lookahead window may open (DESIGN.md §5e).
-    armed: Vec<usize>,
-    /// Sum of `armed` — the window gate reads only this.
-    armed_total: usize,
-    /// Whether the current run wrapper permits lookahead windows
-    /// (`run_until_pred` forbids them so the predicate keeps observing
-    /// every inter-instant state).
-    window_enabled: bool,
-    /// The active run bound: windows never execute events past it.
-    window_limit: Option<SimTime>,
-    /// Reused effect buffers for the sequential hot path (zero
-    /// steady-state allocation).
+    /// Reused effect buffers for the event hot path (zero steady-state
+    /// allocation).
     scratch_fx: NodeEffects,
     scratch_wakeups: NodeEffects,
-    /// Per-node window slot (-1 = not participating), reused across
-    /// windows.
-    slot_of: Vec<i32>,
-    /// Lookahead windows executed (worker-invariant: windows form
-    /// identically at every worker count; with one worker the slices
-    /// just run inline).
-    batches_run: u64,
-    /// Deterministic window telemetry: per-cause close counters and
-    /// window-shape histograms (worker-invariant; see DESIGN.md §5h).
-    win_stats: WindowStats,
     /// Wall-clock phase attribution (never part of the deterministic
     /// snapshot; see [`Machine::profile`]).
     profiler: EngineProfiler,
@@ -333,40 +299,23 @@ impl Machine {
             mesh.set_tracer(Tracer::new(level));
         }
         mesh.set_flight_recording(config.telemetry.flight_recorder > 0);
-        let pool = (config.workers > 1)
-            .then(|| WorkerPool::new(config.workers, config, config.telemetry.profile));
         let recorder = FlightRecorder::new(nodes.len(), config.telemetry.flight_recorder);
-        let slot_of = vec![-1; nodes.len()];
-        let armed = vec![0; nodes.len()];
-        let node_events = vec![0; nodes.len()];
         let active = ActiveNodes::all(nodes.len());
         Machine {
             config,
             nodes,
             mesh,
-            // One calendar queue per node (machine-level pushes route to
-            // the target node's shard); pop order is identical to the
-            // old global binary heap.
-            sched: Scheduler::sharded(shape.nodes().max(1) as usize, WINDOW_BUCKET_WIDTH_PS),
+            sched: Scheduler::new(),
             registrations: Vec::new(),
             next_mapping: 1,
             interrupt_log: Vec::new(),
             syscall_log: Vec::new(),
             delivery_log: Vec::new(),
             drop_log: Vec::new(),
-            node_events,
             tracer,
             telemetry: MachineTelemetry::default(),
-            pool,
-            armed,
-            armed_total: 0,
-            window_enabled: false,
-            window_limit: None,
             scratch_fx: NodeEffects::default(),
             scratch_wakeups: NodeEffects::default(),
-            slot_of,
-            batches_run: 0,
-            win_stats: WindowStats::default(),
             profiler: EngineProfiler::new(config.telemetry.profile),
             recorder,
             scratch_flight: Vec::new(),
@@ -380,43 +329,14 @@ impl Machine {
         self.sched.processed()
     }
 
-    /// Events dispatched per node since construction (index = node id) —
-    /// a per-node breakdown of [`Machine::events_processed`].
-    pub fn node_event_counts(&self) -> &[u64] {
-        &self.node_events
-    }
-
-    /// Lookahead windows executed. Window formation runs at every
-    /// worker count (with one worker the slices execute inline, with
-    /// more they fan out to the pool), so this — like the per-cause
-    /// close counters in [`Machine::window_stats`] — is worker-invariant
-    /// and confirms the window engine actually engaged.
-    pub fn parallel_batches(&self) -> u64 {
-        self.batches_run
-    }
-
-    /// Deterministic window telemetry: per-[`BarrierCause`] close
-    /// counters plus depth/participants/events-per-slice histograms.
-    /// Worker-invariant, and also published as `engine.windows.*` /
-    /// `engine.barrier.*` / `engine.window.*` in
-    /// [`Machine::metrics_snapshot`] once any window has closed.
-    pub fn window_stats(&self) -> &WindowStats {
-        &self.win_stats
-    }
-
     /// The wall-clock engine profile, when `telemetry.profile` is on.
-    /// Wall times vary run to run and worker count to worker count, so
-    /// they are deliberately NOT part of [`Machine::metrics_snapshot`]
-    /// (which must stay worker-invariant) — this report is the only way
-    /// out.
+    /// Wall times vary run to run, so they are deliberately NOT part of
+    /// [`Machine::metrics_snapshot`] (which must stay deterministic) —
+    /// this report is the only way out.
     pub fn profile(&self) -> Option<EngineProfileReport> {
-        self.profiler.is_enabled().then(|| {
-            EngineProfileReport::new(
-                &self.profiler,
-                self.config.workers,
-                self.pool.as_ref().map_or(0, WorkerPool::busy_ns),
-            )
-        })
+        self.profiler
+            .is_enabled()
+            .then(|| EngineProfileReport::new(&self.profiler))
     }
 
     /// The causal flight recorder (recent packet-lifecycle events).
@@ -664,8 +584,6 @@ impl Machine {
             pos_b += chunk;
         }
         self.flush_tlb(req.src_node);
-        // remove_outgoing may have dropped armed invalidations.
-        self.refresh_armed(req.src_node);
 
         dst_frames.sort_unstable();
         dst_frames.dedup();
@@ -910,9 +828,7 @@ impl Machine {
 
     /// Runs until the delivery log grows past `seen` records or the
     /// machine idles/reaches `limit`; true when a new delivery arrived.
-    /// The closed-loop generator's blocking wait: like
-    /// [`Machine::run_until_pred`] it runs windowless, so outcomes are
-    /// identical for any worker count.
+    /// The closed-loop generator's blocking wait.
     pub fn run_until_new_delivery(&mut self, limit: SimTime, seen: usize) -> bool {
         self.run_until_pred(limit, |m| m.delivery_log.len() > seen)
     }
@@ -927,10 +843,6 @@ impl Machine {
     /// already in progress).
     pub fn begin_pageout(&mut self, node: NodeId, frame: PageNum) -> Result<(), MachineError> {
         let msgs = self.node_mut(node).kernel.begin_pageout(frame)?;
-        // No sticky serial fallback: the invalidations this protocol
-        // arms are tracked per node (`armed`), and the window gate
-        // refuses to open while any are outstanding, so the §4.4
-        // reestablish path only ever runs between windows.
         let latency = self.config.kernel_msg_latency;
         let at = self.now() + latency;
         for (dst, msg) in msgs {
@@ -965,8 +877,6 @@ impl Machine {
     /// to stderr before the panic resumes.
     pub fn run_until(&mut self, limit: SimTime) {
         self.mark_all_active();
-        self.window_enabled = true;
-        self.window_limit = Some(limit);
         let bound = StepBound::until(limit);
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             while step(self, bound) == StepOutcome::Ran {}
@@ -975,8 +885,6 @@ impl Machine {
             self.dump_flight_on_panic();
             std::panic::resume_unwind(payload);
         }
-        self.window_enabled = false;
-        self.window_limit = None;
         self.sched.advance_clock(limit);
     }
 
@@ -998,8 +906,6 @@ impl Machine {
     pub fn run_until_idle(&mut self) -> Result<(), MachineError> {
         const MAX_IDLE_STEPS: u64 = 50_000_000;
         self.mark_all_active();
-        self.window_enabled = true;
-        self.window_limit = None;
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut steps = 0u64;
             loop {
@@ -1014,16 +920,10 @@ impl Machine {
                 }
             }
         }));
-        match run {
-            Ok(result) => {
-                self.window_enabled = false;
-                result
-            }
-            Err(payload) => {
-                self.dump_flight_on_panic();
-                std::panic::resume_unwind(payload);
-            }
-        }
+        run.unwrap_or_else(|payload| {
+            self.dump_flight_on_panic();
+            std::panic::resume_unwind(payload)
+        })
     }
 
     /// Puts every node on the pump worklist. Called at the entry of each
@@ -1047,10 +947,6 @@ impl Machine {
     /// splits an instant, so the predicate always observes a consistent
     /// inter-instant state.)
     pub fn run_until_pred(&mut self, limit: SimTime, mut pred: impl FnMut(&Machine) -> bool) -> bool {
-        // Windows stay off: a window executes a whole `[t, t+L)` span
-        // between predicate checks, which would let the run overshoot
-        // the state the predicate is waiting for.
-        self.window_enabled = false;
         self.mark_all_active();
         let bound = StepBound::until(limit);
         loop {
@@ -1067,284 +963,15 @@ impl Machine {
 
     // ──────────────────────── event dispatching ──────────────────────────
 
-    /// Schedules a machine event on its target node's queue shard.
+    /// Schedules a machine event.
     fn push_event(&mut self, at: SimTime, node: u16, ev: NodeEvent) {
-        self.sched.push_shard(node as u32, at, Event { node, ev });
+        self.sched.push(at, Event { node, ev });
     }
 
-    /// Re-reads one node's armed-invalidation count after anything that
-    /// may have changed it (a §4.4 kernel message, a serviced write
-    /// fault, an unmap).
-    fn refresh_armed(&mut self, node: NodeId) {
-        let now = self.nodes[node.0 as usize].kernel.armed_invalidations();
-        let slot = &mut self.armed[node.0 as usize];
-        self.armed_total = self.armed_total + now - *slot;
-        *slot = now;
-    }
-
-    /// Routes one popped event: through a lookahead window when the
-    /// window engine applies, inline otherwise. Windows form at every
-    /// worker count — with one worker the slices execute inline on this
-    /// thread — so the window/barrier telemetry is worker-invariant.
-    fn dispatch_event(&mut self, t: SimTime, ev: Event) {
-        // A window is sound only when no §4.4 invalidation is armed
-        // anywhere (an armed node's write fault reaches across nodes
-        // with zero delay) and the lead event is windowable: CpuStep and
-        // KernelMsg touch only their own node, while DmaComplete pumps
-        // the network and the wakeup events touch the mesh (DESIGN.md
-        // §5e).
-        if self.window_enabled
-            && matches!(ev.ev, NodeEvent::CpuStep | NodeEvent::KernelMsg { .. })
-        {
-            if self.armed_total == 0 {
-                match self.window_end(t) {
-                    Ok((w_end, clamp)) => {
-                        self.run_window(t, ev, w_end, clamp);
-                        return;
-                    }
-                    // The window could not even open (a mesh event is
-                    // due at or before `t`): a zero-length close, with
-                    // the clamp as its cause.
-                    Err(cause) => self.win_stats.note_close(cause),
-                }
-            } else {
-                // Refused outright: an armed invalidation somewhere
-                // keeps every window closed.
-                self.win_stats.note_close(BarrierCause::ArmedInvalidation);
-            }
-        }
-        self.node_events[ev.node as usize] += 1;
-        self.active.mark(ev.node);
-        self.execute_inline(t, ev.node, ev.ev);
-    }
-
-    /// The exclusive end of a lookahead window opening at `t`: the
-    /// static bound `t + L`, clamped to the next mesh event (the mesh
-    /// must advance before anything at or after it) and the run bound.
-    /// `Ok` carries the end plus what bounded it (for barrier-cause
-    /// attribution); `Err` carries the cause when the window would be
-    /// empty. Strict `<` comparisons keep the computed end identical to
-    /// a plain three-way `min`.
-    fn window_end(&self, t: SimTime) -> Result<(SimTime, BarrierCause), BarrierCause> {
-        let mut w = t + self.config.lookahead();
-        let mut cause = BarrierCause::Horizon;
-        if let Some(mt) = Component::next_event_time(&self.mesh) {
-            if mt < w {
-                w = mt;
-                cause = BarrierCause::MeshEventClamp;
-            }
-        }
-        if let Some(limit) = self.window_limit {
-            // Events *at* the limit may still run.
-            let l = limit + SimDuration::from_picos(1);
-            if l < w {
-                w = l;
-                cause = BarrierCause::LimitClamp;
-            }
-        }
-        if w > t {
-            Ok((w, cause))
-        } else {
-            Err(cause)
-        }
-    }
-
-    /// Runs one lookahead window `[t, w_end)`: drains every windowable
-    /// event in the span, fans the participating nodes out across the
-    /// worker pool, then replays all recorded consequences in exact
-    /// global `(time, seq)` order so the machine state, queue and logs
-    /// evolve byte-identically to sequential execution (DESIGN.md §5e).
-    fn run_window(&mut self, t: SimTime, first: Event, w_end: SimTime, clamp: BarrierCause) {
-        self.batches_run += 1;
-        let first_seq = self.sched.last_popped_seq();
-
-        // ── Formation: group drained events per node, drain order. ──
-        let p_form = self.profiler.begin();
-        let mut tasks: Vec<(u16, Vec<WindowEntry>)> = Vec::new();
-        self.slot_of[first.node as usize] = 0;
-        tasks.push((first.node, vec![(t, first_seq, first.ev)]));
-        for (time, seq, _, e) in self
-            .sched
-            .drain_window(w_end, |e| {
-                matches!(e.ev, NodeEvent::CpuStep | NodeEvent::KernelMsg { .. })
-            })
-        {
-            let slot = self.slot_of[e.node as usize];
-            if slot >= 0 {
-                tasks[slot as usize].1.push((time, seq, e.ev));
-            } else {
-                self.slot_of[e.node as usize] = tasks.len() as i32;
-                tasks.push((e.node, vec![(time, seq, e.ev)]));
-            }
-        }
-        for &(node, _) in &tasks {
-            self.slot_of[node as usize] = -1;
-        }
-        self.profiler.end(EnginePhase::Formation, p_form);
-
-        // ── Execution: ship slots 1.. to workers, run slot 0 here
-        // (with one worker there is no pool: every slice runs inline,
-        // which is byte-identical — slices of one window are causally
-        // independent by construction). ──
-        let p_exec = self.profiler.begin();
-        let n = tasks.len();
-        let mut outcomes: Vec<Option<NodeWindowOutcome>> = (0..n).map(|_| None).collect();
-        let mut owners: Vec<u16> = Vec::with_capacity(n);
-        {
-            let mut it = tasks.into_iter();
-            let (first_node, first_entries) = it.next().expect("window has a lead");
-            owners.push(first_node);
-            if let Some(pool) = self.pool.as_mut() {
-                let base = self.nodes.as_mut_ptr();
-                for (slot, (node, entries)) in it.enumerate() {
-                    owners.push(node);
-                    // SAFETY: window nodes are pairwise distinct
-                    // (`slot_of`), the Vec is not resized while jobs are
-                    // in flight, and all results are received below
-                    // before the nodes are touched.
-                    unsafe { pool.submit(slot + 1, base.add(node as usize), entries, w_end) };
-                }
-                outcomes[0] = Some(execute_window(
-                    &mut self.nodes[first_node as usize],
-                    &self.config,
-                    first_entries,
-                    w_end,
-                ));
-                for _ in 1..n {
-                    let (slot, oc) = pool.recv();
-                    outcomes[slot] = Some(oc);
-                }
-            } else {
-                outcomes[0] = Some(execute_window(
-                    &mut self.nodes[first_node as usize],
-                    &self.config,
-                    first_entries,
-                    w_end,
-                ));
-                for (slot, (node, entries)) in it.enumerate() {
-                    owners.push(node);
-                    outcomes[slot + 1] = Some(execute_window(
-                        &mut self.nodes[node as usize],
-                        &self.config,
-                        entries,
-                        w_end,
-                    ));
-                }
-            }
-        }
-        let mut outcomes: Vec<NodeWindowOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("one outcome per slot"))
-            .collect();
-        self.profiler.end(EnginePhase::Execution, p_exec);
-
-        // Window telemetry: what closed this window, and its shape.
-        // The slice-close set is deterministic (each slice's cause
-        // depends only on that node's events), so the attribution is
-        // worker-invariant: any slice barrier outranks the clamp, with
-        // a fixed Fault > KernelMsg > MeshWakeup priority across
-        // slices.
-        let (mut fault, mut kmsg, mut wake) = (false, false, false);
-        for oc in &outcomes {
-            match oc.close {
-                Some(SliceClose::Fault) => fault = true,
-                Some(SliceClose::KernelMsg) => kmsg = true,
-                Some(SliceClose::MeshWakeup) => wake = true,
-                None => {}
-            }
-        }
-        let cause = if fault {
-            BarrierCause::Fault
-        } else if kmsg {
-            BarrierCause::KernelMsg
-        } else if wake {
-            BarrierCause::MeshWakeup
-        } else {
-            clamp
-        };
-        self.win_stats.note_close(cause);
-        self.win_stats.participants.record(n as u64);
-        for oc in &outcomes {
-            self.win_stats.slice_events.record(oc.records.len() as u64);
-        }
-
-        // ── Commit: replay in global (time, seq) order. ──
-        let p_commit = self.profiler.begin();
-        // Unexecuted drained entries go back under their original
-        // sequence numbers first, so the queue is whole before any
-        // effect lands on it.
-        for (slot, oc) in outcomes.iter_mut().enumerate() {
-            let node = owners[slot];
-            for (time, seq, ev) in oc.leftovers.drain(..) {
-                self.sched.push_with_seq(node as u32, time, seq, Event { node, ev });
-            }
-        }
-        // Merge heap over (time, seq, slot, record): roots carry their
-        // real queue seqs; children enter when their parent is replayed,
-        // under fresh virtual seqs above every real one — exactly the
-        // order the sequential queue would have popped them.
-        let mut merge: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u64, u32, u32)>> =
-            std::collections::BinaryHeap::new();
-        for (slot, oc) in outcomes.iter().enumerate() {
-            for (i, rec) in oc.records.iter().enumerate() {
-                if rec.root {
-                    merge.push(std::cmp::Reverse((rec.time, rec.seq, slot as u32, i as u32)));
-                }
-            }
-        }
-        let mut vseq = self.sched.seq_watermark();
-        let mut executed = 0u64;
-        let mut max_t = t;
-        while let Some(std::cmp::Reverse((time, _, slot, rec_idx))) = merge.pop() {
-            executed += 1;
-            max_t = max_t.max(time);
-            let node = owners[slot as usize];
-            self.node_events[node as usize] += 1;
-            self.active.mark(node);
-            let (start, len, kernel_msg) = {
-                let rec = &outcomes[slot as usize].records[rec_idx as usize];
-                (rec.act_start as usize, rec.act_len as usize, rec.kernel_msg)
-            };
-            for i in start..start + len {
-                let (action, child) = {
-                    let oc = &mut outcomes[slot as usize];
-                    (oc.actions[i].take().expect("each action replays once"), oc.child_of[i])
-                };
-                match action {
-                    Action::Push { at, node: dst, ev } => {
-                        if child >= 0 {
-                            // Pre-executed inside the window: enters the
-                            // replay order instead of the real queue.
-                            let ct = outcomes[slot as usize].records[child as usize].time;
-                            merge.push(std::cmp::Reverse((ct, vseq, slot, child as u32)));
-                            vseq += 1;
-                        } else {
-                            self.push_event(at, dst, ev);
-                        }
-                    }
-                    Action::Syscall { pid, code } => {
-                        self.syscall_log.push((time, NodeId(node), pid, code));
-                    }
-                    Action::Fault { pid, error } => {
-                        self.handle_fault(time, NodeId(node), pid, error);
-                    }
-                    Action::PumpNetwork => unreachable!("window events never pump the network"),
-                }
-            }
-            if kernel_msg {
-                self.refresh_armed(NodeId(node));
-            }
-        }
-        // The lead pop was already counted by the scheduler.
-        self.sched.note_processed(executed - 1);
-        self.sched.advance_clock(max_t);
-        self.win_stats.depth.record(executed);
-        self.profiler.end(EnginePhase::Commit, p_commit);
-    }
-
-    /// Executes one event on the machine thread (the sequential path,
-    /// and every mesh-coupled event in parallel mode).
-    fn execute_inline(&mut self, t: SimTime, node: u16, ev: NodeEvent) {
+    /// Executes one popped event inline: mesh-coupled events run here,
+    /// node-local ones through [`Node::execute`].
+    fn dispatch_event(&mut self, t: SimTime, Event { node, ev }: Event) {
+        self.active.mark(node);
         match ev {
             NodeEvent::NicHousekeep => {
                 let n = &mut self.nodes[node as usize];
@@ -1365,15 +992,10 @@ impl Machine {
                 self.pop_incoming(t, NodeId(node));
             }
             local => {
-                let was_kernel_msg = matches!(local, NodeEvent::KernelMsg { .. });
                 let mut fx = std::mem::take(&mut self.scratch_fx);
                 self.nodes[node as usize].execute(t, local, &self.config, &mut fx);
                 self.apply_effects(t, NodeId(node), &mut fx);
                 self.scratch_fx = fx;
-                if was_kernel_msg {
-                    // A §4.4 message may have armed an invalidation.
-                    self.refresh_armed(NodeId(node));
-                }
             }
         }
     }
@@ -1669,10 +1291,6 @@ impl Machine {
                 // Re-establish the invalidated mapping (§4.4): re-run
                 // the receiver grant for the covered pages and rewrite
                 // the NIPT segments, then resume the faulting store.
-                // (This mutates the destination node with zero delay —
-                // sound only because the armed-invalidation gate keeps
-                // every lookahead window closed while a write fault can
-                // take this path.)
                 let ok = self.reestablish(node, pid, rec);
                 let cost = self.config.fault_cost
                     + self.config.kernel_msg_latency * 2
@@ -1683,7 +1301,6 @@ impl Machine {
                     n.cpu_busy_until = resume;
                     self.push_event(resume, node.0, NodeEvent::CpuStep);
                     self.flush_tlb(node);
-                    self.refresh_armed(node);
                     return;
                 }
             }
@@ -1694,7 +1311,6 @@ impl Machine {
         n.running = None;
         self.syscall_log.push((t, node, pid, u32::MAX));
         self.push_event(t, node.0, NodeEvent::CpuStep);
-        self.refresh_armed(node);
     }
 
     fn reestablish(&mut self, node: NodeId, pid: Pid, rec: OutgoingRecord) -> bool {
@@ -1932,15 +1548,6 @@ impl Machine {
             reg.set_histogram("latency.in_fifo", &self.telemetry.in_fifo);
             reg.set_histogram("latency.dma", &self.telemetry.dma);
         }
-        if self.win_stats.total_closed() > 0 {
-            // Window/barrier telemetry is worker-invariant (windows form
-            // identically at every worker count), so it may live in the
-            // deterministic snapshot; gating on nonzero keeps every
-            // pre-existing pinned snapshot byte-identical. Wall-clock
-            // engine.profile.* data is deliberately excluded — see
-            // Machine::profile.
-            self.win_stats.register(&mut reg);
-        }
         reg.snapshot()
     }
 
@@ -1964,16 +1571,6 @@ impl Machine {
                     value: ns as f64 / 1e6,
                 });
             }
-            counters.push(CounterSample {
-                name: "engine.profile.worker_busy_ms".into(),
-                ts_us,
-                value: report.worker_busy_ns as f64 / 1e6,
-            });
-            counters.push(CounterSample {
-                name: "engine.profile.worker_idle_ms".into(),
-                ts_us,
-                value: report.worker_idle_ns as f64 / 1e6,
-            });
         }
         to_chrome_json_with_counters(&events, &counters)
     }
@@ -1983,9 +1580,8 @@ impl Machine {
 
 /// The machine as a [`SimHost`]: its scheduler drives the nodes, the
 /// mesh backplane is the coupled external [`Component`], and dispatch
-/// routes events through the sequential or parallel engine. The three
-/// public run methods are thin wrappers over [`step`] with different
-/// stop conditions.
+/// executes each event inline. The three public run methods are thin
+/// wrappers over [`step`] with different stop conditions.
 impl SimHost for Machine {
     type Event = Event;
 

@@ -9,10 +9,9 @@
 //! state. [`Node::execute`] exploits that: it mutates the node in place
 //! and records every externally-visible consequence (event pushes, log
 //! entries, faults to service, network pumping) as an ordered
-//! [`NodeEffects`] action list. The machine applies those actions in pop
-//! order, which makes the parallel engine's results structurally
-//! identical to the sequential engine's — the worker phase is pure
-//! per-node, and the commit phase is sequential either way.
+//! [`NodeEffects`] action list, which the machine then applies in
+//! recording order. Node code thus hands its effects to the machine
+//! without borrowing it.
 //!
 //! Mesh-coupled events (FIFO drain, ejection delivery, NIC housekeeping)
 //! stay on the machine, which owns the mesh.
@@ -33,9 +32,8 @@ use crate::config::MachineConfig;
 use crate::error::MachineError;
 
 /// What one node does when its event fires. `CpuStep`, `DmaComplete` and
-/// `KernelMsg` are node-local (handled by [`Node::execute`], eligible
-/// for parallel batching); the rest couple to the mesh and are handled
-/// by the machine.
+/// `KernelMsg` are node-local (handled by [`Node::execute`]); the rest
+/// couple to the mesh and are handled by the machine.
 #[derive(Debug, Clone)]
 pub(crate) enum NodeEvent {
     /// Run (a batch of) CPU instructions.
@@ -60,20 +58,9 @@ pub(crate) enum NodeEvent {
     },
 }
 
-impl NodeEvent {
-    /// True when handling this event touches only the owning node's
-    /// state (the precondition for running it on a worker thread).
-    pub(crate) fn is_node_local(&self) -> bool {
-        matches!(
-            self,
-            NodeEvent::CpuStep | NodeEvent::DmaComplete { .. } | NodeEvent::KernelMsg { .. }
-        )
-    }
-}
-
 /// One externally-visible consequence of executing a node-local event.
-/// Order matters: the machine replays actions exactly in the order the
-/// sequential engine would have performed them.
+/// Order matters: the machine applies actions exactly in the order they
+/// were recorded.
 #[derive(Debug)]
 pub(crate) enum Action {
     /// Schedule an event (own node, or another node's kernel inbox).
@@ -93,7 +80,7 @@ pub(crate) enum Action {
         code: u32,
     },
     /// A memory fault needs machine-level service (the §4.4 reestablish
-    /// path may touch the destination node, so workers never handle it).
+    /// path may touch the destination node).
     Fault {
         /// Faulting process.
         pid: Pid,

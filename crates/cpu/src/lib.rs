@@ -35,6 +35,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod asm;
 pub mod cpu;
 pub mod isa;

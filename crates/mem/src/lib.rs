@@ -28,6 +28,8 @@
 //! # Ok::<(), shrimp_mem::MemError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod bus;
 pub mod cache;

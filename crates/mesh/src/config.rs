@@ -48,16 +48,6 @@ impl MeshConfig {
         }
     }
 
-    /// A static lower bound on the latency of any cross-node effect
-    /// through the backplane: even a single-hop packet pays at least one
-    /// router pipeline delay before it can reach a neighbour. This is
-    /// the conservative-lookahead window the parallel engine may run
-    /// ahead by without null messages — a packet injected at time `t`
-    /// cannot influence any *other* node before `t + bound`.
-    pub fn min_cross_node_latency(&self) -> SimDuration {
-        self.hop_latency
-    }
-
     /// Validates parameter sanity.
     ///
     /// # Panics

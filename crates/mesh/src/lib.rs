@@ -32,6 +32,8 @@
 //! assert_eq!(&delivered.payload()[..], &[1, 2, 3, 4]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod network;
 pub mod packet;

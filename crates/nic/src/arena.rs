@@ -12,9 +12,9 @@
 //!
 //! Determinism: the pool affects *where* buffers live, never their
 //! contents, lengths or any simulated time, so results are bit-identical
-//! with pooling disabled. The pool is process-global (a `Mutex`) because
-//! payloads legitimately migrate between worker threads inside the
-//! parallel engine's lookahead windows.
+//! with pooling disabled. The pool is process-global (a `Mutex`), so
+//! machines running on different threads of one process (a parallel
+//! test harness, say) share it safely.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;

@@ -42,6 +42,8 @@
 //! # Ok::<(), shrimp_nic::NicError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod command;
 pub mod config;

@@ -14,10 +14,7 @@
 //!   bounded IOTLB whose misses trigger deterministic dynamic map-ins.
 //!
 //! [`AnyNic`] is the enum the machine embeds in each node. Enum (not
-//! generic) dispatch keeps `Node` a single concrete type, which the
-//! conservative parallel engine requires: its worker pool crosses raw
-//! node pointers between threads, and worker byte-identity is proven
-//! for one node layout, not a family of instantiations.
+//! generic) dispatch keeps `Node` a single concrete type.
 
 use shrimp_mem::{PageNum, PhysAddr};
 use shrimp_mesh::{MeshPacket, MeshShape, NodeId};

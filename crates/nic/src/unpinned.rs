@@ -22,7 +22,7 @@
 //!   for reroute bounces (a miss means "not resident yet", not "lossy
 //!   path", so there is nothing to back off from).
 //! - When the map-in completes (driven by [`NicModel::poll`] at event
-//!   times, which are worker-invariant), the entry is installed and
+//!   times), the entry is installed and
 //!   the buffered writes replay through the ordinary snoop path,
 //!   stamped at the map-in completion time.
 //! - Installing into a full IOTLB evicts the least-recently-used entry

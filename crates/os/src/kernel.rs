@@ -547,15 +547,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// Number of outgoing mappings currently invalidated by a remote
-    /// pageout and waiting for a local write fault to re-arm. While this
-    /// is non-zero, a write fault on this node may mutate the *remote*
-    /// pageout node during the remapping handshake, so the parallel
-    /// engine refuses to open a lookahead window (DESIGN.md §5e).
-    pub fn armed_invalidations(&self) -> usize {
-        self.invalidated.len()
-    }
-
     /// Services a write fault at `addr` in `pid`. If the page's outgoing
     /// mapping was invalidated by a remote pageout, the invalidation
     /// record is returned so the machine can re-run the mapping

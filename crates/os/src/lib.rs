@@ -38,6 +38,8 @@
 //! # Ok::<(), OsError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod kernel;
 pub mod msg;

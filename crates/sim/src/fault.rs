@@ -81,8 +81,8 @@ impl LinkFaultConfig {
 ///
 /// Drawing the whole schedule up front — rather than deciding lazily as
 /// the simulation advances — makes the event set a pure function of
-/// `(seed, link_index)`, independent of traffic, worker count, or how
-/// far any particular run happens to advance.
+/// `(seed, link_index)`, independent of traffic or how far any
+/// particular run happens to advance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkChurnConfig {
     /// Number of fail/repair cycles per directed link. 0 disables churn.

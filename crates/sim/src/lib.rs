@@ -27,7 +27,8 @@
 //! assert_eq!(t, SimTime::ZERO);
 //! ```
 
-pub mod calendar;
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod event;
 pub mod fault;
@@ -42,7 +43,6 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use calendar::CalendarQueue;
 pub use chrome::{to_chrome_json, to_chrome_json_with_counters, validate_chrome_json, CounterSample};
 pub use event::EventQueue;
 pub use fault::{
@@ -53,7 +53,7 @@ pub use metrics::{
     validate_metrics_json, CounterId, HistogramSummary, MetricSet, MetricValue, MetricsRegistry,
     MetricsSnapshot,
 };
-pub use profile::{BarrierCause, EnginePhase, EngineProfileReport, EngineProfiler, WindowStats};
+pub use profile::{EnginePhase, EngineProfileReport, EngineProfiler};
 pub use recorder::{FlightEntry, FlightRecorder};
 pub use resource::{BandwidthResource, SerialResource};
 pub use rng::SimRng;

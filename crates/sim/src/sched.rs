@@ -12,25 +12,7 @@
 //! exposes to its host: when it next wants attention, and a way to bring
 //! it forward. The mesh backplane and the per-node datapath both
 //! implement it.
-//!
-//! # Sharded mode
-//!
-//! [`Scheduler::sharded`] replaces the single global binary heap with
-//! one [`CalendarQueue`](crate::CalendarQueue) per shard (the SHRIMP
-//! machine uses one shard per node) plus a small binary-heap *head
-//! index* over shard minima. A single sequence counter spans all
-//! shards, so the pop order is **identical** to the unsharded queue:
-//! global `(time, seq)` with FIFO tie-breaking by push order. On top of
-//! plain push/pop, sharded mode supports the latency-window parallel
-//! engine: [`Scheduler::drain_window`] removes per-shard prefixes of a
-//! time window without counting them processed, and
-//! [`Scheduler::push_with_seq`] re-inserts unexecuted entries under
-//! their original sequence numbers.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use crate::calendar::CalendarQueue;
 use crate::event::EventQueue;
 use crate::time::SimTime;
 
@@ -47,77 +29,11 @@ pub trait Component {
     fn advance(&mut self, until: SimTime);
 }
 
-/// Head index entry: `(time, seq, shard)` wrapped for a min-heap.
-type HeadKey = Reverse<(SimTime, u64, u32)>;
-
-#[derive(Debug, Clone)]
-struct ShardSet<E> {
-    shards: Vec<CalendarQueue<E>>,
-    /// Lazy index of shard head candidates. Invariant kept by
-    /// `scrub_index`: the top entry always equals the head of its
-    /// shard (stale duplicates below the top are discarded as they
-    /// surface).
-    index: BinaryHeap<HeadKey>,
-    len: usize,
-}
-
-impl<E> ShardSet<E> {
-    /// Discards stale index tops until the top matches a live shard
-    /// head (or the index empties).
-    fn scrub_index(&mut self) {
-        while let Some(&Reverse((t, seq, s))) = self.index.peek() {
-            if self.shards[s as usize].head() == Some((t, seq)) {
-                return;
-            }
-            self.index.pop();
-        }
-    }
-
-    fn push(&mut self, shard: u32, time: SimTime, seq: u64, event: E) {
-        let q = &mut self.shards[shard as usize];
-        let was_head = q.head();
-        q.push(time, seq, event);
-        if was_head.is_none_or(|h| (time, seq) < h) {
-            self.index.push(Reverse((time, seq, shard)));
-        }
-        self.len += 1;
-        self.scrub_index();
-    }
-
-    /// Removes the head of `shard` (which must be the current index
-    /// top's shard or otherwise have a known head), maintaining the
-    /// index.
-    fn pop_shard(&mut self, shard: u32) -> Option<(SimTime, u64, E)> {
-        let popped = self.shards[shard as usize].pop()?;
-        self.len -= 1;
-        if let Some((t, seq)) = self.shards[shard as usize].head() {
-            self.index.push(Reverse((t, seq, shard)));
-        }
-        self.scrub_index();
-        Some(popped)
-    }
-
-    fn head(&self) -> Option<(SimTime, u64, u32)> {
-        // `scrub_index` runs after every mutation, so the top is fresh.
-        self.index.peek().map(|&Reverse(k)| k)
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Backend<E> {
-    /// One global binary heap (the historical engine).
-    Heap(EventQueue<E>),
-    /// Per-shard calendar queues + head index, one shared seq counter.
-    Sharded(ShardSet<E>),
-}
-
 /// Event queue + clock + processed-event counter.
 ///
 /// Popping an event counts it as processed — in a discrete-event
 /// simulation every popped event is handled, so the pop is the natural
-/// (and single) counting point. (The latency-window engine drains
-/// events without popping and accounts for them with
-/// [`Scheduler::note_processed`].)
+/// (and single) counting point.
 ///
 /// # Examples
 ///
@@ -134,12 +50,7 @@ enum Backend<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scheduler<E> {
-    backend: Backend<E>,
-    /// Next FIFO tie-break number (sharded mode; the unsharded
-    /// `EventQueue` owns its own identical counter).
-    next_seq: u64,
-    /// Sequence number of the most recently popped event.
-    last_popped_seq: u64,
+    queue: EventQueue<E>,
     now: SimTime,
     processed: u64,
 }
@@ -147,57 +58,15 @@ pub struct Scheduler<E> {
 impl<E> Scheduler<E> {
     /// Creates an empty scheduler at time zero.
     pub fn new() -> Self {
-        Scheduler {
-            backend: Backend::Heap(EventQueue::new()),
-            next_seq: 0,
-            last_popped_seq: 0,
-            now: SimTime::ZERO,
-            processed: 0,
-        }
+        Scheduler::with_capacity(0)
     }
 
     /// Creates an empty scheduler with pre-allocated queue capacity.
     pub fn with_capacity(cap: usize) -> Self {
         Scheduler {
-            backend: Backend::Heap(EventQueue::with_capacity(cap)),
-            next_seq: 0,
-            last_popped_seq: 0,
+            queue: EventQueue::with_capacity(cap),
             now: SimTime::ZERO,
             processed: 0,
-        }
-    }
-
-    /// Creates an empty sharded scheduler with `shards` calendar
-    /// queues whose buckets are `bucket_width_ps` picoseconds wide.
-    /// Pop order is identical to the unsharded scheduler; see the
-    /// module docs.
-    pub fn sharded(shards: usize, bucket_width_ps: u64) -> Self {
-        let shards = (0..shards.max(1))
-            .map(|_| CalendarQueue::with_bucket_width(bucket_width_ps))
-            .collect();
-        Scheduler {
-            backend: Backend::Sharded(ShardSet {
-                shards,
-                index: BinaryHeap::new(),
-                len: 0,
-            }),
-            next_seq: 0,
-            last_popped_seq: 0,
-            now: SimTime::ZERO,
-            processed: 0,
-        }
-    }
-
-    /// True when this scheduler was built with [`Scheduler::sharded`].
-    pub fn is_sharded(&self) -> bool {
-        matches!(self.backend, Backend::Sharded(_))
-    }
-
-    /// Number of shards (1 in unsharded mode).
-    pub fn num_shards(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(_) => 1,
-            Backend::Sharded(s) => s.shards.len(),
         }
     }
 
@@ -211,163 +80,28 @@ impl<E> Scheduler<E> {
         self.now = self.now.max(t);
     }
 
-    /// Schedules `event` at `time`. In sharded mode the event lands on
-    /// shard 0; shard-aware hosts should use [`Scheduler::push_shard`].
+    /// Schedules `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
-        match &mut self.backend {
-            Backend::Heap(q) => {
-                q.push(time, event);
-                self.next_seq += 1;
-            }
-            Backend::Sharded(_) => self.push_shard(0, time, event),
-        }
-    }
-
-    /// Schedules `event` at `time` on `shard` (falls back to the global
-    /// queue in unsharded mode).
-    pub fn push_shard(&mut self, shard: u32, time: SimTime, event: E) {
-        match &mut self.backend {
-            Backend::Heap(q) => {
-                q.push(time, event);
-                self.next_seq += 1;
-            }
-            Backend::Sharded(s) => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                s.push(shard, time, seq, event);
-            }
-        }
-    }
-
-    /// Re-inserts an event under an already-assigned sequence number
-    /// (sharded mode only). Used by the latency-window engine to return
-    /// drained-but-unexecuted events to the queue without disturbing
-    /// the FIFO order relative to newly pushed events.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unsharded scheduler or a sequence number that was
-    /// never assigned.
-    pub fn push_with_seq(&mut self, shard: u32, time: SimTime, seq: u64, event: E) {
-        assert!(seq < self.next_seq, "seq {seq} was never assigned");
-        match &mut self.backend {
-            Backend::Heap(_) => panic!("push_with_seq requires a sharded scheduler"),
-            Backend::Sharded(s) => s.push(shard, time, seq, event),
-        }
+        self.queue.push(time, event);
     }
 
     /// Removes and returns the earliest event, counting it as processed.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = match &mut self.backend {
-            Backend::Heap(q) => q.pop(),
-            Backend::Sharded(s) => {
-                let (_, _, shard) = s.head()?;
-                let (t, seq, ev) = s.pop_shard(shard).expect("indexed head");
-                self.last_popped_seq = seq;
-                Some((t, ev))
-            }
-        };
+        let e = self.queue.pop();
         if e.is_some() {
             self.processed += 1;
         }
         e
     }
 
-    /// The sequence number of the most recently popped event (sharded
-    /// mode; 0 before the first pop).
-    pub fn last_popped_seq(&self) -> u64 {
-        self.last_popped_seq
-    }
-
-    /// A watermark strictly greater than every sequence number assigned
-    /// so far.
-    pub fn seq_watermark(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Adds `n` externally handled events to the processed counter (the
-    /// latency-window engine executes drained events without popping
-    /// them one by one).
-    pub fn note_processed(&mut self, n: u64) {
-        self.processed += n;
-    }
-
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(q) => q.peek_time(),
-            Backend::Sharded(s) => s.head().map(|(t, _, _)| t),
-        }
+        self.queue.peek_time()
     }
 
     /// The earliest pending event without consuming it.
-    pub fn peek(&mut self) -> Option<(SimTime, &E)> {
-        match &mut self.backend {
-            Backend::Heap(q) => q.peek(),
-            Backend::Sharded(s) => {
-                let (_, _, shard) = s.head()?;
-                s.shards[shard as usize].peek().map(|(t, _, e)| (t, e))
-            }
-        }
-    }
-
-    /// The head `(time, seq)` of one shard, if any (sharded mode).
-    pub fn shard_head(&mut self, shard: u32) -> Option<(SimTime, u64)> {
-        match &mut self.backend {
-            Backend::Heap(q) => q.peek_time().map(|t| (t, 0)),
-            Backend::Sharded(s) => s.shards[shard as usize].head(),
-        }
-    }
-
-    /// Drains, in global `(time, seq)` order, every event before `end`
-    /// that satisfies `eligible`, stopping each shard's participation at
-    /// its first ineligible event. Drained events are **not** counted
-    /// as processed — the caller executes them and calls
-    /// [`Scheduler::note_processed`].
-    ///
-    /// Returns `(time, seq, shard, event)` tuples in drain order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unsharded scheduler.
-    pub fn drain_window<F>(&mut self, end: SimTime, mut eligible: F) -> Vec<(SimTime, u64, u32, E)>
-    where
-        F: FnMut(&E) -> bool,
-    {
-        let Backend::Sharded(s) = &mut self.backend else {
-            panic!("drain_window requires a sharded scheduler");
-        };
-        let mut out = Vec::new();
-        // Heads of shards whose participation ended (ineligible event):
-        // they stay queued, and their index entries are re-inserted
-        // after the sweep so the index invariant holds.
-        let mut capped: Vec<HeadKey> = Vec::new();
-        while let Some((t, seq, shard)) = s.head() {
-            if t >= end {
-                break;
-            }
-            let q = &mut s.shards[shard as usize];
-            let ok = {
-                let (_, _, ev) = q.peek().expect("indexed head");
-                eligible(ev)
-            };
-            if ok {
-                let (t, seq, ev) = s.pop_shard(shard).expect("indexed head");
-                out.push((t, seq, shard, ev));
-            } else {
-                // Remove this shard's entry from the index for the rest
-                // of the sweep; the event itself stays queued.
-                let top = s.index.pop().expect("head() saw an entry");
-                debug_assert_eq!(top.0, (t, seq, shard));
-                capped.push(top);
-                s.scrub_index();
-            }
-        }
-        for k in capped {
-            s.index.push(k);
-        }
-        s.scrub_index();
-        out
+    pub fn peek(&self) -> Option<(SimTime, &E)> {
+        self.queue.peek()
     }
 
     /// Events popped (= handled) since construction.
@@ -377,15 +111,12 @@ impl<E> Scheduler<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(q) => q.len(),
-            Backend::Sharded(s) => s.len,
-        }
+        self.queue.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.queue.is_empty()
     }
 }
 
@@ -443,10 +174,7 @@ pub trait SimHost {
     /// outputs (ejections, freed injection ports, ...).
     fn advance_external(&mut self, t: SimTime);
 
-    /// Executes one event popped at instant `t`. The host may consume
-    /// further provably-independent events — at the same instant or,
-    /// under the latency-window engine, within the static lookahead
-    /// window — from its scheduler before returning.
+    /// Executes one event popped at instant `t`.
     fn dispatch(&mut self, t: SimTime, ev: Self::Event);
 }
 
@@ -508,50 +236,6 @@ mod tests {
         s.advance_clock(t(5));
         s.advance_clock(t(3)); // never backward
         assert_eq!(s.now(), t(5));
-    }
-
-    #[test]
-    fn sharded_matches_unsharded_pop_order() {
-        let mut a: Scheduler<u32> = Scheduler::new();
-        let mut b: Scheduler<u32> = Scheduler::sharded(4, 100);
-        let plan = [(5u64, 0u32), (5, 1), (3, 2), (5, 0), (9, 3), (3, 3), (5, 2)];
-        for (i, &(time, shard)) in plan.iter().enumerate() {
-            a.push(t(time), i as u32);
-            b.push_shard(shard, t(time), i as u32);
-        }
-        loop {
-            let (x, y) = (a.pop(), b.pop());
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
-        }
-        assert_eq!(a.processed(), b.processed());
-    }
-
-    #[test]
-    fn drain_window_respects_order_caps_and_reinsert() {
-        let mut s: Scheduler<i32> = Scheduler::sharded(3, 100);
-        s.push_shard(0, t(10), 1); // eligible
-        s.push_shard(0, t(20), -1); // ineligible: caps shard 0
-        s.push_shard(0, t(30), 2); // behind the cap
-        s.push_shard(1, t(15), 3);
-        s.push_shard(1, t(40), 4);
-        s.push_shard(2, t(35), -5); // ineligible lead caps shard 2
-        let drained = s.drain_window(t(50), |e| *e > 0);
-        let evs: Vec<i32> = drained.iter().map(|d| d.3).collect();
-        assert_eq!(evs, vec![1, 3, 4]);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.processed(), 0, "drained events are not auto-counted");
-        // Re-insert one drained event under its original seq: it must
-        // pop before the same-time, later-seq cap event.
-        let (dt, dseq, dshard, dev) = drained[0];
-        s.push_with_seq(dshard, dt, dseq, dev);
-        assert_eq!(s.pop(), Some((t(10), 1)));
-        assert_eq!(s.pop(), Some((t(20), -1)));
-        assert_eq!(s.pop(), Some((t(30), 2)));
-        assert_eq!(s.pop(), Some((t(35), -5)));
-        assert_eq!(s.pop(), None);
     }
 
     /// A toy host: each event `k` schedules `k - 1` at `+10 ps` until

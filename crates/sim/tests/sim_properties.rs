@@ -65,44 +65,6 @@ proptest! {
         }
     }
 
-    /// The calendar queue pops in exactly the same (time, FIFO-tie)
-    /// order as the binary-heap `EventQueue` over arbitrary push/pop
-    /// interleavings, including past-time pushes and far-future
-    /// overflow relative to the bucket horizon.
-    #[test]
-    fn calendar_matches_binary_heap(
-        // `Some(t)` pushes at time t, `None` pops.
-        ops in prop::collection::vec(prop::option::of(0u64..200_000), 1..300),
-        width in 1u64..5_000,
-    ) {
-        let mut cal = shrimp_sim::CalendarQueue::with_bucket_width(width);
-        let mut heap: EventQueue<u64> = EventQueue::new();
-        let mut seq = 0u64;
-        for op in ops {
-            match op {
-                Some(t) => {
-                    cal.push(SimTime::from_picos(t), seq, seq);
-                    heap.push(SimTime::from_picos(t), seq);
-                    seq += 1;
-                }
-                None => {
-                    let got = cal.pop().map(|(t, _, e)| (t, e));
-                    let want = heap.pop();
-                    prop_assert_eq!(got, want);
-                }
-            }
-        }
-        loop {
-            let got = cal.pop().map(|(t, _, e)| (t, e));
-            let want = heap.pop();
-            prop_assert_eq!(got, want);
-            if want.is_none() {
-                break;
-            }
-        }
-        prop_assert!(cal.is_empty());
-    }
-
     /// Histogram statistics match a direct computation for any samples.
     #[test]
     fn histogram_matches_direct(samples in prop::collection::vec(0u64..1_000_000, 1..200)) {

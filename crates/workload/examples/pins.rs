@@ -1,7 +1,7 @@
 //! Prints each checked-in scenario's pinned values (for refreshing the
 //! golden suite in `tests/scenarios.rs` after an intentional change).
 
-use shrimp_workload::{dsl::Scenario, run_scenario_with_workers};
+use shrimp_workload::{dsl::Scenario, run_scenario};
 
 fn main() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
@@ -18,7 +18,7 @@ fn main() {
             continue;
         }
         let start = std::time::Instant::now();
-        match run_scenario_with_workers(&sc, 1) {
+        match run_scenario(&sc) {
             Ok(r) => println!(
                 "{:<14} hash=0x{:016x} events={} deliveries={} sessions={} goodput={}B final={}ps ({:.2?})",
                 sc.name,

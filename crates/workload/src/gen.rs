@@ -9,10 +9,8 @@
 //! from the scenario seed and the session's global open index, never
 //! from iteration order of a hash map or from wall-clock state. The
 //! generator advances the machine only through `run_until` /
-//! `run_until_pred`, both of which produce byte-identical results for
-//! any `workers` count (DESIGN.md §5d/§5e), so an entire scenario run —
-//! delivery log, hashes, metrics — replays exactly under any
-//! `SHRIMP_WORKERS`.
+//! `run_until_pred`, so an entire scenario run — delivery log, hashes,
+//! metrics — replays exactly from its seed.
 //!
 //! # Engine serialization
 //!
@@ -89,23 +87,13 @@ impl std::fmt::Display for WorkloadError {
 
 impl std::error::Error for WorkloadError {}
 
-/// Runs a scenario on a freshly built machine with the default worker
-/// count (`$SHRIMP_WORKERS` or 1).
+/// Runs a scenario on a freshly built machine.
 ///
 /// # Errors
 ///
 /// Propagates machine errors and stalls.
 pub fn run_scenario(sc: &Scenario) -> Result<Report, WorkloadError> {
-    run(sc, None).map(|(r, _)| r)
-}
-
-/// Runs a scenario under an explicit worker count (determinism sweeps).
-///
-/// # Errors
-///
-/// Propagates machine errors and stalls.
-pub fn run_scenario_with_workers(sc: &Scenario, workers: usize) -> Result<Report, WorkloadError> {
-    run(sc, Some(workers)).map(|(r, _)| r)
+    run_scenario_observed(sc).map(|(r, _)| r)
 }
 
 /// Runs a scenario and also hands back the finished machine, for tests
@@ -114,11 +102,8 @@ pub fn run_scenario_with_workers(sc: &Scenario, workers: usize) -> Result<Report
 /// # Errors
 ///
 /// Propagates machine errors and stalls.
-pub fn run_scenario_observed(
-    sc: &Scenario,
-    workers: Option<usize>,
-) -> Result<(Report, Machine), WorkloadError> {
-    run(sc, workers)
+pub fn run_scenario_observed(sc: &Scenario) -> Result<(Report, Machine), WorkloadError> {
+    run_scenario_tuned(sc, None, |_| {})
 }
 
 /// Runs a scenario with a final hook over the built [`MachineConfig`],
@@ -126,26 +111,19 @@ pub fn run_scenario_observed(
 /// profiler this way) without re-deriving the scenario→config mapping.
 ///
 /// The tweak runs last, after the scenario's own settings, so it can
-/// override anything — including `workers`.
+/// override anything.
+///
+/// The second parameter is unused. It stays because the standalone
+/// benchmark package (`crates/bench/src/bin/benchmark`) passes `None`
+/// here and must keep building unchanged; drop it together with that
+/// argument.
 ///
 /// # Errors
 ///
 /// Propagates machine errors and stalls.
 pub fn run_scenario_tuned(
     sc: &Scenario,
-    workers: Option<usize>,
-    tune: impl FnOnce(&mut MachineConfig),
-) -> Result<(Report, Machine), WorkloadError> {
-    run_with(sc, workers, tune)
-}
-
-fn run(sc: &Scenario, workers: Option<usize>) -> Result<(Report, Machine), WorkloadError> {
-    run_with(sc, workers, |_| {})
-}
-
-fn run_with(
-    sc: &Scenario,
-    workers: Option<usize>,
+    _unused: Option<usize>,
     tune: impl FnOnce(&mut MachineConfig),
 ) -> Result<(Report, Machine), WorkloadError> {
     let mut cfg = MachineConfig::prototype(MeshShape::new(sc.mesh.0, sc.mesh.1));
@@ -180,9 +158,6 @@ fn run_with(
             fail_after: (c.fail.lo, c.fail.hi),
             repair_after: (c.repair.lo, c.repair.hi),
         };
-    }
-    if let Some(w) = workers {
-        cfg.workers = w;
     }
     tune(&mut cfg);
     let mut generator = Generator::new(sc, Machine::new(cfg));

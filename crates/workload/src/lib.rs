@@ -9,8 +9,8 @@
 //! through its ordinary host API.
 //!
 //! Every scenario is seeded and replays exactly — same event count,
-//! same delivery hash, byte-identical `shrimp.metrics.v1` snapshot —
-//! for any `SHRIMP_WORKERS` setting. See DESIGN.md §5f.
+//! same delivery hash, byte-identical `shrimp.metrics.v1` snapshot.
+//! See DESIGN.md §5f.
 //!
 //! ```
 //! use shrimp_workload::{dsl::Scenario, run_scenario};
@@ -31,13 +31,12 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dsl;
 pub mod gen;
 pub mod report;
 
 pub use dsl::{DslError, Scenario};
-pub use gen::{
-    run_scenario, run_scenario_observed, run_scenario_tuned, run_scenario_with_workers,
-    WorkloadError,
-};
+pub use gen::{run_scenario, run_scenario_observed, run_scenario_tuned, WorkloadError};
 pub use report::{delivery_hash, Report};

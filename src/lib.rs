@@ -50,6 +50,8 @@
 //! # Ok::<(), shrimp::MachineError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use shrimp_baseline as baseline;
 pub use shrimp_core::{msglib, pram};
 pub use shrimp_cpu as cpu;

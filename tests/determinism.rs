@@ -44,13 +44,6 @@ struct Observation {
 /// When `blocked_chunks > 0`, a blocked-write mapping from node 2 to
 /// node 1 joins in, exercising the merge window under fault load.
 fn run_workload(cfg: MachineConfig, blocked_chunks: u32) -> Observation {
-    run_workload_full(cfg, blocked_chunks).0
-}
-
-/// Like [`run_workload`] but also hands back the finished machine, for
-/// tests that need post-run state beyond the [`Observation`] (metrics
-/// snapshots, per-node event counts, batch counters).
-fn run_workload_full(cfg: MachineConfig, blocked_chunks: u32) -> (Observation, Machine) {
     let pages = 8u64;
     let mut cfg = cfg;
     cfg.pages_per_node = 4 * 256;
@@ -184,15 +177,14 @@ fn run_workload_full(cfg: MachineConfig, blocked_chunks: u32) -> (Observation, M
     }
 
     let nodes = 4u16;
-    let obs = Observation {
+    Observation {
         deliveries: m.deliveries().to_vec(),
         nic_stats: (0..nodes).map(|n| m.nic_stats(NodeId(n))).collect(),
         mesh_stats: m.mesh_stats().clone(),
         events_processed: m.events_processed(),
         final_time: m.now(),
         dest_mem,
-    };
-    (obs, m)
+    }
 }
 
 fn run_scenario() -> Observation {
@@ -374,14 +366,17 @@ fn telemetry_on_matches_telemetry_off_baseline() {
     assert_eq!(off, on, "telemetry must not perturb the simulation");
 }
 
-// ─────────────────── parallel engine determinism ─────────────────────
+// ─────────────────────── pinned CPU-program runs ───────────────────────
+//
+// The runs below execute CPU programs on several nodes at once. Their
+// delivery hashes and event counts were pinned on the last tree that
+// could batch these CPU steps into parallel lookahead windows; executing
+// every event inline, in `(time, seq)` order, must reproduce them.
 
 /// A fully symmetric workload: every node on a 2×2 mesh streams `pages`
 /// deliberate-update pages to its ring successor, with all four CPU
-/// programs started at the same instant. Because the nodes run the
-/// identical program in lockstep, their `CpuStep` events land on the
-/// same instants on distinct nodes — exactly the shape the conservative
-/// parallel engine batches across worker threads.
+/// programs started at the same instant, so their `CpuStep` events land
+/// on the same instants on distinct nodes.
 fn run_ring(cfg: MachineConfig) -> Machine {
     let pages = 4u64;
     let n = 4usize;
@@ -447,98 +442,41 @@ fn run_ring(cfg: MachineConfig) -> Machine {
     m
 }
 
-/// The tentpole contract on a workload that demonstrably exercises the
-/// parallel path: for every worker count the delivery hash, the full
-/// metrics-snapshot JSON and the per-node event counts must be
-/// byte-identical to the sequential run. Window formation runs at
-/// every worker count (with one worker the slices execute inline), so
-/// the window count itself must also be worker-invariant — the
-/// property that makes the `engine.barrier.*` counters safe to publish
-/// in the snapshot.
+/// The 2×2 ring: every node both sends and receives, and the delivery
+/// log reproduces its pinned hash and event count.
 #[test]
-fn worker_sweep_is_bit_identical_on_ring() {
-    let run = |workers: usize| {
-        let mut cfg = MachineConfig::prototype(MeshShape::new(2, 2));
-        cfg.workers = workers;
-        let m = run_ring(cfg);
-        (
-            delivery_hash(m.deliveries()),
-            m.metrics_snapshot().to_json(),
-            m.node_event_counts().to_vec(),
-            m.parallel_batches(),
-        )
-    };
-    let (h0, json0, counts0, batches0) = run(1);
-    assert!(batches0 > 0, "window engine must engage at workers=1 too");
+fn ring_2x2_matches_pinned_values() {
+    let m = run_ring(MachineConfig::prototype(MeshShape::new(2, 2)));
     assert!(
-        counts0.iter().all(|&c| c > 0),
-        "every node must process events: {counts0:?}"
+        (0..4).all(|n| m.deliveries().iter().any(|d| d.node == NodeId(n))),
+        "every node must receive its predecessor's stream"
     );
-    for workers in [2usize, 4, 8] {
-        let (h, json, counts, batches) = run(workers);
-        assert_eq!(h, h0, "delivery hash drifted at workers={workers}");
-        assert_eq!(json, json0, "metrics snapshot drifted at workers={workers}");
-        assert_eq!(counts, counts0, "event counts drifted at workers={workers}");
-        assert_eq!(batches, batches0, "window count drifted at workers={workers}");
-    }
+    assert_eq!(m.deliveries().len(), 16);
+    assert_eq!(
+        delivery_hash(m.deliveries()),
+        0xfd00_2c8c_9caa_a81d,
+        "ring delivery records drifted"
+    );
+    assert_eq!(m.events_processed(), 100);
 }
 
-/// The mixed workload (stream + ping-pong + host pokes) across worker
-/// counts: full `Observation` equality plus metrics-JSON and per-node
-/// event-count equality.
+/// The mixed workload under 1% packet loss with retransmission on
+/// reproduces its pinned hash and event count — retries, drop sites and
+/// all.
 #[test]
-fn worker_sweep_is_bit_identical_on_mixed_workload() {
-    let run = |workers: usize| {
-        let mut cfg = MachineConfig::prototype(MeshShape::new(2, 2));
-        cfg.workers = workers;
-        run_workload_full(cfg, 0)
-    };
-    let (obs0, m0) = run(1);
-    for workers in [2usize, 4, 8] {
-        let (obs, m) = run(workers);
-        assert_eq!(obs, obs0, "observation drifted at workers={workers}");
-        assert_eq!(
-            m.metrics_snapshot().to_json(),
-            m0.metrics_snapshot().to_json(),
-            "metrics snapshot drifted at workers={workers}"
-        );
-        assert_eq!(
-            m.node_event_counts(),
-            m0.node_event_counts(),
-            "event counts drifted at workers={workers}"
-        );
-    }
-}
-
-/// Parallel determinism must survive fault injection: under 1% packet
-/// loss with retransmission on, every worker count reproduces the
-/// sequential run exactly — retry counters, drop sites and all.
-#[test]
-fn faulted_worker_sweep_is_bit_identical() {
-    let run = |workers: usize| {
-        let mut cfg = chaos_config(chaos_faults(0x5ee_d003, 0.01, 0.001));
-        cfg.workers = workers;
-        run_workload_full(cfg, 8)
-    };
-    let (obs0, m0) = run(1);
+fn faulted_run_matches_pinned_values() {
+    let obs = run_workload(chaos_config(chaos_faults(0x5ee_d003, 0.01, 0.001)), 8);
     assert!(
-        obs0.mesh_stats.packets_dropped + obs0.mesh_stats.packets_corrupted > 0,
-        "fault rates must actually bite for this sweep to mean anything"
+        obs.mesh_stats.packets_dropped + obs.mesh_stats.packets_corrupted > 0,
+        "fault rates must actually bite for this pin to mean anything"
     );
-    for workers in [2usize, 4, 8] {
-        let (obs, m) = run(workers);
-        assert_eq!(obs, obs0, "faulted run drifted at workers={workers}");
-        assert_eq!(
-            m.metrics_snapshot().to_json(),
-            m0.metrics_snapshot().to_json(),
-            "faulted metrics drifted at workers={workers}"
-        );
-        assert_eq!(
-            m.node_event_counts(),
-            m0.node_event_counts(),
-            "faulted event counts drifted at workers={workers}"
-        );
-    }
+    assert_eq!(obs.deliveries.len(), 48);
+    assert_eq!(
+        delivery_hash(&obs.deliveries),
+        0x3893_19f0_f2e2_ee1d,
+        "faulted delivery records drifted"
+    );
+    assert_eq!(obs.events_processed, 242);
 }
 
 // ───────────────────── link churn: dynamic topology ─────────────────────
@@ -705,26 +643,22 @@ fn churn_bounces_retransmits_and_delivers_exactly_once() {
     assert!(retries > 0, "bounced data was never retransmitted");
 }
 
-/// Worker-sweep byte-identity must hold while the topology churns: the
-/// epoch-stamped link events live in the mesh event queue, so the
-/// parallel engine's lookahead windows clamp on them like any other
-/// external event.
+/// The churned workload reproduces its pinned hash and event count while
+/// the topology fails and heals under it.
 #[test]
-fn churned_worker_sweep_is_bit_identical() {
-    let run = |workers: usize| {
-        let mut cfg = chaos_config(churn_faults(38));
-        cfg.workers = workers;
-        run_churn_workload(cfg)
-    };
-    let obs0 = run(1);
+fn churned_run_matches_pinned_values() {
+    let obs = run_churn_workload(chaos_config(churn_faults(38)));
     assert!(
-        obs0.mesh_stats.reroutes > 0 && obs0.mesh_stats.bounced > 0,
-        "churn must actually bite for this sweep to mean anything"
+        obs.mesh_stats.reroutes > 0 && obs.mesh_stats.bounced > 0,
+        "churn must actually bite for this pin to mean anything"
     );
-    for workers in [2usize, 4, 8] {
-        let obs = run(workers);
-        assert_eq!(obs, obs0, "churned run drifted at workers={workers}");
-    }
+    assert_eq!(obs.deliveries.len(), 40);
+    assert_eq!(
+        delivery_hash(&obs.deliveries),
+        0x1862_9020_7b09_d5df,
+        "churned delivery records drifted"
+    );
+    assert_eq!(obs.events_processed, 166);
 }
 
 /// Retransmission alone (no faults) must not change what the machine

@@ -1,21 +1,14 @@
-//! Observability must be free: the engine profiler, window/barrier
-//! telemetry and causal flight recorder (DESIGN.md §5h) may observe the
-//! simulation but never steer it. These tests pin the two halves of
-//! that contract:
-//!
-//! * **Perturbation freedom** — runs with profiling and the flight
-//!   recorder enabled are byte-identical (deliveries, event counts,
-//!   metrics snapshot) to runs with them off.
-//! * **Worker invariance** — the deterministic window telemetry
-//!   (`engine.windows.*`, `engine.barrier.*`) is identical for every
-//!   worker count, and the per-cause breakdown always sums to the
-//!   total number of windows closed.
+//! Observability must be free: the engine profiler and the causal
+//! flight recorder (DESIGN.md §5h) may observe the simulation but never
+//! steer it. Runs with profiling and the flight recorder enabled are
+//! byte-identical (deliveries, event counts, metrics snapshot) to runs
+//! with them off, and the ring these tests drive reproduces its pinned
+//! delivery hash and event count.
 
 use shrimp::cpu::Reg;
 use shrimp::mem::PAGE_SIZE;
 use shrimp::mesh::{MeshShape, NodeId};
 use shrimp::nic::UpdatePolicy;
-use shrimp::sim::profile::BarrierCause;
 use shrimp::sim::trace::TraceData;
 use shrimp::sim::TelemetryConfig;
 use shrimp::{Machine, MachineConfig, MapRequest};
@@ -41,9 +34,8 @@ fn delivery_hash(m: &Machine) -> u64 {
 
 /// A fully symmetric ring stream on a `dim`×`dim` mesh: every node runs
 /// the deliberate-update stream program to its ring successor, all
-/// started at the same instant. CPU programs on every node keep
-/// windowable events interleaved with in-flight mesh traffic — the
-/// shape that exercises window formation and the mesh-event clamp.
+/// started at the same instant. CPU programs on every node keep CPU
+/// steps interleaved with in-flight mesh traffic.
 fn run_ring(dim: u16, pages: u64, tune: impl FnOnce(&mut MachineConfig)) -> Machine {
     let n = dim as usize * dim as usize;
     let mut cfg = MachineConfig::prototype(MeshShape::new(dim, dim));
@@ -175,55 +167,15 @@ fn pump_visits_only_active_nodes() {
     );
 }
 
-/// The deterministic window telemetry is worker-invariant, the
-/// per-cause breakdown sums to the total, and a mesh-saturating ring
-/// must show mesh-event clamps.
+/// The 4×4 two-page ring reproduces the delivery hash and event count
+/// pinned on the last tree that could batch its CPU steps into parallel
+/// lookahead windows; executing every event inline must match them.
 #[test]
-fn barrier_causes_are_worker_invariant_and_sum_to_total() {
-    let runs: Vec<Machine> = [1usize, 4, 8]
-        .into_iter()
-        .map(|w| run_ring(4, 2, |cfg| cfg.workers = w))
-        .collect();
-
-    let base = runs[0].window_stats();
-    assert!(base.total_closed() > 0, "ring must form windows");
-    assert!(
-        base.closes(BarrierCause::MeshEventClamp) > 0,
-        "a mesh-heavy ring must clamp windows on pending mesh events"
-    );
-    let sum: u64 = BarrierCause::ALL.iter().map(|&c| base.closes(c)).sum();
-    assert_eq!(sum, base.total_closed(), "per-cause counters must sum to windows closed");
-
-    for (i, m) in runs.iter().enumerate().skip(1) {
-        let ws = m.window_stats();
-        for cause in BarrierCause::ALL {
-            assert_eq!(
-                ws.closes(cause),
-                base.closes(cause),
-                "engine.barrier.{} drifted at sweep index {i}",
-                cause.name(),
-            );
-        }
-        assert_eq!(ws.depth.count(), base.depth.count(), "window depth drifted");
-        assert_eq!(
-            m.metrics_snapshot().to_json(),
-            runs[0].metrics_snapshot().to_json(),
-            "snapshot drifted at sweep index {i}"
-        );
-    }
-
-    // The snapshot itself carries the invariant: every cause counter is
-    // present and they sum to engine.windows.closed.
-    let snap = runs[0].metrics_snapshot();
-    let total = snap.counter("engine.windows.closed").expect("windows counter published");
-    let sum: u64 = BarrierCause::ALL
-        .iter()
-        .map(|c| {
-            snap.counter(&format!("engine.barrier.{}", c.name()))
-                .expect("every cause is published, zeros included")
-        })
-        .sum();
-    assert_eq!(sum, total, "published breakdown must sum to the published total");
+fn ring_4x4_matches_pinned_values() {
+    let m = run_ring(4, 2, |_| {});
+    assert_eq!(m.deliveries().len(), 32);
+    assert_eq!(delivery_hash(&m), 0xcfd2_1ce8_39f0_ee4d, "ring delivery records drifted");
+    assert_eq!(m.events_processed(), 208);
 }
 
 /// The flight recorder retains a causally ordered trail for a packet

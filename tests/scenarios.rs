@@ -1,16 +1,12 @@
 //! Golden scenario-replay suite: every checked-in DSL file under
-//! `scenarios/` runs under worker counts {1, 4, 8} and must produce the
-//! same delivery hash, event count and byte-identical
-//! `shrimp.metrics.v1` snapshot each time — pinned here so any change
-//! to machine behavior or generator behavior is a visible diff.
+//! `scenarios/` must reproduce its pinned delivery hash, event count and
+//! delivery count, so any change to machine behavior or generator
+//! behavior is a visible diff.
 //!
 //! Refresh the pins after an intentional change with
 //! `cargo run --release -p shrimp-workload --example pins`.
 
-use shrimp::workload::{dsl::Scenario, run_scenario_observed, run_scenario_with_workers};
-
-/// Worker counts every golden scenario is swept under.
-const WORKER_SWEEP: [usize; 3] = [1, 4, 8];
+use shrimp::workload::{dsl::Scenario, run_scenario, run_scenario_observed};
 
 fn load(name: &str) -> Scenario {
     let path = format!("{}/scenarios/{name}.shrimp", env!("CARGO_MANIFEST_DIR"));
@@ -18,24 +14,14 @@ fn load(name: &str) -> Scenario {
     Scenario::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"))
 }
 
-/// Runs `name` under the worker sweep, asserts all runs are identical,
-/// and checks the pinned values.
+/// Runs `name` and checks the pinned values.
 fn check_golden(name: &str, hash: u64, events: u64, deliveries: u64) {
     let sc = load(name);
-    let mut reports = WORKER_SWEEP
-        .iter()
-        .map(|&w| run_scenario_with_workers(&sc, w).unwrap_or_else(|e| panic!("{name} w={w}: {e}")));
-    let first = reports.next().expect("sweep is non-empty");
-    let json = first.metrics.to_json();
-    for (r, &w) in reports.zip(&WORKER_SWEEP[1..]) {
-        assert_eq!(r.delivery_hash, first.delivery_hash, "{name}: hash diverged at workers={w}");
-        assert_eq!(r.events_processed, first.events_processed, "{name}: events diverged at workers={w}");
-        assert_eq!(r.metrics.to_json(), json, "{name}: metrics diverged at workers={w}");
-    }
-    assert_eq!(first.sessions_completed, sc.total_sessions(), "{name}: sessions completed");
-    assert_eq!(first.delivery_hash, hash, "{name}: pinned delivery hash (got 0x{:016x})", first.delivery_hash);
-    assert_eq!(first.events_processed, events, "{name}: pinned event count");
-    assert_eq!(first.deliveries, deliveries, "{name}: pinned delivery count");
+    let r = run_scenario(&sc).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(r.sessions_completed, sc.total_sessions(), "{name}: sessions completed");
+    assert_eq!(r.delivery_hash, hash, "{name}: pinned delivery hash (got 0x{:016x})", r.delivery_hash);
+    assert_eq!(r.events_processed, events, "{name}: pinned event count");
+    assert_eq!(r.deliveries, deliveries, "{name}: pinned delivery count");
 }
 
 #[test]
@@ -64,10 +50,9 @@ fn golden_mixed() {
 }
 
 /// The mixed session mix on the NP-RDMA-style unpinned backend: IOTLB
-/// misses and dynamic map-ins replay byte-identically across the
-/// worker sweep, and the run takes visibly longer simulated time than
-/// `golden_mixed` (same load, same seed) because first-touch pages pay
-/// the kernel map-in round trip.
+/// misses and dynamic map-ins replay byte-identically, and the run takes
+/// visibly longer simulated time than `golden_mixed` (same load, same
+/// seed) because first-touch pages pay the kernel map-in round trip.
 #[test]
 fn golden_unpinned() {
     check_golden("unpinned", 0x3faa_3d7d_3b6f_b366, 672, 240);
@@ -80,7 +65,7 @@ fn golden_faulted() {
 
 /// Link churn: every directed link of the mesh dies and heals twice
 /// mid-run while all four session kinds are in flight, and the run
-/// still replays byte-identically across the worker sweep.
+/// still replays byte-identically.
 #[test]
 fn golden_churn() {
     check_golden("churn", 0x3c54_e4dc_1aa2_253a, 425, 172);
@@ -91,7 +76,7 @@ fn golden_churn() {
 #[test]
 fn churn_scenario_reroutes() {
     let sc = load("churn");
-    let (report, m) = run_scenario_observed(&sc, Some(1)).unwrap();
+    let (report, m) = run_scenario_observed(&sc).unwrap();
     assert_eq!(report.sessions_completed, sc.total_sessions());
     let stats = m.mesh_stats();
     assert!(stats.reroutes > 0, "expected adaptive reroutes under churn");
@@ -104,28 +89,23 @@ fn churn_scenario_reroutes() {
 }
 
 /// The acceptance workload: 10k sessions of all four kinds on a 4x4
-/// mesh replay byte-identically across `SHRIMP_WORKERS={1,8}`.
-/// Release-only — debug builds take minutes.
+/// mesh replay byte-identically. Release-only — debug builds take
+/// minutes.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "10k sessions: run with --release")]
-fn mixed10k_replays_across_worker_counts() {
+fn golden_mixed10k() {
     let sc = load("mixed10k");
-    let a = run_scenario_with_workers(&sc, 1).expect("mixed10k w=1");
-    let b = run_scenario_with_workers(&sc, 8).expect("mixed10k w=8");
+    let a = run_scenario(&sc).expect("mixed10k");
     assert_eq!(a.sessions_completed, 10_000);
     assert_eq!(a.delivery_hash, 0xace0_3fe5_af81_f71c, "pinned hash (got 0x{:016x})", a.delivery_hash);
     assert_eq!(a.events_processed, 277_661);
-    assert_eq!(b.delivery_hash, a.delivery_hash);
-    assert_eq!(b.events_processed, a.events_processed);
-    assert_eq!(b.metrics.to_json(), a.metrics.to_json());
 }
 
 /// Acceptance soak: on a 4×4 mesh every directed link fails and
 /// repairs exactly once (`times=1` schedules one down/up window per
 /// link by construction) while all four session kinds run. The run
-/// must complete with byte-identical deliveries and metrics across
-/// workers {1, 8}, and the mesh must report adaptive reroutes —
-/// proof the dynamic-topology path was actually exercised.
+/// must complete every session, and the mesh must report adaptive
+/// reroutes — proof the dynamic-topology path was actually exercised.
 #[test]
 #[ignore = "churn soak; run with --ignored in CI"]
 fn churn_soak_every_link_fails_once() {
@@ -142,12 +122,8 @@ session fanout count=4 src=any leaves=3 rounds=2 bytes=512 think=2us..10us
 session dsm count=8 src=any dst=any pages=2 ops=4 write=32 think=1us..8us
 ";
     let sc = Scenario::parse(text).expect("soak scenario is valid");
-    let (a, ma) = run_scenario_observed(&sc, Some(1)).expect("soak w=1");
-    let (b, _) = run_scenario_observed(&sc, Some(8)).expect("soak w=8");
+    let (a, ma) = run_scenario_observed(&sc).expect("soak");
     assert_eq!(a.sessions_completed, sc.total_sessions());
-    assert_eq!(b.delivery_hash, a.delivery_hash, "delivery hash diverged at workers=8");
-    assert_eq!(b.events_processed, a.events_processed, "event count diverged at workers=8");
-    assert_eq!(b.metrics.to_json(), a.metrics.to_json(), "metrics diverged at workers=8");
     let stats = ma.mesh_stats();
     assert!(stats.reroutes > 0, "soak never took an adaptive route");
     assert_eq!(stats.packets_injected, stats.packets_ejected);
@@ -163,7 +139,7 @@ session dsm count=8 src=any dst=any pages=2 ops=4 write=32 think=1us..8us
 fn latency_stages_telescope() {
     for name in ["streaming", "mixed"] {
         let sc = load(name);
-        let (report, m) = run_scenario_observed(&sc, Some(1)).unwrap();
+        let (report, m) = run_scenario_observed(&sc).unwrap();
         let records = &m.telemetry().records;
         assert_eq!(records.len() as u64, report.deliveries, "{name}: one record per delivery");
         for (i, r) in records.iter().enumerate() {
@@ -182,7 +158,7 @@ fn latency_stages_telescope() {
 #[test]
 fn report_session_metrics_reconcile() {
     let sc = load("mixed");
-    let r = run_scenario_with_workers(&sc, 1).unwrap();
+    let r = run_scenario(&sc).unwrap();
     let m = &r.metrics;
     assert_eq!(m.counter("sessions.completed"), Some(sc.total_sessions()));
     assert_eq!(m.counter("sessions.goodput_bytes"), Some(r.goodput_bytes));
