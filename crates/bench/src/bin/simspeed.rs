@@ -1,11 +1,13 @@
 //! Simulator throughput benchmark: wall-clock events/sec and
 //! simulated-bytes/sec on the paper's bandwidth and latency workloads
-//! and on a 1024-node ring.
+//! and on a 1024-node ring, plus the host store path alone (a 16 MiB
+//! `poke` fill).
 //!
 //! Unlike the other bench binaries (which regenerate *paper* numbers),
 //! this one measures the *simulator itself*, so perf PRs have a tracked
-//! trajectory. Results are printed and written to `BENCH_simspeed.json`
-//! in the current directory.
+//! trajectory. Every sample runs [`RUNS`] times; the median, min and max
+//! of its wall time and events/s are printed and written to
+//! `BENCH_simspeed.json` in the current directory.
 //!
 //! ```text
 //! cargo run --release -p shrimp-bench --bin simspeed
@@ -18,24 +20,33 @@
 //! simulated event — the number the packet arena is meant to drive
 //! toward zero on streaming workloads.
 //!
-//! `--smoke` runs only the 32×32-mesh ring, meant for CI: it asserts the
-//! ring's pinned delivery hash and event count and that throughput stays
-//! above a lenient floor.
+//! `--smoke` is meant for CI. It runs the 32×32-mesh ring once and
+//! asserts the ring's pinned delivery hash and event count and that
+//! throughput stays above a lenient floor. It then times five
+//! 1024-page fills and fails when their median exceeds a per-page
+//! ceiling that only the bulk host-store path (DESIGN.md §5k) meets, so
+//! a silent fallback to the per-word path fails CI.
 
 use std::time::Instant;
 
 use shrimp_bench::{alloc_stats, banner, write_metrics};
 use shrimp_core::{DeliveryRecord, Machine, MachineConfig, MapRequest};
 use shrimp_cpu::Reg;
-use shrimp_mem::PAGE_SIZE;
+use shrimp_mem::{VirtAddr, PAGE_SIZE};
 use shrimp_mesh::{MeshShape, NodeId};
 use shrimp_nic::UpdatePolicy;
+use shrimp_os::Pid;
 
-/// Per-workload measurement.
+/// Runs per sample (the smoke fill check uses the same count).
+const RUNS: usize = 5;
+
+/// One run of one workload.
 struct Sample {
     name: &'static str,
     wall_seconds: f64,
     events: u64,
+    /// Simulated bytes moved: delivered to the receiver, or stored by
+    /// the host for `host_fill`.
     sim_bytes: u64,
     /// Heap allocations during the measured region (0 unless the
     /// `alloc-stats` feature installed the counting allocator).
@@ -43,28 +54,105 @@ struct Sample {
 }
 
 impl Sample {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_seconds
+    /// Events per wall-clock second, or `None` for a workload that runs
+    /// no events (a rate over nothing is not a measured zero).
+    fn events_per_sec(&self) -> Option<f64> {
+        (self.events > 0).then(|| self.events as f64 / self.wall_seconds)
     }
     fn sim_bytes_per_sec(&self) -> f64 {
         self.sim_bytes as f64 / self.wall_seconds
     }
     /// Heap allocations per event, or `None` when this build did not
-    /// count them (no `alloc-stats`): an unmeasured count is not zero.
+    /// count them (no `alloc-stats`) or there were no events: an
+    /// unmeasured count is not zero.
     fn allocs_per_event(&self) -> Option<f64> {
-        if !alloc_stats::ENABLED {
-            None
-        } else if self.events == 0 {
-            Some(0.0)
-        } else {
-            Some(self.allocs as f64 / self.events as f64)
-        }
+        (alloc_stats::ENABLED && self.events > 0).then(|| self.allocs as f64 / self.events as f64)
+    }
+    /// Wall-clock microseconds per stored page (`host_fill`).
+    fn us_per_page(&self) -> f64 {
+        self.wall_seconds * 1e6 / (self.sim_bytes / PAGE_SIZE) as f64
     }
 }
 
-/// An allocs/event figure for the printed tables (`-` when unmeasured).
-fn table_allocs(a: Option<f64>) -> String {
-    a.map_or_else(|| "-".to_string(), |a| format!("{a:.3}"))
+/// Median, min and max of the [`RUNS`] measurements of one figure.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(values: impl IntoIterator<Item = f64>) -> Spread {
+        let mut v: Vec<f64> = values.into_iter().collect();
+        v.sort_by(f64::total_cmp);
+        // RUNS is odd, so the middle value is the median.
+        Spread {
+            median: v[v.len() / 2],
+            min: v[0],
+            max: v[v.len() - 1],
+        }
+    }
+
+    fn json(self, decimals: usize) -> String {
+        format!(
+            "{{\"median\": {:.decimals$}, \"min\": {:.decimals$}, \"max\": {:.decimals$}}}",
+            self.median, self.min, self.max
+        )
+    }
+}
+
+/// Every run of one workload. Simulated quantities must agree across
+/// runs; only host time may differ.
+struct Runs {
+    runs: Vec<Sample>,
+}
+
+impl Runs {
+    fn measure(workload: impl Fn() -> Sample) -> Runs {
+        let runs: Vec<Sample> = (0..RUNS).map(|_| workload()).collect();
+        let first = &runs[0];
+        for r in &runs[1..] {
+            assert_eq!(
+                (r.events, r.sim_bytes),
+                (first.events, first.sim_bytes),
+                "{}: simulated work differs between runs",
+                first.name
+            );
+        }
+        Runs { runs }
+    }
+    fn name(&self) -> &'static str {
+        self.runs[0].name
+    }
+    fn events(&self) -> u64 {
+        self.runs[0].events
+    }
+    fn sim_bytes(&self) -> u64 {
+        self.runs[0].sim_bytes
+    }
+    fn wall_seconds(&self) -> Spread {
+        Spread::of(self.runs.iter().map(|r| r.wall_seconds))
+    }
+    fn events_per_sec(&self) -> Option<Spread> {
+        let rates: Option<Vec<f64>> = self.runs.iter().map(Sample::events_per_sec).collect();
+        rates.map(Spread::of)
+    }
+    fn sim_bytes_per_sec(&self) -> f64 {
+        Spread::of(self.runs.iter().map(Sample::sim_bytes_per_sec)).median
+    }
+    fn allocs_per_event(&self) -> Option<f64> {
+        let a: Option<Vec<f64>> = self.runs.iter().map(Sample::allocs_per_event).collect();
+        a.map(|a| Spread::of(a).median)
+    }
+    fn us_per_page(&self) -> Spread {
+        Spread::of(self.runs.iter().map(Sample::us_per_page))
+    }
+}
+
+/// A table cell for an optional figure (`-` when unmeasured).
+fn cell(a: Option<f64>, decimals: usize) -> String {
+    a.map_or_else(|| "-".to_string(), |a| format!("{a:.decimals$}"))
 }
 
 /// FNV-1a over every field of every delivery record — one number that
@@ -89,14 +177,15 @@ fn delivery_hash(deliveries: &[DeliveryRecord]) -> u64 {
 
 struct Sender {
     m: Machine,
-    s: shrimp_os::Pid,
-    data_va: shrimp_mem::VirtAddr,
+    s: Pid,
+    data_va: VirtAddr,
     cmd_delta: u32,
 }
 
 /// Two-node machine with `pages` mapped from node 0 to node 1 under
-/// `policy` (same shape as the §5.1 bandwidth experiment).
-fn sender_setup(cfg: MachineConfig, pages: u64, policy: UpdatePolicy) -> Sender {
+/// `policy` (same shape as the §5.1 bandwidth experiment). Returns the
+/// machine, the sending process and its mapped buffer.
+fn mapped_pair(cfg: MachineConfig, pages: u64, policy: UpdatePolicy) -> (Machine, Pid, VirtAddr) {
     let snd = NodeId(0);
     let rcv = NodeId(1);
     let mut m = Machine::new(cfg);
@@ -118,6 +207,14 @@ fn sender_setup(cfg: MachineConfig, pages: u64, policy: UpdatePolicy) -> Sender 
         policy,
     })
     .expect("map");
+    (m, s, data_va)
+}
+
+/// [`mapped_pair`] plus one command page per data page, with the
+/// buffer filled and the machine idle.
+fn sender_setup(cfg: MachineConfig, pages: u64, policy: UpdatePolicy) -> Sender {
+    let snd = NodeId(0);
+    let (mut m, s, data_va) = mapped_pair(cfg, pages, policy);
     let mut cmd_delta = 0u32;
     for p in 0..pages {
         let cmd = m
@@ -248,6 +345,36 @@ fn latency_workload(rounds: u64) -> Sample {
     }
 }
 
+/// The host store path alone: one `poke` filling `pages` pages mapped
+/// for deliberate update on a 2×1 machine. The NIC ignores these
+/// stores, so each page after its first word is one bulk step
+/// (DESIGN.md §5k) and no event runs.
+fn host_fill(pages: u64) -> Sample {
+    let mut cfg = MachineConfig::prototype(MeshShape::new(2, 1));
+    cfg.pages_per_node = 4 * pages.max(256);
+    let (mut m, s, data_va) = mapped_pair(cfg, pages, UpdatePolicy::Deliberate);
+    let payload: Vec<u8> = (0..pages * PAGE_SIZE).map(|i| (i % 239) as u8).collect();
+
+    let ev0 = m.events_processed();
+    let a0 = alloc_stats::allocations();
+    let wall = Instant::now();
+    m.poke(NodeId(0), s, data_va, &payload).expect("fill");
+    let wall_seconds = wall.elapsed().as_secs_f64();
+    let allocs = alloc_stats::allocations() - a0;
+    let last = (pages - 1) * PAGE_SIZE;
+    let stored = m
+        .peek(NodeId(0), s, data_va.add(last), PAGE_SIZE)
+        .expect("peek the last page");
+    assert_eq!(stored, payload[last as usize..], "the fill must land");
+    Sample {
+        name: "host_fill",
+        wall_seconds,
+        events: m.events_processed() - ev0,
+        sim_bytes: pages * PAGE_SIZE,
+        allocs,
+    }
+}
+
 /// Delivery fingerprint of [`ring_workload`]'s measured region.
 const RING_HASH: u64 = 0x1a5d_1166_df16_23e5;
 
@@ -351,50 +478,70 @@ fn ring_workload() -> Sample {
     }
 }
 
-fn json_field(s: &Sample) -> String {
-    format!(
-        concat!(
-            "  \"{}\": {{\n",
-            "    \"wall_seconds\": {:.6},\n",
-            "    \"events\": {},\n",
-            "    \"events_per_sec\": {:.1},\n",
-            "    \"sim_bytes\": {},\n",
-            "    \"sim_bytes_per_sec\": {:.1},\n",
-            "    \"allocs_per_event\": {}\n",
-            "  }}"
+fn json_field(r: &Runs) -> String {
+    let null = || "null".to_string();
+    let mut fields = vec![
+        format!("\"runs\": {}", r.runs.len()),
+        format!("\"wall_seconds\": {}", r.wall_seconds().json(6)),
+        format!("\"events\": {}", r.events()),
+        format!(
+            "\"events_per_sec\": {}",
+            r.events_per_sec().map_or_else(null, |e| e.json(1))
         ),
-        s.name,
-        s.wall_seconds,
-        s.events,
-        s.events_per_sec(),
-        s.sim_bytes,
-        s.sim_bytes_per_sec(),
-        s.allocs_per_event()
-            .map_or_else(|| "null".to_string(), |a| format!("{a:.4}")),
+        format!("\"sim_bytes\": {}", r.sim_bytes()),
+        format!("\"sim_bytes_per_sec\": {:.1}", r.sim_bytes_per_sec()),
+        format!(
+            "\"allocs_per_event\": {}",
+            r.allocs_per_event()
+                .map_or_else(null, |a| format!("{a:.4}"))
+        ),
+    ];
+    if r.name() == "host_fill" {
+        fields.push(format!("\"us_per_page\": {}", r.us_per_page().json(3)));
+    }
+    format!(
+        "  \"{}\": {{\n    {}\n  }}",
+        r.name(),
+        fields.join(",\n    ")
     )
 }
 
-/// CI smoke: the 32×32 ring must reproduce its pinned delivery hash and
+/// CI smoke. The 32×32 ring must reproduce its pinned delivery hash and
 /// event count, and its throughput must clear a floor lenient enough
-/// for noisy shared runners.
+/// for noisy shared runners. Then the median of five 1024-page fills
+/// must stay under a per-page ceiling: the bulk path measures ~2.5–5
+/// µs/page and the per-word path 65–110 µs/page on a 2-core Xeon, so
+/// the ceiling catches a bulk path that stopped firing, which the
+/// equivalence tests cannot see.
 fn smoke() {
-    banner("simspeed --smoke: 32x32 pinned-ring check");
+    banner("simspeed --smoke: 32x32 pinned ring and bulk host fill");
     const FLOOR_EVENTS_PER_SEC: f64 = 25_000.0;
+    const FILL_CEILING_US_PER_PAGE: f64 = 25.0;
     let s = ring_workload();
+    let rate = s.events_per_sec().expect("the ring runs events");
     println!(
         "{:<14} {:>10.4}s {:>12} events {:>14.0} ev/s",
-        s.name,
-        s.wall_seconds,
-        s.events,
-        s.events_per_sec(),
+        s.name, s.wall_seconds, s.events, rate,
     );
     assert!(
-        s.events_per_sec() >= FLOOR_EVENTS_PER_SEC,
-        "ring throughput {:.0} ev/s fell below the {FLOOR_EVENTS_PER_SEC} floor",
-        s.events_per_sec(),
+        rate >= FLOOR_EVENTS_PER_SEC,
+        "ring throughput {rate:.0} ev/s fell below the {FLOOR_EVENTS_PER_SEC} floor",
+    );
+    let fills = Runs::measure(|| host_fill(1024));
+    let us = fills.us_per_page();
+    println!(
+        "{:<14} {:>10.1} us/page median of {RUNS} 1024-page fills (min {:.1}, max {:.1})",
+        "host_fill", us.median, us.min, us.max,
+    );
+    assert!(
+        us.median <= FILL_CEILING_US_PER_PAGE,
+        "1024-page fill took {:.1} us/page (median of {RUNS}), over the \
+         {FILL_CEILING_US_PER_PAGE} us/page ceiling: is the bulk host-store path \
+         (DESIGN.md §5k) still firing?",
+        us.median,
     );
     println!(
-        "\nsmoke OK: pinned hash and {} events reproduced, floor cleared",
+        "\nsmoke OK: pinned hash and {} events reproduced, floor cleared, fill under its ceiling",
         s.events
     );
 }
@@ -414,31 +561,43 @@ fn main() {
     let _ = bandwidth_workload(64 * PAGE_SIZE);
 
     let samples = [
-        bandwidth_workload(4096 * PAGE_SIZE),
-        blocked_write_workload(768 * PAGE_SIZE),
-        latency_workload(20_000),
-        ring_workload(),
+        Runs::measure(|| bandwidth_workload(4096 * PAGE_SIZE)),
+        Runs::measure(|| blocked_write_workload(768 * PAGE_SIZE)),
+        Runs::measure(|| latency_workload(20_000)),
+        Runs::measure(ring_workload),
+        Runs::measure(|| host_fill(4096)),
     ];
 
+    println!("medians of {RUNS} runs (min-max of wall s in brackets)\n");
     println!(
-        "{:<14} {:>10} {:>12} {:>14} {:>12} {:>16} {:>10}",
+        "{:<14} {:>24} {:>12} {:>14} {:>12} {:>16} {:>10}",
         "workload", "wall s", "events", "events/s", "sim bytes", "sim bytes/s", "allocs/ev"
     );
-    for s in &samples {
+    for r in &samples {
+        let wall = r.wall_seconds();
         println!(
-            "{:<14} {:>10.4} {:>12} {:>14.0} {:>12} {:>16.0} {:>10}",
-            s.name,
-            s.wall_seconds,
-            s.events,
-            s.events_per_sec(),
-            s.sim_bytes,
-            s.sim_bytes_per_sec(),
-            table_allocs(s.allocs_per_event()),
+            "{:<14} {:>24} {:>12} {:>14} {:>12} {:>16.0} {:>10}",
+            r.name(),
+            format!("{:.4} [{:.4}-{:.4}]", wall.median, wall.min, wall.max),
+            r.events(),
+            cell(r.events_per_sec().map(|e| e.median), 0),
+            r.sim_bytes(),
+            r.sim_bytes_per_sec(),
+            cell(r.allocs_per_event(), 3),
         );
     }
+    let fill = samples
+        .iter()
+        .find(|r| r.name() == "host_fill")
+        .expect("host_fill is sampled")
+        .us_per_page();
+    println!(
+        "\nhost_fill: {:.2} us per page (min {:.2}, max {:.2})",
+        fill.median, fill.min, fill.max
+    );
 
-    // Historical trajectory file, kept format-stable so perf PRs stay
-    // comparable across revisions.
+    // Historical trajectory file: one object per workload with the
+    // median, min and max of each host-time figure.
     let body = samples
         .iter()
         .map(json_field)
@@ -448,20 +607,23 @@ fn main() {
     std::fs::write("BENCH_simspeed.json", &json).expect("write BENCH_simspeed.json");
     println!("\nwrote BENCH_simspeed.json");
 
-    // The same numbers in the unified shrimp.metrics.v1 schema. Note the
+    // The same medians in the unified shrimp.metrics.v1 schema. Note the
     // workloads run with telemetry off (the default): this benchmark
     // tracks the simulator's raw speed.
     let mut reg = shrimp_sim::MetricsRegistry::new();
-    for s in &samples {
-        let p = format!("simspeed.{}", s.name);
-        reg.set_gauge(format!("{p}.wall_seconds"), s.wall_seconds);
-        reg.set_counter(format!("{p}.events"), s.events);
-        reg.set_gauge(format!("{p}.events_per_sec"), s.events_per_sec());
-        reg.set_counter(format!("{p}.sim_bytes"), s.sim_bytes);
-        reg.set_gauge(format!("{p}.sim_bytes_per_sec"), s.sim_bytes_per_sec());
-        if let Some(a) = s.allocs_per_event() {
+    for r in &samples {
+        let p = format!("simspeed.{}", r.name());
+        reg.set_gauge(format!("{p}.wall_seconds"), r.wall_seconds().median);
+        reg.set_counter(format!("{p}.events"), r.events());
+        if let Some(e) = r.events_per_sec() {
+            reg.set_gauge(format!("{p}.events_per_sec"), e.median);
+        }
+        reg.set_counter(format!("{p}.sim_bytes"), r.sim_bytes());
+        reg.set_gauge(format!("{p}.sim_bytes_per_sec"), r.sim_bytes_per_sec());
+        if let Some(a) = r.allocs_per_event() {
             reg.set_gauge(format!("{p}.allocs_per_event"), a);
         }
     }
+    reg.set_gauge("simspeed.host_fill.us_per_page", fill.median);
     write_metrics("simspeed", &reg.snapshot());
 }

@@ -249,11 +249,12 @@ impl Broadcast {
     ///
     /// # Errors
     ///
-    /// Propagates datapath errors.
+    /// Propagates datapath errors; [`MachineError::Unaligned`] if `data`
+    /// is not whole words.
     ///
     /// # Panics
     ///
-    /// Panics if `data` exceeds one page or is not whole words.
+    /// Panics if `data` exceeds one page.
     pub fn send(&self, m: &mut Machine, data: &[u8]) -> Result<(), MachineError> {
         assert!(data.len() as u64 <= PAGE_SIZE, "one page per broadcast");
         // Level-order forwarding: each member stores into its forward

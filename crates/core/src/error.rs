@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use shrimp_mem::MemError;
+use shrimp_mem::{MemError, VirtAddr};
 use shrimp_nic::NicError;
 use shrimp_os::OsError;
 
@@ -18,6 +18,14 @@ pub enum MachineError {
     Mem(MemError),
     /// A zero-length mapping was requested.
     EmptyMapping,
+    /// A host store (`poke`) was not whole aligned words: `va` must be
+    /// word-aligned and `len` a multiple of the word size.
+    Unaligned {
+        /// The requested start address.
+        va: VirtAddr,
+        /// The requested length in bytes.
+        len: u64,
+    },
     /// `run_until_idle` gave up: the machine keeps generating events
     /// (typically a CPU spin-waiting for data that will never come).
     NoQuiescence,
@@ -30,6 +38,9 @@ impl fmt::Display for MachineError {
             MachineError::Nic(e) => write!(f, "network interface: {e}"),
             MachineError::Mem(e) => write!(f, "memory: {e}"),
             MachineError::EmptyMapping => write!(f, "mapping length must be positive"),
+            MachineError::Unaligned { va, len } => {
+                write!(f, "store of {len} bytes at {va} is not whole aligned words")
+            }
             MachineError::NoQuiescence => write!(f, "machine did not quiesce"),
         }
     }
@@ -82,5 +93,10 @@ mod tests {
         .into();
         assert!(e.to_string().contains("memory"));
         assert!(Error::source(&MachineError::NoQuiescence).is_none());
+        let e = MachineError::Unaligned {
+            va: VirtAddr::new(2),
+            len: 4,
+        };
+        assert!(e.to_string().contains("not whole aligned words"));
     }
 }

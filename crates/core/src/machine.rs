@@ -708,15 +708,15 @@ impl Machine {
 
     /// Writes bytes through the full store datapath (translation, cache,
     /// bus, NIC snooping) at the current time, word by word. Advances
-    /// simulated time past the last bus transaction.
+    /// simulated time past the last bus transaction. The rest of a page
+    /// the NIC ignores is committed in one step after the page's first
+    /// word, bit-identical to the word loop (DESIGN.md §5k).
     ///
     /// # Errors
     ///
-    /// Propagates translation and protection errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `va` and `data.len()` are word-aligned.
+    /// [`MachineError::Unaligned`], before anything is stored, unless
+    /// `va` is word-aligned and `data` is whole words; translation and
+    /// protection errors otherwise.
     pub fn poke(
         &mut self,
         node: NodeId,
@@ -724,13 +724,38 @@ impl Machine {
         va: VirtAddr,
         data: &[u8],
     ) -> Result<(), MachineError> {
-        assert!(va.is_word_aligned(), "poke must be word-aligned");
-        assert_eq!(data.len() % WORD_SIZE as usize, 0, "poke length must be whole words");
+        if !va.is_word_aligned() || !data.len().is_multiple_of(WORD_SIZE as usize) {
+            return Err(MachineError::Unaligned {
+                va,
+                len: data.len() as u64,
+            });
+        }
+        let pages_per_node = self.config.pages_per_node;
+        let word = |bytes: &[u8]| u32::from_le_bytes(bytes.try_into().expect("4-byte chunk"));
         let mut t = self.now();
-        for (i, word) in data.chunks_exact(4).enumerate() {
-            let value = u32::from_le_bytes(word.try_into().expect("4-byte chunk"));
-            let addr = va.add(i as u64 * WORD_SIZE);
-            t = self.store_through(node, pid, t, addr, value)?;
+        let mut pos = 0;
+        while pos < data.len() {
+            // One page run: the words from `addr` to the end of its page.
+            let addr = va.add(pos as u64);
+            let run_len = ((PAGE_SIZE - addr.offset()) as usize).min(data.len() - pos);
+            let run = &data[pos..pos + run_len];
+            pos += run_len;
+            let (done, nic_quiet) = self.store_through(node, pid, t, addr, word(&run[..4]))?;
+            t = done;
+            let rest = &run[4..];
+            let rest_va = addr.add(WORD_SIZE);
+            if nic_quiet && !rest.is_empty() {
+                if let Some(done) =
+                    self.nodes[node.0 as usize].store_run_bulk(t, rest_va, rest, pages_per_node)
+                {
+                    t = done;
+                    continue;
+                }
+            }
+            for (i, bytes) in rest.chunks_exact(4).enumerate() {
+                let at = rest_va.add(i as u64 * WORD_SIZE);
+                t = self.store_through(node, pid, t, at, word(bytes))?.0;
+            }
         }
         self.run_until(t);
         Ok(())
@@ -1407,6 +1432,9 @@ impl Machine {
 
     // ─────────────────── host store path (poke / msglib) ─────────────────
 
+    /// One host store word. Returns when its bus write ends and whether
+    /// the node's NIC is quiet afterwards (no deadline, no outgoing or
+    /// incoming work).
     fn store_through(
         &mut self,
         node: NodeId,
@@ -1414,12 +1442,12 @@ impl Machine {
         t: SimTime,
         va: VirtAddr,
         value: u32,
-    ) -> Result<SimTime, MachineError> {
+    ) -> Result<(SimTime, bool), MachineError> {
         let pages_per_node = self.config.pages_per_node;
         let done =
             self.nodes[node.0 as usize].store_word_through(t, pid, va, value, pages_per_node)?;
-        self.schedule_node_wakeups(t, node);
-        Ok(done)
+        let nic_quiet = self.schedule_node_wakeups(t, node);
+        Ok((done, nic_quiet))
     }
 
     // ───────────────────────── instrumentation ───────────────────────────
@@ -1627,6 +1655,9 @@ impl SimHost for Machine {
 }
 
 #[cfg(test)]
+mod poke_equivalence;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use shrimp_cpu::Assembler;
@@ -1693,6 +1724,29 @@ mod tests {
             .poke(NodeId(0), s, VirtAddr::new(0), &[0u8; 4])
             .unwrap_err();
         assert!(matches!(err, MachineError::Mem(MemError::NotMapped { .. })));
+    }
+
+    #[test]
+    fn misaligned_poke_errors_before_storing() {
+        let (mut m, s, r) = two_node();
+        let (src, dst) = simple_map(&mut m, s, r, UpdatePolicy::AutomaticSingle);
+        m.run_until_idle().unwrap();
+        let before = (m.now(), m.events_processed());
+        for (va, len) in [(src.add(2), 4), (src, 6), (src.add(1), 0)] {
+            let err = m.poke(NodeId(0), s, va, &vec![7u8; len]).unwrap_err();
+            assert_eq!(
+                err,
+                MachineError::Unaligned {
+                    va,
+                    len: len as u64
+                }
+            );
+        }
+        assert_eq!((m.now(), m.events_processed()), before);
+        m.run_until_idle().unwrap();
+        assert!(m.deliveries().is_empty(), "no word reached the snoop logic");
+        assert_eq!(m.peek(NodeId(0), s, src, 8).unwrap(), vec![0; 8]);
+        assert_eq!(m.peek(NodeId(1), r, dst, 8).unwrap(), vec![0; 8]);
     }
 
     #[test]

@@ -453,6 +453,48 @@ impl Node {
         };
         Ok(bus.store_word(t, va, value)?)
     }
+
+    /// The rest of a host-store page run in one step (DESIGN.md §5k):
+    /// `data` is every word of the page after the first, which
+    /// [`Node::store_word_through`] has just stored at `va - 4`, leaving
+    /// the NIC quiet. Returns the end of the last bus write when every
+    /// word would only repeat that first word's effects, and `None`,
+    /// having changed nothing, when the run must go word by word.
+    pub(crate) fn store_run_bulk(
+        &mut self,
+        t: SimTime,
+        va: VirtAddr,
+        data: &[u8],
+        pages_per_node: u64,
+    ) -> Option<SimTime> {
+        // Check everything first: the page is the TLB's MRU entry, so
+        // every word's lookup would hit it; it is a writable,
+        // write-through data page; and no word is one the NIC captures.
+        let (vpn, frame, flags) = self.tlb.mru()?;
+        let phys = frame.at_offset(va.offset());
+        let len = data.len() as u64;
+        if vpn != va.page()
+            || !flags.protection.allows_write()
+            || flags.cache_mode != CacheMode::WriteThrough
+            || frame.raw() >= pages_per_node
+            || self.nic.nipt().capture(phys, len).is_some()
+        {
+            return None;
+        }
+        // Then commit; nothing below can fail.
+        let words = len / WORD_SIZE;
+        self.tlb.count_mru_hits(words);
+        self.cache.write_through_run(phys, len);
+        let end = self.xpress.write_run(t, words, WORD_SIZE).end;
+        self.mem
+            .write_bytes(phys, data)
+            .expect("a data frame lies inside installed DRAM");
+        debug_assert!(
+            self.next_event_time().is_none(),
+            "a bulk store must leave the NIC quiet"
+        );
+        Some(end)
+    }
 }
 
 /// The node's NIC datapath as a passive component: earliest pending NIC

@@ -139,6 +139,16 @@ impl XpressBus {
         }
     }
 
+    /// Performs `n` write transactions of `len` bytes each, back to back:
+    /// the first requested at `now`, every later one at the previous
+    /// one's end. The bus ends exactly as after `n` [`XpressBus::write`]
+    /// calls (see [`BandwidthResource::transfer_run`]); the grant runs
+    /// from the first write's start to the last one's end.
+    pub fn write_run(&mut self, now: SimTime, n: u64, len: u64) -> Grant {
+        self.writes += n;
+        self.resource.transfer_run(now, n, len)
+    }
+
     /// Performs a read transaction.
     pub fn read(
         &mut self,
@@ -262,6 +272,22 @@ mod tests {
         assert_eq!(bus.writes(), 2);
         assert_eq!(bus.reads(), 0);
         assert_eq!(bus.bytes_total(), 8);
+    }
+
+    #[test]
+    fn write_run_matches_word_writes() {
+        let mut one = XpressBus::new(BusConfig::default());
+        one.read(SimTime::ZERO, PhysAddr::new(0), 64, BusInitiator::NicDma);
+        let mut run = one.clone();
+        let mut t = SimTime::ZERO;
+        for i in 0..64 {
+            t = one
+                .write(t, PhysAddr::new(i * 4), 4, BusInitiator::Cpu)
+                .grant
+                .end;
+        }
+        assert_eq!(run.write_run(SimTime::ZERO, 64, 4).end, t);
+        assert_eq!(format!("{run:?}"), format!("{one:?}"));
     }
 
     #[test]

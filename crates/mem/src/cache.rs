@@ -7,7 +7,7 @@
 //! which is sound because mapped-out pages are write-through and incoming
 //! DMA invalidates before the CPU re-reads.
 
-use crate::addr::PhysAddr;
+use crate::addr::{PhysAddr, WORD_SIZE};
 use crate::page_table::CacheMode;
 
 /// Geometry of the cache.
@@ -198,6 +198,32 @@ impl CacheModel {
         }
     }
 
+    /// The write-through word stores of `[addr, addr + len)`, in address
+    /// order, with one step per line. Write-through stores never
+    /// allocate, so the first store to a line either moves it to MRU
+    /// and cleans it, or misses; the repeats on that line find it in the
+    /// same state and move only the hit or miss counter. The cache ends
+    /// exactly as after one [`CacheModel::store`] per word.
+    pub fn write_through_run(&mut self, addr: PhysAddr, len: u64) {
+        let end = addr.raw() + len;
+        let mut at = addr.raw();
+        while at < end {
+            // Every word that starts on this line.
+            let next_line = (at / self.config.line_size + 1) * self.config.line_size;
+            let words = (next_line.min(end) - at).div_ceil(WORD_SIZE);
+            let (set, tag) = self.decompose(PhysAddr::new(at));
+            if let Some(pos) = self.sets[set].iter().position(|l| l.tag == tag) {
+                let mut line = self.sets[set].remove(pos);
+                line.dirty = false;
+                self.sets[set].push(line);
+                self.hits += words;
+            } else {
+                self.misses += words;
+            }
+            at += words * WORD_SIZE;
+        }
+    }
+
     fn allocate(&mut self, set: usize, tag: u64, dirty: bool) -> Option<PhysAddr> {
         let mut writeback = None;
         if self.sets[set].len() == self.config.ways {
@@ -306,6 +332,34 @@ mod tests {
         let o2 = c.store(a, CacheMode::WriteThrough);
         assert!(o2.bus_access);
         assert!(o2.hit);
+    }
+
+    #[test]
+    fn write_through_run_matches_word_stores() {
+        // Resident dirty and clean lines, absent lines, two lines per set
+        // (so their LRU order shows), a mid-line start and a partial end.
+        for line_size in [2, 32] {
+            let mut one = CacheModel::new(CacheConfig {
+                size_bytes: 4 * line_size,
+                line_size,
+                ways: 2,
+            });
+            for a in [0, 3 * line_size, 5 * line_size] {
+                one.store(PhysAddr::new(a), CacheMode::WriteBack);
+            }
+            one.load(PhysAddr::new(2 * line_size));
+            let mut run = one.clone();
+            let (start, len) = (4, 6 * line_size + 4);
+            for a in (start..start + len).step_by(WORD_SIZE as usize) {
+                one.store(PhysAddr::new(a), CacheMode::WriteThrough);
+            }
+            run.write_through_run(PhysAddr::new(start), len);
+            assert_eq!(
+                format!("{run:?}"),
+                format!("{one:?}"),
+                "line size {line_size}"
+            );
+        }
     }
 
     #[test]

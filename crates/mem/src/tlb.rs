@@ -67,6 +67,20 @@ impl Tlb {
         Some((frame, flags))
     }
 
+    /// The most recently used translation, if any: the entry the last
+    /// lookup hit or the last insert added.
+    pub fn mru(&self) -> Option<(VirtPageNum, PageNum, PageFlags)> {
+        self.entries.last().copied()
+    }
+
+    /// Counts `n` lookups of the MRU entry's page in one step. Each such
+    /// lookup hits without reordering (see [`Tlb::lookup`]), so only the
+    /// hit counter moves.
+    pub fn count_mru_hits(&mut self, n: u64) {
+        debug_assert!(!self.entries.is_empty(), "MRU hits need an MRU entry");
+        self.hits += n;
+    }
+
     /// Inserts a translation, evicting the least recently used entry if
     /// full. Replaces any existing entry for the same page.
     pub fn insert(&mut self, vpn: VirtPageNum, frame: PageNum, flags: PageFlags) {
@@ -153,6 +167,22 @@ mod tests {
         assert!(tlb.lookup(v(2)).is_none(), "2 should have been evicted");
         assert!(tlb.lookup(v(1)).is_some());
         assert!(tlb.lookup(v(3)).is_some());
+    }
+
+    #[test]
+    fn mru_hits_match_repeated_lookups() {
+        let mut one = Tlb::new(4);
+        one.insert(v(1), p(1), fl());
+        one.insert(v(2), p(2), fl());
+        one.lookup(v(1));
+        let mut run = one.clone();
+        assert_eq!(run.mru().map(|e| e.0), Some(v(1)));
+        for _ in 0..5 {
+            one.lookup(v(1));
+        }
+        run.count_mru_hits(5);
+        assert_eq!(format!("{run:?}"), format!("{one:?}"));
+        assert_eq!(Tlb::new(1).mru(), None);
     }
 
     #[test]

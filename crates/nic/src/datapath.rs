@@ -103,16 +103,13 @@ impl NetworkInterface {
                 && p.data.len() + data.len() <= self.config.max_payload as usize
         });
 
-        let seg = match self.nipt.lookup_out(addr) {
-            Some(seg) if seg.policy.is_automatic() => *seg,
-            _ => {
-                // Deliberate pages and unmapped pages: plain memory write;
-                // but it still terminates a pending merge on another page?
-                // No: only writes the NIC captures interact with the merge
-                // buffer. Expire it on time alone.
-                self.poll(now);
-                return SnoopOutcome::Ignored;
-            }
+        let Some(&seg) = self.nipt.capture(addr, 1) else {
+            // Deliberate pages and unmapped pages: plain memory write;
+            // but it still terminates a pending merge on another page?
+            // No: only writes the NIC captures interact with the merge
+            // buffer. Expire it on time alone.
+            self.poll(now);
+            return SnoopOutcome::Ignored;
         };
 
         match seg.policy {

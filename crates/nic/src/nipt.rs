@@ -267,6 +267,19 @@ impl Nipt {
         self.entry(addr.page())?.segment_at(addr.offset())
     }
 
+    /// The segment that captures a snooped bus write starting anywhere in
+    /// `[addr, addr + span)`, if any. The NIC captures a write only under
+    /// an automatic-update segment (§3.1, §4.2): deliberate-update and
+    /// unmapped memory is ordinary memory to the snoop logic, and its
+    /// data leaves only through command-page DMA. One write asks with
+    /// `span` 1; at most one segment covers that byte.
+    pub fn capture(&self, addr: PhysAddr, span: u64) -> Option<&OutSegment> {
+        let (start, end) = (addr.offset(), addr.offset() + span);
+        self.entry(addr.page())?
+            .segments()
+            .find(|s| s.policy.is_automatic() && s.src_start < end && start < s.src_end)
+    }
+
     /// Marks `page` as mapped in (or not).
     ///
     /// # Errors
@@ -416,6 +429,32 @@ mod tests {
         let nipt = Nipt::new(4);
         assert!(nipt.lookup_out(PhysAddr::new(0)).is_none());
         assert!(nipt.entry(PageNum::new(4)).is_none());
+    }
+
+    #[test]
+    fn capture_only_under_automatic_segments() {
+        let mut nipt = Nipt::new(4);
+        let page = PageNum::new(1);
+        nipt.set_out_segment(page, seg(0, 100, 0)).unwrap();
+        let mut deliberate = seg(100, 4096, 100);
+        deliberate.policy = UpdatePolicy::Deliberate;
+        nipt.set_out_segment(page, deliberate).unwrap();
+        let at = |off: u64| page.at_offset(off);
+        assert_eq!(nipt.capture(at(96), 1).map(|s| s.src_start), Some(0));
+        assert!(nipt.capture(at(100), 1).is_none(), "deliberate memory");
+        assert!(nipt.capture(at(100), 3996).is_none());
+        assert!(
+            nipt.capture(at(96), 4000).is_some(),
+            "run starts under the automatic segment"
+        );
+        assert!(
+            nipt.capture(PageNum::new(2).base(), 4096).is_none(),
+            "unmapped page"
+        );
+        assert!(
+            nipt.capture(PageNum::new(9).base(), 1).is_none(),
+            "page off the table"
+        );
     }
 
     #[test]

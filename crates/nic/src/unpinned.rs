@@ -221,12 +221,7 @@ impl NicModel for UnpinnedNicModel {
     }
 
     fn snoop_write(&mut self, now: SimTime, addr: PhysAddr, data: &[u8]) -> SnoopOutcome {
-        let automatic = self
-            .inner
-            .nipt()
-            .lookup_out(addr)
-            .is_some_and(|seg| seg.policy.is_automatic());
-        if !automatic {
+        if self.inner.nipt().capture(addr, 1).is_none() {
             // Unmapped or deliberate pages: the reference path ignores
             // the write; no residency is involved.
             return self.inner.snoop_write(now, addr, data);

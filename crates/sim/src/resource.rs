@@ -67,6 +67,21 @@ impl SerialResource {
         Grant { start, end }
     }
 
+    /// `n` reservations of `duration` each, the first requested at `now`
+    /// and every later one at the previous one's end, in closed form:
+    /// they run back to back, so the state ends exactly as after `n`
+    /// [`SerialResource::reserve`] calls. The grant spans the whole run.
+    fn reserve_run(&mut self, now: SimTime, n: u64, duration: SimDuration) -> Grant {
+        debug_assert!(n > 0, "a run reserves at least once");
+        let start = now.max(self.free_at);
+        let busy = duration * n;
+        let end = start + busy;
+        self.free_at = end;
+        self.busy_total += busy;
+        self.grants += n;
+        Grant { start, end }
+    }
+
     /// The next instant at which the resource is idle.
     pub fn free_at(&self) -> SimTime {
         self.free_at
@@ -145,6 +160,17 @@ impl BandwidthResource {
         let dur = self.duration_of(bytes);
         self.bytes_total += bytes;
         self.inner.reserve(now, dur)
+    }
+
+    /// `n` back-to-back transfers of `bytes` each, the first requested at
+    /// `now` and every later one at the previous one's end: the resource
+    /// ends exactly as after `n` [`BandwidthResource::transfer`] calls,
+    /// with one duration computation instead of `n`. The grant runs from
+    /// the first transfer's start to the last one's end.
+    pub fn transfer_run(&mut self, now: SimTime, n: u64, bytes: u64) -> Grant {
+        let dur = self.duration_of(bytes);
+        self.bytes_total += bytes * n;
+        self.inner.reserve_run(now, n, dur)
     }
 
     /// The service time a transfer of `bytes` would take (overhead
@@ -274,6 +300,25 @@ mod tests {
         }
         let rate = r.achieved_rate(now);
         assert!((rate - 50_000_000.0).abs() / 50_000_000.0 < 0.01, "rate {rate}");
+    }
+
+    #[test]
+    fn transfer_run_matches_repeated_transfers() {
+        // Idle gap before the run, and a run queued behind a busy bus.
+        for (prior_bytes, request) in [(0, 50), (80, 20)] {
+            let mut one = BandwidthResource::new(132_000_000, ns(30));
+            one.transfer(SimTime::ZERO, prior_bytes);
+            let mut run = one.clone();
+            let mut t = SimTime::ZERO + ns(request);
+            let first = one.transfer(t, 4);
+            t = first.end;
+            for _ in 1..100 {
+                t = one.transfer(t, 4).end;
+            }
+            let g = run.transfer_run(SimTime::ZERO + ns(request), 100, 4);
+            assert_eq!((g.start, g.end), (first.start, t));
+            assert_eq!(format!("{run:?}"), format!("{one:?}"));
+        }
     }
 
     #[test]
