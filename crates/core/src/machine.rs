@@ -23,7 +23,7 @@
 use shrimp_cpu::{Cpu, Program, Reg};
 use shrimp_mem::{CacheMode, MemError, PageNum, PhysAddr, VirtAddr, PAGE_SIZE, WORD_SIZE};
 use shrimp_mesh::{MeshNetwork, NodeId};
-use shrimp_nic::{AnyNic, NicError, NicInterrupt, NicModel, OutSegment, ShrimpPacket, UpdatePolicy};
+use shrimp_nic::{NetworkInterface, NicError, NicInterrupt, OutSegment, ShrimpPacket, UpdatePolicy};
 use shrimp_os::kernel::OutgoingRecord;
 use shrimp_os::{ExportId, Kernel, OsError, Pid};
 use shrimp_sim::{
@@ -162,7 +162,7 @@ impl MachineTelemetry {
 }
 
 /// A scheduled machine event: which node, and what it should do. The
-/// per-node behaviour lives in [`NodeEvent`]; this type only exists as
+/// per-node behaviour lives in `NodeEvent`; this type only exists as
 /// the machine scheduler's event payload (it is public because it leaks
 /// through the [`SimHost`] associated type, not as API).
 #[derive(Debug, Clone)]
@@ -1459,7 +1459,7 @@ impl Machine {
 
     /// The network interface of a node (read-only inspection of whatever
     /// backend the machine was configured with).
-    pub fn nic(&self, node: NodeId) -> &AnyNic {
+    pub fn nic(&self, node: NodeId) -> &NetworkInterface {
         &self.node(node).nic
     }
 

@@ -24,7 +24,7 @@ use shrimp_mem::{
     XpressBus, WORD_SIZE,
 };
 use shrimp_mesh::{MeshPacket, NodeId};
-use shrimp_nic::{AnyNic, NicModel, Payload, ShrimpPacket};
+use shrimp_nic::{NetworkInterface, NicBackend, Payload, ShrimpPacket};
 use shrimp_os::{Kernel, KernelMsg, OsError, Pid, RoundRobin, SchedDecision};
 use shrimp_sim::{Component, SimDuration, SimTime, Tracer};
 
@@ -115,7 +115,7 @@ pub(crate) struct Node {
     pub(crate) cache: CacheModel,
     pub(crate) xpress: XpressBus,
     pub(crate) eisa: EisaBus,
-    pub(crate) nic: AnyNic,
+    pub(crate) nic: NetworkInterface,
     pub(crate) tlb: Tlb,
     pub(crate) sched: RoundRobin,
     pub(crate) cpus: BTreeMap<Pid, Cpu>,
@@ -137,13 +137,11 @@ pub(crate) struct Node {
 impl Node {
     /// Builds an idle node from the machine configuration.
     pub(crate) fn new(id: NodeId, config: &MachineConfig) -> Self {
-        let mut nic = AnyNic::new(
-            config.nic_backend,
-            id,
-            config.shape,
-            config.nic,
-            config.pages_per_node,
-        );
+        let build = match config.nic_backend {
+            NicBackend::Shrimp => NetworkInterface::new,
+            NicBackend::Unpinned => NetworkInterface::unpinned,
+        };
+        let mut nic = build(id, config.shape, config.nic, config.pages_per_node);
         if let Some(site) = config.fault.nic_site(id.0 as u64) {
             nic.set_fault_injection(site);
         }
@@ -527,7 +525,7 @@ struct NodeBusView<'a> {
     cache: &'a mut CacheModel,
     xpress: &'a mut XpressBus,
     mem: &'a mut PhysicalMemory,
-    nic: &'a mut AnyNic,
+    nic: &'a mut NetworkInterface,
     walk_latency: SimDuration,
     pages_per_node: u64,
 }

@@ -68,6 +68,37 @@ impl Default for UnpinnedConfig {
     }
 }
 
+/// Which NIC backend a machine is built with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum NicBackend {
+    /// The paper's design: pages are pinned at map time and the NIPT at
+    /// the NIC always holds a valid translation.
+    #[default]
+    Shrimp,
+    /// NP-RDMA-style: no map-time pinning; outgoing translations are
+    /// cached in a bounded IOTLB and faulted in dynamically on miss.
+    Unpinned,
+}
+
+impl NicBackend {
+    /// The DSL/CLI spelling of this backend.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            NicBackend::Shrimp => "shrimp",
+            NicBackend::Unpinned => "unpinned",
+        }
+    }
+
+    /// Parses the DSL/CLI spelling.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "shrimp" => Some(NicBackend::Shrimp),
+            "unpinned" => Some(NicBackend::Unpinned),
+            _ => None,
+        }
+    }
+}
+
 /// Go-back-N retransmission parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetxConfig {

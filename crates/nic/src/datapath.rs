@@ -92,8 +92,24 @@ impl NetworkInterface {
     /// Reacts to a snooped write transaction on the memory bus.
     ///
     /// `addr` must be a data (not command) address; the machine routes
-    /// command-space stores to [`NetworkInterface::command_write`].
+    /// command-space stores to [`NetworkInterface::command_write`]. On
+    /// the unpinned NIC a captured write to a page that is not
+    /// NIC-resident stalls behind a map-in (see [`crate::unpinned`]).
     pub fn snoop_write(&mut self, now: SimTime, addr: PhysAddr, data: &[u8]) -> SnoopOutcome {
+        if let Some(outcome) = self.snoop_unpinned(now, addr, data) {
+            return outcome;
+        }
+        self.snoop_resident(now, addr, data)
+    }
+
+    /// The snoop path of a NIC-resident page: merge, packetize, or
+    /// ignore. Map-in replays enter here.
+    pub(crate) fn snoop_resident(
+        &mut self,
+        now: SimTime,
+        addr: PhysAddr,
+        data: &[u8],
+    ) -> SnoopOutcome {
         // A pending blocked-write packet must be terminated by any
         // non-mergeable intervening write.
         let mergeable = self.pending.as_ref().is_some_and(|p| {
@@ -107,8 +123,9 @@ impl NetworkInterface {
             // Deliberate pages and unmapped pages: plain memory write;
             // but it still terminates a pending merge on another page?
             // No: only writes the NIC captures interact with the merge
-            // buffer. Expire it on time alone.
-            self.poll(now);
+            // buffer. Expire it on time alone. Not `poll`: map-ins
+            // complete on their own housekeeping event, never early.
+            self.poll_resident(now);
             return SnoopOutcome::Ignored;
         };
 
@@ -116,7 +133,7 @@ impl NetworkInterface {
             UpdatePolicy::AutomaticSingle => {
                 self.flush_pending(now);
                 let dst = seg.translate(addr.offset());
-                self.metrics.incr(self.ids.single_write_packets);
+                self.stats.single_write_packets += 1;
                 // A snooped store is at most a word: the payload inlines.
                 self.queue_packet(
                     now + self.config.packetize_latency,
@@ -136,7 +153,7 @@ impl NetworkInterface {
                     p.data.vec_mut().extend_from_slice(data);
                     p.next_offset += data.len() as u64;
                     p.last_write = now;
-                    self.metrics.incr(self.ids.merged_writes);
+                    self.stats.merged_writes += 1;
                     SnoopOutcome::Merged
                 } else {
                     self.flush_pending(now);
@@ -165,7 +182,7 @@ impl NetworkInterface {
         let Some(p) = self.pending.take() else {
             return false;
         };
-        self.metrics.incr(self.ids.blocked_write_packets);
+        self.stats.blocked_write_packets += 1;
         self.queue_packet(
             now + self.config.packetize_latency,
             p.dst_node,
@@ -277,12 +294,13 @@ impl NetworkInterface {
         // The DMA engine reads the region from memory; the snooping
         // datapath captures the data (paper §4.3).
         let (data, read_done) = mem_read(src, len);
+        let read_done = read_done + self.map_in_dma_source(src.page());
         assert_eq!(data.len() as u64, len, "mem_read returned wrong length");
         let done_at = read_done + self.config.dma_setup;
         let started = self.dma.start(now, src, words, done_at);
         debug_assert!(started, "engine was idle");
         let dst = seg.translate(src.offset());
-        self.metrics.incr(self.ids.dma_packets);
+        self.stats.dma_packets += 1;
         // One buffer from here on: the pooled buffer read from memory is
         // the refcounted payload shared by FIFO, mesh and delivery DMA,
         // and returns to the arena when the last stage drops it.

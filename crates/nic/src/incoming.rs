@@ -92,7 +92,7 @@ impl NetworkInterface {
             // Corruption anywhere (header, payload, seq trailer) lands
             // here; with go-back-N on, the sender's timeout or a later
             // gap-nack triggers the resend.
-            self.metrics.incr(self.ids.crc_drops);
+            self.stats.crc_drops += 1;
             return Err(NicError::BadCrc);
         }
         if packet.header().src == self.node && packet.header().dst_coord != self.coord {
@@ -102,7 +102,7 @@ impl NetworkInterface {
             return self.accept_bounce(now, &packet);
         }
         if packet.header().dst_coord != self.coord {
-            self.metrics.incr(self.ids.misroutes);
+            self.stats.misroutes += 1;
             return Err(NicError::WrongDestination {
                 packet: packet.header().dst_coord,
                 local: self.coord,
@@ -113,8 +113,8 @@ impl NetworkInterface {
         let src = packet.header().src;
         match packet.link() {
             None => {
-                self.metrics.incr(self.ids.packets_received);
-                self.metrics.add(self.ids.bytes_received, packet.payload().len() as u64);
+                self.stats.packets_received += 1;
+                self.stats.bytes_received += packet.payload().len() as u64;
                 let pushed = self
                     .in_fifo
                     .try_push(now, packet)
@@ -126,7 +126,7 @@ impl NetworkInterface {
                 kind: FrameKind::Ack,
                 seq,
             }) => {
-                self.metrics.incr(self.ids.acks_received);
+                self.stats.acks_received += 1;
                 self.handle_ack(now, src, seq);
                 Ok(())
             }
@@ -134,7 +134,7 @@ impl NetworkInterface {
                 kind: FrameKind::Nack,
                 seq,
             }) => {
-                self.metrics.incr(self.ids.nacks_received);
+                self.stats.nacks_received += 1;
                 self.handle_nack(now, src, seq);
                 Ok(())
             }
@@ -154,7 +154,7 @@ impl NetworkInterface {
                 if self.stall_until.is_none_or(|s| until > s) {
                     self.stall_until = Some(until);
                 }
-                self.metrics.incr(self.ids.fault_stalls);
+                self.stats.fault_stalls += 1;
             }
         }
     }
@@ -175,7 +175,7 @@ impl NetworkInterface {
         self.trace_in_threshold(now);
         let page = packet.header().dst_addr.page();
         if !self.nipt.is_mapped_in(page) {
-            self.metrics.incr(self.ids.unmapped_drops);
+            self.stats.unmapped_drops += 1;
             self.interrupts.push(NicInterrupt::BadDelivery);
             return Some(Err(NicError::NotMappedIn { page }));
         }

@@ -20,6 +20,12 @@
 //! * [`nic`] — the [`NetworkInterface`] state machine composing all of the
 //!   above; the machine crate (`shrimp-core`) wires it to the CPU's memory
 //!   bus (snooping), the mesh, and the EISA DMA path.
+//! * [`unpinned`] — the NP-RDMA-style backend. It is the same NIC type
+//!   built with [`NetworkInterface::unpinned`]: an optional bounded
+//!   IOTLB decides whether a mapped page is NIC-resident, and a miss
+//!   waits for a dynamic map-in instead of relying on map-time pinning.
+//!   [`NetworkInterface::new`] builds the paper's pinned NIC, with no
+//!   IOTLB.
 //!
 //! # Examples
 //!
@@ -52,7 +58,6 @@ pub mod dma;
 pub mod error;
 pub mod fifo;
 pub mod incoming;
-pub mod model;
 pub mod nic;
 pub mod nipt;
 pub mod outgoing;
@@ -66,11 +71,10 @@ pub(crate) mod testutil;
 
 pub use arena::PoolBuf;
 pub use command::{CommandOp, CommandSpace};
-pub use config::{NicConfig, RetxConfig, UnpinnedConfig};
+pub use config::{NicBackend, NicConfig, RetxConfig, UnpinnedConfig};
 pub use dma::{DmaEngine, DmaStatus};
 pub use error::NicError;
 pub use fifo::PacketFifo;
-pub use model::{AnyNic, NicBackend, NicModel, ShrimpNicModel};
 pub use nic::{IncomingDelivery, NetworkInterface, NicInterrupt, SnoopOutcome};
 pub use nipt::{Nipt, NiptEntry, OutSegment, UpdatePolicy};
 pub use packet::{
@@ -78,7 +82,7 @@ pub use packet::{
     INLINE_PAYLOAD_MAX,
 };
 pub use stats::NicStats;
-pub use unpinned::{IotlbStats, UnpinnedNicModel};
+pub use unpinned::IotlbStats;
 
 /// Builds a [`Payload`] of `len` bytes backed by a pooled [`arena`]
 /// buffer, filled in place by `fill`. This is the supported way for bus

@@ -16,21 +16,26 @@
 //! - [`crate::incoming`] — mesh→Incoming FIFO acceptance and delivery,
 //! - [`crate::retx`] — go-back-N retransmission and bounce/reroute
 //!   recovery,
+//! - [`crate::unpinned`] — the optional IOTLB and dynamic map-in of the
+//!   unpinned backend,
 //! - [`crate::stats`] — counters and registry wiring.
 //!
-//! This module keeps the struct itself, construction, and the shared
-//! housekeeping (`poll` / `next_deadline`).
+//! This module keeps the struct itself, construction, the kernel's map
+//! hooks, and the shared housekeeping (`poll` / `next_deadline`).
 
+use shrimp_mem::PageNum;
 use shrimp_mesh::{MeshCoord, MeshShape, NodeId};
 use shrimp_sim::fault::NicFaultSite;
-use shrimp_sim::{ComponentId, MetricSet, SimTime, Tracer};
+use shrimp_sim::{ComponentId, SimTime, Tracer};
 
 use crate::command::CommandSpace;
 use crate::config::NicConfig;
 use crate::dma::DmaEngine;
+use crate::error::NicError;
 use crate::fifo::PacketFifo;
-use crate::nipt::Nipt;
+use crate::nipt::{Nipt, OutSegment};
 use crate::packet::ShrimpPacket;
+use crate::unpinned::Iotlb;
 
 // Re-exports so the long-standing `shrimp_nic::nic::*` paths keep
 // resolving after the module split.
@@ -40,9 +45,10 @@ pub use crate::stats::NicStats;
 
 pub(crate) use crate::datapath::PendingBlocked;
 pub(crate) use crate::retx::RetxState;
-pub(crate) use crate::stats::NicCounterIds;
 
-/// The SHRIMP network interface of one node.
+/// The SHRIMP network interface of one node, on either backend: the
+/// paper's pinned NIC ([`NetworkInterface::new`]) or the unpinned one
+/// ([`NetworkInterface::unpinned`]).
 ///
 /// See the crate-level docs for an example.
 #[derive(Debug, Clone)]
@@ -72,9 +78,10 @@ pub struct NetworkInterface {
     pub(crate) stall_until: Option<SimTime>,
     /// Hot-path counters, read back via [`NetworkInterface::stats`] or a
     /// [`shrimp_sim::MetricsRegistry`].
-    pub(crate) metrics: MetricSet,
-    /// Handles into `metrics`, resolved once at construction.
-    pub(crate) ids: NicCounterIds,
+    pub(crate) stats: NicStats,
+    /// The unpinned backend's outgoing IOTLB and in-flight map-ins;
+    /// `None` on the pinned SHRIMP NIC.
+    pub(crate) iotlb: Option<Iotlb>,
     /// Typed trace sink (disabled by default: recording costs nothing).
     pub(crate) tracer: Tracer,
     /// Mirrors `in_fifo.over_threshold()` so threshold crossings emit
@@ -83,8 +90,8 @@ pub struct NetworkInterface {
 }
 
 impl NetworkInterface {
-    /// Creates the NIC of `node` on a `shape` backplane with `num_pages`
-    /// of local physical memory behind it.
+    /// Creates the pinned SHRIMP NIC of `node` on a `shape` backplane
+    /// with `num_pages` of local physical memory behind it.
     ///
     /// # Panics
     ///
@@ -92,8 +99,6 @@ impl NetworkInterface {
     pub fn new(node: NodeId, shape: MeshShape, config: NicConfig, num_pages: u64) -> Self {
         config.validate();
         let coord = shape.coord_of(node);
-        let mut metrics = MetricSet::new();
-        let ids = NicCounterIds::register(&mut metrics);
         NetworkInterface {
             node,
             coord,
@@ -112,10 +117,24 @@ impl NetworkInterface {
             ctl_queue: std::collections::VecDeque::new(),
             fault: None,
             stall_until: None,
-            metrics,
-            ids,
+            stats: NicStats::default(),
+            iotlb: None,
             tracer: Tracer::disabled(),
             in_threshold_traced: false,
+        }
+    }
+
+    /// Creates the unpinned NIC of `node`: the datapath of
+    /// [`NetworkInterface::new`] behind an empty outgoing IOTLB whose
+    /// parameters come from `config.unpinned` (see [`crate::unpinned`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid or the node is off-mesh.
+    pub fn unpinned(node: NodeId, shape: MeshShape, config: NicConfig, num_pages: u64) -> Self {
+        NetworkInterface {
+            iotlb: Some(Iotlb::default()),
+            ..NetworkInterface::new(node, shape, config, num_pages)
         }
     }
 
@@ -175,9 +194,51 @@ impl NetworkInterface {
         &self.dma
     }
 
-    /// Housekeeping: expires the blocked-write merge window and retries
-    /// overflowed packets. Call whenever simulated time advances.
+    /// Kernel hook: a page became (un)importable — receive-side
+    /// mapping. Unmapping shoots down the page's IOTLB entry.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`Nipt::set_mapped_in`] failures (off-table page).
+    pub fn map_in(&mut self, page: PageNum, mapped: bool) -> Result<(), NicError> {
+        self.nipt.set_mapped_in(page, mapped)?;
+        if !mapped {
+            self.invalidate_translation(page);
+        }
+        Ok(())
+    }
+
+    /// Kernel hook: an outgoing mapping segment was installed or
+    /// rewritten.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`Nipt::set_out_segment`] failures (overlap, bad
+    /// segment).
+    pub fn map_out_segment(&mut self, page: PageNum, seg: OutSegment) -> Result<(), NicError> {
+        self.nipt.set_out_segment(page, seg)
+    }
+
+    /// Kernel hook: the outgoing segment of `page` at `offset` was torn
+    /// down. The page's IOTLB entry is shot down.
+    pub fn unmap_out(&mut self, page: PageNum, offset: u64) -> Option<OutSegment> {
+        let seg = self.nipt.clear_out_segment(page, offset);
+        self.invalidate_translation(page);
+        seg
+    }
+
+    /// Housekeeping: completes ready IOTLB map-ins, expires the
+    /// blocked-write merge window and retries overflowed packets. Call
+    /// whenever simulated time advances.
     pub fn poll(&mut self, now: SimTime) {
+        self.complete_map_ins(now);
+        self.poll_resident(now);
+    }
+
+    /// [`NetworkInterface::poll`] without completing map-ins. A snooped
+    /// write the NIC ignores runs this, not `poll`: completing map-ins
+    /// there would replay buffered writes before their scheduled event.
+    pub(crate) fn poll_resident(&mut self, now: SimTime) {
         if let Some(p) = &self.pending {
             // At or past the deadline the packet is terminated (>=, so a
             // wakeup scheduled exactly at the deadline makes progress).
@@ -194,7 +255,8 @@ impl NetworkInterface {
     }
 
     /// The next time-based deadline this NIC needs a `poll` at: merge
-    /// window expiry, retransmit timer, or the end of an injected stall.
+    /// window expiry, retransmit timer, the end of an injected stall, or
+    /// an IOTLB map-in completing.
     pub fn next_deadline(&self) -> Option<SimTime> {
         let mut deadline = self
             .pending
@@ -210,6 +272,9 @@ impl NetworkInterface {
                     deadline = fold(t, deadline);
                 }
             }
+        }
+        if let Some(t) = self.iotlb.as_ref().and_then(Iotlb::next_ready) {
+            deadline = fold(t, deadline);
         }
         deadline
     }

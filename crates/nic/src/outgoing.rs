@@ -2,7 +2,7 @@
 //! backpressure, and the FIFO→mesh injection path.
 //!
 //! Packets produced by the datapath land here via
-//! [`NetworkInterface::queue_packet`]; the machine drains them with
+//! `NetworkInterface::queue_packet`; the machine drains them with
 //! [`NetworkInterface::pop_outgoing`]. When the FIFO is full, packets
 //! detour through the overflow queue and re-enter in order as space
 //! frees — the overflow is the modelled "CPU stalled, data buffered"
@@ -25,8 +25,8 @@ impl NetworkInterface {
         dst_addr: PhysAddr,
         data: Payload,
     ) -> SnoopOutcome {
-        self.metrics.incr(self.ids.packets_sent);
-        self.metrics.add(self.ids.bytes_sent, data.len() as u64);
+        self.stats.packets_sent += 1;
+        self.stats.bytes_sent += data.len() as u64;
         let mut packet = ShrimpPacket::new(
             WireHeader {
                 dst_coord: self.shape.coord_of(dst_node),

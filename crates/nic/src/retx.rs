@@ -1,6 +1,6 @@
 //! Go-back-N retransmission state and the bounce/reroute recovery path.
 //!
-//! Per-peer sender and receiver books live in [`RetxState`] (present only
+//! Per-peer sender and receiver books live in `RetxState` (present only
 //! when [`crate::RetxConfig::enabled`] is set). The engine distinguishes
 //! two loss regimes: a *lossy* fabric (timeouts escalate with exponential
 //! backoff, capped) and a *down* fabric (a bounced own-frame resets the
@@ -90,7 +90,7 @@ impl NetworkInterface {
                 peer.resend_from = Some(peer.base_seq);
                 peer.rto = (peer.rto * 2).min(max_rto);
                 peer.timeout_at = Some(now + peer.rto);
-                self.metrics.incr(self.ids.retx_timeouts);
+                self.stats.retx_timeouts += 1;
                 if self.tracer.wants(TraceLevel::Warn) {
                     let attempt =
                         (peer.rto.as_picos() / base_rto.as_picos().max(1)).max(1) as u32;
@@ -128,8 +128,7 @@ impl NetworkInterface {
             let more = (next.wrapping_sub(peer.base_seq) as usize) < peer.unacked.len();
             peer.resend_from = more.then_some(next);
             peer.timeout_at = Some(now + peer.rto);
-            self.metrics.incr(self.ids.retransmissions);
-            self.metrics.incr(self.ids.gbn_retransmissions);
+            self.stats.retransmissions += 1;
             if self.tracer.wants(TraceLevel::Warn) {
                 self.tracer.emit(
                     now,
@@ -155,7 +154,7 @@ impl NetworkInterface {
     /// at a constant rate until a route exists again. Bounced ack/nack
     /// frames are simply dropped: the data path's own timers recover.
     pub(crate) fn accept_bounce(&mut self, now: SimTime, packet: &ShrimpPacket) -> Result<(), NicError> {
-        self.metrics.incr(self.ids.gbn_bounces);
+        self.stats.gbn_bounces += 1;
         let base_rto = self.config.retx.base_timeout;
         let pace = self.config.retx.reroute_backoff;
         if let Some(LinkCtl { kind: FrameKind::Data, .. }) = packet.link() {
@@ -184,8 +183,8 @@ impl NetworkInterface {
         let Some(st) = self.retx.as_mut() else {
             // A framed packet with the local engine off (mixed
             // configuration): deliver it like a legacy packet.
-            self.metrics.incr(self.ids.packets_received);
-            self.metrics.add(self.ids.bytes_received, packet.payload().len() as u64);
+            self.stats.packets_received += 1;
+            self.stats.bytes_received += packet.payload().len() as u64;
             let pushed = self
                 .in_fifo
                 .try_push(now, packet)
@@ -203,8 +202,8 @@ impl NetworkInterface {
                 drop(packet);
                 return Err(NicError::IncomingFifoFull);
             }
-            self.metrics.incr(self.ids.packets_received);
-            self.metrics.add(self.ids.bytes_received, payload_len);
+            self.stats.packets_received += 1;
+            self.stats.bytes_received += payload_len;
             let st = self.retx.as_mut().expect("engine checked above");
             let peer = st.recv.get_mut(&src.0).expect("entry created above");
             peer.expected = expected + 1;
@@ -216,20 +215,20 @@ impl NetworkInterface {
         } else if seq < expected {
             // Already delivered (a replayed frame): re-ack so a lost ack
             // cannot stall the sender forever.
-            self.metrics.incr(self.ids.dup_drops);
+            self.stats.dup_drops += 1;
             self.queue_control(now, src, FrameKind::Ack, expected);
             Ok(())
         } else {
             // Gap: a predecessor died on the wire. Request a replay from
             // the hole, but only once per hole — the frames already in
             // flight behind it would each re-trigger it otherwise.
-            self.metrics.incr(self.ids.gap_drops);
+            self.stats.gap_drops += 1;
             let nack = peer.last_nacked != Some(expected);
             peer.last_nacked = Some(expected);
             if nack {
                 self.queue_control(now, src, FrameKind::Nack, expected);
             } else {
-                self.metrics.incr(self.ids.gbn_nack_suppressions);
+                self.stats.gbn_nack_suppressions += 1;
             }
             Ok(())
         }
@@ -253,7 +252,7 @@ impl NetworkInterface {
         if progressed {
             // Progress restarts the timer and resets the backoff.
             if peer.rto > base_rto {
-                self.metrics.incr(self.ids.gbn_backoff_resets);
+                self.stats.gbn_backoff_resets += 1;
             }
             peer.rto = base_rto;
             peer.timeout_at = if peer.unacked.is_empty() {
@@ -288,8 +287,8 @@ impl NetworkInterface {
     /// Queues a link-level control frame for immediate injection.
     pub(crate) fn queue_control(&mut self, now: SimTime, dst: NodeId, kind: FrameKind, seq: u32) {
         match kind {
-            FrameKind::Ack => self.metrics.incr(self.ids.acks_sent),
-            FrameKind::Nack => self.metrics.incr(self.ids.nacks_sent),
+            FrameKind::Ack => self.stats.acks_sent += 1,
+            FrameKind::Nack => self.stats.nacks_sent += 1,
             FrameKind::Data => unreachable!("data frames travel via the FIFO"),
         }
         let frame = ShrimpPacket::control(self.shape.coord_of(dst), self.node, kind, seq);

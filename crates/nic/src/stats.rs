@@ -1,11 +1,11 @@
-//! NIC counters: the [`NicStats`] snapshot struct and the pre-resolved
-//! [`MetricSet`] handles behind it.
+//! NIC counters: the [`NicStats`] struct the datapath increments in
+//! place, and its registry wiring.
 //!
-//! Every hot-path increment in the datapath goes through a [`CounterId`]
-//! resolved once at construction, never a name lookup; [`NicStats`] is
-//! rebuilt on demand for tests and the machine's instrumentation API.
+//! Every hot-path increment is a plain field add on
+//! `NetworkInterface::stats`; the dotted registry names are written
+//! once, at snapshot time, by [`NetworkInterface::register_metrics`].
 
-use shrimp_sim::{CounterId, MetricSet, MetricsRegistry};
+use shrimp_sim::MetricsRegistry;
 
 use crate::nic::NetworkInterface;
 
@@ -63,110 +63,60 @@ pub struct NicStats {
     pub gbn_bounces: u64,
 }
 
-/// Registry handles into the NIC's [`MetricSet`], one per [`NicStats`]
-/// counter. Resolved once at construction so every hot-path increment is
-/// an indexed vector add, never a name lookup.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct NicCounterIds {
-    pub(crate) packets_sent: CounterId,
-    pub(crate) bytes_sent: CounterId,
-    pub(crate) packets_received: CounterId,
-    pub(crate) bytes_received: CounterId,
-    pub(crate) merged_writes: CounterId,
-    pub(crate) single_write_packets: CounterId,
-    pub(crate) blocked_write_packets: CounterId,
-    pub(crate) dma_packets: CounterId,
-    pub(crate) crc_drops: CounterId,
-    pub(crate) misroutes: CounterId,
-    pub(crate) unmapped_drops: CounterId,
-    pub(crate) retransmissions: CounterId,
-    pub(crate) retx_timeouts: CounterId,
-    pub(crate) acks_sent: CounterId,
-    pub(crate) acks_received: CounterId,
-    pub(crate) nacks_sent: CounterId,
-    pub(crate) nacks_received: CounterId,
-    pub(crate) dup_drops: CounterId,
-    pub(crate) gap_drops: CounterId,
-    pub(crate) fault_stalls: CounterId,
-    pub(crate) gbn_retransmissions: CounterId,
-    pub(crate) gbn_backoff_resets: CounterId,
-    pub(crate) gbn_nack_suppressions: CounterId,
-    pub(crate) gbn_bounces: CounterId,
-}
-
-impl NicCounterIds {
-    /// Registers every NIC counter in `set`. The dotted names become
-    /// registry entries under the NIC's prefix, e.g.
-    /// `nic0.retx.timeouts`.
-    pub(crate) fn register(set: &mut MetricSet) -> Self {
-        NicCounterIds {
-            packets_sent: set.counter("packets_sent"),
-            bytes_sent: set.counter("bytes_sent"),
-            packets_received: set.counter("packets_received"),
-            bytes_received: set.counter("bytes_received"),
-            merged_writes: set.counter("merged_writes"),
-            single_write_packets: set.counter("single_write_packets"),
-            blocked_write_packets: set.counter("blocked_write_packets"),
-            dma_packets: set.counter("dma_packets"),
-            crc_drops: set.counter("crc_drops"),
-            misroutes: set.counter("misroutes"),
-            unmapped_drops: set.counter("unmapped_drops"),
-            retransmissions: set.counter("retx.retransmissions"),
-            retx_timeouts: set.counter("retx.timeouts"),
-            acks_sent: set.counter("retx.acks_sent"),
-            acks_received: set.counter("retx.acks_received"),
-            nacks_sent: set.counter("retx.nacks_sent"),
-            nacks_received: set.counter("retx.nacks_received"),
-            dup_drops: set.counter("retx.dup_drops"),
-            gap_drops: set.counter("retx.gap_drops"),
-            fault_stalls: set.counter("fault_stalls"),
-            // Go-back-N health rollup: one namespace a churn soak can
-            // assert recovery against. `gbn.retransmissions` mirrors
-            // `retx.retransmissions` so the namespace is self-contained.
-            gbn_retransmissions: set.counter("gbn.retransmissions"),
-            gbn_backoff_resets: set.counter("gbn.backoff_resets"),
-            gbn_nack_suppressions: set.counter("gbn.nack_suppressions"),
-            gbn_bounces: set.counter("gbn.bounces"),
-        }
-    }
-}
-
 impl NetworkInterface {
-    /// Counters, rebuilt as a plain struct from the metric set (the
-    /// registry view is [`NetworkInterface::register_metrics`]).
+    /// Counter snapshot (the registry view is
+    /// [`NetworkInterface::register_metrics`]).
     pub fn stats(&self) -> NicStats {
-        let v = |id| self.metrics.get(id);
-        NicStats {
-            packets_sent: v(self.ids.packets_sent),
-            bytes_sent: v(self.ids.bytes_sent),
-            packets_received: v(self.ids.packets_received),
-            bytes_received: v(self.ids.bytes_received),
-            merged_writes: v(self.ids.merged_writes),
-            single_write_packets: v(self.ids.single_write_packets),
-            blocked_write_packets: v(self.ids.blocked_write_packets),
-            dma_packets: v(self.ids.dma_packets),
-            crc_drops: v(self.ids.crc_drops),
-            misroutes: v(self.ids.misroutes),
-            unmapped_drops: v(self.ids.unmapped_drops),
-            retransmissions: v(self.ids.retransmissions),
-            retx_timeouts: v(self.ids.retx_timeouts),
-            acks_sent: v(self.ids.acks_sent),
-            acks_received: v(self.ids.acks_received),
-            nacks_sent: v(self.ids.nacks_sent),
-            nacks_received: v(self.ids.nacks_received),
-            dup_drops: v(self.ids.dup_drops),
-            gap_drops: v(self.ids.gap_drops),
-            fault_stalls: v(self.ids.fault_stalls),
-            gbn_backoff_resets: v(self.ids.gbn_backoff_resets),
-            gbn_nack_suppressions: v(self.ids.gbn_nack_suppressions),
-            gbn_bounces: v(self.ids.gbn_bounces),
-        }
+        self.stats
     }
 
     /// Registers this NIC's counters and FIFO gauges under `prefix`
-    /// (e.g. `nic0` → `nic0.packets_sent`, `nic0.fifo.out.occupancy`).
+    /// (e.g. `nic0` → `nic0.packets_sent`, `nic0.fifo.out.occupancy`),
+    /// plus `{prefix}.iotlb.*` when the NIC has an IOTLB.
     pub fn register_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.extend_set(prefix, &self.metrics);
+        let s = &self.stats;
+        let counters = [
+            ("packets_sent", s.packets_sent),
+            ("bytes_sent", s.bytes_sent),
+            ("packets_received", s.packets_received),
+            ("bytes_received", s.bytes_received),
+            ("merged_writes", s.merged_writes),
+            ("single_write_packets", s.single_write_packets),
+            ("blocked_write_packets", s.blocked_write_packets),
+            ("dma_packets", s.dma_packets),
+            ("crc_drops", s.crc_drops),
+            ("misroutes", s.misroutes),
+            ("unmapped_drops", s.unmapped_drops),
+            ("retx.retransmissions", s.retransmissions),
+            ("retx.timeouts", s.retx_timeouts),
+            ("retx.acks_sent", s.acks_sent),
+            ("retx.acks_received", s.acks_received),
+            ("retx.nacks_sent", s.nacks_sent),
+            ("retx.nacks_received", s.nacks_received),
+            ("retx.dup_drops", s.dup_drops),
+            ("retx.gap_drops", s.gap_drops),
+            ("fault_stalls", s.fault_stalls),
+            // Go-back-N health rollup: one namespace a churn soak can
+            // assert recovery against. `gbn.retransmissions` mirrors
+            // `retx.retransmissions` so the namespace is self-contained.
+            ("gbn.retransmissions", s.retransmissions),
+            ("gbn.backoff_resets", s.gbn_backoff_resets),
+            ("gbn.nack_suppressions", s.gbn_nack_suppressions),
+            ("gbn.bounces", s.gbn_bounces),
+        ];
+        for (name, value) in counters {
+            reg.set_counter(format!("{prefix}.{name}"), value);
+        }
+        if let Some(t) = self.iotlb_stats() {
+            for (name, value) in [
+                ("hits", t.hits),
+                ("misses", t.misses),
+                ("map_ins", t.map_ins),
+                ("evictions", t.evictions),
+            ] {
+                reg.set_counter(format!("{prefix}.iotlb.{name}"), value);
+            }
+        }
         for (name, fifo) in [("out", &self.out_fifo), ("in", &self.in_fifo)] {
             reg.set_gauge(format!("{prefix}.fifo.{name}.occupancy"), fifo.bytes() as f64);
             reg.set_counter(format!("{prefix}.fifo.{name}.peak_bytes"), fifo.high_watermark());

@@ -8,7 +8,7 @@ use shrimp_sim::{SimDuration, SimTime};
 use crate::config::{NicConfig, RetxConfig};
 use crate::datapath::SnoopOutcome;
 use crate::nic::NetworkInterface;
-use crate::nipt::{Nipt, OutSegment, UpdatePolicy};
+use crate::nipt::{OutSegment, UpdatePolicy};
 use crate::packet::{ShrimpPacket, WireHeader};
 
 pub(crate) fn shape() -> MeshShape {
@@ -30,17 +30,12 @@ pub(crate) fn map_out(
     dst_page: u64,
     policy: UpdatePolicy,
 ) {
-    map_out_on(n.nipt_mut(), page, dst, dst_page, policy);
-}
-
-/// [`map_out`] directly on a NIPT, for backends that wrap the reference
-/// datapath.
-pub(crate) fn map_out_on(nipt: &mut Nipt, page: u64, dst: u16, dst_page: u64, policy: UpdatePolicy) {
-    nipt.set_out_segment(
-        PageNum::new(page),
-        OutSegment::full_page(NodeId(dst), PageNum::new(dst_page), policy),
-    )
-    .unwrap();
+    n.nipt_mut()
+        .set_out_segment(
+            PageNum::new(page),
+            OutSegment::full_page(NodeId(dst), PageNum::new(dst_page), policy),
+        )
+        .unwrap();
 }
 
 pub(crate) fn wire_packet_for(

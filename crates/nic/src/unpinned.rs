@@ -3,49 +3,47 @@
 //! The paper's design pins every mapped page at map time so the NIC's
 //! NIPT translation is always backed by resident memory. This backend
 //! models the alternative explored by NP-RDMA-class designs: **no
-//! map-time pinning**. Outgoing translation goes through a bounded
-//! IOTLB; a miss means the page is not NIC-resident and a dynamic
+//! map-time pinning**. It is the same [`NetworkInterface`], built by
+//! [`NetworkInterface::unpinned`] with an outgoing IOTLB: a bounded
+//! cache of which mapped pages are NIC-resident. A miss means a dynamic
 //! map-in — one kernel round trip, [`crate::config::UnpinnedConfig::
 //! map_in_latency`] — must complete before the write can packetize.
 //!
-//! Mechanics, all deterministic:
+//! The IOTLB is consulted at four places, all hooks in this module; on
+//! the pinned NIC each is a no-op:
 //!
-//! - A snooped write whose page hits the IOTLB proceeds exactly as on
-//!   the pinned backend (the IOTLB caches *residency* only; the
-//!   translation content is always read from the shared NIPT, so a
-//!   stale entry can never produce a wrong address — invalidation is a
-//!   timing matter, not a correctness one).
-//! - A miss buffers the write and schedules a map-in completing at
-//!   `now + map_in_latency`. Writes that miss on a page whose map-in
-//!   is already in flight join the pending entry without escalating
-//!   the wait — the flat-pacing discipline the go-back-N engine uses
-//!   for reroute bounces (a miss means "not resident yet", not "lossy
-//!   path", so there is nothing to back off from).
-//! - When the map-in completes (driven by [`NicModel::poll`] at event
-//!   times), the entry is installed and
-//!   the buffered writes replay through the ordinary snoop path,
-//!   stamped at the map-in completion time.
-//! - Installing into a full IOTLB evicts the least-recently-used entry
-//!   through the same invalidation routine the kernel shootdown hook
-//!   ([`NicModel::invalidate_translation`]) uses.
+//! - **Snoop.** A snooped write the NIPT captures, to a page that is
+//!   not resident, is buffered and a map-in is scheduled at
+//!   `now + map_in_latency`. A write that misses on a page whose map-in
+//!   is already in flight joins the pending entry without escalating the
+//!   wait — the flat-pacing discipline the go-back-N engine uses for
+//!   reroute bounces (a miss means "not resident yet", not "lossy path",
+//!   so there is nothing to back off from). A hit proceeds exactly as on
+//!   the pinned NIC: the IOTLB caches *residency* only and the
+//!   translation is always read from the NIPT, so a stale entry can
+//!   never produce a wrong address.
+//! - **Deliberate-update start.** The DMA source read of a non-resident
+//!   page waits for one synchronous map-in round trip.
+//! - **Poll.** [`NetworkInterface::poll`] first completes the map-ins
+//!   that are ready: it installs each entry and replays its buffered
+//!   writes through the resident snoop path, stamped at the completion
+//!   time. [`NetworkInterface::next_deadline`] includes the earliest
+//!   pending completion.
+//! - **Shootdown.** [`NetworkInterface::unmap_out`] and
+//!   [`NetworkInterface::map_in`] with `mapped = false` drop the page's
+//!   entry and its buffered writes. Installing into a full IOTLB evicts
+//!   the least-recently-used entry.
+//!
+//! Everything is deterministic: completions run in `(ready, page)` order
+//! and the LRU victim is the smallest `(last use, page)`.
 
 use std::collections::BTreeMap;
 
 use shrimp_mem::{PageNum, PhysAddr};
-use shrimp_mesh::{MeshPacket, MeshShape, NodeId};
-use shrimp_sim::fault::NicFaultSite;
-use shrimp_sim::{MetricsRegistry, SimDuration, SimTime, Tracer};
+use shrimp_sim::{SimDuration, SimTime};
 
-use crate::command::{CommandOp, CommandSpace};
-use crate::config::NicConfig;
-use crate::datapath::{CommandEffect, NicInterrupt, SnoopOutcome};
-use crate::error::NicError;
-use crate::incoming::IncomingDelivery;
-use crate::model::NicModel;
+use crate::datapath::SnoopOutcome;
 use crate::nic::NetworkInterface;
-use crate::nipt::Nipt;
-use crate::packet::{Payload, ShrimpPacket};
-use crate::stats::NicStats;
 
 /// IOTLB and dynamic map-in counters of the unpinned backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,15 +79,13 @@ struct MissEntry {
     writes: Vec<BufferedWrite>,
 }
 
-/// The unpinned backend: the full SHRIMP datapath behind a bounded
-/// outgoing IOTLB with dynamic map-in on miss.
-#[derive(Debug, Clone)]
-pub struct UnpinnedNicModel {
-    inner: NetworkInterface,
+/// The unpinned backend's outgoing IOTLB and its in-flight map-ins.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Iotlb {
     /// Resident pages → last-use tick. The LRU victim is the entry with
     /// the smallest `(tick, page)` — total order, so eviction is
     /// deterministic.
-    iotlb: BTreeMap<PageNum, u64>,
+    resident: BTreeMap<PageNum, u64>,
     use_tick: u64,
     /// In-flight map-ins keyed by page.
     pending: BTreeMap<PageNum, MissEntry>,
@@ -99,54 +95,18 @@ pub struct UnpinnedNicModel {
     evictions: u64,
 }
 
-impl UnpinnedNicModel {
-    /// Creates the unpinned NIC of `node`; parameters come from
-    /// `config.unpinned`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or the node is off-mesh.
-    pub fn new(node: NodeId, shape: MeshShape, config: NicConfig, num_pages: u64) -> Self {
-        UnpinnedNicModel {
-            inner: NetworkInterface::new(node, shape, config, num_pages),
-            iotlb: BTreeMap::new(),
-            use_tick: 0,
-            pending: BTreeMap::new(),
-            hits: 0,
-            misses: 0,
-            map_ins: 0,
-            evictions: 0,
-        }
-    }
-
-    /// The wrapped reference datapath (inspection only).
-    pub fn inner(&self) -> &NetworkInterface {
-        &self.inner
-    }
-
-    /// IOTLB counter snapshot.
-    pub fn iotlb_stats(&self) -> IotlbStats {
-        IotlbStats {
-            hits: self.hits,
-            misses: self.misses,
-            map_ins: self.map_ins,
-            evictions: self.evictions,
-            resident: self.iotlb.len() as u64,
-        }
-    }
-
+impl Iotlb {
     /// Marks `page` most recently used.
     fn touch(&mut self, page: PageNum) {
         self.use_tick += 1;
-        self.iotlb.insert(page, self.use_tick);
+        self.resident.insert(page, self.use_tick);
     }
 
-    /// Installs `page`, evicting the LRU entry if the IOTLB is full.
-    fn install(&mut self, page: PageNum) {
-        let cap = self.inner.config().unpinned.iotlb_entries;
-        while !self.iotlb.contains_key(&page) && self.iotlb.len() >= cap {
+    /// Installs `page`, evicting the LRU entry if `cap` are resident.
+    fn install(&mut self, page: PageNum, cap: usize) {
+        while !self.resident.contains_key(&page) && self.resident.len() >= cap {
             let victim = self
-                .iotlb
+                .resident
                 .iter()
                 .min_by_key(|&(p, t)| (*t, *p))
                 .map(|(p, _)| *p)
@@ -156,98 +116,77 @@ impl UnpinnedNicModel {
         self.touch(page);
     }
 
-    /// Drops `page` from the IOTLB — the shootdown routine, shared by
-    /// capacity eviction and the kernel unmap hook.
+    /// Drops `page` from the IOTLB — shared by capacity eviction and the
+    /// kernel shootdown.
     fn evict(&mut self, page: PageNum) {
-        if self.iotlb.remove(&page).is_some() {
+        if self.resident.remove(&page).is_some() {
             self.evictions += 1;
         }
     }
 
-    /// Completes every map-in that is ready by `now`: installs the
-    /// entry and replays its buffered writes at the completion instant.
-    fn complete_map_ins(&mut self, now: SimTime) {
-        while let Some((page, ready)) = self
+    /// Completes the earliest map-in ready by `now`, if any: installs
+    /// its page and hands back the completion time and buffered writes.
+    fn complete_next(&mut self, now: SimTime, cap: usize) -> Option<(SimTime, Vec<BufferedWrite>)> {
+        let (page, ready) = self
             .pending
             .iter()
             .filter(|(_, e)| e.ready <= now)
             .min_by_key(|(p, e)| (e.ready, **p))
-            .map(|(p, e)| (*p, e.ready))
-        {
-            let entry = self.pending.remove(&page).expect("entry was just found");
-            self.install(page);
-            for w in &entry.writes {
-                self.inner
-                    .snoop_write(ready, w.addr, &w.data[..usize::from(w.len)]);
-            }
-        }
+            .map(|(p, e)| (*p, e.ready))?;
+        let entry = self.pending.remove(&page).expect("entry was just found");
+        self.install(page, cap);
+        Some((ready, entry.writes))
+    }
+
+    /// When the earliest in-flight map-in completes.
+    pub(crate) fn next_ready(&self) -> Option<SimTime> {
+        self.pending.values().map(|e| e.ready).min()
     }
 }
 
-impl NicModel for UnpinnedNicModel {
-    fn node(&self) -> NodeId {
-        self.inner.node()
-    }
-    fn config(&self) -> &NicConfig {
-        self.inner.config()
-    }
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.inner.set_tracer(tracer);
-    }
-    fn tracer(&self) -> &Tracer {
-        self.inner.tracer()
-    }
-    fn set_fault_injection(&mut self, site: NicFaultSite) {
-        self.inner.set_fault_injection(site);
-    }
-    fn nipt(&self) -> &Nipt {
-        self.inner.nipt()
-    }
-    fn nipt_mut(&mut self) -> &mut Nipt {
-        self.inner.nipt_mut()
-    }
-    fn command_space(&self) -> CommandSpace {
-        self.inner.command_space()
-    }
-    fn stats(&self) -> NicStats {
-        self.inner.stats()
-    }
-    fn register_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        self.inner.register_metrics(reg, prefix);
-        reg.set_counter(format!("{prefix}.iotlb.hits"), self.hits);
-        reg.set_counter(format!("{prefix}.iotlb.misses"), self.misses);
-        reg.set_counter(format!("{prefix}.iotlb.map_ins"), self.map_ins);
-        reg.set_counter(format!("{prefix}.iotlb.evictions"), self.evictions);
+impl NetworkInterface {
+    /// IOTLB counter snapshot; `None` on the pinned NIC.
+    pub fn iotlb_stats(&self) -> Option<IotlbStats> {
+        self.iotlb.as_ref().map(|t| IotlbStats {
+            hits: t.hits,
+            misses: t.misses,
+            map_ins: t.map_ins,
+            evictions: t.evictions,
+            resident: t.resident.len() as u64,
+        })
     }
 
-    fn snoop_write(&mut self, now: SimTime, addr: PhysAddr, data: &[u8]) -> SnoopOutcome {
-        if self.inner.nipt().capture(addr, 1).is_none() {
-            // Unmapped or deliberate pages: the reference path ignores
-            // the write; no residency is involved.
-            return self.inner.snoop_write(now, addr, data);
-        }
+    /// The snoop hook, run before the resident path: a write the NIPT
+    /// captures, to a page that is not resident, is buffered behind a
+    /// map-in and the write stalls. `None` hands the write to the
+    /// resident path (a hit, an uncaptured write, or the pinned NIC).
+    pub(crate) fn snoop_unpinned(
+        &mut self,
+        now: SimTime,
+        addr: PhysAddr,
+        data: &[u8],
+    ) -> Option<SnoopOutcome> {
+        let tlb = self.iotlb.as_mut()?;
+        self.nipt.capture(addr, 1)?;
         let page = addr.page();
-        if self.iotlb.contains_key(&page) {
-            self.hits += 1;
-            self.touch(page);
-            return self.inner.snoop_write(now, addr, data);
+        if tlb.resident.contains_key(&page) {
+            tlb.hits += 1;
+            tlb.touch(page);
+            return None;
         }
-        // Miss: buffer the write behind a dynamic map-in. A second miss
-        // on a page already being mapped in joins the in-flight entry —
-        // flat pacing, no escalation (see the module docs).
-        self.misses += 1;
+        tlb.misses += 1;
         let mut w = BufferedWrite {
             addr,
             len: data.len() as u8,
             data: [0; 8],
         };
         w.data[..data.len()].copy_from_slice(data);
-        if let Some(entry) = self.pending.get_mut(&page) {
+        if let Some(entry) = tlb.pending.get_mut(&page) {
             entry.writes.push(w);
         } else {
-            self.map_ins += 1;
-            let ready = now + self.inner.config().unpinned.map_in_latency;
-            self.pending.insert(
+            tlb.map_ins += 1;
+            let ready = now + self.config.unpinned.map_in_latency;
+            tlb.pending.insert(
                 page,
                 MissEntry {
                     ready,
@@ -255,134 +194,72 @@ impl NicModel for UnpinnedNicModel {
                 },
             );
         }
-        SnoopOutcome::Stalled
+        Some(SnoopOutcome::Stalled)
     }
 
-    fn is_command_addr(&self, addr: PhysAddr) -> bool {
-        self.inner.is_command_addr(addr)
-    }
-    fn command_read(&mut self, now: SimTime, addr: PhysAddr) -> u32 {
-        self.inner.command_read(now, addr)
-    }
-
-    fn command_write(
-        &mut self,
-        now: SimTime,
-        addr: PhysAddr,
-        value: u32,
-        mem_read: impl FnOnce(PhysAddr, u64) -> (Payload, SimTime),
-    ) -> Result<CommandEffect, NicError> {
-        // A deliberate-update start needs the source page resident; on a
-        // miss the DMA source read is held behind one synchronous map-in
-        // round trip (the kernel is already involved on this path, so
-        // the latency folds into the bus read completion time).
-        let data_page = self.inner.command_space().data_addr_for(addr).map(PhysAddr::page);
-        let is_start = matches!(CommandOp::decode(value), Ok(CommandOp::StartTransfer { .. }));
-        let miss = is_start && data_page.is_some_and(|p| !self.iotlb.contains_key(&p));
-        let extra = if miss {
-            self.inner.config().unpinned.map_in_latency
-        } else {
-            SimDuration::ZERO
+    /// The deliberate-update hook, run right after the DMA source read
+    /// of `page`. A resident page counts a hit. A miss counts a miss and
+    /// a map-in, installs the page, and returns the round trip the read
+    /// completion waits for: the kernel is already involved on this
+    /// path, so the map-in is synchronous. Zero on the pinned NIC.
+    pub(crate) fn map_in_dma_source(&mut self, page: PageNum) -> SimDuration {
+        let cap = self.config.unpinned.iotlb_entries;
+        let Some(tlb) = self.iotlb.as_mut() else {
+            return SimDuration::ZERO;
         };
-        let result = self.inner.command_write(now, addr, value, |src, len| {
-            let (payload, read_done) = mem_read(src, len);
-            (payload, read_done + extra)
-        });
-        if let (true, Ok(CommandEffect::DmaStarted { .. }), Some(page)) =
-            (is_start, &result, data_page)
+        if tlb.resident.contains_key(&page) {
+            tlb.hits += 1;
+            tlb.touch(page);
+            return SimDuration::ZERO;
+        }
+        tlb.misses += 1;
+        tlb.map_ins += 1;
+        tlb.install(page, cap);
+        self.config.unpinned.map_in_latency
+    }
+
+    /// The poll hook: completes every map-in ready by `now`, earliest
+    /// first, replaying its buffered writes through the resident snoop
+    /// path at the completion instant. Replays count no hit.
+    pub(crate) fn complete_map_ins(&mut self, now: SimTime) {
+        let cap = self.config.unpinned.iotlb_entries;
+        while let Some((ready, writes)) =
+            self.iotlb.as_mut().and_then(|t| t.complete_next(now, cap))
         {
-            if miss {
-                self.misses += 1;
-                self.map_ins += 1;
-                self.install(page);
-            } else {
-                self.hits += 1;
-                self.touch(page);
+            for w in &writes {
+                self.snoop_resident(ready, w.addr, &w.data[..usize::from(w.len)]);
             }
         }
-        result
     }
 
-    fn poll(&mut self, now: SimTime) {
-        self.complete_map_ins(now);
-        self.inner.poll(now);
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        let map_in = self.pending.values().map(|e| e.ready).min();
-        match (self.inner.next_deadline(), map_in) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+    /// The shootdown hook: every cached translation for `page` is
+    /// dropped (the TLB-shootdown analogue). Buffered writes for the page
+    /// die with the mapping, matching the pinned NIC's treatment of
+    /// writes to pages unmapped mid-flight. A no-op on the pinned NIC,
+    /// whose NIPT is always authoritative.
+    pub(crate) fn invalidate_translation(&mut self, page: PageNum) {
+        if let Some(tlb) = self.iotlb.as_mut() {
+            tlb.evict(page);
+            tlb.pending.remove(&page);
         }
-    }
-
-    fn cpu_must_stall(&self) -> bool {
-        // Map-ins are asynchronous (the miss buffers the write and the
-        // CPU proceeds); only the reference FIFO backpressure stalls.
-        self.inner.cpu_must_stall()
-    }
-
-    fn outgoing_ready_at(&self) -> Option<SimTime> {
-        self.inner.outgoing_ready_at()
-    }
-    fn pop_outgoing(&mut self, now: SimTime) -> Option<MeshPacket<ShrimpPacket>> {
-        self.inner.pop_outgoing(now)
-    }
-    fn has_pending_control(&self) -> bool {
-        self.inner.has_pending_control()
-    }
-    fn can_accept_from_network_at(&self, now: SimTime) -> bool {
-        self.inner.can_accept_from_network_at(now)
-    }
-    fn accept_packet(
-        &mut self,
-        now: SimTime,
-        packet: MeshPacket<ShrimpPacket>,
-    ) -> Result<(), NicError> {
-        self.inner.accept_packet(now, packet)
-    }
-    fn pop_incoming(&mut self, now: SimTime) -> Option<Result<IncomingDelivery, NicError>> {
-        self.inner.pop_incoming(now)
-    }
-    fn incoming_ready_at(&self) -> Option<SimTime> {
-        self.inner.incoming_ready_at()
-    }
-    fn take_interrupts(&mut self) -> Vec<NicInterrupt> {
-        self.inner.take_interrupts()
-    }
-    fn out_fifo_bytes(&self) -> u64 {
-        self.inner.out_fifo_bytes()
-    }
-    fn in_fifo_bytes(&self) -> u64 {
-        self.inner.in_fifo_bytes()
-    }
-
-    fn invalidate_translation(&mut self, page: PageNum) {
-        self.evict(page);
-        // Buffered misses for the page die with the mapping: by the time
-        // the map-in would complete there is nothing to translate
-        // through, matching the reference backend's treatment of writes
-        // to pages unmapped mid-flight.
-        self.pending.remove(&page);
-    }
-
-    fn iotlb_stats(&self) -> Option<IotlbStats> {
-        Some(UnpinnedNicModel::iotlb_stats(self))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NicConfig;
+    use crate::datapath::CommandEffect;
     use crate::nipt::UpdatePolicy;
-    use crate::testutil::{map_out_on, shape, t};
-    use shrimp_sim::SimDuration;
+    use crate::packet::Payload;
+    use crate::testutil::{map_out, shape, t};
+    use shrimp_mesh::NodeId;
 
-    fn unic() -> UnpinnedNicModel {
-        UnpinnedNicModel::new(NodeId(0), shape(), NicConfig::default(), 64)
+    fn unic() -> NetworkInterface {
+        NetworkInterface::unpinned(NodeId(0), shape(), NicConfig::default(), 64)
     }
 
-    fn tiny_unic(entries: usize) -> UnpinnedNicModel {
+    fn tiny_unic(entries: usize) -> NetworkInterface {
         let cfg = NicConfig {
             unpinned: crate::config::UnpinnedConfig {
                 iotlb_entries: entries,
@@ -390,13 +267,13 @@ mod tests {
             },
             ..NicConfig::default()
         };
-        UnpinnedNicModel::new(NodeId(0), shape(), cfg, 64)
+        NetworkInterface::unpinned(NodeId(0), shape(), cfg, 64)
     }
 
     #[test]
     fn miss_buffers_then_replays_after_map_in() {
         let mut n = unic();
-        map_out_on(n.nipt_mut(), 2, 1, 9, UpdatePolicy::AutomaticSingle);
+        map_out(&mut n, 2, 1, 9, UpdatePolicy::AutomaticSingle);
         let addr = PageNum::new(2).at_offset(16);
         // First touch misses: buffered, no packet yet.
         assert_eq!(n.snoop_write(t(0), addr, &7u32.to_le_bytes()), SnoopOutcome::Stalled);
@@ -409,18 +286,18 @@ mod tests {
             .pop_outgoing(t(0) + lat + SimDuration::from_us(1))
             .expect("replayed after map-in");
         assert_eq!(mp.payload().payload(), &7u32.to_le_bytes());
-        let s = UnpinnedNicModel::iotlb_stats(&n);
+        let s = n.iotlb_stats().unwrap();
         assert_eq!((s.misses, s.map_ins, s.hits, s.resident), (1, 1, 0, 1));
     }
 
     #[test]
     fn second_miss_joins_inflight_map_in() {
         let mut n = unic();
-        map_out_on(n.nipt_mut(), 2, 1, 9, UpdatePolicy::AutomaticSingle);
+        map_out(&mut n, 2, 1, 9, UpdatePolicy::AutomaticSingle);
         let base = PageNum::new(2).base();
         assert_eq!(n.snoop_write(t(0), base, &[1; 4]), SnoopOutcome::Stalled);
         assert_eq!(n.snoop_write(t(100), base.add(4), &[2; 4]), SnoopOutcome::Stalled);
-        let s = UnpinnedNicModel::iotlb_stats(&n);
+        let s = n.iotlb_stats().unwrap();
         // Two misses, ONE kernel round trip: the second write joined the
         // in-flight entry (flat pacing, no escalation).
         assert_eq!((s.misses, s.map_ins), (2, 1));
@@ -433,7 +310,7 @@ mod tests {
     #[test]
     fn resident_page_hits_like_pinned() {
         let mut n = unic();
-        map_out_on(n.nipt_mut(), 2, 1, 9, UpdatePolicy::AutomaticSingle);
+        map_out(&mut n, 2, 1, 9, UpdatePolicy::AutomaticSingle);
         let addr = PageNum::new(2).at_offset(8);
         n.snoop_write(t(0), addr, &[1; 4]);
         let lat = n.config().unpinned.map_in_latency;
@@ -444,14 +321,14 @@ mod tests {
             n.snoop_write(t(100_000), addr, &[2; 4]),
             SnoopOutcome::Queued
         );
-        assert_eq!(UnpinnedNicModel::iotlb_stats(&n).hits, 1);
+        assert_eq!(n.iotlb_stats().unwrap().hits, 1);
     }
 
     #[test]
     fn capacity_pressure_evicts_lru() {
         let mut n = tiny_unic(2);
         for page in 2..5 {
-            map_out_on(n.nipt_mut(), page, 1, 9 + page, UpdatePolicy::AutomaticSingle);
+            map_out(&mut n, page, 1, 9 + page, UpdatePolicy::AutomaticSingle);
         }
         let lat = n.config().unpinned.map_in_latency;
         let mut now = t(0);
@@ -460,7 +337,7 @@ mod tests {
             now += lat;
             n.poll(now);
         }
-        let s = UnpinnedNicModel::iotlb_stats(&n);
+        let s = n.iotlb_stats().unwrap();
         // Page 2 (least recently used) was shot down for page 4.
         assert_eq!((s.evictions, s.resident), (1, 2));
         assert_eq!(
@@ -478,7 +355,7 @@ mod tests {
     #[test]
     fn unmap_shootdown_drops_entry_and_pending_misses() {
         let mut n = unic();
-        map_out_on(n.nipt_mut(), 2, 1, 9, UpdatePolicy::AutomaticSingle);
+        map_out(&mut n, 2, 1, 9, UpdatePolicy::AutomaticSingle);
         n.snoop_write(t(0), PageNum::new(2).base(), &[1; 4]);
         n.unmap_out(PageNum::new(2), 0);
         let lat = n.config().unpinned.map_in_latency;
@@ -487,13 +364,13 @@ mod tests {
             n.pop_outgoing(t(0) + lat + SimDuration::from_us(1)).is_none(),
             "buffered write for an unmapped page must not replay"
         );
-        assert_eq!(UnpinnedNicModel::iotlb_stats(&n).resident, 0);
+        assert_eq!(n.iotlb_stats().unwrap().resident, 0);
     }
 
     #[test]
     fn deliberate_start_pays_map_in_on_miss_only() {
         let mut n = unic();
-        map_out_on(n.nipt_mut(), 6, 1, 12, UpdatePolicy::Deliberate);
+        map_out(&mut n, 6, 1, 12, UpdatePolicy::Deliberate);
         let data_addr = PageNum::new(6).base();
         let cmd = n.command_space().command_addr_for(data_addr);
         let lat = n.config().unpinned.map_in_latency;
@@ -515,7 +392,7 @@ mod tests {
             panic!("expected DmaStarted, got {e2:?}");
         };
         assert!(d2 < done_at + lat, "hit must not pay the round trip");
-        let s = UnpinnedNicModel::iotlb_stats(&n);
+        let s = n.iotlb_stats().unwrap();
         assert_eq!((s.misses, s.hits, s.map_ins), (1, 1, 1));
     }
 }

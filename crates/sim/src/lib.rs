@@ -11,7 +11,6 @@
 //!   for events scheduled at the same instant.
 //! * [`SerialResource`] and [`BandwidthResource`] — occupancy models for
 //!   one-at-a-time hardware (buses, links, DMA engines).
-//! * [`stats`] — counters and histograms used by the benchmark harness.
 //! * [`SimRng`] — a seeded ChaCha RNG so workloads are reproducible.
 //!
 //! # Examples
@@ -50,14 +49,13 @@ pub use fault::{
     NicFaultSite,
 };
 pub use metrics::{
-    validate_metrics_json, CounterId, HistogramSummary, MetricSet, MetricValue, MetricsRegistry,
-    MetricsSnapshot,
+    validate_metrics_json, HistogramSummary, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
 pub use profile::{EnginePhase, EngineProfileReport, EngineProfiler};
 pub use recorder::{FlightEntry, FlightRecorder};
 pub use resource::{BandwidthResource, SerialResource};
 pub use rng::SimRng;
 pub use sched::{step, Component, Scheduler, SimHost, StepBound, StepOutcome};
-pub use stats::{Counter, Histogram, Summary};
+pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
 pub use trace::{ComponentId, TelemetryConfig, TraceData, TraceEvent, TraceLevel, Tracer};

@@ -1,18 +1,13 @@
-//! Machine-wide metrics: named counter sets for hot-path components and
-//! a hierarchical registry snapshotted to one stable JSON schema.
+//! Machine-wide metrics: a hierarchical registry snapshotted to one
+//! stable JSON schema.
 //!
 //! Components that sit on the simulation hot path (the NIC, the mesh)
-//! own a [`MetricSet`] — a flat, index-addressed vector of named
-//! counters. Incrementing through a [`CounterId`] is one bounds-checked
-//! saturating add, cheap enough for per-packet accounting, and the set
-//! is `Clone` so cloned machines keep independent statistics.
-//!
-//! At observation time the machine gathers every component's metrics
-//! into a [`MetricsRegistry`] under hierarchical dotted names
-//! (`nic0.fifo.in.occupancy`, `mesh.link.3-4.util`,
-//! `nic0.retx.timeouts`) and takes a [`MetricsSnapshot`], which
-//! serializes to the `shrimp.metrics.v1` JSON schema every benchmark
-//! binary emits:
+//! count in plain struct fields. At observation time the machine
+//! gathers every component's metrics into a [`MetricsRegistry`] under
+//! hierarchical dotted names (`nic0.fifo.in.occupancy`,
+//! `mesh.link.3-4.util`, `nic0.retx.timeouts`) and takes a
+//! [`MetricsSnapshot`], which serializes to the `shrimp.metrics.v1`
+//! JSON schema every benchmark binary emits:
 //!
 //! ```json
 //! {"schema":"shrimp.metrics.v1","entries":{
@@ -40,72 +35,6 @@ use std::collections::BTreeMap;
 
 use crate::json::{JsonError, Value};
 use crate::stats::Histogram;
-
-/// Handle to one counter inside a [`MetricSet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(u32);
-
-/// A flat set of named counters owned by one component.
-///
-/// # Examples
-///
-/// ```
-/// use shrimp_sim::metrics::MetricSet;
-///
-/// let mut set = MetricSet::new();
-/// let sent = set.counter("packets_sent");
-/// set.incr(sent);
-/// set.add(sent, 2);
-/// assert_eq!(set.get(sent), 3);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct MetricSet {
-    counters: Vec<(&'static str, u64)>,
-}
-
-impl MetricSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        MetricSet::default()
-    }
-
-    /// Registers a counter (or returns the existing handle for `name`).
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|(n, _)| *n == name) {
-            return CounterId(i as u32);
-        }
-        self.counters.push((name, 0));
-        CounterId((self.counters.len() - 1) as u32)
-    }
-
-    /// Adds one, saturating.
-    #[inline]
-    pub fn incr(&mut self, id: CounterId) {
-        self.add(id, 1);
-    }
-
-    /// Adds `n`, saturating.
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        let v = &mut self.counters[id.0 as usize].1;
-        *v = v.saturating_add(n);
-    }
-
-    /// Current value of a counter.
-    pub fn get(&self, id: CounterId) -> u64 {
-        self.counters[id.0 as usize].1
-    }
-
-    /// Looks a counter up by name (snapshot-time convenience).
-    pub fn value_of(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
-    }
-
-    /// All `(name, value)` pairs in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().copied()
-    }
-}
 
 /// A fixed-point view of one histogram for snapshots: counts plus the
 /// power-of-two percentile upper bounds from [`Histogram`].
@@ -181,13 +110,6 @@ impl MetricsRegistry {
     pub fn set_histogram(&mut self, name: impl Into<String>, h: &Histogram) {
         self.entries
             .insert(name.into(), MetricValue::Histogram(HistogramSummary::from(h)));
-    }
-
-    /// Registers every counter of a [`MetricSet`] as `{prefix}.{name}`.
-    pub fn extend_set(&mut self, prefix: &str, set: &MetricSet) {
-        for (name, value) in set.iter() {
-            self.set_counter(format!("{prefix}.{name}"), value);
-        }
     }
 
     /// Freezes the registry into a snapshot.
@@ -394,22 +316,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn metric_set_handles_are_stable_and_saturating() {
-        let mut set = MetricSet::new();
-        let a = set.counter("a");
-        let b = set.counter("b");
-        assert_eq!(set.counter("a"), a, "re-registration returns the same id");
-        set.add(a, u64::MAX - 1);
-        set.incr(a);
-        set.incr(a);
-        set.incr(b);
-        assert_eq!(set.get(a), u64::MAX);
-        assert_eq!(set.get(b), 1);
-        assert_eq!(set.value_of("a"), Some(u64::MAX));
-        assert_eq!(set.value_of("missing"), None);
-    }
-
-    #[test]
     fn snapshot_json_round_trips_every_metric_kind() {
         let mut reg = MetricsRegistry::new();
         reg.set_counter("nic0.packets_sent", 8);
@@ -498,15 +404,5 @@ mod tests {
         let ghost = "{\"schema\":\"shrimp.metrics.v1\",\"entries\":{\"h\":{\"type\":\"histogram\",\
                      \"count\":0,\"min\":1,\"max\":2,\"mean\":1.5,\"p50\":0,\"p95\":0,\"p99\":0}}}";
         assert!(validate_metrics_json(ghost).unwrap_err().contains("empty"));
-    }
-
-    #[test]
-    fn extend_set_prefixes_names() {
-        let mut set = MetricSet::new();
-        let c = set.counter("crc_drops");
-        set.add(c, 2);
-        let mut reg = MetricsRegistry::new();
-        reg.extend_set("nic3", &set);
-        assert_eq!(reg.snapshot().counter("nic3.crc_drops"), Some(2));
     }
 }

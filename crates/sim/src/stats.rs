@@ -1,65 +1,6 @@
-//! Counters, histograms and summaries for the benchmark harness.
-
-use std::fmt;
+//! Power-of-two histograms for latency and size distributions.
 
 use crate::time::SimDuration;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use shrimp_sim::Counter;
-///
-/// let mut packets = Counter::new("packets_sent");
-/// packets.add(3);
-/// packets.incr();
-/// assert_eq!(packets.value(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Counter {
-    name: &'static str,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter with a display name.
-    pub fn new(name: &'static str) -> Self {
-        Counter { name, value: 0 }
-    }
-
-    /// Adds `n` to the counter, saturating at `u64::MAX` — a wrap in a
-    /// long soak would silently corrupt statistics.
-    pub fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Adds one to the counter, saturating at `u64::MAX`.
-    pub fn incr(&mut self) {
-        self.value = self.value.saturating_add(1);
-    }
-
-    /// Current count.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// The counter's display name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Resets the counter to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}", self.name, self.value)
-    }
-}
 
 /// A power-of-two bucketed histogram of `u64` samples (latencies in
 /// picoseconds, message sizes in bytes, queue depths, ...).
@@ -179,129 +120,11 @@ impl Histogram {
     pub fn p99(&self) -> Option<u64> {
         self.quantile_upper_bound(0.99)
     }
-
-    /// Merges another histogram into this one.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use shrimp_sim::Histogram;
-    ///
-    /// let mut per_node = Histogram::new();
-    /// per_node.record(10);
-    /// let mut machine_wide = Histogram::new();
-    /// machine_wide.record(2000);
-    /// machine_wide.merge(&per_node);
-    /// assert_eq!(machine_wide.count(), 2);
-    /// assert_eq!(machine_wide.min(), Some(10));
-    /// assert_eq!(machine_wide.max(), Some(2000));
-    /// ```
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-}
-
-/// A running mean/min/max summary of `f64` samples (for bench reports).
-///
-/// # Examples
-///
-/// ```
-/// use shrimp_sim::Summary;
-///
-/// let mut s = Summary::new();
-/// s.record(2.0);
-/// s.record(4.0);
-/// assert_eq!(s.mean(), Some(3.0));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of samples, if any.
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
-    }
-
-    /// Smallest sample, if any.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, if any.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates_and_resets() {
-        let mut c = Counter::new("x");
-        c.incr();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(c.to_string(), "x=10");
-        c.reset();
-        assert_eq!(c.value(), 0);
-    }
-
-    #[test]
-    fn counter_saturates_instead_of_wrapping() {
-        let mut c = Counter::new("soak");
-        c.add(u64::MAX - 1);
-        c.incr();
-        assert_eq!(c.value(), u64::MAX);
-        c.incr();
-        c.add(1 << 40);
-        assert_eq!(c.value(), u64::MAX, "saturated counter must stay pinned");
-    }
 
     #[test]
     fn histogram_percentile_accessors_match_known_distribution() {
@@ -360,34 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_combines_everything() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(1);
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), Some(1));
-        assert_eq!(a.max(), Some(1000));
-    }
-
-    #[test]
     fn histogram_records_durations() {
         let mut h = Histogram::new();
         h.record_duration(SimDuration::from_ns(3));
         assert_eq!(h.max(), Some(3000));
-    }
-
-    #[test]
-    fn summary_tracks_extremes() {
-        let mut s = Summary::new();
-        assert_eq!(s.mean(), None);
-        s.record(-1.0);
-        s.record(5.0);
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.min(), Some(-1.0));
-        assert_eq!(s.max(), Some(5.0));
-        assert_eq!(s.mean(), Some(2.0));
     }
 
     #[test]
@@ -422,44 +221,5 @@ mod tests {
         assert_eq!(h.min(), Some(5));
         assert_eq!(h.max(), Some(5));
         assert_eq!(h.mean(), Some(5.0));
-    }
-
-    #[test]
-    fn merge_with_disjoint_bucket_ranges_keeps_both_tails() {
-        // a occupies only low buckets, b only high ones — nothing
-        // overlaps, so the merged histogram must preserve both ends
-        // and the combined quantile structure.
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for v in [1u64, 2, 3] {
-            a.record(v);
-        }
-        for v in [1 << 20, 1 << 21, 1 << 22] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 6);
-        assert_eq!(a.min(), Some(1));
-        assert_eq!(a.max(), Some(1 << 22));
-        // Half the mass is below 4, so p50's bound stays in the low range.
-        assert!(a.p50().unwrap() <= 4, "p50 bound {:?}", a.p50());
-        // The top percentile must come from b's disjoint high range.
-        assert!(a.p99().unwrap() >= 1 << 22, "p99 bound {:?}", a.p99());
-        // Merging an empty histogram changes nothing.
-        let snapshot = (a.count(), a.min(), a.max());
-        a.merge(&Histogram::new());
-        assert_eq!((a.count(), a.min(), a.max()), snapshot);
-    }
-
-    #[test]
-    fn counter_add_saturates_exactly_at_max() {
-        let mut c = Counter::new("pin");
-        c.add(u64::MAX);
-        assert_eq!(c.value(), u64::MAX);
-        c.add(u64::MAX);
-        assert_eq!(c.value(), u64::MAX, "MAX + MAX must stay MAX");
-        c.reset();
-        c.add(3);
-        assert_eq!(c.value(), 3, "reset unpins a saturated counter");
     }
 }

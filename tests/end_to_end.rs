@@ -4,7 +4,7 @@
 use shrimp::cpu::{Assembler, Reg};
 use shrimp::mem::{PAGE_SIZE, VirtAddr};
 use shrimp::mesh::{MeshShape, NodeId};
-use shrimp::nic::{NicInterrupt, NicModel, UpdatePolicy};
+use shrimp::nic::{NicInterrupt, UpdatePolicy};
 use shrimp::os::Pid;
 use shrimp::{Machine, MachineConfig, MachineError, MapRequest};
 

@@ -6,6 +6,9 @@
 //! Refresh the pins after an intentional change with
 //! `cargo run --release -p shrimp-workload --example pins`.
 
+use std::collections::BTreeMap;
+
+use shrimp::sim::{MetricValue, MetricsSnapshot};
 use shrimp::workload::{dsl::Scenario, run_scenario, run_scenario_observed};
 
 fn load(name: &str) -> Scenario {
@@ -69,6 +72,144 @@ fn golden_faulted() {
 #[test]
 fn golden_churn() {
     check_golden("churn", 0x3c54_e4dc_1aa2_253a, 425, 172);
+}
+
+/// The benchmark's `sessions_faulty` mix in small: the mixed10k session
+/// shares over 80 sessions on the unpinned NIC under loss and link
+/// churn. The event count pins when each IOTLB map-in completes: a
+/// map-in that completes early keeps the delivery hash but not the
+/// count.
+#[test]
+fn golden_unpinned_faulty() {
+    check_golden("unpinned_faulty", 0x86b2_9498_d792_a0ec, 2863, 712);
+}
+
+/// Renders every `nic{i}.*` entry of a snapshot as one row per metric
+/// name (`nic{i}.` stripped) with one value column per node.
+fn nic_metrics_table(m: &MetricsSnapshot) -> String {
+    let mut rows: BTreeMap<&str, BTreeMap<u32, String>> = BTreeMap::new();
+    for (name, value) in m.entries() {
+        let Some((node, field)) = name.strip_prefix("nic").and_then(|r| r.split_once('.')) else {
+            continue;
+        };
+        let Ok(node) = node.parse::<u32>() else {
+            continue;
+        };
+        let value = match value {
+            MetricValue::Counter(n) => n.to_string(),
+            MetricValue::Gauge(g) => g.to_string(),
+            MetricValue::Histogram(h) => format!("{h:?}"),
+        };
+        rows.entry(field).or_default().insert(node, value);
+    }
+    rows.iter()
+        .map(|(field, cols)| {
+            let cols: Vec<String> = cols.iter().map(|(i, v)| format!("{i}:{v}")).collect();
+            format!("{field} {}\n", cols.join(" "))
+        })
+        .collect()
+}
+
+/// Pins every NIC metric of golden `name`, name and value. The
+/// benchmark's per-layer `nic.*` figures sum these entries by name, so
+/// a renamed, dropped, unmirrored or spurious counter must fail here.
+fn check_nic_metrics(name: &str, expected: &str) {
+    let r = run_scenario(&load(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let got = nic_metrics_table(&r.metrics);
+    assert!(
+        got == expected,
+        "{name}: pinned NIC metrics moved; got:\n{got}"
+    );
+}
+
+/// SHRIMP under link churn: go-back-N retransmit, ack/nack and bounce
+/// counters, and no `iotlb.*` entries.
+#[test]
+fn golden_churn_nic_metrics() {
+    check_nic_metrics(
+        "churn",
+        "\
+blocked_write_packets 0:0 1:0 2:0 3:0
+bytes_received 0:16000 1:16448 2:1792 3:25664
+bytes_sent 0:14016 1:3200 2:28288 3:14400
+crc_drops 0:0 1:0 2:0 3:0
+dma_packets 0:9 1:12 2:16 3:7
+fault_stalls 0:0 1:0 2:0 3:0
+fifo.in.occupancy 0:0 1:0 2:0 3:0
+fifo.in.peak_bytes 0:4119 1:4119 2:279 3:4119
+fifo.in.pushes 0:45 1:33 2:70 3:24
+fifo.in.rejections 0:0 1:0 2:0 3:0
+fifo.out.occupancy 0:0 1:0 2:0 3:0
+fifo.out.peak_bytes 0:4466 1:352 2:4466 3:4114
+fifo.out.pushes 0:57 1:44 2:48 3:23
+fifo.out.rejections 0:0 1:0 2:0 3:0
+gbn.backoff_resets 0:0 1:0 2:0 3:0
+gbn.bounces 0:0 1:0 2:0 3:0
+gbn.nack_suppressions 0:0 1:0 2:0 3:0
+gbn.retransmissions 0:0 1:0 2:0 3:0
+merged_writes 0:0 1:0 2:0 3:0
+misroutes 0:0 1:0 2:0 3:0
+packets_received 0:45 1:33 2:70 3:24
+packets_sent 0:57 1:44 2:48 3:23
+retx.acks_received 0:57 1:44 2:48 3:23
+retx.acks_sent 0:45 1:33 2:70 3:24
+retx.dup_drops 0:0 1:0 2:0 3:0
+retx.gap_drops 0:0 1:0 2:0 3:0
+retx.nacks_received 0:0 1:0 2:0 3:0
+retx.nacks_sent 0:0 1:0 2:0 3:0
+retx.retransmissions 0:0 1:0 2:0 3:0
+retx.timeouts 0:0 1:0 2:0 3:0
+single_write_packets 0:48 1:32 2:32 3:16
+unmapped_drops 0:0 1:0 2:0 3:0
+",
+    );
+}
+
+/// The unpinned backend under loss and churn: the SHRIMP set plus the
+/// `iotlb.*` counters.
+#[test]
+fn golden_unpinned_faulty_nic_metrics() {
+    check_nic_metrics(
+        "unpinned_faulty",
+        "\
+blocked_write_packets 0:0 1:0 2:0 3:0
+bytes_received 0:53280 1:52544 2:68448 3:56864
+bytes_sent 0:60864 1:50048 2:50688 3:69536
+crc_drops 0:0 1:0 2:2 3:0
+dma_packets 0:77 1:82 2:59 3:54
+fault_stalls 0:0 1:0 2:0 3:0
+fifo.in.occupancy 0:0 1:0 2:0 3:0
+fifo.in.peak_bytes 0:4119 1:4146 2:4146 3:4146
+fifo.in.pushes 0:147 1:220 2:157 3:188
+fifo.in.rejections 0:0 1:0 2:0 3:0
+fifo.out.occupancy 0:0 1:0 2:0 3:0
+fifo.out.peak_bytes 0:4290 1:4290 2:4290 3:4290
+fifo.out.pushes 0:189 1:242 2:123 3:158
+fifo.out.rejections 0:0 1:0 2:0 3:0
+gbn.backoff_resets 0:4 1:7 2:8 3:3
+gbn.bounces 0:11 1:36 2:3 3:12
+gbn.nack_suppressions 0:4 1:3 2:3 3:0
+gbn.retransmissions 0:17 1:45 2:12 3:3
+iotlb.evictions 0:0 1:0 2:0 3:0
+iotlb.hits 0:99 1:135 2:60 3:75
+iotlb.map_ins 0:27 1:30 2:21 3:27
+iotlb.misses 0:90 1:107 2:63 3:83
+merged_writes 0:0 1:0 2:0 3:0
+misroutes 0:0 1:0 2:0 3:0
+packets_received 0:147 1:220 2:157 3:188
+packets_sent 0:189 1:242 2:123 3:158
+retx.acks_received 0:187 1:242 2:115 3:158
+retx.acks_sent 0:148 1:224 2:158 3:194
+retx.dup_drops 0:1 1:4 2:1 3:6
+retx.gap_drops 0:6 1:4 2:5 3:0
+retx.nacks_received 0:1 1:4 2:0 3:0
+retx.nacks_sent 0:2 1:1 2:2 3:0
+retx.retransmissions 0:17 1:45 2:12 3:3
+retx.timeouts 0:4 1:8 2:9 3:3
+single_write_packets 0:112 1:160 2:64 3:104
+unmapped_drops 0:0 1:0 2:0 3:0
+",
+    );
 }
 
 /// The churn scenario must actually exercise the adaptive path: the

@@ -6,7 +6,7 @@
 
 use shrimp::mem::PAGE_SIZE;
 use shrimp::mesh::NodeId;
-use shrimp::nic::{NicBackend, NicModel, UpdatePolicy};
+use shrimp::nic::{NicBackend, UpdatePolicy};
 use shrimp::workload::{dsl::Scenario, run_scenario_tuned};
 use shrimp::{Machine, MachineConfig, MapRequest};
 
@@ -63,12 +63,11 @@ fn miss_map_in_retry_delivers_exactly_once() {
 
     let tlb = unpinned
         .nic(NodeId(0))
-        .as_unpinned()
-        .expect("backend selection must build the unpinned model")
-        .iotlb_stats();
+        .iotlb_stats()
+        .expect("backend selection must build the unpinned model");
     assert!(tlb.misses > 0, "cold IOTLB must miss on first touch");
     assert_eq!(tlb.map_ins, pages, "one dynamic map-in per touched page");
-    assert!(pinned.nic(NodeId(0)).as_unpinned().is_none());
+    assert!(pinned.nic(NodeId(0)).iotlb_stats().is_none());
 
     // The map-in round trip is visible in simulated time: the unpinned
     // run finishes strictly later than the pinned one.
