@@ -30,12 +30,13 @@
 use std::time::Instant;
 
 use shrimp_bench::{alloc_stats, banner, write_metrics};
-use shrimp_core::{DeliveryRecord, Machine, MachineConfig, MapRequest};
+use shrimp_core::{Machine, MachineConfig, MapRequest};
 use shrimp_cpu::Reg;
 use shrimp_mem::{VirtAddr, PAGE_SIZE};
 use shrimp_mesh::{MeshShape, NodeId};
 use shrimp_nic::UpdatePolicy;
 use shrimp_os::Pid;
+use shrimp_workload::delivery_hash;
 
 /// Runs per sample (the smoke fill check uses the same count).
 const RUNS: usize = 5;
@@ -153,26 +154,6 @@ impl Runs {
 /// A table cell for an optional figure (`-` when unmeasured).
 fn cell(a: Option<f64>, decimals: usize) -> String {
     a.map_or_else(|| "-".to_string(), |a| format!("{a:.decimals$}"))
-}
-
-/// FNV-1a over every field of every delivery record — one number that
-/// captures the exact content *and order* of the delivery log (the same
-/// fingerprint the determinism suite pins).
-fn delivery_hash(deliveries: &[DeliveryRecord]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for d in deliveries {
-        for v in [
-            d.time.as_picos(),
-            d.node.0 as u64,
-            d.dst_addr.raw(),
-            d.len,
-            d.src.0 as u64,
-        ] {
-            h ^= v;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
 }
 
 struct Sender {
@@ -376,7 +357,7 @@ fn host_fill(pages: u64) -> Sample {
 }
 
 /// Delivery fingerprint of [`ring_workload`]'s measured region.
-const RING_HASH: u64 = 0x1a5d_1166_df16_23e5;
+const RING_HASH: u64 = 0x534f_61d0_12df_c565;
 
 /// Events in [`ring_workload`]'s measured region.
 const RING_EVENTS: u64 = 13_312;

@@ -18,8 +18,9 @@ pub enum MachineError {
     Mem(MemError),
     /// A zero-length mapping was requested.
     EmptyMapping,
-    /// A host store (`poke`) was not whole aligned words: `va` must be
-    /// word-aligned and `len` a multiple of the word size.
+    /// A host call got a range it cannot align: a store (`poke`) needs
+    /// a word-aligned `va` and whole words, an export (`export_buffer`)
+    /// a page-aligned `va`.
     Unaligned {
         /// The requested start address.
         va: VirtAddr,
@@ -39,7 +40,11 @@ impl fmt::Display for MachineError {
             MachineError::Mem(e) => write!(f, "memory: {e}"),
             MachineError::EmptyMapping => write!(f, "mapping length must be positive"),
             MachineError::Unaligned { va, len } => {
-                write!(f, "store of {len} bytes at {va} is not whole aligned words")
+                write!(
+                    f,
+                    "range of {len} bytes at {va} is misaligned \
+                     (poke needs whole words, export_buffer a page start)"
+                )
             }
             MachineError::NoQuiescence => write!(f, "machine did not quiesce"),
         }
@@ -97,6 +102,6 @@ mod tests {
             va: VirtAddr::new(2),
             len: 4,
         };
-        assert!(e.to_string().contains("not whole aligned words"));
+        assert!(e.to_string().contains("misaligned"));
     }
 }

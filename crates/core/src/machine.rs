@@ -27,15 +27,14 @@ use shrimp_nic::{NetworkInterface, NicError, NicInterrupt, OutSegment, ShrimpPac
 use shrimp_os::kernel::OutgoingRecord;
 use shrimp_os::{ExportId, Kernel, OsError, Pid};
 use shrimp_sim::{
-    step, to_chrome_json_with_counters, Component, ComponentId, CounterSample, EnginePhase,
-    EngineProfileReport, EngineProfiler, FlightEntry, FlightRecorder, Histogram, MetricsRegistry,
-    MetricsSnapshot, Scheduler, SimDuration, SimHost, SimTime, StepBound, StepOutcome, TraceData,
-    TraceEvent, TraceLevel, Tracer,
+    to_chrome_json_with_counters, ComponentId, CounterSample, EnginePhase, EngineProfileReport,
+    EngineProfiler, FlightEntry, FlightRecorder, Histogram, MetricsRegistry, MetricsSnapshot,
+    Scheduler, SimDuration, SimTime, TraceData, TraceEvent, TraceLevel, Tracer,
 };
 
 use crate::config::MachineConfig;
 use crate::error::MachineError;
-use crate::node::{Action, Node, NodeEffects, NodeEvent};
+use crate::node::{CpuExit, Event, Node, NodeEvent};
 
 /// Identifies one established mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -161,16 +160,6 @@ impl MachineTelemetry {
     }
 }
 
-/// A scheduled machine event: which node, and what it should do. The
-/// per-node behaviour lives in `NodeEvent`; this type only exists as
-/// the machine scheduler's event payload (it is public because it leaks
-/// through the [`SimHost`] associated type, not as API).
-#[derive(Debug, Clone)]
-pub struct Event {
-    pub(crate) node: u16,
-    pub(crate) ev: NodeEvent,
-}
-
 /// The pump worklist: one bit per node that may have network work
 /// (DESIGN.md §5j), iterated in ascending node id.
 #[derive(Debug)]
@@ -261,10 +250,6 @@ pub struct Machine {
     drop_log: Vec<(SimTime, NodeId, NicError)>,
     tracer: Tracer,
     telemetry: MachineTelemetry,
-    /// Reused effect buffers for the event hot path (zero steady-state
-    /// allocation).
-    scratch_fx: NodeEffects,
-    scratch_wakeups: NodeEffects,
     /// Wall-clock phase attribution (never part of the deterministic
     /// snapshot; see [`Machine::profile`]).
     profiler: EngineProfiler,
@@ -314,8 +299,6 @@ impl Machine {
             drop_log: Vec::new(),
             tracer,
             telemetry: MachineTelemetry::default(),
-            scratch_fx: NodeEffects::default(),
-            scratch_wakeups: NodeEffects::default(),
             profiler: EngineProfiler::new(config.telemetry.profile),
             recorder,
             scratch_flight: Vec::new(),
@@ -398,7 +381,8 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Propagates kernel export errors.
+    /// [`MachineError::Unaligned`], exporting nothing, unless `va` is
+    /// page-aligned; kernel export errors otherwise.
     pub fn export_buffer(
         &mut self,
         node: NodeId,
@@ -407,7 +391,12 @@ impl Machine {
         pages: u64,
         allowed: Option<NodeId>,
     ) -> Result<ExportId, MachineError> {
-        assert_eq!(va.offset(), 0, "exports are page-granular");
+        if va.offset() != 0 {
+            return Err(MachineError::Unaligned {
+                va,
+                len: pages.saturating_mul(PAGE_SIZE),
+            });
+        }
         Ok(self
             .node_mut(node)
             .kernel
@@ -779,7 +768,9 @@ impl Machine {
             .kernel
             .process(pid)
             .ok_or(MachineError::Os(OsError::NoSuchProcess(pid)))?;
-        let mut out = Vec::with_capacity(len as usize);
+        // Grown as pages translate: reserving an unchecked `len` up
+        // front can abort the process.
+        let mut out = Vec::new();
         let mut pos = 0;
         while pos < len {
             let a = va.add(pos);
@@ -897,19 +888,12 @@ impl Machine {
     // ──────────────────────────── event loop ─────────────────────────────
 
     /// Runs until `limit`, processing machine and mesh events in time
-    /// order. If anything panics mid-run (an assertion deep in a
-    /// component, say), the flight recorder's recent events are dumped
-    /// to stderr before the panic resumes.
+    /// order, and leaves the clock at `limit`. If anything panics mid-run
+    /// (an assertion deep in a component, say), the flight recorder's
+    /// recent events are dumped to stderr before the panic resumes.
     pub fn run_until(&mut self, limit: SimTime) {
-        self.mark_all_active();
-        let bound = StepBound::until(limit);
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            while step(self, bound) == StepOutcome::Ran {}
-        }));
-        if let Err(payload) = run {
-            self.dump_flight_on_panic();
-            std::panic::resume_unwind(payload);
-        }
+        // A bounded run has no step budget, so it cannot fail.
+        let _ = self.run_loop(Some(limit), |_| false);
         self.sched.advance_clock(limit);
     }
 
@@ -929,19 +913,46 @@ impl Machine {
     /// Returns [`MachineError::NoQuiescence`] if the machine keeps
     /// generating events (e.g. a CPU is spin-waiting forever).
     pub fn run_until_idle(&mut self) -> Result<(), MachineError> {
+        self.run_loop(None, |_| false).map(drop)
+    }
+
+    /// Runs until `pred` holds, checking before the first step and
+    /// between steps, up to `limit`. Returns whether the predicate held.
+    /// (A step dispatches every queued event of its instant, so the
+    /// predicate never sees one half-run.)
+    pub fn run_until_pred(&mut self, limit: SimTime, pred: impl FnMut(&Machine) -> bool) -> bool {
+        self.run_loop(Some(limit), pred).unwrap_or(false)
+    }
+
+    /// The one run loop behind every run method. It puts every node on
+    /// the pump worklist, then steps until `stop` holds (checked before
+    /// each step and once more when the machine idles), the next instant
+    /// lies past `limit`, or nothing is left. Only an unbounded run has
+    /// a step budget. A panic dumps the flight recorder before it
+    /// resumes (DESIGN.md §5h). Returns whether `stop` held.
+    fn run_loop(
+        &mut self,
+        limit: Option<SimTime>,
+        mut stop: impl FnMut(&Machine) -> bool,
+    ) -> Result<bool, MachineError> {
         const MAX_IDLE_STEPS: u64 = 50_000_000;
         self.mark_all_active();
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut steps = 0u64;
             loop {
-                steps += 1;
-                if steps > MAX_IDLE_STEPS {
-                    return Err(MachineError::NoQuiescence);
+                if stop(self) {
+                    return Ok(true);
                 }
-                match step(self, StepBound::unbounded()) {
-                    StepOutcome::Idle => return Ok(()),
-                    StepOutcome::Ran => {}
-                    StepOutcome::PastLimit => unreachable!("unbounded step has no limit"),
+                if limit.is_none() {
+                    steps += 1;
+                    if steps > MAX_IDLE_STEPS {
+                        return Err(MachineError::NoQuiescence);
+                    }
+                }
+                match self.step(limit) {
+                    Step::Idle => return Ok(stop(self)),
+                    Step::PastLimit => return Ok(false),
+                    Step::Ran => {}
                 }
             }
         }));
@@ -951,38 +962,77 @@ impl Machine {
         })
     }
 
-    /// Puts every node on the pump worklist. Called at the entry of each
-    /// run wrapper: the host API may have mutated any node between runs,
+    /// One step: find the next instant across the queue and the mesh,
+    /// advance the clock and the mesh to it, then dispatch every queued
+    /// event at that instant, including those the dispatch pushes for
+    /// it. Mesh work they queue for the same instant (an injection, say)
+    /// runs in the next step, at the same time.
+    fn step(&mut self, limit: Option<SimTime>) -> Step {
+        let queued = self.sched.peek_time();
+        let mesh = self.mesh.next_event_time();
+        let next = match (queued, mesh) {
+            (None, None) => return Step::Idle,
+            (Some(t), None) | (None, Some(t)) => t,
+            (Some(a), Some(b)) => a.min(b),
+        };
+        if limit.is_some_and(|limit| next > limit) {
+            return Step::PastLimit;
+        }
+        self.sched.advance_clock(next);
+        if mesh == Some(next) {
+            self.advance_mesh(next);
+        }
+        while self.sched.peek_time() == Some(next) {
+            let (_, ev) = self.sched.pop().expect("peeked event");
+            self.dispatch_event(next, ev);
+        }
+        Step::Ran
+    }
+
+    /// Advances the mesh to `t`, then marks the nodes it ejected to,
+    /// pulls its reroute/bounce decisions into the flight recorder and
+    /// pumps the network.
+    fn advance_mesh(&mut self, t: SimTime) {
+        // Sampled: this runs several times per simulated event, so
+        // exact per-call timing would cost more than the pump itself.
+        let p = self.profiler.begin_sampled(EnginePhase::MeshPump);
+        self.mesh.advance(t);
+        let active = &mut self.active;
+        self.mesh.drain_ejection_notices(|node| active.mark(node.0));
+        if self.recorder.is_enabled() {
+            // Reroute/bounce decisions happen deep inside the mesh's
+            // advance; pull them into the per-node rings (keyed by the
+            // node where the decision was made).
+            let mut buf = std::mem::take(&mut self.scratch_flight);
+            self.mesh.drain_flight_into(&mut buf);
+            for ev in buf.drain(..) {
+                let at = match ev.data {
+                    TraceData::PacketRerouted { at, .. } | TraceData::PacketBounced { at, .. } => {
+                        at as usize
+                    }
+                    _ => 0,
+                };
+                self.recorder.record(at, ev);
+            }
+            self.scratch_flight = buf;
+        }
+        self.pump_network(t);
+        self.profiler.end_sampled(EnginePhase::MeshPump, p);
+    }
+
+    /// Puts every node on the pump worklist. Called at the entry of the
+    /// run loop: the host API may have mutated any node between runs,
     /// and cannot mutate one during a run.
     fn mark_all_active(&mut self) {
         self.active.mark_all(self.nodes.len());
     }
 
     /// Prints the flight recorder's retained events to stderr; called on
-    /// the panic path of the run wrappers so a failing assertion ships
-    /// its causal context.
+    /// the panic path of the run loop so a failing assertion ships its
+    /// causal context.
     fn dump_flight_on_panic(&self) {
         if self.recorder.is_enabled() && self.recorder.recorded() > 0 {
             eprintln!("{}", self.recorder.render());
-        }
-    }
-
-    /// Runs until `pred` holds, checking between instants, up to
-    /// `limit`. Returns whether the predicate held. ([`step`] never
-    /// splits an instant, so the predicate always observes a consistent
-    /// inter-instant state.)
-    pub fn run_until_pred(&mut self, limit: SimTime, mut pred: impl FnMut(&Machine) -> bool) -> bool {
-        self.mark_all_active();
-        let bound = StepBound::until(limit);
-        loop {
-            if pred(self) {
-                return true;
-            }
-            match step(self, bound) {
-                StepOutcome::Idle => return pred(self),
-                StepOutcome::PastLimit => return false,
-                StepOutcome::Ran => {}
-            }
         }
     }
 
@@ -993,50 +1043,52 @@ impl Machine {
         self.sched.push(at, Event { node, ev });
     }
 
-    /// Executes one popped event inline: mesh-coupled events run here,
-    /// node-local ones through [`Node::execute`].
+    /// Executes one popped event. The node-side halves live on [`Node`]
+    /// and push their follow-up events straight onto the scheduler.
     fn dispatch_event(&mut self, t: SimTime, Event { node, ev }: Event) {
         self.active.mark(node);
+        let id = NodeId(node);
         match ev {
+            NodeEvent::CpuStep => {
+                match self.nodes[node as usize].cpu_step(t, &self.config, &mut self.sched) {
+                    CpuExit::Idle => return,
+                    CpuExit::Ran => {}
+                    CpuExit::Syscall { pid, code } => self.syscall_log.push((t, id, pid, code)),
+                    CpuExit::Fault { pid, error } => self.handle_fault(t, id, pid, error),
+                }
+                // After the trap's service, which never touches this
+                // node's pending NIC work (DESIGN.md §5d).
+                self.schedule_node_wakeups(t, id);
+            }
             NodeEvent::NicHousekeep => {
                 let n = &mut self.nodes[node as usize];
                 n.housekeep_wakeup = None;
-                Component::advance(n, t);
-                self.schedule_node_wakeups(t, NodeId(node));
+                n.nic.poll(t);
+                self.schedule_node_wakeups(t, id);
                 // A housekeep may end an injected FIFO stall or arm a
                 // retransmit replay; resume acceptance and push replays.
-                self.deliver_ejections(t, NodeId(node));
-                self.drain_outgoing(t, NodeId(node));
+                self.deliver_ejections(t, id);
+                self.drain_outgoing(t, id);
             }
             NodeEvent::DrainOutgoing => {
                 self.nodes[node as usize].drain_wakeup = None;
-                self.drain_outgoing(t, NodeId(node));
+                self.drain_outgoing(t, id);
             }
             NodeEvent::PopIncoming => {
                 self.nodes[node as usize].pop_wakeup = None;
-                self.pop_incoming(t, NodeId(node));
+                self.pop_incoming(t, id);
             }
-            local => {
-                let mut fx = std::mem::take(&mut self.scratch_fx);
-                self.nodes[node as usize].execute(t, local, &self.config, &mut fx);
-                self.apply_effects(t, NodeId(node), &mut fx);
-                self.scratch_fx = fx;
+            NodeEvent::DmaComplete { addr, data } => {
+                self.nodes[node as usize].commit_dma(addr, data);
+                // The delivery freed Incoming-FIFO space. (It was logged
+                // at pop time, where its source is known.)
+                let p = self.profiler.begin_sampled(EnginePhase::MeshPump);
+                self.pump_network(t);
+                self.profiler.end_sampled(EnginePhase::MeshPump, p);
             }
-        }
-    }
-
-    /// Applies a node's recorded effects, in recording order.
-    fn apply_effects(&mut self, t: SimTime, node: NodeId, fx: &mut NodeEffects) {
-        for action in fx.actions.drain(..) {
-            match action {
-                Action::Push { at, node, ev } => self.push_event(at, node, ev),
-                Action::Syscall { pid, code } => self.syscall_log.push((t, node, pid, code)),
-                Action::Fault { pid, error } => self.handle_fault(t, node, pid, error),
-                Action::PumpNetwork => {
-                    let p = self.profiler.begin_sampled(EnginePhase::MeshPump);
-                    self.pump_network(t);
-                    self.profiler.end_sampled(EnginePhase::MeshPump, p);
-                }
+            NodeEvent::KernelMsg { msg } => {
+                let latency = self.config.kernel_msg_latency;
+                self.nodes[node as usize].kernel_msg(t, msg, latency, &mut self.sched);
             }
         }
     }
@@ -1084,8 +1136,7 @@ impl Machine {
             let id = NodeId(i as u16);
             if !self.active.contains(id.0) {
                 assert!(
-                    Component::next_event_time(n).is_none()
-                        && self.mesh.peek_ejection(id).is_none(),
+                    n.nic_quiet() && self.mesh.peek_ejection(id).is_none(),
                     "{id:?} is off the pump worklist but has network work"
                 );
             }
@@ -1124,17 +1175,10 @@ impl Machine {
                 _ => break,
             }
         }
-        if let Some(r) = self.nodes[node.0 as usize].nic.incoming_ready_at() {
-            self.push_pop_wakeup(t, node, r.max(t));
+        let n = &mut self.nodes[node.0 as usize];
+        if let Some(r) = n.nic.incoming_ready_at() {
+            n.due_pop_wakeup(t, r.max(t), &mut self.sched);
         }
-    }
-
-    /// Schedules a deduplicated PopIncoming wakeup.
-    fn push_pop_wakeup(&mut self, t: SimTime, node: NodeId, at: SimTime) {
-        let mut fx = std::mem::take(&mut self.scratch_wakeups);
-        self.nodes[node.0 as usize].due_pop_wakeup(t, at, &mut fx);
-        self.apply_pushes(&mut fx);
-        self.scratch_wakeups = fx;
     }
 
     /// Injects every ready Outgoing-FIFO packet the mesh accepts, then
@@ -1291,21 +1335,7 @@ impl Machine {
     }
 
     fn schedule_node_wakeups(&mut self, t: SimTime, node: NodeId) -> bool {
-        let mut fx = std::mem::take(&mut self.scratch_wakeups);
-        let nic_quiet = self.nodes[node.0 as usize].schedule_wakeups(t, &mut fx);
-        self.apply_pushes(&mut fx);
-        self.scratch_wakeups = fx;
-        nic_quiet
-    }
-
-    /// Applies a wakeup-only effect list (nothing but event pushes).
-    fn apply_pushes(&mut self, fx: &mut NodeEffects) {
-        for action in fx.actions.drain(..) {
-            match action {
-                Action::Push { at, node, ev } => self.push_event(at, node, ev),
-                other => unreachable!("wakeup scheduling only pushes events, got {other:?}"),
-            }
-        }
+        self.nodes[node.0 as usize].schedule_wakeups(t, &mut self.sched)
     }
 
     // ─────────────────────────── fault service ───────────────────────────
@@ -1604,54 +1634,15 @@ impl Machine {
     }
 }
 
-// ─────────────────────────── the host wiring ────────────────────────────
-
-/// The machine as a [`SimHost`]: its scheduler drives the nodes, the
-/// mesh backplane is the coupled external [`Component`], and dispatch
-/// executes each event inline. The three public run methods are thin
-/// wrappers over [`step`] with different stop conditions.
-impl SimHost for Machine {
-    type Event = Event;
-
-    fn scheduler(&mut self) -> &mut Scheduler<Event> {
-        &mut self.sched
-    }
-
-    fn external_next(&self) -> Option<SimTime> {
-        Component::next_event_time(&self.mesh)
-    }
-
-    fn advance_external(&mut self, t: SimTime) {
-        // Sampled: this runs several times per simulated event, so
-        // exact per-call timing would cost more than the pump itself.
-        let p = self.profiler.begin_sampled(EnginePhase::MeshPump);
-        Component::advance(&mut self.mesh, t);
-        let active = &mut self.active;
-        self.mesh.drain_ejection_notices(|node| active.mark(node.0));
-        if self.recorder.is_enabled() {
-            // Reroute/bounce decisions happen deep inside the mesh's
-            // advance; pull them into the per-node rings (keyed by the
-            // node where the decision was made).
-            let mut buf = std::mem::take(&mut self.scratch_flight);
-            self.mesh.drain_flight_into(&mut buf);
-            for ev in buf.drain(..) {
-                let at = match ev.data {
-                    TraceData::PacketRerouted { at, .. } | TraceData::PacketBounced { at, .. } => {
-                        at as usize
-                    }
-                    _ => 0,
-                };
-                self.recorder.record(at, ev);
-            }
-            self.scratch_flight = buf;
-        }
-        self.pump_network(t);
-        self.profiler.end_sampled(EnginePhase::MeshPump, p);
-    }
-
-    fn dispatch(&mut self, t: SimTime, ev: Event) {
-        self.dispatch_event(t, ev);
-    }
+/// How one `Machine::step` ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Nothing pending anywhere: the machine is quiescent.
+    Idle,
+    /// One instant was fully processed.
+    Ran,
+    /// The next instant lies past the limit; nothing was done.
+    PastLimit,
 }
 
 #[cfg(test)]
@@ -1662,6 +1653,7 @@ mod tests {
     use super::*;
     use shrimp_cpu::Assembler;
     use shrimp_mesh::MeshShape;
+    use shrimp_os::ExportId;
 
     fn two_node() -> (Machine, Pid, Pid) {
         let mut m = Machine::new(MachineConfig::two_nodes());
@@ -1855,6 +1847,126 @@ mod tests {
         let (bytes, rate) = m.eisa_stats(NodeId(1));
         assert_eq!(bytes, 64);
         assert!(rate > 0.0);
+    }
+
+    #[test]
+    fn peek_past_a_mapped_buffer_returns_the_next_pages_error() {
+        let (mut m, s, _) = two_node();
+        let buf = m.alloc_pages(NodeId(0), s, 1).unwrap();
+        let err = m.peek(NodeId(0), s, buf, u64::MAX).unwrap_err();
+        assert_eq!(
+            err,
+            MachineError::Mem(MemError::NotMapped {
+                addr: buf.add(PAGE_SIZE)
+            })
+        );
+    }
+
+    #[test]
+    fn unaligned_export_errors_and_exports_nothing() {
+        let (mut m, _, r) = two_node();
+        let buf = m.alloc_pages(NodeId(1), r, 2).unwrap();
+        let err = m
+            .export_buffer(NodeId(1), r, buf.add(8), 1, None)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            MachineError::Unaligned {
+                va: buf.add(8),
+                len: PAGE_SIZE
+            }
+        );
+        assert!(m.kernel(NodeId(1)).export(ExportId(1)).is_none());
+        assert_eq!(m.export_buffer(NodeId(1), r, buf, 1, None), Ok(ExportId(1)));
+    }
+
+    /// Every event of an instant runs in the one step that reaches it.
+    #[test]
+    fn step_drains_a_whole_instant() {
+        let (mut m, _, _) = two_node();
+        let t = m.now() + SimDuration::from_ns(10);
+        for node in [0, 1, 0] {
+            m.push_event(t, node, NodeEvent::NicHousekeep);
+        }
+        m.push_event(t + SimDuration::from_ns(1), 1, NodeEvent::NicHousekeep);
+        assert_eq!(m.step(None), Step::Ran);
+        assert_eq!((m.now(), m.events_processed()), (t, 3));
+        assert_eq!(m.sched.peek_time(), Some(t + SimDuration::from_ns(1)));
+    }
+
+    /// A two-node machine with one automatic-update word in flight.
+    fn word_in_flight() -> Machine {
+        let (mut m, s, r) = two_node();
+        let (src, _) = simple_map(&mut m, s, r, UpdatePolicy::AutomaticSingle);
+        m.poke(NodeId(0), s, src, &[5u8; 4]).unwrap();
+        m
+    }
+
+    /// One step of [`word_in_flight`]'s run.
+    struct Stepped {
+        at: SimTime,
+        /// Events processed once it ran.
+        events: u64,
+        queued: bool,
+        mesh: bool,
+    }
+
+    /// Steps [`word_in_flight`] to idle, checking that every step takes
+    /// the earlier of the queue's and the mesh's next instants.
+    fn steps_of_one_word() -> Vec<Stepped> {
+        let mut m = word_in_flight();
+        let mut steps = Vec::new();
+        loop {
+            let (queued, mesh) = (m.sched.peek_time(), m.mesh.next_event_time());
+            if m.step(None) == Step::Idle {
+                break;
+            }
+            let at = m.now();
+            assert_eq!(Some(at), queued.into_iter().chain(mesh).min());
+            let (queued, mesh) = (queued == Some(at), mesh == Some(at));
+            let events = m.events_processed();
+            steps.push(Stepped { at, events, queued, mesh });
+        }
+        assert_eq!(m.deliveries().len(), 1);
+        steps
+    }
+
+    /// The mesh's instants and the queue's interleave in time order: a
+    /// packet's delivery alternates between them. (A step can repeat the
+    /// last time: an injection queues mesh work at the current instant.)
+    #[test]
+    fn mesh_instants_interleave_with_queue_instants() {
+        let steps = steps_of_one_word();
+        assert!(steps.windows(2).all(|w| w[0].at <= w[1].at));
+        let k = steps
+            .iter()
+            .position(|i| i.mesh && !i.queued)
+            .expect("an instant with only mesh work");
+        assert!(steps[..k].iter().any(|i| i.queued), "queue work before it");
+        assert!(steps[k..].iter().any(|i| i.queued), "queue work after it");
+    }
+
+    /// Nothing past the limit runs, queued or in the mesh, and the clock
+    /// ends at the limit.
+    #[test]
+    fn run_until_runs_nothing_past_the_limit() {
+        let steps = steps_of_one_word();
+        let k = (1..steps.len())
+            .find(|&k| {
+                let i = &steps[k];
+                i.mesh && !i.queued && i.at > steps[k - 1].at
+            })
+            .expect("a later instant with only mesh work");
+        let (before, mesh_at) = (&steps[k - 1], steps[k].at);
+        let limit = before.at + mesh_at.since(before.at) / 2;
+        let mut m = word_in_flight();
+        m.run_until(limit);
+        assert_eq!(m.now(), limit);
+        assert_eq!(m.events_processed(), before.events);
+        assert_eq!(m.mesh.next_event_time(), Some(mesh_at), "mesh ran past the limit");
+        assert!(m.sched.peek_time().is_none_or(|t| t > limit));
+        assert_eq!(m.step(Some(limit)), Step::PastLimit);
+        assert_eq!((m.now(), m.events_processed()), (limit, before.events));
     }
 
     #[test]

@@ -1,20 +1,15 @@
 //! One autonomous SHRIMP node: CPU, memory hierarchy, buses, NIC and
-//! kernel, plus the node-local event behaviour that used to live inline
-//! on `Machine`.
+//! kernel, plus the node-side halves of its events.
 //!
-//! The paper's nodes synchronize only through mesh packets (minimum one
-//! link latency away) and kernel messages (a configured latency away), so
-//! everything a node does in response to a *node-local* event — a CPU
-//! step, an EISA DMA completion, a kernel message — touches only its own
-//! state. [`Node::execute`] exploits that: it mutates the node in place
-//! and records every externally-visible consequence (event pushes, log
-//! entries, faults to service, network pumping) as an ordered
-//! [`NodeEffects`] action list, which the machine then applies in
-//! recording order. Node code thus hands its effects to the machine
-//! without borrowing it.
-//!
-//! Mesh-coupled events (FIFO drain, ejection delivery, NIC housekeeping)
-//! stay on the machine, which owns the mesh.
+//! The machine dispatches every event in one `match`
+//! (`Machine::dispatch_event`). The node-side handlers here mutate only
+//! their own node and push follow-up events straight onto the machine's
+//! scheduler: [`Node::cpu_step`] runs a CPU batch and reports the trap
+//! the machine must service as a [`CpuExit`], [`Node::kernel_msg`]
+//! sends a §4.4 message's replies, [`Node::commit_dma`] lands an EISA
+//! burst, and [`Node::schedule_wakeups`] arms the deduplicated NIC
+//! wakeups. Mesh-coupled work (FIFO drain, ejection delivery, the
+//! network pump) stays on the machine, which owns the mesh.
 
 use std::collections::BTreeMap;
 
@@ -26,14 +21,12 @@ use shrimp_mem::{
 use shrimp_mesh::{MeshPacket, NodeId};
 use shrimp_nic::{NetworkInterface, NicBackend, Payload, ShrimpPacket};
 use shrimp_os::{Kernel, KernelMsg, OsError, Pid, RoundRobin, SchedDecision};
-use shrimp_sim::{Component, SimDuration, SimTime, Tracer};
+use shrimp_sim::{Scheduler, SimDuration, SimTime, Tracer};
 
 use crate::config::MachineConfig;
 use crate::error::MachineError;
 
-/// What one node does when its event fires. `CpuStep`, `DmaComplete` and
-/// `KernelMsg` are node-local (handled by [`Node::execute`]); the rest
-/// couple to the mesh and are handled by the machine.
+/// What one node does when its event fires.
 #[derive(Debug, Clone)]
 pub(crate) enum NodeEvent {
     /// Run (a batch of) CPU instructions.
@@ -58,21 +51,22 @@ pub(crate) enum NodeEvent {
     },
 }
 
-/// One externally-visible consequence of executing a node-local event.
-/// Order matters: the machine applies actions exactly in the order they
-/// were recorded.
+/// A scheduled machine event: which node, and what it should do.
+#[derive(Debug, Clone)]
+pub(crate) struct Event {
+    pub(crate) node: u16,
+    pub(crate) ev: NodeEvent,
+}
+
+/// How a [`Node::cpu_step`] ended, for the machine to finish.
 #[derive(Debug)]
-pub(crate) enum Action {
-    /// Schedule an event (own node, or another node's kernel inbox).
-    Push {
-        /// When it fires.
-        at: SimTime,
-        /// Which node it targets.
-        node: u16,
-        /// What fires.
-        ev: NodeEvent,
-    },
-    /// Append to the machine syscall log.
+pub(crate) enum CpuExit {
+    /// Nothing ran: a stale event, an idle scheduler, a context switch,
+    /// or no program or process. No NIC wakeups are due.
+    Idle,
+    /// Instructions ran, halted or blocked on the Outgoing FIFO.
+    Ran,
+    /// A process trapped into the kernel.
     Syscall {
         /// Trapping process.
         pid: Pid,
@@ -87,22 +81,6 @@ pub(crate) enum Action {
         /// The fault.
         error: MemError,
     },
-    /// Delivered data freed Incoming-FIFO space: pump the network.
-    PumpNetwork,
-}
-
-/// The ordered action list produced by [`Node::execute`].
-#[derive(Debug, Default)]
-pub(crate) struct NodeEffects {
-    /// Actions, in execution order.
-    pub actions: Vec<Action>,
-}
-
-impl NodeEffects {
-    /// Records an event push.
-    pub(crate) fn push_event(&mut self, at: SimTime, node: u16, ev: NodeEvent) {
-        self.actions.push(Action::Push { at, node, ev });
-    }
 }
 
 /// One node of the simulated multicomputer and its whole private
@@ -178,62 +156,62 @@ impl Node {
         self.sessions_opened - self.sessions_closed
     }
 
-    // ────────────────────── node-local event handling ─────────────────────
+    // ─────────────────────── node-side event halves ───────────────────────
 
-    /// Executes one node-local event, mutating only this node and
-    /// recording every external consequence into `fx` in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if handed a mesh-coupled event (`NicHousekeep`,
-    /// `DrainOutgoing`, `PopIncoming`) — those belong to the machine.
-    pub(crate) fn execute(
+    /// Schedules `ev` on this node at `at`.
+    fn push(&self, queue: &mut Scheduler<Event>, at: SimTime, ev: NodeEvent) {
+        queue.push(at, Event { node: self.id.0, ev });
+    }
+
+    /// Commits a finished EISA DMA burst to memory and invalidates the
+    /// cache lines it covers.
+    pub(crate) fn commit_dma(&mut self, addr: PhysAddr, data: Payload) {
+        self.mem
+            .write_bytes(addr, &data)
+            .expect("NIPT-checked delivery must be in range");
+        self.cache.snoop_invalidate(addr, data.len() as u64);
+    }
+
+    /// Handles a §4.4 kernel message and sends its replies `latency`
+    /// later.
+    pub(crate) fn kernel_msg(
         &mut self,
         t: SimTime,
-        ev: NodeEvent,
-        cfg: &MachineConfig,
-        fx: &mut NodeEffects,
+        msg: KernelMsg,
+        latency: SimDuration,
+        queue: &mut Scheduler<Event>,
     ) {
-        match ev {
-            NodeEvent::CpuStep => self.cpu_step(t, cfg, fx),
-            NodeEvent::DmaComplete { addr, data } => {
-                let len = data.len() as u64;
-                self.mem
-                    .write_bytes(addr, &data)
-                    .expect("NIPT-checked delivery must be in range");
-                self.cache.snoop_invalidate(addr, len);
-                // No src in this event; recorded at pop time instead.
-                fx.actions.push(Action::PumpNetwork);
+        let from = msg.from();
+        let (replies, scrub) = self.kernel.handle_msg(msg);
+        // Remove the NIPT out-segments that pointed at the
+        // invalidated remote frame.
+        if let KernelMsg::InvalidateNipt { from: requester, frame } = msg {
+            for src_frame in scrub {
+                self.scrub_segments(src_frame, requester, frame);
             }
-            NodeEvent::KernelMsg { msg } => {
-                let from = msg.from();
-                let (replies, scrub) = self.kernel.handle_msg(msg);
-                // Remove the NIPT out-segments that pointed at the
-                // invalidated remote frame.
-                if let KernelMsg::InvalidateNipt { from: requester, frame } = msg {
-                    for src_frame in scrub {
-                        self.scrub_segments(src_frame, requester, frame);
-                    }
-                }
-                self.tlb.flush();
-                let latency = cfg.kernel_msg_latency;
-                for reply in replies {
-                    fx.push_event(t + latency, from.0, NodeEvent::KernelMsg { msg: reply });
-                }
-            }
-            NodeEvent::NicHousekeep | NodeEvent::DrainOutgoing | NodeEvent::PopIncoming => {
-                unreachable!("mesh-coupled events are handled by the machine")
-            }
+        }
+        self.tlb.flush();
+        for reply in replies {
+            let ev = NodeEvent::KernelMsg { msg: reply };
+            queue.push(t + latency, Event { node: from.0, ev });
         }
     }
 
-    fn cpu_step(&mut self, t: SimTime, cfg: &MachineConfig, fx: &mut NodeEffects) {
+    /// Runs one CPU batch, pushing the CPU's own follow-up step. A trap
+    /// is left to the machine, which services it and then schedules the
+    /// NIC wakeups of every exit but [`CpuExit::Idle`].
+    pub(crate) fn cpu_step(
+        &mut self,
+        t: SimTime,
+        cfg: &MachineConfig,
+        queue: &mut Scheduler<Event>,
+    ) -> CpuExit {
         if t < self.cpu_busy_until {
-            return; // stale event
+            return CpuExit::Idle; // stale event
         }
         let (pid, until) = match self.sched.tick(t) {
             SchedDecision::Run { pid, until } => (pid, until),
-            SchedDecision::Idle => return,
+            SchedDecision::Idle => return CpuExit::Idle,
         };
         if self.running != Some(pid) {
             // Dispatching onto an idle CPU is free (nothing to save);
@@ -248,15 +226,15 @@ impl Node {
                 // The incoming process's quantum starts once the
                 // switch completes.
                 self.sched.restart_quantum(resume);
-                fx.push_event(resume, self.id.0, NodeEvent::CpuStep);
-                return;
+                self.push(queue, resume, NodeEvent::CpuStep);
+                return CpuExit::Idle;
             }
         }
 
         let Some(mut cpu) = self.cpus.remove(&pid) else {
             // No program loaded: drop from the scheduler.
             self.sched.remove(pid);
-            return;
+            return CpuExit::Idle;
         };
         let result = {
             let pages_per_node = cfg.pages_per_node;
@@ -264,7 +242,7 @@ impl Node {
             let Some(proc) = self.kernel.process(pid) else {
                 self.sched.remove(pid);
                 self.cpus.insert(pid, cpu);
-                return;
+                return CpuExit::Idle;
             };
             let mut bus = NodeBusView {
                 pt: proc.page_table(),
@@ -311,14 +289,14 @@ impl Node {
         match result {
             StepResult::Ran { completes_at } => {
                 self.cpu_busy_until = completes_at;
-                fx.push_event(completes_at, self.id.0, NodeEvent::CpuStep);
+                self.push(queue, completes_at, NodeEvent::CpuStep);
             }
             StepResult::Halted => {
                 self.sched.remove(pid);
                 self.running = None;
                 if halted {
                     // Another process may be runnable.
-                    fx.push_event(t, self.id.0, NodeEvent::CpuStep);
+                    self.push(queue, t, NodeEvent::CpuStep);
                 }
             }
             StepResult::Blocked => {
@@ -329,10 +307,9 @@ impl Node {
                     .map_or(t + SimDuration::from_ns(100), |r| {
                         r.max(t) + SimDuration::from_ns(10)
                     });
-                fx.push_event(retry, self.id.0, NodeEvent::CpuStep);
+                self.push(queue, retry, NodeEvent::CpuStep);
             }
             StepResult::Syscall { code, completes_at } => {
-                fx.actions.push(Action::Syscall { pid, code });
                 if code == 0 {
                     // exit()
                     self.sched.remove(pid);
@@ -340,16 +317,17 @@ impl Node {
                     if let Some(c) = self.cpus.get_mut(&pid) {
                         c.set_pc(usize::MAX - 1);
                     }
-                    fx.push_event(t, self.id.0, NodeEvent::CpuStep);
+                    self.push(queue, t, NodeEvent::CpuStep);
                 } else {
                     let resume = completes_at + cfg.fault_cost;
                     self.cpu_busy_until = resume;
-                    fx.push_event(resume, self.id.0, NodeEvent::CpuStep);
+                    self.push(queue, resume, NodeEvent::CpuStep);
                 }
+                return CpuExit::Syscall { pid, code };
             }
-            StepResult::Fault { error } => fx.actions.push(Action::Fault { pid, error }),
+            StepResult::Fault { error } => return CpuExit::Fault { pid, error },
         }
-        self.schedule_wakeups(t, fx);
+        CpuExit::Ran
     }
 
     /// Clears the NIPT out-segments on `src_frame` that point at
@@ -380,12 +358,12 @@ impl Node {
 
     // ────────────────────────── wakeup scheduling ─────────────────────────
 
-    /// Records deduplicated NIC wakeup events (housekeep / drain / pop)
+    /// Schedules deduplicated NIC wakeup events (housekeep / drain / pop)
     /// for whatever the NIC currently has pending. Returns true when the
     /// NIC has nothing pending at all — no deadline, no outgoing packet
     /// (ready now or later), no incoming delivery — which is the NIC
     /// half of the pump worklist's idle test (DESIGN.md §5j).
-    pub(crate) fn schedule_wakeups(&mut self, t: SimTime, fx: &mut NodeEffects) -> bool {
+    pub(crate) fn schedule_wakeups(&mut self, t: SimTime, queue: &mut Scheduler<Event>) -> bool {
         let housekeep = self.nic.next_deadline().map(|d| d.max(t));
         let outgoing = self.nic.outgoing_ready_at();
         let pop = self.nic.incoming_ready_at().map(|r| r.max(t));
@@ -394,26 +372,26 @@ impl Node {
         if let Some(at) = housekeep {
             if self.housekeep_wakeup.is_none_or(|w| at < w || w < t) {
                 self.housekeep_wakeup = Some(at);
-                fx.push_event(at, self.id.0, NodeEvent::NicHousekeep);
+                self.push(queue, at, NodeEvent::NicHousekeep);
             }
         }
         if let Some(at) = drain {
             if self.drain_wakeup.is_none_or(|w| at < w || w < t) {
                 self.drain_wakeup = Some(at);
-                fx.push_event(at, self.id.0, NodeEvent::DrainOutgoing);
+                self.push(queue, at, NodeEvent::DrainOutgoing);
             }
         }
         if let Some(at) = pop {
-            self.due_pop_wakeup(t, at, fx);
+            self.due_pop_wakeup(t, at, queue);
         }
         quiet
     }
 
-    /// Records a deduplicated PopIncoming wakeup at `at`.
-    pub(crate) fn due_pop_wakeup(&mut self, t: SimTime, at: SimTime, fx: &mut NodeEffects) {
+    /// Schedules a deduplicated PopIncoming wakeup at `at`.
+    pub(crate) fn due_pop_wakeup(&mut self, t: SimTime, at: SimTime, queue: &mut Scheduler<Event>) {
         if self.pop_wakeup.is_none_or(|w| at < w || w < t) {
             self.pop_wakeup = Some(at);
-            fx.push_event(at, self.id.0, NodeEvent::PopIncoming);
+            self.push(queue, at, NodeEvent::PopIncoming);
         }
     }
 
@@ -487,30 +465,16 @@ impl Node {
         self.mem
             .write_bytes(phys, data)
             .expect("a data frame lies inside installed DRAM");
-        debug_assert!(
-            self.next_event_time().is_none(),
-            "a bulk store must leave the NIC quiet"
-        );
+        debug_assert!(self.nic_quiet(), "a bulk store must leave the NIC quiet");
         Some(end)
     }
-}
 
-/// The node's NIC datapath as a passive component: earliest pending NIC
-/// work, and a way to bring the NIC forward in time.
-impl Component for Node {
-    fn next_event_time(&self) -> Option<SimTime> {
-        [
-            self.nic.next_deadline(),
-            self.nic.outgoing_ready_at(),
-            self.nic.incoming_ready_at(),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-    }
-
-    fn advance(&mut self, until: SimTime) {
-        self.nic.poll(until);
+    /// True when the NIC has no pending work: no deadline, no outgoing
+    /// packet and no incoming delivery.
+    pub(crate) fn nic_quiet(&self) -> bool {
+        self.nic.next_deadline().is_none()
+            && self.nic.outgoing_ready_at().is_none()
+            && self.nic.incoming_ready_at().is_none()
     }
 }
 

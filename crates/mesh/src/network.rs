@@ -160,9 +160,10 @@ pub struct MeshNetwork<P = Bytes> {
     /// routing and the bounce paths then replace static dimension-order.
     routes: Option<RouteColumns>,
     tracer: Tracer,
-    /// When on, reroute/bounce decisions made inside [`Component::advance`]
-    /// are logged here for the host's flight recorder to drain. Pure
-    /// observation: it never affects routing or timing.
+    /// When on, reroute/bounce decisions made inside
+    /// [`MeshNetwork::advance`] are logged here for the host's flight
+    /// recorder to drain. Pure observation: it never affects routing or
+    /// timing.
     flight_enabled: bool,
     flight_log: Vec<TraceEvent>,
     /// Nodes whose ejection buffer received a packet since the last
@@ -751,18 +752,6 @@ impl<P: MeshPayload> MeshNetwork<P> {
             *slot = Some(at);
             self.events.push(at, Event::Retry { node });
         }
-    }
-}
-
-/// The mesh as a passive time-advancing component: the machine's run
-/// loop interleaves it with scheduler events through this interface.
-impl<P: MeshPayload> shrimp_sim::Component for MeshNetwork<P> {
-    fn next_event_time(&self) -> Option<SimTime> {
-        MeshNetwork::next_event_time(self)
-    }
-
-    fn advance(&mut self, until: SimTime) {
-        MeshNetwork::advance(self, until);
     }
 }
 

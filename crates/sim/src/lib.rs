@@ -55,7 +55,7 @@ pub use profile::{EnginePhase, EngineProfileReport, EngineProfiler};
 pub use recorder::{FlightEntry, FlightRecorder};
 pub use resource::{BandwidthResource, SerialResource};
 pub use rng::SimRng;
-pub use sched::{step, Component, Scheduler, SimHost, StepBound, StepOutcome};
+pub use sched::Scheduler;
 pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
 pub use trace::{ComponentId, TelemetryConfig, TraceData, TraceEvent, TraceLevel, Tracer};

@@ -23,6 +23,7 @@ use shrimp::nic::nic::NicStats;
 use shrimp::nic::{RetxConfig, UpdatePolicy};
 use shrimp::sim::fault::{FaultConfig, LinkChurnConfig, LinkFaultConfig, NicFaultConfig};
 use shrimp::sim::SimDuration;
+use shrimp::workload::delivery_hash;
 use shrimp::{DeliveryRecord, Machine, MachineConfig, MapRequest};
 
 /// Everything externally observable about one finished run, including
@@ -284,28 +285,9 @@ fn zero_fault_run_matches_pinned_baseline() {
     // FNV-1a over every delivery record, pinned from the pre-fault tree.
     assert_eq!(
         delivery_hash(&obs.deliveries),
-        0x5aa8_a3a8_ba18_2915,
+        0x3081_e8c4_022f_a6e8,
         "delivery records drifted"
     );
-}
-
-/// FNV-1a over every field of every delivery record — one number that
-/// captures the exact content *and order* of the delivery log.
-fn delivery_hash(deliveries: &[DeliveryRecord]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for d in deliveries {
-        for v in [
-            d.time.as_picos(),
-            d.node.0 as u64,
-            d.dst_addr.raw(),
-            d.len,
-            d.src.0 as u64,
-        ] {
-            h ^= v;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// Shared body of the chaos soaks: run the mixed workload under the
@@ -454,7 +436,7 @@ fn ring_2x2_matches_pinned_values() {
     assert_eq!(m.deliveries().len(), 16);
     assert_eq!(
         delivery_hash(m.deliveries()),
-        0xfd00_2c8c_9caa_a81d,
+        0x5f19_614f_a09d_a6a1,
         "ring delivery records drifted"
     );
     assert_eq!(m.events_processed(), 100);
@@ -473,7 +455,7 @@ fn faulted_run_matches_pinned_values() {
     assert_eq!(obs.deliveries.len(), 48);
     assert_eq!(
         delivery_hash(&obs.deliveries),
-        0x3893_19f0_f2e2_ee1d,
+        0xf25b_6b75_36a5_06f6,
         "faulted delivery records drifted"
     );
     assert_eq!(obs.events_processed, 242);
@@ -655,7 +637,7 @@ fn churned_run_matches_pinned_values() {
     assert_eq!(obs.deliveries.len(), 40);
     assert_eq!(
         delivery_hash(&obs.deliveries),
-        0x1862_9020_7b09_d5df,
+        0x77b7_d149_8905_e347,
         "churned delivery records drifted"
     );
     assert_eq!(obs.events_processed, 166);

@@ -11,26 +11,8 @@ use shrimp::mesh::{MeshShape, NodeId};
 use shrimp::nic::UpdatePolicy;
 use shrimp::sim::trace::TraceData;
 use shrimp::sim::TelemetryConfig;
+use shrimp::workload::delivery_hash;
 use shrimp::{Machine, MachineConfig, MapRequest};
-
-/// FNV-1a over the delivery log — the fingerprint the determinism
-/// suite uses.
-fn delivery_hash(m: &Machine) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for d in m.deliveries() {
-        for v in [
-            d.time.as_picos(),
-            d.node.0 as u64,
-            d.dst_addr.raw(),
-            d.len,
-            d.src.0 as u64,
-        ] {
-            h ^= v;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// A fully symmetric ring stream on a `dim`×`dim` mesh: every node runs
 /// the deliberate-update stream program to its ring successor, all
@@ -117,7 +99,11 @@ fn profiling_and_recorder_are_perturbation_free() {
         cfg.telemetry.profile = true;
         cfg.telemetry.flight_recorder = 256;
     });
-    assert_eq!(delivery_hash(&base), delivery_hash(&observed), "deliveries perturbed");
+    assert_eq!(
+        delivery_hash(base.deliveries()),
+        delivery_hash(observed.deliveries()),
+        "deliveries perturbed"
+    );
     assert_eq!(base.events_processed(), observed.events_processed(), "event count perturbed");
     assert_eq!(base.now(), observed.now(), "final time perturbed");
     assert_eq!(
@@ -140,7 +126,11 @@ fn profiling_and_recorder_are_perturbation_free() {
 fn pump_visits_only_active_nodes() {
     let plain = run_ring(32, 1, |cfg| cfg.telemetry.profile = false);
     let profiled = run_ring(32, 1, |cfg| cfg.telemetry.profile = true);
-    assert_eq!(delivery_hash(&plain), delivery_hash(&profiled), "deliveries perturbed");
+    assert_eq!(
+        delivery_hash(plain.deliveries()),
+        delivery_hash(profiled.deliveries()),
+        "deliveries perturbed"
+    );
     assert_eq!(
         plain.metrics_snapshot().to_json(),
         profiled.metrics_snapshot().to_json(),
@@ -174,7 +164,11 @@ fn pump_visits_only_active_nodes() {
 fn ring_4x4_matches_pinned_values() {
     let m = run_ring(4, 2, |_| {});
     assert_eq!(m.deliveries().len(), 32);
-    assert_eq!(delivery_hash(&m), 0xcfd2_1ce8_39f0_ee4d, "ring delivery records drifted");
+    assert_eq!(
+        delivery_hash(m.deliveries()),
+        0xae1c_f8c2_eac6_6a01,
+        "ring delivery records drifted"
+    );
     assert_eq!(m.events_processed(), 208);
 }
 
