@@ -11,12 +11,14 @@
 //! profile (`engine.profile.*`, which varies run to run) both land in
 //! the metrics file (default `BENCH_profview.metrics.json`).
 //!
-//! `--overhead-budget PCT` additionally times seven pairs of ~250 ms
-//! batched regions, one with profiling off and one with it on,
-//! alternating which side of a pair runs first. It verifies that the
-//! two sides are byte-identical in simulation outcome, prints every
-//! pair's overhead with the quartiles, and fails when the median
-//! overhead exceeds PCT percent.
+//! `--overhead-budget PCT` additionally times adjacent pairs of single
+//! runs, one with profiling off and one with it on, alternating which
+//! side of a pair runs first, for about 3.5 s. It verifies that the two
+//! sides of every pair are byte-identical in simulation outcome, prints
+//! the pair count, the median overhead and its quartiles, and fails
+//! when the median exceeds PCT percent.
+
+use std::time::{Duration, Instant};
 
 use shrimp_bench::{banner, write_metrics};
 use shrimp_sim::MetricsRegistry;
@@ -63,23 +65,17 @@ fn parse_args() -> Args {
     }
 }
 
-/// Off/on region pairs the overhead gate times.
-const PAIRS: usize = 7;
+/// Wall clock the overhead gate spends on its off/on pairs, in seconds.
+const GATE_SECONDS: f64 = 3.5;
 
-/// Wall clock of one timed region of `iters` back-to-back scenario
-/// runs, and the last run's delivery hash. A single short scenario is
-/// scheduler noise all the way down; ~quarter-second regions are not.
-fn region(sc: &Scenario, profile: bool, iters: usize) -> (std::time::Duration, u64) {
-    let t0 = std::time::Instant::now();
-    let mut hash = 0;
-    for _ in 0..iters {
-        let (r, _) = run_scenario_tuned(sc, None, |cfg| {
-            cfg.telemetry.profile = profile;
-        })
-        .expect("scenario completes");
-        hash = r.delivery_hash;
-    }
-    (t0.elapsed(), hash)
+/// Wall clock of one scenario run and its delivery hash.
+fn timed_run(sc: &Scenario, profile: bool) -> (Duration, u64) {
+    let t0 = Instant::now();
+    let (r, _) = run_scenario_tuned(sc, None, |cfg| {
+        cfg.telemetry.profile = profile;
+    })
+    .expect("scenario completes");
+    (t0.elapsed(), r.delivery_hash)
 }
 
 fn main() {
@@ -89,7 +85,7 @@ fn main() {
     let sc = Scenario::parse(&text).unwrap_or_else(|e| panic!("parse {}: {e}", args.scenario));
 
     banner(format!("Engine profile: scenario `{}`", sc.name));
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let (report, machine) = run_scenario_tuned(&sc, None, |cfg| {
         cfg.telemetry.profile = true;
     })
@@ -131,35 +127,31 @@ fn main() {
 
     if let Some(budget) = args.overhead_budget {
         banner(format!("Overhead budget: profiling must cost <= {budget}%"));
-        // Size regions to ~250 ms using the wall clock of the profiled
-        // run above, so short scenarios get enough repetitions to
-        // average out scheduler noise.
-        let iters = ((0.25 / wall.as_secs_f64().max(1e-4)).ceil() as usize).clamp(1, 200);
-        let mut overheads = Vec::with_capacity(PAIRS);
-        for pair in 0..PAIRS {
-            // Alternating the order cancels host-speed drift within a
-            // pair (a neighbour's load, frequency scaling).
-            let on_first = pair % 2 == 1;
-            let first = region(&sc, on_first, iters);
-            let second = region(&sc, !on_first, iters);
+        // Adjacent single runs see the same host state, so each pair's
+        // ratio is the profiler's cost plus that pair's noise; the
+        // median over hundreds of pairs rejects the noise. Alternating
+        // the order cancels host-speed drift within a pair.
+        let gate = Instant::now();
+        let mut overheads = Vec::new();
+        while gate.elapsed().as_secs_f64() < GATE_SECONDS {
+            let on_first = overheads.len() % 2 == 1;
+            let first = timed_run(&sc, on_first);
+            let second = timed_run(&sc, !on_first);
             let ((off, hash_off), (on, hash_on)) =
                 if on_first { (second, first) } else { (first, second) };
             assert_eq!(
                 hash_off, hash_on,
                 "profiling perturbed the simulation (delivery hash drifted)"
             );
-            let overhead = (on.as_secs_f64() / off.as_secs_f64() - 1.0) * 100.0;
-            let order = if on_first { "on first " } else { "off first" };
-            println!(
-                "pair {pair} ({order}, {iters} runs per region): profile off {off:.2?}, \
-                 on {on:.2?} — overhead {overhead:+.2}%"
-            );
-            overheads.push(overhead);
+            overheads.push((on.as_secs_f64() / off.as_secs_f64() - 1.0) * 100.0);
         }
         overheads.sort_by(f64::total_cmp);
-        // Seven values: the quartiles are the 2nd, 4th and 6th.
-        let (q1, overhead, q3) = (overheads[1], overheads[3], overheads[5]);
-        println!("overhead median {overhead:+.2}% (quartiles {q1:+.2}% .. {q3:+.2}%)");
+        let quantile = |q: f64| overheads[((overheads.len() - 1) as f64 * q).round() as usize];
+        let (q1, overhead, q3) = (quantile(0.25), quantile(0.5), quantile(0.75));
+        println!(
+            "{} off/on pairs: overhead median {overhead:+.2}% (quartiles {q1:+.2}% .. {q3:+.2}%)",
+            overheads.len()
+        );
         if overhead > budget {
             eprintln!("FAIL: median profiling overhead {overhead:.2}% exceeds budget {budget}%");
             std::process::exit(1);

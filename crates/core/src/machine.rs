@@ -20,6 +20,9 @@
 //!    `CMPXCHG` against a command page and stream a page through the same
 //!    outgoing datapath.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use shrimp_cpu::{Cpu, Program, Reg};
 use shrimp_mem::{CacheMode, MemError, PageNum, PhysAddr, VirtAddr, PAGE_SIZE, WORD_SIZE};
 use shrimp_mesh::{MeshNetwork, NodeId};
@@ -34,7 +37,7 @@ use shrimp_sim::{
 
 use crate::config::MachineConfig;
 use crate::error::MachineError;
-use crate::node::{CpuExit, Event, Node, NodeEvent};
+use crate::node::{CpuExit, Event, NicWork, Node, NodeEvent};
 
 /// Identifies one established mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -160,19 +163,55 @@ impl MachineTelemetry {
     }
 }
 
-/// The pump worklist: one bit per node that may have network work
-/// (DESIGN.md §5j), iterated in ascending node id.
+/// The pump worklist: one bit per node whose next visit may do work
+/// (DESIGN.md §5j), iterated in ascending node id, plus the timed wakes
+/// that put a node back when its next outgoing packet becomes ready.
 #[derive(Debug)]
 struct ActiveNodes {
     words: Vec<u64>,
+    /// Min-heap of `(instant, node)` wakes; stale entries only cost a
+    /// no-op visit.
+    wakes: BinaryHeap<Reverse<(SimTime, u16)>>,
+    /// Each node's earliest pending wake, so a covered wake is not
+    /// pushed again.
+    next_wake: Vec<Option<SimTime>>,
 }
 
 impl ActiveNodes {
-    /// A set of `n` nodes, all active.
+    /// A set of `n` nodes, all active, with room for one wake per node.
     fn all(n: usize) -> Self {
-        let mut set = ActiveNodes { words: vec![0; n.div_ceil(64)] };
+        let mut set = ActiveNodes {
+            words: vec![0; n.div_ceil(64)],
+            wakes: BinaryHeap::with_capacity(n),
+            next_wake: vec![None; n],
+        };
         set.mark_all(n);
         set
+    }
+
+    /// Puts `node` back on the worklist at the first pump at or after
+    /// `at`, unless a wake no later than `at` is pending.
+    fn wake_at(&mut self, node: u16, at: SimTime) {
+        let next = &mut self.next_wake[node as usize];
+        if next.is_none_or(|w| at < w) {
+            *next = Some(at);
+            self.wakes.push(Reverse((at, node)));
+        }
+    }
+
+    /// Marks every node whose wake is due by `t`.
+    fn wake_due(&mut self, t: SimTime) {
+        while let Some(&Reverse((at, node))) = self.wakes.peek() {
+            if at > t {
+                break;
+            }
+            self.wakes.pop();
+            let next = &mut self.next_wake[node as usize];
+            if *next == Some(at) {
+                *next = None;
+            }
+            self.mark(node);
+        }
     }
 
     fn mark_all(&mut self, n: usize) {
@@ -259,8 +298,8 @@ pub struct Machine {
     /// Reused buffer for draining the mesh's flight log (avoids a
     /// mesh/recorder double borrow and steady-state allocation).
     scratch_flight: Vec<TraceEvent>,
-    /// Nodes the next network pump must visit; every other node is
-    /// fully idle, so visiting it would be a no-op (DESIGN.md §5j).
+    /// Nodes the next network pump must visit; a visit to any other
+    /// node would be a no-op (DESIGN.md §5j).
     active: ActiveNodes,
 }
 
@@ -1097,19 +1136,24 @@ impl Machine {
 
     /// Delivers due ejections, drains Outgoing FIFOs into the mesh and
     /// collects interrupts on every node of the active worklist, in
-    /// ascending node id. Runs after every mesh advance and after every
+    /// ascending node id, after first putting back the nodes whose
+    /// timed wake is due. Runs after every mesh advance and after every
     /// `DmaComplete`; the run loops interleave mesh events natively, so
     /// no wakeup needs to be scheduled here.
     ///
-    /// Nodes off the worklist are fully idle — no outgoing packet, NIC
-    /// deadline or incoming delivery, and an empty ejection buffer — so
-    /// their visit would do nothing; skipping them keeps every visit
-    /// that still happens in its old order (DESIGN.md §5j). A visit
-    /// touches only its own node and the mesh's injection side, so no
-    /// node joins the worklist mid-pump.
+    /// A node stays on the worklist only while an ejection is queued
+    /// for it or an outgoing packet is ready now (held back by the mesh,
+    /// a full go-back-N window or a pending resend). Leaving with a
+    /// packet ready later, it is woken at that instant; its deadlines
+    /// and incoming pops mark it through their own events. A skipped
+    /// node's visit would do nothing, so every visit that still happens
+    /// runs in its old order (DESIGN.md §5j). A visit touches only its
+    /// own node and the mesh's injection side, so no node joins the
+    /// worklist mid-pump.
     fn pump_network(&mut self, t: SimTime) {
+        self.active.wake_due(t);
         #[cfg(debug_assertions)]
-        self.assert_skipped_nodes_idle();
+        self.assert_skipped_visits_are_no_ops(t);
         let mut visits = 0u64;
         for w in 0..self.active.words.len() {
             let mut bits = self.active.words[w];
@@ -1118,10 +1162,13 @@ impl Machine {
                 bits &= bits - 1;
                 let id = NodeId(node);
                 self.deliver_ejections(t, id);
-                let nic_quiet = self.drain_outgoing(t, id);
+                let outgoing = self.drain_outgoing(t, id);
                 self.collect_interrupts(t, id);
-                if nic_quiet && self.mesh.peek_ejection(id).is_none() {
+                if outgoing.is_none_or(|r| r > t) && self.mesh.peek_ejection(id).is_none() {
                     self.active.clear(node);
+                    if let Some(r) = outgoing {
+                        self.active.wake_at(node, r);
+                    }
                 }
                 visits += 1;
             }
@@ -1129,17 +1176,36 @@ impl Machine {
         self.profiler.note_pump_visits(visits);
     }
 
-    /// The worklist invariant: every node a pump skips is fully idle.
+    /// The worklist invariant: a visit to any node the pump at `t`
+    /// skips would be a no-op. Nothing is ejected or injected, no
+    /// wakeup is pushed and no interrupt is collected.
     #[cfg(debug_assertions)]
-    fn assert_skipped_nodes_idle(&self) {
+    fn assert_skipped_visits_are_no_ops(&self, t: SimTime) {
         for (i, n) in self.nodes.iter().enumerate() {
             let id = NodeId(i as u16);
-            if !self.active.contains(id.0) {
-                assert!(
-                    n.nic_quiet() && self.mesh.peek_ejection(id).is_none(),
-                    "{id:?} is off the pump worklist but has network work"
-                );
+            if self.active.contains(id.0) {
+                continue;
             }
+            let woken_by = |r| self.active.next_wake[i].is_some_and(|w| w <= r);
+            assert!(
+                self.mesh.peek_ejection(id).is_none(),
+                "{id:?} is off the pump worklist with an ejection queued"
+            );
+            assert!(
+                n.nic
+                    .outgoing_ready_at()
+                    .is_none_or(|r| r > t && woken_by(r)),
+                "{id:?} is off the pump worklist with an outgoing packet ready \
+                 by {t:?} or no wake before it"
+            );
+            assert!(
+                n.wakeups_covered(t),
+                "{id:?} is off the pump worklist with a NIC wakeup to push"
+            );
+            assert!(
+                !n.nic.has_pending_interrupts(),
+                "{id:?} is off the pump worklist with an interrupt to collect"
+            );
         }
     }
 
@@ -1182,9 +1248,9 @@ impl Machine {
     }
 
     /// Injects every ready Outgoing-FIFO packet the mesh accepts, then
-    /// schedules the node's wakeups. Returns true when the NIC has no
-    /// pending work at all (see [`Node::schedule_wakeups`]).
-    fn drain_outgoing(&mut self, t: SimTime, node: NodeId) -> bool {
+    /// schedules the node's wakeups. Returns when the head outgoing
+    /// packet left behind is ready, if any (see [`Node::schedule_wakeups`]).
+    fn drain_outgoing(&mut self, t: SimTime, node: NodeId) -> Option<SimTime> {
         loop {
             if !self.mesh.can_inject(node) {
                 // Mesh backpressure: retried on the next mesh event.
@@ -1231,7 +1297,7 @@ impl Machine {
                 None => break,
             }
         }
-        self.schedule_node_wakeups(t, node)
+        self.schedule_node_wakeups(t, node).outgoing
     }
 
     fn pop_incoming(&mut self, t: SimTime, node: NodeId) {
@@ -1334,7 +1400,7 @@ impl Machine {
         }
     }
 
-    fn schedule_node_wakeups(&mut self, t: SimTime, node: NodeId) -> bool {
+    fn schedule_node_wakeups(&mut self, t: SimTime, node: NodeId) -> NicWork {
         self.nodes[node.0 as usize].schedule_wakeups(t, &mut self.sched)
     }
 
@@ -1476,7 +1542,7 @@ impl Machine {
         let pages_per_node = self.config.pages_per_node;
         let done =
             self.nodes[node.0 as usize].store_word_through(t, pid, va, value, pages_per_node)?;
-        let nic_quiet = self.schedule_node_wakeups(t, node);
+        let nic_quiet = self.schedule_node_wakeups(t, node).quiet;
         Ok((done, nic_quiet))
     }
 

@@ -83,6 +83,23 @@ pub(crate) enum CpuExit {
     },
 }
 
+/// The NIC work [`Node::schedule_wakeups`] found pending.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NicWork {
+    /// No deadline, no outgoing packet (ready now or later) and no
+    /// incoming delivery.
+    pub(crate) quiet: bool,
+    /// When the head outgoing packet is ready for injection, if any
+    /// ([`NetworkInterface::outgoing_ready_at`]).
+    pub(crate) outgoing: Option<SimTime>,
+}
+
+/// Whether a pending wakeup at `w` covers work due at `at`, so a visit
+/// at `t` need push no new one: it has not fired yet and is no later.
+fn covered(w: Option<SimTime>, at: SimTime, t: SimTime) -> bool {
+    w.is_some_and(|w| t <= w && w <= at)
+}
+
 /// One node of the simulated multicomputer and its whole private
 /// datapath.
 #[derive(Debug)]
@@ -359,24 +376,23 @@ impl Node {
     // ────────────────────────── wakeup scheduling ─────────────────────────
 
     /// Schedules deduplicated NIC wakeup events (housekeep / drain / pop)
-    /// for whatever the NIC currently has pending. Returns true when the
-    /// NIC has nothing pending at all — no deadline, no outgoing packet
-    /// (ready now or later), no incoming delivery — which is the NIC
-    /// half of the pump worklist's idle test (DESIGN.md §5j).
-    pub(crate) fn schedule_wakeups(&mut self, t: SimTime, queue: &mut Scheduler<Event>) -> bool {
+    /// for whatever the NIC currently has pending, and reports what it
+    /// read: whether the NIC is quiet, and when its head outgoing packet
+    /// is ready (the pump worklist's leave test, DESIGN.md §5j).
+    pub(crate) fn schedule_wakeups(&mut self, t: SimTime, queue: &mut Scheduler<Event>) -> NicWork {
         let housekeep = self.nic.next_deadline().map(|d| d.max(t));
         let outgoing = self.nic.outgoing_ready_at();
         let pop = self.nic.incoming_ready_at().map(|r| r.max(t));
         let quiet = housekeep.is_none() && outgoing.is_none() && pop.is_none();
         let drain = outgoing.filter(|&r| r > t);
         if let Some(at) = housekeep {
-            if self.housekeep_wakeup.is_none_or(|w| at < w || w < t) {
+            if !covered(self.housekeep_wakeup, at, t) {
                 self.housekeep_wakeup = Some(at);
                 self.push(queue, at, NodeEvent::NicHousekeep);
             }
         }
         if let Some(at) = drain {
-            if self.drain_wakeup.is_none_or(|w| at < w || w < t) {
+            if !covered(self.drain_wakeup, at, t) {
                 self.drain_wakeup = Some(at);
                 self.push(queue, at, NodeEvent::DrainOutgoing);
             }
@@ -384,15 +400,29 @@ impl Node {
         if let Some(at) = pop {
             self.due_pop_wakeup(t, at, queue);
         }
-        quiet
+        NicWork { quiet, outgoing }
     }
 
     /// Schedules a deduplicated PopIncoming wakeup at `at`.
     pub(crate) fn due_pop_wakeup(&mut self, t: SimTime, at: SimTime, queue: &mut Scheduler<Event>) {
-        if self.pop_wakeup.is_none_or(|w| at < w || w < t) {
+        if !covered(self.pop_wakeup, at, t) {
             self.pop_wakeup = Some(at);
             self.push(queue, at, NodeEvent::PopIncoming);
         }
+    }
+
+    /// True when [`Node::schedule_wakeups`] at `t` would push nothing:
+    /// the NIC's deadline, its later-ready outgoing packet and its
+    /// incoming delivery are each covered by their pending wakeup.
+    #[cfg(debug_assertions)]
+    pub(crate) fn wakeups_covered(&self, t: SimTime) -> bool {
+        let housekeep = self.nic.next_deadline().map(|d| d.max(t));
+        let drain = self.nic.outgoing_ready_at().filter(|&r| r > t);
+        let pop = self.nic.incoming_ready_at().map(|r| r.max(t));
+        let due = |w, at: Option<SimTime>| at.is_none_or(|at| covered(w, at, t));
+        due(self.housekeep_wakeup, housekeep)
+            && due(self.drain_wakeup, drain)
+            && due(self.pop_wakeup, pop)
     }
 
     // ──────────────────────── host-facing datapath ────────────────────────

@@ -283,4 +283,9 @@ impl NetworkInterface {
     pub fn take_interrupts(&mut self) -> Vec<NicInterrupt> {
         std::mem::take(&mut self.interrupts)
     }
+
+    /// True while raised interrupts wait for [`NetworkInterface::take_interrupts`].
+    pub fn has_pending_interrupts(&self) -> bool {
+        !self.interrupts.is_empty()
+    }
 }

@@ -10,8 +10,8 @@ use shrimp::mem::PAGE_SIZE;
 use shrimp::mesh::{MeshShape, NodeId};
 use shrimp::nic::UpdatePolicy;
 use shrimp::sim::trace::TraceData;
-use shrimp::sim::TelemetryConfig;
-use shrimp::workload::delivery_hash;
+use shrimp::sim::{EngineProfileReport, TelemetryConfig};
+use shrimp::workload::{delivery_hash, run_scenario_tuned, Scenario};
 use shrimp::{Machine, MachineConfig, MapRequest};
 
 /// A fully symmetric ring stream on a `dim`×`dim` mesh: every node runs
@@ -85,6 +85,17 @@ fn run_ring(dim: u16, pages: u64, tune: impl FnOnce(&mut MachineConfig)) -> Mach
     m
 }
 
+/// Network pumps the profile counted, after mesh advances and after
+/// `DmaComplete`s alike.
+fn mesh_pumps(report: &EngineProfileReport) -> u64 {
+    report
+        .phases
+        .iter()
+        .find(|(name, _, _)| *name == "mesh_pump")
+        .map(|&(_, _, calls)| calls)
+        .expect("mesh_pump phase")
+}
+
 /// Profiling and flight recording fully on must not change a single
 /// observable byte relative to both fully off — including the metrics
 /// snapshot, which must never carry wall-clock data.
@@ -142,18 +153,50 @@ fn pump_visits_only_active_nodes() {
     );
 
     let report = profiled.profile().expect("profiling on");
-    let pumps = report
-        .phases
-        .iter()
-        .find(|(name, _, _)| *name == "mesh_pump")
-        .map(|&(_, _, calls)| calls)
-        .expect("mesh_pump phase");
+    let pumps = mesh_pumps(&report);
     // Every delivery's DmaComplete pumps once, on top of the mesh pumps.
     assert!(pumps > profiled.deliveries().len() as u64, "DmaComplete pumps are counted");
     let per_pump = report.pump_node_visits as f64 / pumps as f64;
     assert!(
         per_pump < 64.0,
         "mean {per_pump:.1} node visits per pump on a 1024-node ring"
+    );
+}
+
+/// On the session mix a node leaves the pump worklist once no network
+/// work is due now, and a timed wake brings it back (DESIGN.md §5j):
+/// a pump visits about one node, where polling every node with any
+/// pending NIC work visited 2.7. The run is byte-identical with the
+/// profiler on and off.
+#[test]
+fn session_pumps_visit_few_nodes() {
+    let path = format!("{}/scenarios/mixed.shrimp", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let sc = Scenario::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
+    let run = |profile: bool| {
+        run_scenario_tuned(&sc, None, |cfg| cfg.telemetry.profile = profile).expect("mixed")
+    };
+    let (plain, _) = run(false);
+    let (profiled, m) = run(true);
+    assert_eq!(
+        plain.delivery_hash, profiled.delivery_hash,
+        "deliveries perturbed"
+    );
+    assert_eq!(
+        plain.events_processed, profiled.events_processed,
+        "event count perturbed"
+    );
+    assert_eq!(
+        plain.metrics.to_json(),
+        profiled.metrics.to_json(),
+        "metrics perturbed"
+    );
+
+    let report = m.profile().expect("profiling on");
+    let per_pump = report.pump_node_visits as f64 / mesh_pumps(&report) as f64;
+    assert!(
+        per_pump <= 1.5,
+        "mean {per_pump:.2} node visits per pump on the session mix"
     );
 }
 
