@@ -736,9 +736,12 @@ impl Machine {
 
     /// Writes bytes through the full store datapath (translation, cache,
     /// bus, NIC snooping) at the current time, word by word. Advances
-    /// simulated time past the last bus transaction. The rest of a page
-    /// the NIC ignores is committed in one step after the page's first
-    /// word, bit-identical to the word loop (DESIGN.md §5k).
+    /// simulated time past the last bus transaction. After each page's
+    /// first word, the rest of the page is committed in one step,
+    /// bit-identical to the word loop, when the NIC is quiet and ignores
+    /// it, or when every word joins the open automatic blocked-write
+    /// packet; the merged run pushes the same housekeep events the words
+    /// would (DESIGN.md §5k).
     ///
     /// # Errors
     ///
@@ -768,14 +771,19 @@ impl Machine {
             let run_len = ((PAGE_SIZE - addr.offset()) as usize).min(data.len() - pos);
             let run = &data[pos..pos + run_len];
             pos += run_len;
-            let (done, nic_quiet) = self.store_through(node, pid, t, addr, word(&run[..4]))?;
+            let (done, quiet) = self.store_through(node, pid, t, addr, word(&run[..4]))?;
             t = done;
             let rest = &run[4..];
             let rest_va = addr.add(WORD_SIZE);
-            if nic_quiet && !rest.is_empty() {
-                if let Some(done) =
-                    self.nodes[node.0 as usize].store_run_bulk(t, rest_va, rest, pages_per_node)
-                {
+            if !rest.is_empty() {
+                if let Some(done) = self.nodes[node.0 as usize].store_run_bulk(
+                    t,
+                    rest_va,
+                    rest,
+                    quiet,
+                    pages_per_node,
+                    &mut self.sched,
+                ) {
                     t = done;
                     continue;
                 }

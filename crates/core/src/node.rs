@@ -462,20 +462,25 @@ impl Node {
 
     /// The rest of a host-store page run in one step (DESIGN.md §5k):
     /// `data` is every word of the page after the first, which
-    /// [`Node::store_word_through`] has just stored at `va - 4`, leaving
-    /// the NIC quiet. Returns the end of the last bus write when every
-    /// word would only repeat that first word's effects, and `None`,
-    /// having changed nothing, when the run must go word by word.
+    /// [`Node::store_word_through`] has just stored at `va - 4`, ending
+    /// at `t` and leaving the NIC `quiet` or not. Returns the end of the
+    /// last bus write when every word would only repeat that first
+    /// word's effects: the NIC captures none of them and is quiet, or
+    /// each joins the open blocked-write packet
+    /// ([`NetworkInterface::merge_run`]). Returns `None`, having changed
+    /// nothing, when the run must go word by word.
     pub(crate) fn store_run_bulk(
         &mut self,
         t: SimTime,
         va: VirtAddr,
         data: &[u8],
+        quiet: bool,
         pages_per_node: u64,
+        queue: &mut Scheduler<Event>,
     ) -> Option<SimTime> {
         // Check everything first: the page is the TLB's MRU entry, so
-        // every word's lookup would hit it; it is a writable,
-        // write-through data page; and no word is one the NIC captures.
+        // every word's lookup would hit it, and it is a writable,
+        // write-through data page.
         let (vpn, frame, flags) = self.tlb.mru()?;
         let phys = frame.at_offset(va.offset());
         let len = data.len() as u64;
@@ -483,10 +488,29 @@ impl Node {
             || !flags.protection.allows_write()
             || flags.cache_mode != CacheMode::WriteThrough
             || frame.raw() >= pages_per_node
-            || self.nic.nipt().capture(phys, len).is_some()
         {
             return None;
         }
+        let merge = if self.nic.nipt().capture(phys, len).is_some() {
+            // Every word joins the open packet, and its wakeups would
+            // push no drain or pop event: no delivery is pending, and an
+            // outgoing packet ready after `t` already has its drain
+            // wakeup. `merge_run` checks the rest, then appends. Word
+            // `k` ends its bus write at `start + (k + 1) * step`.
+            let (start, step) = (t.max(self.xpress.free_at()), self.xpress.word_time());
+            let outgoing = self.nic.outgoing_ready_at();
+            if self.nic.incoming_ready_at().is_some()
+                || outgoing.is_some_and(|r| r > t && self.drain_wakeup != Some(r))
+                || !self.nic.merge_run(phys, data, start + step, step)
+            {
+                return None;
+            }
+            Some((start, step))
+        } else if quiet {
+            None
+        } else {
+            return None;
+        };
         // Then commit; nothing below can fail.
         let words = len / WORD_SIZE;
         self.tlb.count_mru_hits(words);
@@ -495,8 +519,47 @@ impl Node {
         self.mem
             .write_bytes(phys, data)
             .expect("a data frame lies inside installed DRAM");
-        debug_assert!(self.nic_quiet(), "a bulk store must leave the NIC quiet");
+        match merge {
+            Some((start, step)) => self.replay_merge_housekeeps(t, start, step, words, queue),
+            None => debug_assert!(self.nic_quiet(), "a bulk store must leave the NIC quiet"),
+        }
         Some(end)
+    }
+
+    /// Pushes the `NicHousekeep` events that [`Node::schedule_wakeups`]
+    /// would push after each of `n` merged words (DESIGN.md §5k). Word
+    /// `k` is scheduled at its request time, `t` for the first and the
+    /// previous word's bus end after that, and finds the merge deadline
+    /// at its own bus end, `start + (k + 1) * step`, plus the window.
+    /// Each visited word applies the `covered` rule; the words skipped
+    /// between them are requested no later than the pending wakeup,
+    /// which is no later than their deadline, so they are covered.
+    fn replay_merge_housekeeps(
+        &mut self,
+        t: SimTime,
+        start: SimTime,
+        step: SimDuration,
+        n: u64,
+        queue: &mut Scheduler<Event>,
+    ) {
+        let window = self.nic.config().merge_window;
+        let request = |k: u64| if k == 0 { t } else { start + step * k };
+        let mut k = 0;
+        while k < n {
+            let at = start + step * (k + 1) + window;
+            if !covered(self.housekeep_wakeup, at, request(k)) {
+                self.housekeep_wakeup = Some(at);
+                self.push(queue, at, NodeEvent::NicHousekeep);
+            }
+            // The next word requested after the pending wakeup.
+            let w = self.housekeep_wakeup.expect("set or covered above");
+            k = (k + 1).max(w.saturating_since(start).as_picos() / step.as_picos() + 1);
+        }
+        #[cfg(debug_assertions)]
+        assert!(
+            self.wakeups_covered(request(n - 1)),
+            "a merged run must leave the wakeups as the word loop does"
+        );
     }
 
     /// True when the NIC has no pending work: no deadline, no outgoing

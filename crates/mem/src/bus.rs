@@ -10,7 +10,7 @@
 use shrimp_sim::resource::Grant;
 use shrimp_sim::{BandwidthResource, SimDuration, SimTime};
 
-use crate::addr::PhysAddr;
+use crate::addr::{PhysAddr, WORD_SIZE};
 
 /// Who initiated a bus transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,6 +149,12 @@ impl XpressBus {
         self.resource.transfer_run(now, n, len)
     }
 
+    /// The service time of one word transaction, overhead included: how
+    /// far apart the writes of a [`XpressBus::write_run`] of words end.
+    pub fn word_time(&self) -> SimDuration {
+        self.resource.duration_of(WORD_SIZE)
+    }
+
     /// Performs a read transaction.
     pub fn read(
         &mut self,
@@ -281,10 +287,14 @@ mod tests {
         let mut run = one.clone();
         let mut t = SimTime::ZERO;
         for i in 0..64 {
-            t = one
+            let end = one
                 .write(t, PhysAddr::new(i * 4), 4, BusInitiator::Cpu)
                 .grant
                 .end;
+            if i > 0 {
+                assert_eq!(end.since(t), one.word_time(), "word {i}");
+            }
+            t = end;
         }
         assert_eq!(run.write_run(SimTime::ZERO, 64, 4).end, t);
         assert_eq!(format!("{run:?}"), format!("{one:?}"));

@@ -9,7 +9,7 @@
 //! engine.
 
 use shrimp_mem::{PageNum, PhysAddr, WORD_SIZE};
-use shrimp_sim::SimTime;
+use shrimp_sim::{SimDuration, SimTime};
 
 use crate::command::CommandOp;
 use crate::error::NicError;
@@ -176,6 +176,54 @@ impl NetworkInterface {
         }
     }
 
+    /// The snoops of a run of words at `addr`, in one step, when each
+    /// would only join the open blocked-write packet: the first word is
+    /// snooped at `first` and each later one `step` after the one before
+    /// (DESIGN.md §5k). The run must lie in one automatic blocked-write
+    /// segment, continue the open packet to the same destination and fit
+    /// `max_payload`; every gap, the first one included, must be within
+    /// the merge window; the merge must be the NIC's only deadline; and
+    /// on the unpinned NIC the page must be resident. Then the data is
+    /// appended as the per-word merges would append it and this returns
+    /// true; otherwise nothing changes and it returns false.
+    pub fn merge_run(
+        &mut self,
+        addr: PhysAddr,
+        data: &[u8],
+        first: SimTime,
+        step: SimDuration,
+    ) -> bool {
+        let len = data.len() as u64;
+        let (start, end) = (addr.offset(), addr.offset() + len);
+        let window = self.config.merge_window;
+        let joins = match (&self.pending, self.nipt.capture(addr, len)) {
+            (Some(p), Some(seg)) => {
+                len > 0
+                    && seg.policy == UpdatePolicy::AutomaticBlocked
+                    && seg.src_start <= start
+                    && end <= seg.src_end
+                    && p.dst_node == seg.dst_node
+                    && p.src_page == addr.page()
+                    && p.next_offset == start
+                    && p.data.len() as u64 + len <= self.config.max_payload
+                    && first.saturating_since(p.last_write) <= window
+                    && step <= window
+            }
+            _ => false,
+        };
+        if !joins || self.other_deadline().is_some() || !self.is_resident(addr.page()) {
+            return false;
+        }
+        let words = len / WORD_SIZE;
+        self.count_resident_hits(addr.page(), words);
+        let p = self.pending.as_mut().expect("checked above");
+        p.data.vec_mut().extend_from_slice(data);
+        p.next_offset = end;
+        p.last_write = first + step * (words - 1);
+        self.stats.merged_writes += words;
+        true
+    }
+
     /// Terminates the pending blocked-write packet, if any, queueing it.
     /// Returns true if a packet was flushed.
     pub fn flush_pending(&mut self, now: SimTime) -> bool {
@@ -312,8 +360,9 @@ impl NetworkInterface {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NicConfig;
     use crate::error::NicError;
-    use crate::testutil::{map_out, nic, t};
+    use crate::testutil::{map_out, nic, shape, t};
     use shrimp_mem::PAGE_SIZE;
     use shrimp_mesh::NodeId;
     use shrimp_sim::SimDuration;
@@ -376,6 +425,83 @@ mod tests {
         let mp = n.pop_outgoing(t(10_000)).expect("flushed");
         assert_eq!(mp.payload().payload().len(), 12);
         assert_eq!(n.stats().blocked_write_packets, 1);
+    }
+
+    /// An open merge on page 3, which is resident: on the unpinned NIC
+    /// the first write misses and replays when the map-in completes.
+    fn open_merge(unpinned: bool) -> (NetworkInterface, SimTime) {
+        let mut n = if unpinned {
+            NetworkInterface::unpinned(NodeId(0), shape(), NicConfig::default(), 64)
+        } else {
+            nic()
+        };
+        map_out(&mut n, 3, 1, 9, UpdatePolicy::AutomaticBlocked);
+        n.snoop_write(t(0), PageNum::new(3).base(), &[1; 4]);
+        let opened = if unpinned {
+            t(0) + n.config().unpinned.map_in_latency
+        } else {
+            t(0)
+        };
+        n.poll(opened);
+        assert!(n.pending.is_some(), "a merge is open");
+        (n, opened)
+    }
+
+    #[test]
+    fn merge_run_matches_word_snoops() {
+        for unpinned in [false, true] {
+            let (mut one, opened) = open_merge(unpinned);
+            let mut run = one.clone();
+            let base = PageNum::new(3).base();
+            let data: Vec<u8> = (0..64).collect();
+            let (first, step) = (opened + SimDuration::from_ns(100), SimDuration::from_ns(60));
+            for (i, w) in data.chunks_exact(4).enumerate() {
+                let at = first + step * i as u64;
+                let out = one.snoop_write(at, base.add(4 + 4 * i as u64), w);
+                assert_eq!(out, SnoopOutcome::Merged);
+            }
+            assert!(run.merge_run(base.add(4), &data, first, step));
+            assert_eq!(
+                format!("{run:?}"),
+                format!("{one:?}"),
+                "unpinned {unpinned}"
+            );
+        }
+    }
+
+    #[test]
+    fn merge_run_refuses_runs_that_would_not_only_merge() {
+        let ns = SimDuration::from_ns;
+        let refused = |why: &str, n: &mut NetworkInterface, at: u64, len: usize, first, step| {
+            let before = format!("{n:?}");
+            let addr = PageNum::new(3).at_offset(at);
+            assert!(!n.merge_run(addr, &vec![0; len], first, step), "{why}");
+            assert_eq!(format!("{n:?}"), before, "{why}: a refusal changes nothing");
+        };
+        let (mut n, _) = open_merge(false);
+        let window = n.config().merge_window;
+        refused("offset", &mut n, 8, 8, t(100), ns(60));
+        refused("past the page", &mut n, 4, 4096, t(100), ns(60));
+        refused("empty", &mut n, 4, 0, t(100), ns(60));
+        refused("first gap", &mut n, 4, 8, t(0) + window + ns(1), ns(60));
+        refused("step", &mut n, 4, 8, t(100), window + ns(1));
+        n.stall_until = Some(t(10_000));
+        refused("receive stall", &mut n, 4, 8, t(100), ns(60));
+
+        let (mut n, _) = open_merge(false);
+        map_out(&mut n, 3, 1, 9, UpdatePolicy::AutomaticSingle);
+        refused("single-write page", &mut n, 4, 8, t(100), ns(60));
+        let (mut n, _) = open_merge(false);
+        map_out(&mut n, 3, 2, 9, UpdatePolicy::AutomaticBlocked);
+        refused("another destination", &mut n, 4, 8, t(100), ns(60));
+
+        let (mut n, opened) = open_merge(true);
+        n.invalidate_translation(PageNum::new(3));
+        refused("not resident", &mut n, 4, 8, opened + ns(100), ns(60));
+        let (mut n, opened) = open_merge(true);
+        map_out(&mut n, 5, 1, 11, UpdatePolicy::AutomaticBlocked);
+        n.snoop_write(opened, PageNum::new(5).base(), &[2; 4]);
+        refused("map-in in flight", &mut n, 4, 8, opened + ns(100), ns(60));
     }
 
     #[test]

@@ -258,10 +258,17 @@ impl NetworkInterface {
     /// window expiry, retransmit timer, the end of an injected stall, or
     /// an IOTLB map-in completing.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let mut deadline = self
+        let merge = self
             .pending
             .as_ref()
             .map(|p| p.last_write + self.config.merge_window);
+        merge.into_iter().chain(self.other_deadline()).min()
+    }
+
+    /// The earliest deadline besides the merge window's: an injected
+    /// stall's end, a retransmit timer, or an IOTLB map-in completing.
+    pub(crate) fn other_deadline(&self) -> Option<SimTime> {
+        let mut deadline = None;
         let fold = |t: SimTime, d: Option<SimTime>| Some(d.map_or(t, |cur| cur.min(t)));
         if let Some(s) = self.stall_until {
             deadline = fold(s, deadline);

@@ -9,7 +9,7 @@
 //! map-in — one kernel round trip, [`crate::config::UnpinnedConfig::
 //! map_in_latency`] — must complete before the write can packetize.
 //!
-//! The IOTLB is consulted at four places, all hooks in this module; on
+//! The IOTLB is consulted at five places, all hooks in this module; on
 //! the pinned NIC each is a no-op:
 //!
 //! - **Snoop.** A snooped write the NIPT captures, to a page that is
@@ -22,6 +22,9 @@
 //!   the pinned NIC: the IOTLB caches *residency* only and the
 //!   translation is always read from the NIPT, so a stale entry can
 //!   never produce a wrong address.
+//! - **Merge run.** [`NetworkInterface::merge_run`] takes a run of
+//!   snooped writes in one step only on a resident page, and counts the
+//!   hit each write would count.
 //! - **Deliberate-update start.** The DMA source read of a non-resident
 //!   page waits for one synchronous map-in round trip.
 //! - **Poll.** [`NetworkInterface::poll`] first completes the map-ins
@@ -102,6 +105,14 @@ impl Iotlb {
         self.resident.insert(page, self.use_tick);
     }
 
+    /// `n` outgoing translations of resident `page`: each counts a hit
+    /// and marks the page most recently used.
+    fn hit(&mut self, page: PageNum, n: u64) {
+        self.hits += n;
+        self.use_tick += n;
+        self.resident.insert(page, self.use_tick);
+    }
+
     /// Installs `page`, evicting the LRU entry if `cap` are resident.
     fn install(&mut self, page: PageNum, cap: usize) {
         while !self.resident.contains_key(&page) && self.resident.len() >= cap {
@@ -170,8 +181,7 @@ impl NetworkInterface {
         self.nipt.capture(addr, 1)?;
         let page = addr.page();
         if tlb.resident.contains_key(&page) {
-            tlb.hits += 1;
-            tlb.touch(page);
+            tlb.hit(page, 1);
             return None;
         }
         tlb.misses += 1;
@@ -197,6 +207,22 @@ impl NetworkInterface {
         Some(SnoopOutcome::Stalled)
     }
 
+    /// True when a captured write to `page` would hit the IOTLB, as it
+    /// always does on the pinned NIC.
+    pub(crate) fn is_resident(&self, page: PageNum) -> bool {
+        self.iotlb
+            .as_ref()
+            .is_none_or(|tlb| tlb.resident.contains_key(&page))
+    }
+
+    /// The merge-run hook: `n` captured writes to resident `page` hit
+    /// in one step, as each would on its own. A no-op on the pinned NIC.
+    pub(crate) fn count_resident_hits(&mut self, page: PageNum, n: u64) {
+        if let Some(tlb) = self.iotlb.as_mut() {
+            tlb.hit(page, n);
+        }
+    }
+
     /// The deliberate-update hook, run right after the DMA source read
     /// of `page`. A resident page counts a hit. A miss counts a miss and
     /// a map-in, installs the page, and returns the round trip the read
@@ -208,8 +234,7 @@ impl NetworkInterface {
             return SimDuration::ZERO;
         };
         if tlb.resident.contains_key(&page) {
-            tlb.hits += 1;
-            tlb.touch(page);
+            tlb.hit(page, 1);
             return SimDuration::ZERO;
         }
         tlb.misses += 1;

@@ -20,7 +20,7 @@ use shrimp::cpu::Reg;
 use shrimp::mem::PAGE_SIZE;
 use shrimp::mesh::{MeshShape, NodeId};
 use shrimp::nic::nic::NicStats;
-use shrimp::nic::{RetxConfig, UpdatePolicy};
+use shrimp::nic::{NicBackend, RetxConfig, UpdatePolicy};
 use shrimp::sim::fault::{FaultConfig, LinkChurnConfig, LinkFaultConfig, NicFaultConfig};
 use shrimp::sim::SimDuration;
 use shrimp::workload::delivery_hash;
@@ -655,4 +655,86 @@ fn retx_without_faults_delivers_identically() {
         reliable.deliveries.len(),
         "retx must not duplicate or lose deliveries"
     );
+}
+
+// ─────────────────── automatic blocked-write stream ────────────────────
+
+/// The benchmark's `auto_stream` shape at 64 pages: node 0 maps a
+/// buffer onto node 1 for automatic blocked-write update, stores all of
+/// it in one `poke` (every page merges into one packet on the snooped
+/// bus) and drains.
+fn run_auto_stream(backend: NicBackend) -> Machine {
+    let pages = 64u64;
+    let mut cfg = MachineConfig::prototype(MeshShape::new(2, 1));
+    cfg.nic_backend = backend;
+    let mut m = Machine::new(cfg);
+    let (snd, rcv) = (NodeId(0), NodeId(1));
+    let s = m.create_process(snd);
+    let r = m.create_process(rcv);
+    let dst = m.alloc_pages(rcv, r, pages).expect("alloc dst");
+    let export = m
+        .export_buffer(rcv, r, dst, pages, Some(snd))
+        .expect("export");
+    let src = m.alloc_pages(snd, s, pages).expect("alloc src");
+    m.map(MapRequest {
+        src_node: snd,
+        src_pid: s,
+        src_va: src,
+        dst_node: rcv,
+        export,
+        dst_offset: 0,
+        len: pages * PAGE_SIZE,
+        policy: UpdatePolicy::AutomaticBlocked,
+    })
+    .expect("map");
+    let payload: Vec<u8> = (0..pages * PAGE_SIZE)
+        .map(|i| (i * 13 % 251) as u8)
+        .collect();
+    m.poke(snd, s, src, &payload).expect("store stream");
+    m.run_until_idle().expect("stream drains");
+    assert_eq!(
+        m.peek(rcv, r, dst, pages * PAGE_SIZE).expect("peek dst"),
+        payload,
+        "the stream must land intact"
+    );
+    m
+}
+
+/// The automatic blocked-write stream reproduces its pinned hash, event
+/// count, final time and sender counters on both NIC backends. Every
+/// page leaves as one merged packet.
+#[test]
+fn auto_stream_matches_pinned_values() {
+    let sender = NicStats {
+        packets_sent: 64,
+        bytes_sent: 64 * PAGE_SIZE,
+        merged_writes: 64 * (PAGE_SIZE / 4 - 1),
+        blocked_write_packets: 64,
+        ..NicStats::default()
+    };
+    for (backend, hash, events, now_ps) in [
+        (
+            NicBackend::Shrimp,
+            0xeb1c_e6d0_221a_98cc,
+            13_312,
+            8_087_720_661,
+        ),
+        (
+            NicBackend::Unpinned,
+            0xa643_814b_c944_081f,
+            4_194_803,
+            8_046_369_365,
+        ),
+    ] {
+        let m = run_auto_stream(backend);
+        assert_eq!(m.deliveries().len(), 64, "{backend:?}");
+        assert_eq!(
+            delivery_hash(m.deliveries()),
+            hash,
+            "{backend:?} deliveries drifted"
+        );
+        assert_eq!(m.events_processed(), events, "{backend:?}");
+        assert_eq!(m.now().as_picos(), now_ps, "{backend:?}");
+        assert_eq!(m.nic_stats(NodeId(0)), sender, "{backend:?}");
+    }
 }
