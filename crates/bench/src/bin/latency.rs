@@ -115,11 +115,11 @@ fn stage_breakdown(shape: MeshShape) {
         )
     };
     for (name, hist, total) in [
-        ("snoop -> Out FIFO", &tel.out_fifo, sum[0]),
-        ("mesh transit", &tel.mesh, sum[1]),
-        ("In FIFO + EISA arb", &tel.in_fifo, sum[2]),
-        ("DMA burst", &tel.dma, sum[3]),
-        ("end-to-end", &tel.e2e, sum[4]),
+        ("snoop -> Out FIFO", &tel.stages.out_fifo, sum[0]),
+        ("mesh transit", &tel.stages.mesh, sum[1]),
+        ("In FIFO + EISA arb", &tel.stages.in_fifo, sum[2]),
+        ("DMA burst", &tel.stages.dma, sum[3]),
+        ("end-to-end", &tel.stages.e2e, sum[4]),
     ] {
         let (mean, p50, p95, p99) = pct(hist);
         let share = 100.0 * total.as_picos() as f64 / e2e_total.as_picos() as f64;

@@ -1,6 +1,6 @@
 //! Engine self-profile viewer: runs any scenario DSL file with the
-//! engine profiler and flight recorder on, then reports where the
-//! simulator spent its wall clock.
+//! engine profiler and the default trace rings on, then reports where
+//! the simulator spent its wall clock.
 //!
 //! ```text
 //! cargo run --release -p shrimp-bench --bin profview -- \
@@ -104,12 +104,12 @@ fn main() {
     let profile = machine.profile().expect("profiler was enabled");
     print!("{}", profile.render());
 
-    let fr = machine.flight_recorder();
+    let trace = machine.trace();
     println!(
-        "\nflight recorder: {} events recorded, {} retained ({} per node ring)",
-        fr.recorded(),
-        fr.dump().len(),
-        fr.capacity(),
+        "\ntrace: {} events recorded, {} retained ({} per node ring)",
+        trace.recorded(),
+        trace.dump().len(),
+        trace.capacity(),
     );
 
     // Metrics file: the report's scalars and this run's wall-clock phase

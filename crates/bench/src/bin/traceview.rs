@@ -1,7 +1,13 @@
-//! Records a fully-traced workload and exports it in the Chrome
+//! Records fully-traced workloads and exports them in the Chrome
 //! trace-event format: load `shrimp.trace.json` at <https://ui.perfetto.dev>
 //! (or `chrome://tracing`) to see every packet's snoop → Out FIFO → mesh
 //! → In FIFO → DMA lifecycle on a per-node timeline.
+//!
+//! The trace holds two runs on one timeline, both on a 2×2 mesh: a
+//! fault-free cross-traffic workload, then `scenarios/unpinned_faulty.shrimp`,
+//! whose loss, corruption and link churn add link down/up, reroute,
+//! bounce and retransmit events. The bin asserts that the exported
+//! stream holds each kind of event.
 //!
 //! ```text
 //! cargo run -p shrimp-bench --bin traceview
@@ -12,9 +18,34 @@ use shrimp_core::{Machine, MachineConfig, MapRequest};
 use shrimp_mem::PAGE_SIZE;
 use shrimp_mesh::{MeshShape, NodeId};
 use shrimp_nic::UpdatePolicy;
-use shrimp_sim::{validate_chrome_json, TelemetryConfig};
+use shrimp_sim::{
+    to_chrome_json_with_counters, validate_chrome_json, SimTime, TelemetryConfig, TraceData,
+    TraceEvent,
+};
+use shrimp_workload::dsl::Scenario;
+use shrimp_workload::gen::run_scenario_tuned;
 
 const TRACE_PATH: &str = "shrimp.trace.json";
+
+/// The scaled-down `sessions_faulty` mix: unpinned NIC, 0.5% drop,
+/// 0.1% corruption and link churn.
+const FAULTY: &str = include_str!("../../../../scenarios/unpinned_faulty.shrimp");
+
+/// Whether an event is of one kind.
+type IsKind = fn(&TraceData) -> bool;
+
+/// The event kinds the exported stream must hold.
+const EXPECTED: [(&str, IsKind); 7] = [
+    ("link down", |d| matches!(d, TraceData::LinkDown { .. })),
+    ("link up", |d| matches!(d, TraceData::LinkUp { .. })),
+    ("reroute", |d| matches!(d, TraceData::PacketRerouted { .. })),
+    ("bounce", |d| matches!(d, TraceData::PacketBounced { .. })),
+    ("retransmit", |d| matches!(d, TraceData::Retransmit { .. })),
+    ("ejection", |d| matches!(d, TraceData::PacketEjected { .. })),
+    ("delivery", |d| {
+        matches!(d, TraceData::PacketDelivered { .. })
+    }),
+];
 
 /// A small cross-traffic workload on a 2×2 mesh with full telemetry:
 /// node 0 streams a page to node 3 (two hops) while node 1 sends
@@ -61,24 +92,62 @@ fn traced_workload() -> Machine {
     m
 }
 
+/// `scenarios/unpinned_faulty.shrimp` with full telemetry.
+fn faulty_workload() -> Machine {
+    let sc = Scenario::parse(FAULTY).expect("scenario parses");
+    let (_, m) = run_scenario_tuned(&sc, None, |cfg| cfg.telemetry = TelemetryConfig::full())
+        .expect("faulty scenario completes");
+    m
+}
+
+fn us(t: SimTime) -> f64 {
+    t.as_picos() as f64 / 1e6
+}
+
 fn main() {
-    banner("traceview: Chrome trace-event export of a traced workload");
+    banner("traceview: Chrome trace-event export of traced workloads");
 
     let m = traced_workload();
-    let json = m.export_chrome_trace();
-    let events = validate_chrome_json(&json).expect("exported trace must validate");
-    assert!(events > 0, "a traced workload must produce events");
+    let faulty = faulty_workload();
+    // One timeline: the faulty run starts where the clean run ended.
+    let offset = m.now().since(SimTime::ZERO);
+    let mut events = m.trace().events().to_vec();
+    events.extend(faulty.trace().events().iter().map(|e| TraceEvent {
+        time: e.time + offset,
+        ..*e
+    }));
+    let mut counters = Vec::new();
+    for (run, end) in [(&m, m.now()), (&faulty, faulty.now() + offset)] {
+        let report = run.profile().expect("full telemetry profiles");
+        counters.extend(report.counter_samples(us(end)));
+    }
+    let json = to_chrome_json_with_counters(&events, &counters);
+    let exported = validate_chrome_json(&json).expect("exported trace must validate");
+    assert!(exported > 0, "a traced workload must produce events");
 
     std::fs::write(TRACE_PATH, &json).expect("write trace file");
-    println!("wrote {TRACE_PATH} ({events} events, {} bytes)", json.len());
-
-    let deliveries = m.deliveries().len();
-    let records = m.telemetry().records.len();
-    assert_eq!(
-        records, deliveries,
-        "every delivery must carry a latency record"
+    println!(
+        "wrote {TRACE_PATH} ({exported} events, {} bytes)",
+        json.len()
     );
-    println!("traced {deliveries} deliveries with {records} packet-lifecycle records");
+
+    let mut held = Vec::new();
+    for (name, is) in EXPECTED {
+        let count = events.iter().filter(|e| is(&e.data)).count();
+        assert!(count > 0, "the exported trace holds no {name} event");
+        held.push(format!("{name} {count}"));
+    }
+    println!("stream holds: {}", held.join(", "));
+
+    for run in [&m, &faulty] {
+        let deliveries = run.deliveries().len();
+        let records = run.telemetry().records.len();
+        assert_eq!(
+            records, deliveries,
+            "every delivery must carry a latency record"
+        );
+        println!("traced {deliveries} deliveries with {records} packet-lifecycle records");
+    }
 
     write_metrics("traceview", &m.metrics_snapshot());
 

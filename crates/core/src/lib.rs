@@ -39,4 +39,5 @@ pub use config::MachineConfig;
 pub use error::MachineError;
 pub use machine::{
     DeliveryRecord, LatencyRecord, Machine, MachineTelemetry, MapRequest, MappingId,
+    StageHistograms,
 };

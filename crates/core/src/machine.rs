@@ -26,13 +26,13 @@ use std::collections::BinaryHeap;
 use shrimp_cpu::{Cpu, Program, Reg};
 use shrimp_mem::{CacheMode, MemError, PageNum, PhysAddr, VirtAddr, PAGE_SIZE, WORD_SIZE};
 use shrimp_mesh::{MeshNetwork, NodeId};
-use shrimp_nic::{NetworkInterface, NicError, NicInterrupt, OutSegment, ShrimpPacket, UpdatePolicy};
+use shrimp_nic::{NetworkInterface, NicError, OutSegment, ShrimpPacket, UpdatePolicy};
 use shrimp_os::kernel::OutgoingRecord;
 use shrimp_os::{ExportId, Kernel, OsError, Pid};
 use shrimp_sim::{
-    to_chrome_json_with_counters, ComponentId, CounterSample, EnginePhase, EngineProfileReport,
-    EngineProfiler, FlightEntry, FlightRecorder, Histogram, MetricsRegistry, MetricsSnapshot,
-    Scheduler, SimDuration, SimTime, TraceData, TraceEvent, TraceLevel, Tracer,
+    to_chrome_json_with_counters, ComponentId, EnginePhase, EngineProfileReport, EngineProfiler,
+    Histogram, MetricsRegistry, MetricsSnapshot, Scheduler, SimDuration, SimTime, TraceData,
+    TraceEvent, Tracer,
 };
 
 use crate::config::MachineConfig;
@@ -133,11 +133,10 @@ impl LatencyRecord {
     }
 }
 
-/// Packet-lifecycle latency telemetry: per-stage histograms plus the
-/// raw per-packet records (all in picoseconds). Empty unless
-/// [`shrimp_sim::TelemetryConfig::latency`] is enabled.
+/// Latency histograms of a set of packets, one per [`LatencyRecord`]
+/// stage plus end to end, in picoseconds.
 #[derive(Debug, Clone, Default)]
-pub struct MachineTelemetry {
+pub struct StageHistograms {
     /// Store snooped → data in remote DRAM.
     pub e2e: Histogram,
     /// Outgoing FIFO residency.
@@ -148,17 +147,51 @@ pub struct MachineTelemetry {
     pub in_fifo: Histogram,
     /// EISA DMA burst.
     pub dma: Histogram,
+}
+
+impl StageHistograms {
+    /// Adds one packet's stages.
+    pub fn record(&mut self, rec: &LatencyRecord) {
+        self.e2e.record_duration(rec.end_to_end());
+        self.out_fifo.record_duration(rec.out_fifo());
+        self.mesh.record_duration(rec.mesh());
+        self.in_fifo.record_duration(rec.in_fifo());
+        self.dma.record_duration(rec.dma());
+    }
+
+    /// Publishes the histograms as `{prefix}.e2e`, `{prefix}.out_fifo`,
+    /// `{prefix}.mesh`, `{prefix}.in_fifo` and `{prefix}.dma`; nothing
+    /// while no packet was recorded.
+    pub fn register(&self, reg: &mut MetricsRegistry, prefix: &str) {
+        if self.e2e.count() == 0 {
+            return;
+        }
+        for (stage, h) in [
+            ("e2e", &self.e2e),
+            ("out_fifo", &self.out_fifo),
+            ("mesh", &self.mesh),
+            ("in_fifo", &self.in_fifo),
+            ("dma", &self.dma),
+        ] {
+            reg.set_histogram(format!("{prefix}.{stage}"), h);
+        }
+    }
+}
+
+/// Packet-lifecycle latency telemetry: per-stage histograms plus the
+/// raw per-packet records (all in picoseconds). Empty unless
+/// [`shrimp_sim::TelemetryConfig::latency`] is enabled.
+#[derive(Debug, Clone, Default)]
+pub struct MachineTelemetry {
+    /// Every delivered packet's stages.
+    pub stages: StageHistograms,
     /// Every delivered packet's timeline, in delivery order.
     pub records: Vec<LatencyRecord>,
 }
 
 impl MachineTelemetry {
     fn record(&mut self, rec: LatencyRecord) {
-        self.e2e.record_duration(rec.end_to_end());
-        self.out_fifo.record_duration(rec.out_fifo());
-        self.mesh.record_duration(rec.mesh());
-        self.in_fifo.record_duration(rec.in_fifo());
-        self.dma.record_duration(rec.dma());
+        self.stages.record(&rec);
         self.records.push(rec);
     }
 }
@@ -283,21 +316,16 @@ pub struct Machine {
     sched: Scheduler<Event>,
     registrations: Vec<Registration>,
     next_mapping: u32,
-    interrupt_log: Vec<(SimTime, NodeId, NicInterrupt)>,
     syscall_log: Vec<(SimTime, NodeId, Pid, u32)>,
     delivery_log: Vec<DeliveryRecord>,
     drop_log: Vec<(SimTime, NodeId, NicError)>,
-    tracer: Tracer,
+    /// The one trace sink: every machine, mesh and NIC event, admitted
+    /// once. Pure observation of the serial path.
+    trace: Tracer,
     telemetry: MachineTelemetry,
     /// Wall-clock phase attribution (never part of the deterministic
     /// snapshot; see [`Machine::profile`]).
     profiler: EngineProfiler,
-    /// Per-node rings of recent packet-lifecycle events, dumped on
-    /// panic or on demand. Pure observation of the serial path.
-    recorder: FlightRecorder,
-    /// Reused buffer for draining the mesh's flight log (avoids a
-    /// mesh/recorder double borrow and steady-state allocation).
-    scratch_flight: Vec<TraceEvent>,
     /// Nodes the next network pump must visit; a visit to any other
     /// node would be a no-op (DESIGN.md §5j).
     active: ActiveNodes,
@@ -312,18 +340,17 @@ impl Machine {
     pub fn new(config: MachineConfig) -> Self {
         config.validate();
         let shape = config.shape;
-        let nodes: Vec<Node> = shape.iter_nodes().map(|id| Node::new(id, &config)).collect();
+        let mut nodes: Vec<Node> = shape.iter_nodes().map(|id| Node::new(id, &config)).collect();
         let mut mesh = MeshNetwork::new(config.mesh);
         mesh.set_fault_injection(&config.fault);
-        let tracer = match config.telemetry.trace_level {
-            Some(level) => Tracer::new(level),
-            None => Tracer::disabled(),
-        };
-        if let Some(level) = config.telemetry.trace_level {
-            mesh.set_tracer(Tracer::new(level));
+        let telemetry = config.telemetry;
+        let trace = Tracer::new(nodes.len(), telemetry.flight_recorder, telemetry.trace);
+        if trace.is_on() {
+            mesh.trace_outbox_mut().enable();
+            for n in &mut nodes {
+                n.nic.trace_outbox_mut().enable();
+            }
         }
-        mesh.set_flight_recording(config.telemetry.flight_recorder > 0);
-        let recorder = FlightRecorder::new(nodes.len(), config.telemetry.flight_recorder);
         let active = ActiveNodes::all(nodes.len());
         Machine {
             config,
@@ -332,15 +359,12 @@ impl Machine {
             sched: Scheduler::new(),
             registrations: Vec::new(),
             next_mapping: 1,
-            interrupt_log: Vec::new(),
             syscall_log: Vec::new(),
             delivery_log: Vec::new(),
             drop_log: Vec::new(),
-            tracer,
+            trace,
             telemetry: MachineTelemetry::default(),
-            profiler: EngineProfiler::new(config.telemetry.profile),
-            recorder,
-            scratch_flight: Vec::new(),
+            profiler: EngineProfiler::new(telemetry.profile),
             active,
         }
     }
@@ -359,24 +383,6 @@ impl Machine {
         self.profiler
             .is_enabled()
             .then(|| EngineProfileReport::new(&self.profiler))
-    }
-
-    /// The causal flight recorder (recent packet-lifecycle events).
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
-    /// Renders the flight recorder's retained events — the same text
-    /// printed when a run panics.
-    pub fn flight_dump(&self) -> String {
-        self.recorder.render()
-    }
-
-    /// The retained causal trail of packets on the lane `src → dst`:
-    /// inject → route/reroute/bounce → eject → deliver, `(time, seq)`
-    /// sorted.
-    pub fn packet_trail(&self, src: NodeId, dst: NodeId) -> Vec<FlightEntry> {
-        self.recorder.trail(src.0, dst.0)
     }
 
     /// The configuration in force.
@@ -479,24 +485,12 @@ impl Machine {
         let src_pages = last_src_vpn.raw() - first_src_vpn.raw() + 1;
         self.node_mut(req.src_node)
             .kernel
-            .prepare_out_mapping(req.src_pid, first_src_vpn, src_pages, req.dst_node, &{
-                // Primary destination frame per source page, for the §4.4
-                // bookkeeping; split segments add extra records below.
-                (0..src_pages)
-                    .map(|i| {
-                        // First buffer byte living on source page i.
-                        let byte = (i * PAGE_SIZE)
-                            .saturating_sub(req.src_va.offset())
-                            .min(req.len - 1);
-                        let idx = (req.dst_offset + byte) / PAGE_SIZE;
-                        token.frames[(idx - first_dst_page_index) as usize]
-                    })
-                    .collect::<Vec<_>>()
-            })?;
+            .prepare_out_mapping(req.src_pid, first_src_vpn, src_pages)?;
         self.flush_tlb(req.src_node);
 
         // Build the NIPT segments by walking both sides simultaneously,
-        // splitting at every page boundary of either side.
+        // splitting at every page boundary of either side, and record
+        // each one for the §4.4 bookkeeping.
         let mut pos = 0u64;
         while pos < req.len {
             let src_byte = req.src_va.add(pos);
@@ -538,15 +532,13 @@ impl Machine {
         let id = MappingId(self.next_mapping);
         self.next_mapping += 1;
         self.registrations.push(Registration { id, req });
-        self.tracer.emit(
-            self.now(),
-            TraceLevel::Info,
-            ComponentId::MACHINE,
-            TraceData::PageMapped {
+        if self.trace.is_on() {
+            let data = TraceData::PageMapped {
                 node: req.dst_node.0,
                 page: req.src_va.page().raw(),
-            },
-        );
+            };
+            self.emit(req.src_node, self.now(), ComponentId::MACHINE, data);
+        }
 
         // The map call is the deliberately slow, rare operation.
         let done = self.now() + self.config.map_syscall_cost;
@@ -624,15 +616,13 @@ impl Machine {
             }
         }
 
-        self.tracer.emit(
-            self.now(),
-            TraceLevel::Info,
-            ComponentId::MACHINE,
-            TraceData::PageUnmapped {
+        if self.trace.is_on() {
+            let data = TraceData::PageUnmapped {
                 node: req.dst_node.0,
                 page: req.src_va.page().raw(),
-            },
-        );
+            };
+            self.emit(req.src_node, self.now(), ComponentId::MACHINE, data);
+        }
         let done = self.now() + self.config.map_syscall_cost / 2;
         self.run_until(done);
         Ok(())
@@ -724,14 +714,6 @@ impl Machine {
         self.push_event(at, node.0, NodeEvent::CpuStep);
     }
 
-    /// True when every loaded CPU has halted.
-    pub fn all_halted(&self) -> bool {
-        self.nodes
-            .iter()
-            .flat_map(|n| n.cpus.values())
-            .all(|c| c.is_halted())
-    }
-
     // ───────────────────────── host-level data ops ───────────────────────
 
     /// Writes bytes through the full store datapath (translation, cache,
@@ -793,6 +775,7 @@ impl Machine {
                 t = self.store_through(node, pid, t, at, word(bytes))?.0;
             }
         }
+        self.drain_nic_trace(node.0);
         self.run_until(t);
         Ok(())
     }
@@ -827,15 +810,6 @@ impl Machine {
             pos += chunk;
         }
         Ok(out)
-    }
-
-    /// Reads physical memory directly (tests and benches).
-    ///
-    /// # Errors
-    ///
-    /// Propagates range errors.
-    pub fn peek_phys(&self, node: NodeId, addr: PhysAddr, len: u64) -> Result<Vec<u8>, MachineError> {
-        Ok(self.node(node).mem.read_bytes(addr, len)?)
     }
 
     /// Translates a virtual address through a process page table without
@@ -936,8 +910,8 @@ impl Machine {
 
     /// Runs until `limit`, processing machine and mesh events in time
     /// order, and leaves the clock at `limit`. If anything panics mid-run
-    /// (an assertion deep in a component, say), the flight recorder's
-    /// recent events are dumped to stderr before the panic resumes.
+    /// (an assertion deep in a component, say), the trace rings' recent
+    /// events are dumped to stderr before the panic resumes.
     pub fn run_until(&mut self, limit: SimTime) {
         // A bounded run has no step budget, so it cannot fail.
         let _ = self.run_loop(Some(limit), |_| false);
@@ -975,8 +949,8 @@ impl Machine {
     /// the pump worklist, then steps until `stop` holds (checked before
     /// each step and once more when the machine idles), the next instant
     /// lies past `limit`, or nothing is left. Only an unbounded run has
-    /// a step budget. A panic dumps the flight recorder before it
-    /// resumes (DESIGN.md §5h). Returns whether `stop` held.
+    /// a step budget. A panic dumps the trace rings before it resumes
+    /// (DESIGN.md §5h). Returns whether `stop` held.
     fn run_loop(
         &mut self,
         limit: Option<SimTime>,
@@ -1033,11 +1007,15 @@ impl Machine {
             let (_, ev) = self.sched.pop().expect("peeked event");
             self.dispatch_event(next, ev);
         }
+        debug_assert!(
+            self.nodes.iter().all(|n| n.nic.trace_outbox().is_empty()),
+            "a NIC trace event outlived the dispatch or pump visit that raised it"
+        );
         Step::Ran
     }
 
     /// Advances the mesh to `t`, then marks the nodes it ejected to,
-    /// pulls its reroute/bounce decisions into the flight recorder and
+    /// drains its link, reroute and bounce events into the trace and
     /// pumps the network.
     fn advance_mesh(&mut self, t: SimTime) {
         // Sampled: this runs several times per simulated event, so
@@ -1046,23 +1024,7 @@ impl Machine {
         self.mesh.advance(t);
         let active = &mut self.active;
         self.mesh.drain_ejection_notices(|node| active.mark(node.0));
-        if self.recorder.is_enabled() {
-            // Reroute/bounce decisions happen deep inside the mesh's
-            // advance; pull them into the per-node rings (keyed by the
-            // node where the decision was made).
-            let mut buf = std::mem::take(&mut self.scratch_flight);
-            self.mesh.drain_flight_into(&mut buf);
-            for ev in buf.drain(..) {
-                let at = match ev.data {
-                    TraceData::PacketRerouted { at, .. } | TraceData::PacketBounced { at, .. } => {
-                        at as usize
-                    }
-                    _ => 0,
-                };
-                self.recorder.record(at, ev);
-            }
-            self.scratch_flight = buf;
-        }
+        self.mesh.trace_outbox_mut().drain_into(&mut self.trace);
         self.pump_network(t);
         self.profiler.end_sampled(EnginePhase::MeshPump, p);
     }
@@ -1074,12 +1036,12 @@ impl Machine {
         self.active.mark_all(self.nodes.len());
     }
 
-    /// Prints the flight recorder's retained events to stderr; called on
-    /// the panic path of the run loop so a failing assertion ships its
+    /// Prints the trace rings' retained events to stderr; called on the
+    /// panic path of the run loop so a failing assertion ships its
     /// causal context.
     fn dump_flight_on_panic(&self) {
-        if self.recorder.is_enabled() && self.recorder.recorded() > 0 {
-            eprintln!("{}", self.recorder.render());
+        if self.trace.capacity() > 0 && self.trace.recorded() > 0 {
+            eprintln!("{}", self.trace.render());
         }
     }
 
@@ -1091,13 +1053,15 @@ impl Machine {
     }
 
     /// Executes one popped event. The node-side halves live on [`Node`]
-    /// and push their follow-up events straight onto the scheduler.
+    /// and push their follow-up events straight onto the scheduler. The
+    /// trace events the node's NIC raised reach the sink by its end.
     fn dispatch_event(&mut self, t: SimTime, Event { node, ev }: Event) {
         self.active.mark(node);
         let id = NodeId(node);
         match ev {
             NodeEvent::CpuStep => {
                 match self.nodes[node as usize].cpu_step(t, &self.config, &mut self.sched) {
+                    // Nothing ran, so the NIC raised nothing to drain.
                     CpuExit::Idle => return,
                     CpuExit::Ran => {}
                     CpuExit::Syscall { pid, code } => self.syscall_log.push((t, id, pid, code)),
@@ -1138,12 +1102,13 @@ impl Machine {
                 self.nodes[node as usize].kernel_msg(t, msg, latency, &mut self.sched);
             }
         }
+        self.drain_nic_trace(node);
     }
 
     // ────────────────────────── network pumping ──────────────────────────
 
     /// Delivers due ejections, drains Outgoing FIFOs into the mesh and
-    /// collects interrupts on every node of the active worklist, in
+    /// drains NIC trace events on every node of the active worklist, in
     /// ascending node id, after first putting back the nodes whose
     /// timed wake is due. Runs after every mesh advance and after every
     /// `DmaComplete`; the run loops interleave mesh events natively, so
@@ -1171,7 +1136,7 @@ impl Machine {
                 let id = NodeId(node);
                 self.deliver_ejections(t, id);
                 let outgoing = self.drain_outgoing(t, id);
-                self.collect_interrupts(t, id);
+                self.drain_nic_trace(node);
                 if outgoing.is_none_or(|r| r > t) && self.mesh.peek_ejection(id).is_none() {
                     self.active.clear(node);
                     if let Some(r) = outgoing {
@@ -1186,7 +1151,7 @@ impl Machine {
 
     /// The worklist invariant: a visit to any node the pump at `t`
     /// skips would be a no-op. Nothing is ejected or injected, no
-    /// wakeup is pushed and no interrupt is collected.
+    /// wakeup is pushed and no NIC trace event waits to be drained.
     #[cfg(debug_assertions)]
     fn assert_skipped_visits_are_no_ops(&self, t: SimTime) {
         for (i, n) in self.nodes.iter().enumerate() {
@@ -1211,8 +1176,8 @@ impl Machine {
                 "{id:?} is off the pump worklist with a NIC wakeup to push"
             );
             assert!(
-                !n.nic.has_pending_interrupts(),
-                "{id:?} is off the pump worklist with an interrupt to collect"
+                n.nic.trace_outbox().is_empty(),
+                "{id:?} is off the pump worklist with NIC trace events to drain"
             );
         }
     }
@@ -1226,20 +1191,13 @@ impl Machine {
             match self.mesh.peek_ejection(node) {
                 Some(arrival) if arrival <= t => {
                     let (pkt, arrival) = self.mesh.eject(node).expect("peeked ejection");
-                    if self.recorder.is_enabled() {
-                        self.recorder.record(
-                            node.0 as usize,
-                            TraceEvent {
-                                time: arrival.max(t),
-                                level: TraceLevel::Info,
-                                component: ComponentId::nic(node.0),
-                                data: TraceData::PacketEjected {
-                                    src: pkt.src().0,
-                                    dst: pkt.dst().0,
-                                    bytes: pkt.wire_len() as u32,
-                                },
-                            },
-                        );
+                    if self.trace.is_on() {
+                        let data = TraceData::PacketEjected {
+                            src: pkt.src().0,
+                            dst: pkt.dst().0,
+                            bytes: pkt.wire_len() as u32,
+                        };
+                        self.emit(node, arrival.max(t), ComponentId::nic(node.0), data);
                     }
                     let n = &mut self.nodes[node.0 as usize];
                     if let Err(e) = n.nic.accept_packet(arrival.max(t), pkt) {
@@ -1266,36 +1224,15 @@ impl Machine {
             }
             match self.nodes[node.0 as usize].drain_outbound(t) {
                 Some(pkt) => {
-                    if self.tracer.wants(TraceLevel::Info) {
+                    if self.trace.is_on() {
                         let inner = pkt.payload();
-                        self.tracer.emit(
-                            t,
-                            TraceLevel::Info,
-                            ComponentId::nic(node.0),
-                            TraceData::PacketInjected {
-                                src: pkt.src().0,
-                                dst: pkt.dst().0,
-                                bytes: inner.wire_len() as u32,
-                                seq: inner.link().map(|l| l.seq),
-                            },
-                        );
-                    }
-                    if self.recorder.is_enabled() {
-                        let inner = pkt.payload();
-                        self.recorder.record(
-                            node.0 as usize,
-                            TraceEvent {
-                                time: t,
-                                level: TraceLevel::Info,
-                                component: ComponentId::nic(node.0),
-                                data: TraceData::PacketInjected {
-                                    src: pkt.src().0,
-                                    dst: pkt.dst().0,
-                                    bytes: inner.wire_len() as u32,
-                                    seq: inner.link().map(|l| l.seq),
-                                },
-                            },
-                        );
+                        let data = TraceData::PacketInjected {
+                            src: pkt.src().0,
+                            dst: pkt.dst().0,
+                            bytes: inner.wire_len() as u32,
+                            seq: inner.link().map(|l| l.seq),
+                        };
+                        self.emit(node, t, ComponentId::nic(node.0), data);
                     }
                     if self.mesh.try_inject(t, pkt).is_err() {
                         debug_assert!(false, "can_inject checked above");
@@ -1318,31 +1255,17 @@ impl Machine {
                         .eisa
                         .dma_write(start, delivery.dst_addr, delivery.data.len() as u64)
                         .grant;
-                    if self.tracer.wants(TraceLevel::Info) {
+                    if self.trace.is_on() {
                         let bytes = delivery.data.len() as u32;
                         let c = ComponentId::nic(node.0);
-                        self.tracer.emit(
-                            grant.start,
-                            TraceLevel::Info,
-                            c,
-                            TraceData::DmaStart { node: node.0, bytes },
-                        );
-                        self.tracer.emit(
-                            grant.end,
-                            TraceLevel::Info,
-                            c,
-                            TraceData::DmaEnd { node: node.0, bytes },
-                        );
-                        self.tracer.emit(
-                            grant.end,
-                            TraceLevel::Info,
-                            c,
-                            TraceData::PacketDelivered {
-                                src: delivery.src.0,
-                                dst: node.0,
-                                bytes,
-                            },
-                        );
+                        self.emit(node, grant.start, c, TraceData::DmaStart { node: node.0, bytes });
+                        self.emit(node, grant.end, c, TraceData::DmaEnd { node: node.0, bytes });
+                        let data = TraceData::PacketDelivered {
+                            src: delivery.src.0,
+                            dst: node.0,
+                            bytes,
+                        };
+                        self.emit(node, grant.end, c, data);
                     }
                     if self.config.telemetry.latency {
                         self.telemetry.record(LatencyRecord {
@@ -1355,21 +1278,6 @@ impl Machine {
                             dma_start: grant.start,
                             dma_end: grant.end,
                         });
-                    }
-                    if self.recorder.is_enabled() {
-                        self.recorder.record(
-                            node.0 as usize,
-                            TraceEvent {
-                                time: grant.end,
-                                level: TraceLevel::Info,
-                                component: ComponentId::nic(node.0),
-                                data: TraceData::PacketDelivered {
-                                    src: delivery.src.0,
-                                    dst: node.0,
-                                    bytes: delivery.data.len() as u32,
-                                },
-                            },
-                        );
                     }
                     self.delivery_log.push(DeliveryRecord {
                         time: grant.end,
@@ -1399,12 +1307,28 @@ impl Machine {
         if self.nodes[node.0 as usize].nic.has_pending_control() {
             self.drain_outgoing(t, node);
         }
-        self.collect_interrupts(t, node);
     }
 
-    fn collect_interrupts(&mut self, t: SimTime, node: NodeId) {
-        for irq in self.nodes[node.0 as usize].nic.take_interrupts() {
-            self.interrupt_log.push((t, node, irq));
+    /// Admits `data`, seen by `component` at `time`, into `node`'s ring
+    /// and the log, after every event `node`'s NIC raised before it, so
+    /// each node's events keep their causal order. Callers check
+    /// `self.trace.is_on()` first, so an off sink builds nothing.
+    fn emit(&mut self, node: NodeId, time: SimTime, component: ComponentId, data: TraceData) {
+        self.drain_nic_trace(node.0);
+        let event = TraceEvent {
+            time,
+            component,
+            data,
+        };
+        self.trace.emit(node.0 as usize, event);
+    }
+
+    /// Moves the trace events `node`'s NIC raised into the sink.
+    #[inline]
+    fn drain_nic_trace(&mut self, node: u16) {
+        let outbox = self.nodes[node as usize].nic.trace_outbox_mut();
+        if !outbox.is_empty() {
+            outbox.drain_into(&mut self.trace);
         }
     }
 
@@ -1582,11 +1506,6 @@ impl Machine {
         &self.delivery_log
     }
 
-    /// All raised NIC interrupts.
-    pub fn interrupts(&self) -> &[(SimTime, NodeId, NicInterrupt)] {
-        &self.interrupt_log
-    }
-
     /// All syscall traps (`u32::MAX` marks a killed process).
     pub fn syscalls(&self) -> &[(SimTime, NodeId, Pid, u32)] {
         &self.syscall_log
@@ -1609,9 +1528,11 @@ impl Machine {
         self.delivery_log.clear();
     }
 
-    /// The machine-level tracer (mapping events, DMA spans, deliveries).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+    /// The one trace sink: every machine, mesh and NIC event, in
+    /// per-node rings of the newest and, with `telemetry.trace` on, in
+    /// the log of all of them (DESIGN.md §5h).
+    pub fn trace(&self) -> &Tracer {
+        &self.trace
     }
 
     /// Packet-lifecycle latency telemetry (empty unless
@@ -1673,38 +1594,20 @@ impl Machine {
                 }
             }
         }
-        if self.telemetry.e2e.count() > 0 {
-            reg.set_histogram("latency.e2e", &self.telemetry.e2e);
-            reg.set_histogram("latency.out_fifo", &self.telemetry.out_fifo);
-            reg.set_histogram("latency.mesh", &self.telemetry.mesh);
-            reg.set_histogram("latency.in_fifo", &self.telemetry.in_fifo);
-            reg.set_histogram("latency.dma", &self.telemetry.dma);
-        }
+        self.telemetry.stages.register(&mut reg, "latency");
         reg.snapshot()
     }
 
-    /// Exports every recorded trace event (machine-level plus all NICs)
+    /// Exports the trace log (every event, with `telemetry.trace` on)
     /// as a Chrome trace-event JSON document loadable in Perfetto. With
     /// profiling on, the engine's cumulative per-phase wall times ride
     /// along as `engine.profile` counter-track samples.
     pub fn export_chrome_trace(&self) -> String {
-        let mut events: Vec<TraceEvent> = self.tracer.events().to_vec();
-        events.extend_from_slice(self.mesh.tracer().events());
-        for n in &self.nodes {
-            events.extend_from_slice(n.nic.tracer().events());
-        }
-        let mut counters = Vec::new();
-        if let Some(report) = self.profile() {
-            let ts_us = self.now().as_picos() as f64 / 1e6;
-            for &(name, ns, _) in &report.phases {
-                counters.push(CounterSample {
-                    name: format!("engine.profile.{name}_ms"),
-                    ts_us,
-                    value: ns as f64 / 1e6,
-                });
-            }
-        }
-        to_chrome_json_with_counters(&events, &counters)
+        let ts_us = self.now().as_picos() as f64 / 1e6;
+        let counters = self
+            .profile()
+            .map_or_else(Vec::new, |report| report.counter_samples(ts_us));
+        to_chrome_json_with_counters(self.trace.events(), &counters)
     }
 }
 
@@ -1830,6 +1733,43 @@ mod tests {
         }
         m.clear_deliveries();
         assert!(m.deliveries().is_empty());
+    }
+
+    /// `map` records each NIPT segment once for §4.4, whether a source
+    /// page carries one segment or is split across two remote frames.
+    #[test]
+    fn map_records_each_outgoing_segment_once() {
+        // (source offset, destination offset, length, segments)
+        for (src_off, dst_off, len, segments) in [
+            (0, 0, PAGE_SIZE, 1),
+            (0, 0, 2 * PAGE_SIZE, 2),
+            (0, 100, PAGE_SIZE, 2),
+            (200, 100, 2 * PAGE_SIZE, 5),
+        ] {
+            let (mut m, s, r) = two_node();
+            let src = m.alloc_pages(NodeId(0), s, 3).unwrap();
+            let dst = m.alloc_pages(NodeId(1), r, 3).unwrap();
+            let export = m.export_buffer(NodeId(1), r, dst, 3, None).unwrap();
+            m.map(MapRequest {
+                src_node: NodeId(0),
+                src_pid: s,
+                src_va: src.add(src_off),
+                dst_node: NodeId(1),
+                export,
+                dst_offset: dst_off,
+                len,
+                policy: UpdatePolicy::AutomaticSingle,
+            })
+            .unwrap();
+            let kernel = m.kernel(NodeId(0));
+            let records: usize = (0..3)
+                .map(|p| {
+                    let frame = m.translate(NodeId(0), s, src.add(p * PAGE_SIZE)).unwrap().page();
+                    kernel.outgoing_for_frame(frame).len()
+                })
+                .sum();
+            assert_eq!(records, segments, "src +{src_off}, dst +{dst_off}, {len} B");
+        }
     }
 
     #[test]
@@ -2072,12 +2012,12 @@ mod tests {
             let sum = rec.out_fifo() + rec.mesh() + rec.in_fifo() + rec.dma();
             assert_eq!(sum, rec.end_to_end(), "stages must telescope exactly");
         }
-        assert_eq!(tel.e2e.count(), tel.records.len() as u64);
+        assert_eq!(tel.stages.e2e.count(), tel.records.len() as u64);
 
         // The trace saw the same packets the logs did.
-        assert!(m.tracer().contains("packet injected"));
-        assert!(m.tracer().contains("dma start"));
-        assert!(m.tracer().contains("page mapped"));
+        assert!(m.trace().contains("packet injected"));
+        assert!(m.trace().contains("dma start"));
+        assert!(m.trace().contains("page mapped"));
 
         // And the Chrome export of that trace validates.
         let trace = m.export_chrome_trace();
@@ -2120,8 +2060,8 @@ mod tests {
         m.poke(NodeId(0), s, src, &[1u8; 16]).unwrap();
         m.run_until_idle().unwrap();
         assert!(m.telemetry().records.is_empty());
-        assert!(m.tracer().events().is_empty());
-        assert!(m.nic(NodeId(0)).tracer().events().is_empty());
+        assert!(m.trace().events().is_empty(), "no log without telemetry.trace");
+        assert!(m.nic(NodeId(0)).trace_outbox().is_empty());
         // The metrics snapshot still works — counters live on the NIC
         // regardless of the telemetry switches.
         assert!(m.metrics_snapshot().counter("nic0.packets_sent").unwrap() > 0);

@@ -21,7 +21,7 @@ use shrimp_mem::{
 use shrimp_mesh::{MeshPacket, NodeId};
 use shrimp_nic::{NetworkInterface, NicBackend, Payload, ShrimpPacket};
 use shrimp_os::{Kernel, KernelMsg, OsError, Pid, RoundRobin, SchedDecision};
-use shrimp_sim::{Scheduler, SimDuration, SimTime, Tracer};
+use shrimp_sim::{Scheduler, SimDuration, SimTime};
 
 use crate::config::MachineConfig;
 use crate::error::MachineError;
@@ -139,9 +139,6 @@ impl Node {
         let mut nic = build(id, config.shape, config.nic, config.pages_per_node);
         if let Some(site) = config.fault.nic_site(id.0 as u64) {
             nic.set_fault_injection(site);
-        }
-        if let Some(level) = config.telemetry.trace_level {
-            nic.set_tracer(Tracer::new(level));
         }
         Node {
             id,

@@ -441,12 +441,6 @@ impl FlatMemory {
         u32::from_le_bytes(self.data[i..i + 4].try_into().expect("in range"))
     }
 
-    /// Writes a word directly (test setup).
-    pub fn set_word(&mut self, addr: u64, value: u32) {
-        let i = addr as usize;
-        self.data[i..i + 4].copy_from_slice(&value.to_le_bytes());
-    }
-
     fn check(&self, addr: VirtAddr) -> Result<usize, MemError> {
         let i = addr.raw() as usize;
         if i + 4 > self.data.len() {

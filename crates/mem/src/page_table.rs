@@ -114,18 +114,6 @@ impl PageTable {
         self.entries.get(&vpn).copied()
     }
 
-    /// Updates the flags of an existing entry. Returns `false` if `vpn` is
-    /// not mapped.
-    pub fn set_flags(&mut self, vpn: VirtPageNum, flags: PageFlags) -> bool {
-        match self.entries.get_mut(&vpn) {
-            Some(e) => {
-                e.1 = flags;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Changes only the protection of an existing entry. Returns `false`
     /// if `vpn` is not mapped.
     pub fn set_protection(&mut self, vpn: VirtPageNum, protection: Protection) -> bool {

@@ -17,8 +17,7 @@ use std::collections::VecDeque;
 use bytes::Bytes;
 use shrimp_sim::fault::{FaultConfig, LinkFault, LinkFaultSite};
 use shrimp_sim::{
-    ComponentId, EventQueue, Histogram, SimDuration, SimTime, TraceData, TraceEvent, TraceLevel,
-    Tracer,
+    ComponentId, EventQueue, Histogram, SimDuration, SimTime, TraceData, TraceOutbox,
 };
 
 use crate::config::MeshConfig;
@@ -159,13 +158,10 @@ pub struct MeshNetwork<P = Bytes> {
     /// epoch. Present exactly while a churn schedule is armed: adaptive
     /// routing and the bounce paths then replace static dimension-order.
     routes: Option<RouteColumns>,
-    tracer: Tracer,
-    /// When on, reroute/bounce decisions made inside
-    /// [`MeshNetwork::advance`] are logged here for the host's flight
-    /// recorder to drain. Pure observation: it never affects routing or
-    /// timing.
-    flight_enabled: bool,
-    flight_log: Vec<TraceEvent>,
+    /// Link up/down, reroute and bounce events, made deep inside
+    /// [`MeshNetwork::advance`], for the host's tracer to drain. Pure
+    /// observation: it never affects routing or timing.
+    outbox: TraceOutbox,
     /// Nodes whose ejection buffer received a packet since the last
     /// [`MeshNetwork::drain_ejection_notices`], so the host can pump only
     /// those nodes. `noticed` lists each node once, which bounds the list
@@ -206,9 +202,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
             link_up: vec![true; n * 4],
             epoch: 0,
             routes: None,
-            tracer: Tracer::disabled(),
-            flight_enabled: false,
-            flight_log: Vec::new(),
+            outbox: TraceOutbox::default(),
             ejection_notices: Vec::new(),
             noticed: vec![false; n],
         }
@@ -246,51 +240,10 @@ impl<P: MeshPayload> MeshNetwork<P> {
         }
     }
 
-    /// Attaches a tracer for link up/down events.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// The mesh's tracer (link churn events).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Turns flight logging of reroute/bounce decisions on or off.
-    /// These happen deep inside `advance`, where the host cannot see
-    /// them; the log hands them to the host's flight recorder.
-    pub fn set_flight_recording(&mut self, on: bool) {
-        self.flight_enabled = on;
-        if !on {
-            self.flight_log.clear();
-        }
-    }
-
-    /// Moves all pending flight-log events into `out` (emission order).
-    pub fn drain_flight_into(&mut self, out: &mut Vec<TraceEvent>) {
-        out.append(&mut self.flight_log);
-    }
-
-    #[inline]
-    fn flight(&mut self, time: SimTime, data: TraceData) {
-        if self.flight_enabled {
-            self.flight_log.push(TraceEvent {
-                time,
-                level: TraceLevel::Info,
-                component: ComponentId::MESH,
-                data,
-            });
-        }
-    }
-
-    /// True when the directed link `from` → its `dir` neighbor is up.
-    pub fn link_is_up(&self, from: NodeId, dir: Direction) -> bool {
-        self.link_up[from.0 as usize * 4 + dir.index()]
-    }
-
-    /// The current link-state epoch (transitions seen so far).
-    pub fn link_epoch(&self) -> u64 {
-        self.epoch
+    /// The outbox of link up/down, reroute and bounce events. Off until
+    /// enabled; the host drains it after each advance.
+    pub fn trace_outbox_mut(&mut self) -> &mut TraceOutbox {
+        &mut self.outbox
     }
 
     /// Applies one churn transition: flips the link, bumps the epoch
@@ -302,7 +255,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
         }
         self.link_up[link] = up;
         self.epoch += 1;
-        if self.tracer.wants(TraceLevel::Info) {
+        if self.outbox.is_on() {
             let from = NodeId((link / 4) as u16);
             let to = self
                 .shape
@@ -313,7 +266,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
             } else {
                 TraceData::LinkDown { from: from.0, to: to.0, epoch: self.epoch }
             };
-            self.tracer.emit(t, TraceLevel::Info, ComponentId::MESH, data);
+            self.outbox.push(from.0, t, ComponentId::MESH, data);
         }
         for node in 0..self.retry_at.len() {
             self.schedule_retry(NodeId(node as u16), t);
@@ -640,19 +593,19 @@ impl<P: MeshPayload> MeshNetwork<P> {
                 self.routers[down.0 as usize].inputs[dport].reserved += 1;
                 if self.routes.is_some() && self.shape.route_next(node, dst) != Some(dir) {
                     self.stats.reroutes += 1;
-                    let src = self.packets[id]
-                        .as_ref()
-                        .expect("forwarding packet must exist")
-                        .packet
-                        .src();
-                    self.flight(
-                        t,
-                        TraceData::PacketRerouted {
+                    if self.outbox.is_on() {
+                        let src = self.packets[id]
+                            .as_ref()
+                            .expect("forwarding packet must exist")
+                            .packet
+                            .src();
+                        let data = TraceData::PacketRerouted {
                             src: src.0,
                             dst: dst.0,
                             at: node.0,
-                        },
-                    );
+                        };
+                        self.outbox.push(node.0, t, ComponentId::MESH, data);
+                    }
                 }
                 let inflight = self.packets[id].as_mut().expect("forwarding packet must exist");
                 inflight.hops += 1;
@@ -723,14 +676,12 @@ impl<P: MeshPayload> MeshNetwork<P> {
         let back_at = t + self.config.hop_latency;
         self.push_ejection(src, id, back_at);
         self.stats.bounced += 1;
-        self.flight(
-            t,
-            TraceData::PacketBounced {
-                src: src.0,
-                dst: dst.0,
-                at: at.0,
-            },
-        );
+        let data = TraceData::PacketBounced {
+            src: src.0,
+            dst: dst.0,
+            at: at.0,
+        };
+        self.outbox.push(at.0, t, ComponentId::MESH, data);
         // A mesh event at `back_at` so the host pumps ejections then.
         self.schedule_retry(src, back_at);
     }

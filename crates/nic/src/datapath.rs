@@ -59,22 +59,6 @@ pub enum CommandEffect {
     InterruptToggled,
 }
 
-/// An interrupt raised towards the node CPU/kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NicInterrupt {
-    /// The Outgoing FIFO crossed its threshold; the CPU waits for it to
-    /// drain.
-    OutgoingThreshold,
-    /// Data arrived for a page whose interrupt request was armed (§4.2).
-    DataArrival {
-        /// The page the data landed on.
-        page: PageNum,
-    },
-    /// An arriving packet addressed a page that is not mapped in; the
-    /// kernel is told so it can fault the offending connection.
-    BadDelivery,
-}
-
 /// An open blocked-write packet accumulating consecutive snooped words.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingBlocked {

@@ -154,14 +154,6 @@ impl DmaEngine {
         matches!(self.state, State::Idle)
     }
 
-    /// When the current transfer finishes, if one is in progress.
-    pub fn busy_until(&self) -> Option<SimTime> {
-        match self.state {
-            State::Busy { done_at, .. } => Some(done_at),
-            State::Idle => None,
-        }
-    }
-
     /// Bytes the current transfer covers, if one is in progress.
     pub fn current_bytes(&self) -> Option<u64> {
         match self.state {

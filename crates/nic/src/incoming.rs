@@ -9,9 +9,8 @@
 use shrimp_mesh::MeshPacket;
 use shrimp_mesh::NodeId;
 use shrimp_mem::PhysAddr;
-use shrimp_sim::{SimTime, TraceData, TraceLevel};
+use shrimp_sim::{SimTime, TraceData};
 
-use crate::datapath::NicInterrupt;
 use crate::error::NicError;
 use crate::nic::NetworkInterface;
 use crate::packet::{FrameKind, LinkCtl, PacketStamp, Payload, ShrimpPacket};
@@ -38,18 +37,15 @@ impl NetworkInterface {
     /// Emits an in-FIFO backpressure trace event on threshold crossings.
     /// Call after any Incoming FIFO push or pop.
     pub(crate) fn trace_in_threshold(&mut self, now: SimTime) {
-        if !self.tracer.wants(TraceLevel::Info) {
+        if !self.outbox.is_on() {
             return;
         }
         let over = self.in_fifo.over_threshold();
         if over != self.in_threshold_traced {
             self.in_threshold_traced = over;
-            let component = self.component();
             let occupancy = self.in_fifo.bytes();
-            self.tracer.emit(
+            self.trace(
                 now,
-                TraceLevel::Info,
-                component,
                 TraceData::FifoThreshold {
                     fifo: "in",
                     raised: over,
@@ -162,7 +158,8 @@ impl NetworkInterface {
     /// Pops the head of the Incoming FIFO once it has cleared the receive
     /// pipeline, yielding the memory transfer to perform — or an error if
     /// the addressed page is not mapped in (the packet is dropped and a
-    /// [`NicInterrupt::BadDelivery`] is raised).
+    /// [`TraceData::BadDelivery`] interrupt is raised). An armed page's
+    /// arrival raises [`TraceData::DataArrival`].
     pub fn pop_incoming(&mut self, now: SimTime) -> Option<Result<IncomingDelivery, NicError>> {
         let ready_at = {
             let (_, pushed) = self.in_fifo.peek_with_time()?;
@@ -176,12 +173,12 @@ impl NetworkInterface {
         let page = packet.header().dst_addr.page();
         if !self.nipt.is_mapped_in(page) {
             self.stats.unmapped_drops += 1;
-            self.interrupts.push(NicInterrupt::BadDelivery);
+            self.trace(now, TraceData::BadDelivery { page: page.raw() });
             return Some(Err(NicError::NotMappedIn { page }));
         }
         let interrupt = self.nipt.take_interrupt_request(page);
         if interrupt {
-            self.interrupts.push(NicInterrupt::DataArrival { page });
+            self.trace(now, TraceData::DataArrival { page: page.raw() });
         }
         let src = packet.header().src;
         let dst_addr = packet.header().dst_addr;
@@ -211,7 +208,7 @@ impl NetworkInterface {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{nic, t, wire_packet_for};
+    use crate::testutil::{drain_trace, nic, t, wire_packet_for};
     use shrimp_mem::PageNum;
     use shrimp_mesh::MeshCoord;
     use shrimp_sim::SimDuration;
@@ -234,12 +231,13 @@ mod tests {
     #[test]
     fn incoming_to_unmapped_page_drops_and_interrupts() {
         let mut n = nic();
+        n.trace_outbox_mut().enable();
         let mp = wire_packet_for(&n, PageNum::new(4).base(), vec![1; 4]);
         n.accept_packet(t(0), mp).unwrap();
         let r = n.pop_incoming(t(1000)).unwrap();
         assert!(matches!(r, Err(NicError::NotMappedIn { .. })));
         assert_eq!(n.stats().unmapped_drops, 1);
-        assert_eq!(n.take_interrupts(), vec![NicInterrupt::BadDelivery]);
+        assert_eq!(drain_trace(&mut n), vec![TraceData::BadDelivery { page: 4 }]);
     }
 
     #[test]
@@ -279,6 +277,7 @@ mod tests {
     #[test]
     fn arrival_interrupt_fires_once() {
         let mut n = nic();
+        n.trace_outbox_mut().enable();
         n.nipt_mut().set_mapped_in(PageNum::new(4), true).unwrap();
         n.nipt_mut().set_interrupt_on_arrival(PageNum::new(4), true).unwrap();
         for _ in 0..2 {
@@ -289,10 +288,7 @@ mod tests {
         assert!(d1.interrupt);
         let d2 = n.pop_incoming(t(1000)).unwrap().unwrap();
         assert!(!d2.interrupt, "one-shot request");
-        assert_eq!(
-            n.take_interrupts(),
-            vec![NicInterrupt::DataArrival { page: PageNum::new(4) }]
-        );
+        assert_eq!(drain_trace(&mut n), vec![TraceData::DataArrival { page: 4 }]);
     }
 
     #[test]

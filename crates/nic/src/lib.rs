@@ -75,7 +75,7 @@ pub use config::{NicBackend, NicConfig, RetxConfig, UnpinnedConfig};
 pub use dma::{DmaEngine, DmaStatus};
 pub use error::NicError;
 pub use fifo::PacketFifo;
-pub use nic::{IncomingDelivery, NetworkInterface, NicInterrupt, SnoopOutcome};
+pub use nic::{IncomingDelivery, NetworkInterface, SnoopOutcome};
 pub use nipt::{Nipt, NiptEntry, OutSegment, UpdatePolicy};
 pub use packet::{
     crc32, Crc32, FrameKind, LinkCtl, PacketStamp, Payload, ShrimpPacket, WireHeader,

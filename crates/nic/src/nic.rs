@@ -26,7 +26,7 @@
 use shrimp_mem::PageNum;
 use shrimp_mesh::{MeshCoord, MeshShape, NodeId};
 use shrimp_sim::fault::NicFaultSite;
-use shrimp_sim::{ComponentId, SimTime, Tracer};
+use shrimp_sim::{ComponentId, SimTime, TraceData, TraceOutbox};
 
 use crate::command::CommandSpace;
 use crate::config::NicConfig;
@@ -39,7 +39,7 @@ use crate::unpinned::Iotlb;
 
 // Re-exports so the long-standing `shrimp_nic::nic::*` paths keep
 // resolving after the module split.
-pub use crate::datapath::{CommandEffect, NicInterrupt, SnoopOutcome};
+pub use crate::datapath::{CommandEffect, SnoopOutcome};
 pub use crate::incoming::IncomingDelivery;
 pub use crate::stats::NicStats;
 
@@ -64,7 +64,6 @@ pub struct NetworkInterface {
     pub(crate) pending: Option<PendingBlocked>,
     pub(crate) overflow: std::collections::VecDeque<ShrimpPacket>,
     pub(crate) dma: DmaEngine,
-    pub(crate) interrupts: Vec<NicInterrupt>,
     pub(crate) out_threshold_raised: bool,
     /// Go-back-N engine state; `None` when retransmission is disabled.
     pub(crate) retx: Option<RetxState>,
@@ -82,8 +81,10 @@ pub struct NetworkInterface {
     /// The unpinned backend's outgoing IOTLB and in-flight map-ins;
     /// `None` on the pinned SHRIMP NIC.
     pub(crate) iotlb: Option<Iotlb>,
-    /// Typed trace sink (disabled by default: recording costs nothing).
-    pub(crate) tracer: Tracer,
+    /// FIFO-threshold crossings, retransmit timeouts and retransmits,
+    /// and the arrival and bad-delivery interrupts, for the machine's
+    /// tracer to drain. Off by default, when it keeps nothing.
+    pub(crate) outbox: TraceOutbox,
     /// Mirrors `in_fifo.over_threshold()` so threshold crossings emit
     /// exactly one raise/clear trace pair per backpressure episode.
     pub(crate) in_threshold_traced: bool,
@@ -111,7 +112,6 @@ impl NetworkInterface {
             pending: None,
             overflow: std::collections::VecDeque::new(),
             dma: DmaEngine::new(),
-            interrupts: Vec::new(),
             out_threshold_raised: false,
             retx: config.retx.enabled.then(RetxState::default),
             ctl_queue: std::collections::VecDeque::new(),
@@ -119,7 +119,7 @@ impl NetworkInterface {
             stall_until: None,
             stats: NicStats::default(),
             iotlb: None,
-            tracer: Tracer::disabled(),
+            outbox: TraceOutbox::default(),
             in_threshold_traced: false,
         }
     }
@@ -138,20 +138,22 @@ impl NetworkInterface {
         }
     }
 
-    /// Installs the typed trace sink. Tracing is off until this is called
-    /// (and free when the installed tracer is disabled).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    /// The trace events this NIC raised since the machine last drained
+    /// them.
+    pub fn trace_outbox(&self) -> &TraceOutbox {
+        &self.outbox
     }
 
-    /// The trace events recorded by this NIC so far.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+    /// The trace outbox, to enable or drain.
+    pub fn trace_outbox_mut(&mut self) -> &mut TraceOutbox {
+        &mut self.outbox
     }
 
-    /// This NIC's trace component id (`nic0`, `nic1`, …).
-    pub(crate) fn component(&self) -> ComponentId {
-        ComponentId::nic(self.node.0)
+    /// Keeps `data`, raised by this NIC at `time`, in the outbox.
+    #[inline]
+    pub(crate) fn trace(&mut self, time: SimTime, data: TraceData) {
+        let node = self.node.0;
+        self.outbox.push(node, time, ComponentId::nic(node), data);
     }
 
     /// Arms transient receive-stall fault injection on this NIC.
@@ -284,15 +286,5 @@ impl NetworkInterface {
             deadline = fold(t, deadline);
         }
         deadline
-    }
-
-    /// Drains raised interrupts.
-    pub fn take_interrupts(&mut self) -> Vec<NicInterrupt> {
-        std::mem::take(&mut self.interrupts)
-    }
-
-    /// True while raised interrupts wait for [`NetworkInterface::take_interrupts`].
-    pub fn has_pending_interrupts(&self) -> bool {
-        !self.interrupts.is_empty()
     }
 }

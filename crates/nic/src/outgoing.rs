@@ -10,9 +10,9 @@
 
 use shrimp_mem::PhysAddr;
 use shrimp_mesh::{MeshPacket, NodeId};
-use shrimp_sim::{SimTime, TraceData, TraceLevel};
+use shrimp_sim::{SimTime, TraceData};
 
-use crate::datapath::{NicInterrupt, SnoopOutcome};
+use crate::datapath::SnoopOutcome;
 use crate::nic::NetworkInterface;
 use crate::packet::{FrameKind, LinkCtl, Payload, ShrimpPacket, WireHeader};
 use crate::retx::SendPeer;
@@ -40,7 +40,6 @@ impl NetworkInterface {
             Ok(()) => {
                 if self.out_fifo.over_threshold() && !self.out_threshold_raised {
                     self.out_threshold_raised = true;
-                    self.interrupts.push(NicInterrupt::OutgoingThreshold);
                     self.trace_out_threshold(ready_at, true);
                 }
                 SnoopOutcome::Queued
@@ -49,7 +48,6 @@ impl NetworkInterface {
                 self.overflow.push_back(packet);
                 if !self.out_threshold_raised {
                     self.out_threshold_raised = true;
-                    self.interrupts.push(NicInterrupt::OutgoingThreshold);
                     self.trace_out_threshold(ready_at, true);
                 }
                 SnoopOutcome::Stalled
@@ -57,22 +55,18 @@ impl NetworkInterface {
         }
     }
 
-    /// Emits an out-FIFO backpressure raise/clear trace event.
+    /// Emits an out-FIFO backpressure raise/clear trace event. The
+    /// raise is the interrupt that stalls the CPU (§4).
     fn trace_out_threshold(&mut self, at: SimTime, raised: bool) {
-        if self.tracer.wants(TraceLevel::Info) {
-            let component = self.component();
-            let occupancy = self.out_fifo.bytes();
-            self.tracer.emit(
-                at,
-                TraceLevel::Info,
-                component,
-                TraceData::FifoThreshold {
-                    fifo: "out",
-                    raised,
-                    occupancy,
-                },
-            );
-        }
+        let occupancy = self.out_fifo.bytes();
+        self.trace(
+            at,
+            TraceData::FifoThreshold {
+                fifo: "out",
+                raised,
+                occupancy,
+            },
+        );
     }
 
     /// Clears the out-FIFO backpressure flag (tracing the transition)
@@ -217,9 +211,9 @@ mod tests {
     use crate::datapath::CommandEffect;
     use crate::nipt::UpdatePolicy;
     use crate::packet::Payload;
-    use crate::testutil::{map_out, nic, t};
+    use crate::testutil::{drain_trace, map_out, nic, t};
     use shrimp_mem::{PageNum, PAGE_SIZE, WORD_SIZE};
-    use shrimp_sim::{SimDuration, SimTime};
+    use shrimp_sim::{SimDuration, SimTime, TraceData};
 
     /// Regression for the overflow-refill born clamp: a deliberate
     /// packet whose DMA read finishes in the future (`born == done_at`)
@@ -282,6 +276,7 @@ mod tests {
     #[test]
     fn outgoing_threshold_raises_cpu_stall() {
         let mut n = nic();
+        n.trace_outbox_mut().enable();
         map_out(&mut n, 2, 1, 9, UpdatePolicy::AutomaticSingle);
         let addr = PageNum::new(2).base();
         let mut writes = 0;
@@ -290,9 +285,11 @@ mod tests {
             writes += 1;
             assert!(writes < 10_000, "threshold must eventually trip");
         }
-        assert!(n
-            .take_interrupts()
-            .contains(&crate::datapath::NicInterrupt::OutgoingThreshold));
+        let raised = |d: &TraceData| {
+            matches!(d, TraceData::FifoThreshold { fifo: "out", raised: true, .. })
+        };
+        let trace = drain_trace(&mut n);
+        assert_eq!(trace.iter().filter(|d| raised(d)).count(), 1, "one interrupt");
         // Draining clears the stall.
         while n.pop_outgoing(SimTime::from_picos(u64::MAX / 2)).is_some() {}
         n.poll(t(writes));

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use shrimp_mesh::{MeshPacket, NodeId};
-use shrimp_sim::{ComponentId, SimDuration, SimTime, TraceData, TraceLevel};
+use shrimp_sim::{ComponentId, SimDuration, SimTime, TraceData};
 
 use crate::error::NicError;
 use crate::nic::NetworkInterface;
@@ -91,19 +91,15 @@ impl NetworkInterface {
                 peer.rto = (peer.rto * 2).min(max_rto);
                 peer.timeout_at = Some(now + peer.rto);
                 self.stats.retx_timeouts += 1;
-                if self.tracer.wants(TraceLevel::Warn) {
+                if self.outbox.is_on() {
                     let attempt =
                         (peer.rto.as_picos() / base_rto.as_picos().max(1)).max(1) as u32;
-                    self.tracer.emit(
-                        now,
-                        TraceLevel::Warn,
-                        component,
-                        TraceData::RetxTimeout {
-                            peer: peer_id,
-                            base_seq: peer.base_seq,
-                            attempt,
-                        },
-                    );
+                    let data = TraceData::RetxTimeout {
+                        peer: peer_id,
+                        base_seq: peer.base_seq,
+                        attempt,
+                    };
+                    self.outbox.push(self.node.0, now, component, data);
                 }
             }
         }
@@ -129,14 +125,8 @@ impl NetworkInterface {
             peer.resend_from = more.then_some(next);
             peer.timeout_at = Some(now + peer.rto);
             self.stats.retransmissions += 1;
-            if self.tracer.wants(TraceLevel::Warn) {
-                self.tracer.emit(
-                    now,
-                    TraceLevel::Warn,
-                    ComponentId::nic(node.0),
-                    TraceData::Retransmit { peer: peer_id, seq: from },
-                );
-            }
+            let data = TraceData::Retransmit { peer: peer_id, seq: from };
+            self.outbox.push(node.0, now, ComponentId::nic(node.0), data);
             return Some(MeshPacket::new(node, NodeId(peer_id), framed));
         }
         None

@@ -3,7 +3,7 @@
 
 use shrimp_mem::{PageNum, PhysAddr};
 use shrimp_mesh::{MeshPacket, MeshShape, NodeId};
-use shrimp_sim::{SimDuration, SimTime};
+use shrimp_sim::{SimDuration, SimTime, TraceData, Tracer};
 
 use crate::config::{NicConfig, RetxConfig};
 use crate::datapath::SnoopOutcome;
@@ -17,6 +17,14 @@ pub(crate) fn shape() -> MeshShape {
 
 pub(crate) fn nic() -> NetworkInterface {
     NetworkInterface::new(NodeId(0), shape(), NicConfig::default(), 64)
+}
+
+/// Drains the NIC's trace outbox, returning the payloads in the order
+/// they were raised.
+pub(crate) fn drain_trace(n: &mut NetworkInterface) -> Vec<TraceData> {
+    let mut log = Tracer::new(0, 0, true);
+    n.trace_outbox_mut().drain_into(&mut log);
+    log.events().iter().map(|e| e.data).collect()
 }
 
 pub(crate) fn t(ns: u64) -> SimTime {

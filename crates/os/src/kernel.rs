@@ -9,7 +9,8 @@
 //!   verifies it. This is the protection check of paper §2.
 //! * **Sender half** ([`Kernel::prepare_out_mapping`]) — validates the
 //!   send buffer and switches its pages to write-through caching so the
-//!   NIC can snoop every store (§3.1).
+//!   NIC can snoop every store (§3.1); each installed segment is then
+//!   recorded ([`Kernel::add_outgoing_record`]) for §4.4.
 //! * **Receiver half** ([`Kernel::grant_in_mapping`]) — validates the
 //!   export, then either **pins** the frames (the simple §4.4 policy) or
 //!   merely records the importing node (the invalidate policy).
@@ -256,9 +257,9 @@ impl Kernel {
     // ──────────────────── map(): the two kernel halves ──────────────────
 
     /// Sender half of `map`: validates `[vpn, vpn+pages)` of `pid` as a
-    /// send buffer, switches its pages to write-through caching, and
-    /// records the outgoing mapping for §4.4 bookkeeping. Returns the
-    /// local frames in order.
+    /// send buffer and switches its pages to write-through caching.
+    /// Returns the local frames in order. The caller records each NIPT
+    /// segment it then installs with [`Kernel::add_outgoing_record`].
     ///
     /// # Errors
     ///
@@ -268,10 +269,7 @@ impl Kernel {
         pid: Pid,
         vpn: VirtPageNum,
         pages: u64,
-        dst_node: NodeId,
-        dst_frames: &[PageNum],
     ) -> Result<Vec<PageNum>, OsError> {
-        assert_eq!(dst_frames.len() as u64, pages, "one destination frame per page");
         let proc = self.procs.get_mut(&pid).ok_or(OsError::NoSuchProcess(pid))?;
         if !proc.range_mapped(vpn, pages) {
             return Err(OsError::RangeNotMapped { pid, vpn });
@@ -282,13 +280,6 @@ impl Kernel {
             let (frame, _) = proc.page_table().entry(v).expect("range checked");
             proc.page_table_mut().set_cache_mode(v, CacheMode::WriteThrough);
             frames.push(frame);
-            self.outgoing.push(OutgoingRecord {
-                dst_node,
-                dst_frame: dst_frames[i as usize],
-                pid,
-                vpn: v,
-                src_frame: frame,
-            });
         }
         Ok(frames)
     }
@@ -361,9 +352,9 @@ impl Kernel {
         Ok(frame)
     }
 
-    /// Records an additional outgoing mapping (used by the machine for
-    /// split-page mappings, where one source page targets two remote
-    /// frames and both must be tracked for invalidation).
+    /// Records one outgoing mapping segment for §4.4 invalidation: a
+    /// source page sending into a remote frame. A source page split
+    /// across two remote frames (§3.2) gets one record per segment.
     pub fn add_outgoing_record(&mut self, rec: OutgoingRecord) {
         self.outgoing.push(rec);
     }
@@ -656,15 +647,20 @@ mod tests {
         let mut k = kernel();
         let pid = k.create_process();
         let base = k.alloc_pages(pid, 2).unwrap();
-        let dst = [PageNum::new(7), PageNum::new(8)];
-        let frames = k
-            .prepare_out_mapping(pid, base, 2, NodeId(1), &dst)
-            .unwrap();
+        let frames = k.prepare_out_mapping(pid, base, 2).unwrap();
         assert_eq!(frames.len(), 2);
         let (_, flags) = k.process(pid).unwrap().page_table().entry(base).unwrap();
         assert_eq!(flags.cache_mode, CacheMode::WriteThrough);
-        assert_eq!(k.outgoing_for_frame(frames[0]).len(), 1);
-        assert_eq!(k.outgoing_for_frame(frames[0])[0].dst_frame, PageNum::new(7));
+        assert!(k.outgoing_for_frame(frames[0]).is_empty(), "segments are recorded one by one");
+        let rec = OutgoingRecord {
+            dst_node: NodeId(1),
+            dst_frame: PageNum::new(7),
+            pid,
+            vpn: base,
+            src_frame: frames[0],
+        };
+        k.add_outgoing_record(rec);
+        assert_eq!(k.outgoing_for_frame(frames[0]), vec![rec]);
     }
 
     #[test]
@@ -695,8 +691,14 @@ mod tests {
 
         let spid = send.create_process();
         let sbuf = send.alloc_pages(spid, 1).unwrap();
-        send.prepare_out_mapping(spid, sbuf, 1, NodeId(0), &token.frames)
-            .unwrap();
+        let sframes = send.prepare_out_mapping(spid, sbuf, 1).unwrap();
+        send.add_outgoing_record(OutgoingRecord {
+            dst_node: NodeId(0),
+            dst_frame: frame,
+            pid: spid,
+            vpn: sbuf,
+            src_frame: sframes[0],
+        });
 
         // Receiver starts the pageout.
         let msgs = recv.begin_pageout(frame).unwrap();

@@ -1,14 +1,27 @@
 //! Multi-node consistency-protocol tests (paper §4.4) at the kernel
 //! level, with the test harness playing the message transport.
 
-use shrimp_mem::{Protection, VirtPageNum};
+use shrimp_mem::{PageNum, Protection, VirtPageNum};
 use shrimp_mesh::NodeId;
-use shrimp_os::kernel::ConsistencyPolicy;
-use shrimp_os::{Kernel, KernelMsg};
+use shrimp_os::kernel::{ConsistencyPolicy, OutgoingRecord};
+use shrimp_os::{Kernel, KernelMsg, Pid};
+
+/// The sender half of a one-page `map` of `vpn` into `dst_frame` on
+/// node 0: write-through caching plus the segment's record.
+fn map_out(k: &mut Kernel, pid: Pid, vpn: VirtPageNum, dst_frame: PageNum) {
+    let src = k.prepare_out_mapping(pid, vpn, 1).unwrap();
+    k.add_outgoing_record(OutgoingRecord {
+        dst_node: NodeId(0),
+        dst_frame,
+        pid,
+        vpn,
+        src_frame: src[0],
+    });
+}
 
 /// Builds one receiver (invalidate policy) and `n` sender kernels all
 /// importing the same receiver frame.
-fn world(n: u16) -> (Kernel, Vec<(Kernel, shrimp_os::Pid, VirtPageNum)>, shrimp_mem::PageNum) {
+fn world(n: u16) -> (Kernel, Vec<(Kernel, Pid, VirtPageNum)>, PageNum) {
     let mut recv = Kernel::with_policy(NodeId(0), 32, ConsistencyPolicy::Invalidate);
     let rpid = recv.create_process();
     let rbuf = recv.alloc_pages(rpid, 1).unwrap();
@@ -21,8 +34,7 @@ fn world(n: u16) -> (Kernel, Vec<(Kernel, shrimp_os::Pid, VirtPageNum)>, shrimp_
         let pid = k.create_process();
         let buf = k.alloc_pages(pid, 1).unwrap();
         let token = recv.grant_in_mapping(export, NodeId(i), 0, 1).unwrap();
-        k.prepare_out_mapping(pid, buf, 1, NodeId(0), &token.frames)
-            .unwrap();
+        map_out(&mut k, pid, buf, token.frames[0]);
         senders.push((k, pid, buf));
     }
     (recv, senders, frame)
@@ -81,8 +93,7 @@ fn unrelated_mappings_survive_a_shootdown() {
     // Sender 1 also maps a second, unrelated page out.
     let (k, pid, _) = &mut senders[0];
     let other = k.alloc_pages(*pid, 1).unwrap();
-    k.prepare_out_mapping(*pid, other, 1, NodeId(0), &[shrimp_mem::PageNum::new(9)])
-        .unwrap();
+    map_out(k, *pid, other, PageNum::new(9));
 
     let msgs = recv.begin_pageout(frame).unwrap();
     for &(dst, msg) in &msgs {

@@ -276,12 +276,11 @@ pub fn validate_chrome_json(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{ComponentId, TraceLevel};
+    use crate::trace::ComponentId;
 
     fn ev(ps: u64, component: ComponentId, data: TraceData) -> TraceEvent {
         TraceEvent {
             time: SimTime::ZERO + crate::SimDuration::from_picos(ps),
-            level: TraceLevel::Info,
             component,
             data,
         }

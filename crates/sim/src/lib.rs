@@ -34,7 +34,6 @@ pub mod fault;
 pub mod json;
 pub mod metrics;
 pub mod profile;
-pub mod recorder;
 pub mod resource;
 pub mod rng;
 pub mod sched;
@@ -52,10 +51,11 @@ pub use metrics::{
     validate_metrics_json, HistogramSummary, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
 pub use profile::{EnginePhase, EngineProfileReport, EngineProfiler};
-pub use recorder::{FlightEntry, FlightRecorder};
 pub use resource::{BandwidthResource, SerialResource};
 pub use rng::SimRng;
 pub use sched::Scheduler;
 pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
-pub use trace::{ComponentId, TelemetryConfig, TraceData, TraceEvent, TraceLevel, Tracer};
+pub use trace::{
+    ComponentId, FlightEntry, TelemetryConfig, TraceData, TraceEvent, TraceOutbox, Tracer,
+};

@@ -9,6 +9,7 @@
 
 use std::time::Instant;
 
+use crate::chrome::CounterSample;
 use crate::metrics::MetricsRegistry;
 
 /// A wall-clock phase of the engine's main loop.
@@ -171,6 +172,19 @@ impl EngineProfileReport {
             reg.set_counter(format!("engine.profile.{name}_calls"), calls);
         }
         reg.set_counter("engine.profile.pump_node_visits", self.pump_node_visits);
+    }
+
+    /// Each phase's wall time in milliseconds as one sample at `ts_us`
+    /// on the Chrome export's `engine.profile` counter track.
+    pub fn counter_samples(&self, ts_us: f64) -> Vec<CounterSample> {
+        self.phases
+            .iter()
+            .map(|&(name, ns, _)| CounterSample {
+                name: format!("engine.profile.{name}_ms"),
+                ts_us,
+                value: ns as f64 / 1e6,
+            })
+            .collect()
     }
 
     /// A human-readable phase table for terminal reports.

@@ -1,27 +1,19 @@
-//! Typed, lazily-recorded event tracing.
+//! The one trace sink and the events it records.
 //!
-//! Components emit structured [`TraceEvent`]s into a [`Tracer`]; tests
-//! inspect them to verify protocol behaviour, and the Chrome exporter
-//! ([`crate::chrome`]) turns the stream into a Perfetto-loadable trace.
-//! Payloads are a typed [`TraceData`] enum — no pre-formatted strings —
-//! so a disabled tracer costs one branch and zero allocation on the hot
-//! path, and allocating payloads can be deferred entirely with
-//! [`Tracer::emit_with`].
+//! Components describe what happened as typed [`TraceEvent`]s. The
+//! machine owns the only [`Tracer`], which admits each event once into
+//! a preallocated ring per node (the newest events, for panic dumps and
+//! packet trails) and, when [`TelemetryConfig::trace`] is on, into the
+//! log the Chrome exporter ([`crate::chrome`]) reads. Components the
+//! machine cannot reach while they run (the mesh inside an advance, a
+//! NIC inside a snoop) park their events in a [`TraceOutbox`] that the
+//! machine drains. Payloads are a typed [`TraceData`] enum, never
+//! pre-formatted strings, so with the sink off an emission site costs
+//! one branch and builds nothing.
 
 use std::fmt;
 
 use crate::time::SimTime;
-
-/// Severity / verbosity class of a trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum TraceLevel {
-    /// High-volume per-transaction detail (bus writes, flit hops).
-    Debug,
-    /// Normal protocol milestones (packet sent, DMA started).
-    Info,
-    /// Unusual but handled conditions (FIFO threshold crossed, retry).
-    Warn,
-}
 
 /// Identifies the component an event came from: a kind tag plus an
 /// optional instance index (`nic0`, `mesh`, `machine`).
@@ -67,9 +59,8 @@ impl fmt::Display for ComponentId {
 /// The structured payload of one trace event.
 ///
 /// Variants carry the fields the event taxonomy in DESIGN.md §5c
-/// defines; none of the typed variants allocate, so constructing one on
-/// a disabled tracer's behalf is free.
-#[derive(Debug, Clone, PartialEq)]
+/// defines; none of them allocate.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceData {
     /// A data packet entered the mesh.
     PacketInjected {
@@ -92,6 +83,8 @@ pub enum TraceData {
         bytes: u32,
     },
     /// An Outgoing/Incoming FIFO crossed its programmable threshold.
+    /// The Outgoing FIFO's raise is the interrupt that stalls the CPU
+    /// until the FIFO drains (§4).
     FifoThreshold {
         /// `"out"` or `"in"`.
         fifo: &'static str,
@@ -191,13 +184,24 @@ pub enum TraceData {
         /// Wire bytes.
         bytes: u32,
     },
+    /// Data arrived for a page whose one-shot arrival interrupt was
+    /// armed, interrupting the CPU (§4.2).
+    DataArrival {
+        /// The physical page the data landed on.
+        page: u64,
+    },
+    /// An arriving packet addressed a page that is not mapped in: the
+    /// packet is dropped and the kernel interrupted.
+    BadDelivery {
+        /// The physical page the packet addressed.
+        page: u64,
+    },
 }
 
 impl TraceData {
     /// The `(src, dst)` packet lane this event belongs to, when it is
     /// part of a packet's lifecycle (inject → route/reroute/bounce →
-    /// eject → deliver). Used by the flight recorder to reconstruct a
-    /// single transfer's causal trail.
+    /// eject → deliver). [`Tracer::trail`] filters on it.
     pub fn packet_lane(&self) -> Option<(u16, u16)> {
         match *self {
             TraceData::PacketInjected { src, dst, .. }
@@ -265,17 +269,17 @@ impl fmt::Display for TraceData {
             TraceData::PacketEjected { src, dst, bytes } => {
                 write!(f, "packet ejected {src}->{dst} {bytes}B")
             }
+            TraceData::DataArrival { page } => write!(f, "data arrival interrupt page={page}"),
+            TraceData::BadDelivery { page } => write!(f, "bad delivery interrupt page={page}"),
         }
     }
 }
 
 /// One recorded trace event.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// When the event happened.
     pub time: SimTime,
-    /// Severity class.
-    pub level: TraceLevel,
     /// Which component emitted it.
     pub component: ComponentId,
     /// Structured payload.
@@ -284,134 +288,221 @@ pub struct TraceEvent {
 
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{} {:?} {}] {}",
-            self.time, self.level, self.component, self.data
-        )
+        write!(f, "[{} {}] {}", self.time, self.component, self.data)
     }
 }
 
-/// Collects trace events at or above a minimum level.
+/// One event in a node's ring, with the global admission sequence
+/// number that makes a dump's order total even for same-picosecond
+/// events.
+#[derive(Debug, Clone)]
+pub struct FlightEntry {
+    /// Global monotonically increasing admission number.
+    pub seq: u64,
+    /// Node ring this entry was recorded into.
+    pub node: usize,
+    /// The recorded event.
+    pub event: TraceEvent,
+}
+
+#[derive(Debug, Clone)]
+struct Ring {
+    buf: Vec<Option<FlightEntry>>,
+    /// Next write slot; wraps modulo capacity.
+    next: usize,
+}
+
+/// The machine's one trace sink (DESIGN.md §5c, §5h).
+///
+/// [`Tracer::emit`] admits each event once, under one global sequence
+/// number, into
+/// - `node`'s ring, preallocated with room for `capacity` events: the
+///   newest overwrites the oldest, with no allocation per event;
+/// - the log of every event in admission order, kept only when it was
+///   asked for ([`TelemetryConfig::trace`]).
+///
+/// With no ring and no log nothing is admitted, and emission sites
+/// check [`Tracer::is_on`] before building an event.
 ///
 /// # Examples
 ///
 /// ```
-/// use shrimp_sim::{Tracer, TraceLevel, SimTime};
-/// use shrimp_sim::trace::{ComponentId, TraceData};
+/// use shrimp_sim::{SimTime, Tracer};
+/// use shrimp_sim::trace::{ComponentId, TraceData, TraceEvent};
 ///
-/// let mut tracer = Tracer::new(TraceLevel::Info);
-/// tracer.emit(SimTime::ZERO, TraceLevel::Debug, ComponentId::MESH,
-///             TraceData::PacketDelivered { src: 0, dst: 1, bytes: 4 });
-/// tracer.emit(SimTime::ZERO, TraceLevel::Info, ComponentId::nic(0),
-///             TraceData::PacketInjected { src: 0, dst: 1, bytes: 22, seq: None });
+/// let mut tracer = Tracer::new(2, 4, true);
+/// tracer.emit(1, TraceEvent {
+///     time: SimTime::ZERO,
+///     component: ComponentId::nic(1),
+///     data: TraceData::PacketInjected { src: 1, dst: 0, bytes: 22, seq: None },
+/// });
 /// assert_eq!(tracer.events().len(), 1);
+/// assert_eq!(tracer.dump()[0].node, 1);
 /// assert!(tracer.contains("packet injected"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tracer {
-    min_level: TraceLevel,
-    events: Vec<TraceEvent>,
-    enabled: bool,
+    rings: Vec<Ring>,
+    capacity: usize,
+    seq: u64,
+    log: Option<Vec<TraceEvent>>,
 }
 
 impl Tracer {
-    /// Creates a tracer that keeps events at or above `min_level`.
-    pub fn new(min_level: TraceLevel) -> Self {
+    /// Preallocates `nodes` rings of `capacity` events each, and keeps
+    /// the log when `log` is set.
+    pub fn new(nodes: usize, capacity: usize, log: bool) -> Self {
+        let rings = (0..nodes)
+            .map(|_| Ring {
+                buf: vec![None; capacity],
+                next: 0,
+            })
+            .collect();
         Tracer {
-            min_level,
-            events: Vec::new(),
-            enabled: true,
+            rings,
+            capacity,
+            seq: 0,
+            log: log.then(Vec::new),
         }
     }
 
-    /// Creates a tracer that records nothing (zero overhead beyond the
-    /// enabled check).
-    pub fn disabled() -> Self {
-        Tracer {
-            min_level: TraceLevel::Warn,
-            events: Vec::new(),
-            enabled: false,
-        }
-    }
-
-    /// True when an event at `level` would be recorded.
+    /// Whether an emitted event is kept anywhere.
     #[inline]
-    pub fn wants(&self, level: TraceLevel) -> bool {
-        self.enabled && level >= self.min_level
+    pub fn is_on(&self) -> bool {
+        self.capacity > 0 || self.log.is_some()
     }
 
-    /// Records a typed event if tracing is enabled and the level
-    /// qualifies. The typed [`TraceData`] variants are plain values, so
-    /// callers may construct them unconditionally without allocating.
+    /// Ring capacity per node.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Admits `event` into `node`'s ring and the log.
     #[inline]
-    pub fn emit(&mut self, time: SimTime, level: TraceLevel, component: ComponentId, data: TraceData) {
-        if self.wants(level) {
-            self.events.push(TraceEvent {
-                time,
-                level,
-                component,
-                data,
-            });
+    pub fn emit(&mut self, node: usize, event: TraceEvent) {
+        if !self.is_on() {
+            return;
+        }
+        let seq = self.seq;
+        self.seq += 1;
+        if self.capacity > 0 {
+            let ring = &mut self.rings[node];
+            let slot = ring.next;
+            ring.buf[slot] = Some(FlightEntry { seq, node, event });
+            ring.next = (slot + 1) % self.capacity;
+        }
+        if let Some(log) = &mut self.log {
+            log.push(event);
         }
     }
 
-    /// Records an event whose payload is expensive to build (it
-    /// allocates or formats): `build` runs only when the event will
-    /// actually be kept.
-    #[inline]
-    pub fn emit_with(
-        &mut self,
-        time: SimTime,
-        level: TraceLevel,
-        component: ComponentId,
-        build: impl FnOnce() -> TraceData,
-    ) {
-        if self.wants(level) {
-            let data = build();
-            self.events.push(TraceEvent {
-                time,
-                level,
-                component,
-                data,
-            });
-        }
+    /// Events ever admitted, including those the rings overwrote.
+    pub fn recorded(&self) -> u64 {
+        self.seq
     }
 
-    /// All recorded events, in recording order.
+    /// The log: every admitted event in admission order, or nothing
+    /// when the log is off.
     pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+        self.log.as_deref().unwrap_or_default()
     }
 
-    /// Events from one component (`"nic0"`, `"mesh"`, ...).
-    pub fn events_for<'a>(
-        &'a self,
-        component: &'a str,
-    ) -> impl Iterator<Item = &'a TraceEvent> + 'a {
-        self.events
-            .iter()
-            .filter(move |e| e.component.to_string() == component)
-    }
-
-    /// True if any recorded event's rendered form contains `needle`.
+    /// True if any logged event's rendered form contains `needle`.
     pub fn contains(&self, needle: &str) -> bool {
-        self.events.iter().any(|e| e.data.to_string().contains(needle))
+        self.events().iter().any(|e| e.data.to_string().contains(needle))
     }
 
-    /// Discards all recorded events.
-    pub fn clear(&mut self) {
-        self.events.clear();
+    /// Every entry the rings retain, sorted by `(time, seq)`: a total,
+    /// stable order.
+    pub fn dump(&self) -> Vec<FlightEntry> {
+        self.retained(|_| true)
     }
 
-    /// Whether this tracer records anything at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+    /// Retained entries on the packet lane `src → dst`, `(time, seq)`
+    /// sorted: the causal trail of its transfers through inject →
+    /// route/reroute/bounce → eject → deliver.
+    pub fn trail(&self, src: u16, dst: u16) -> Vec<FlightEntry> {
+        self.retained(|e| e.data.packet_lane() == Some((src, dst)))
+    }
+
+    fn retained(&self, keep: impl Fn(&TraceEvent) -> bool) -> Vec<FlightEntry> {
+        let mut out: Vec<FlightEntry> = self
+            .rings
+            .iter()
+            .flat_map(|r| r.buf.iter().flatten())
+            .filter(|e| keep(&e.event))
+            .cloned()
+            .collect();
+        out.sort_by_key(|e| (e.event.time, e.seq));
+        out
+    }
+
+    /// Renders the retained entries one line per event, oldest first:
+    /// the panic-dump format.
+    pub fn render(&self) -> String {
+        let entries = self.dump();
+        let mut out = String::with_capacity(entries.len() * 64);
+        out.push_str(&format!(
+            "--- flight recorder: {} retained of {} recorded ---\n",
+            entries.len(),
+            self.recorded()
+        ));
+        for e in &entries {
+            out.push_str(&format!(
+                "[{:>12} ps] seq={:<6} node={:<3} {}\n",
+                e.event.time.as_picos(),
+                e.seq,
+                e.node,
+                e.event.data
+            ));
+        }
+        out
     }
 }
 
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::disabled()
+/// Trace events a component raised where the machine's [`Tracer`]
+/// cannot reach (inside a mesh advance, a NIC snoop), each with the
+/// node whose ring it belongs to. The machine drains it into the
+/// tracer (DESIGN.md §5h). Off by default, when it keeps nothing; the
+/// machine enables it when its tracer is on.
+#[derive(Debug, Clone, Default)]
+pub struct TraceOutbox {
+    on: bool,
+    events: Vec<(u16, TraceEvent)>,
+}
+
+impl TraceOutbox {
+    /// Starts keeping events.
+    pub fn enable(&mut self) {
+        self.on = true;
+    }
+
+    /// Whether pushed events are kept. Sites whose payload costs work
+    /// to compute check it first.
+    #[inline]
+    pub fn is_on(&self) -> bool {
+        self.on
+    }
+
+    /// Keeps `data`, raised by `component` at `time`, for `node`'s ring.
+    #[inline]
+    pub fn push(&mut self, node: u16, time: SimTime, component: ComponentId, data: TraceData) {
+        if self.on {
+            self.events.push((node, TraceEvent { time, component, data }));
+        }
+    }
+
+    /// True when nothing waits to be drained.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Moves every kept event into `tracer`, in the order pushed.
+    pub fn drain_into(&mut self, tracer: &mut Tracer) {
+        for (node, event) in self.events.drain(..) {
+            tracer.emit(node as usize, event);
+        }
     }
 }
 
@@ -421,24 +512,26 @@ impl Default for Tracer {
 /// (pinned by `tests/determinism.rs` and `tests/profiling.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Record typed trace events at this level and above.
-    pub trace_level: Option<TraceLevel>,
+    /// Keep every trace event in the tracer's log, which the Chrome
+    /// export reads. The log grows with the run.
+    pub trace: bool,
     /// Record per-packet lifecycle latency histograms and breakdowns.
     pub latency: bool,
     /// Collect wall-clock engine phase attribution (`engine.profile.*`).
     /// Wall times never enter the deterministic metrics snapshot, so
     /// this cannot perturb results either way.
     pub profile: bool,
-    /// Flight-recorder ring capacity per node (recent trace events kept
-    /// for panic dumps and causal trails). `0` disables recording; the
-    /// default keeps a small ring always on.
+    /// Trace events kept per node in the tracer's ring (the newest
+    /// win), for panic dumps and packet trails. With `0` and `trace`
+    /// off no trace event is built at all; the default keeps a small
+    /// ring always on.
     pub flight_recorder: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
-            trace_level: None,
+            trace: false,
             latency: false,
             profile: false,
             flight_recorder: 64,
@@ -447,16 +540,16 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Observation defaults: tracing/latency/profiling off, a small
-    /// flight-recorder ring on (it is perturbation-free by design).
+    /// Observation defaults: trace log, latency and profiling off, a
+    /// small ring on (it is perturbation-free by design).
     pub fn off() -> Self {
         TelemetryConfig::default()
     }
 
-    /// Everything on at full verbosity.
+    /// Everything on.
     pub fn full() -> Self {
         TelemetryConfig {
-            trace_level: Some(TraceLevel::Debug),
+            trace: true,
             latency: true,
             profile: true,
             flight_recorder: 256,
@@ -468,64 +561,146 @@ impl TelemetryConfig {
 mod tests {
     use super::*;
 
-    fn delivered() -> TraceData {
-        TraceData::PacketDelivered {
-            src: 0,
-            dst: 1,
-            bytes: 4,
+    fn ev(t: u64, src: u16, dst: u16) -> TraceEvent {
+        TraceEvent {
+            time: SimTime::from_picos(t),
+            component: ComponentId::MESH,
+            data: TraceData::PacketInjected {
+                src,
+                dst,
+                bytes: 64,
+                seq: None,
+            },
         }
     }
 
     #[test]
-    fn level_filtering() {
-        let mut t = Tracer::new(TraceLevel::Info);
-        t.emit(SimTime::ZERO, TraceLevel::Debug, ComponentId::MESH, delivered());
-        t.emit(SimTime::ZERO, TraceLevel::Info, ComponentId::MESH, delivered());
-        t.emit(SimTime::ZERO, TraceLevel::Warn, ComponentId::MESH, delivered());
-        assert_eq!(t.events().len(), 2);
+    fn ring_wraps_at_capacity_keeping_newest() {
+        let mut t = Tracer::new(1, 3, false);
+        for i in 0..5u64 {
+            t.emit(0, ev(i, 0, 1));
+        }
+        let d = t.dump();
+        assert_eq!(t.recorded(), 5);
+        assert_eq!(d.len(), 3, "ring retains exactly its capacity");
+        let times: Vec<u64> = d.iter().map(|e| e.event.time.as_picos()).collect();
+        assert_eq!(times, vec![2, 3, 4], "oldest entries overwritten first");
+        assert!(t.events().is_empty(), "no log unless asked for");
     }
 
     #[test]
-    fn disabled_tracer_records_nothing_and_never_builds() {
-        let mut t = Tracer::disabled();
-        t.emit(SimTime::ZERO, TraceLevel::Warn, ComponentId::MACHINE, delivered());
-        t.emit_with(SimTime::ZERO, TraceLevel::Warn, ComponentId::MACHINE, || {
-            panic!("payload built for a disabled tracer")
-        });
-        assert!(t.events().is_empty());
-        assert!(!t.is_enabled());
-        assert!(!t.wants(TraceLevel::Warn));
+    fn dump_is_time_then_seq_sorted_across_rings() {
+        let mut t = Tracer::new(3, 4, false);
+        // Interleave same-time events across rings; admission order
+        // (seq) must break the tie deterministically.
+        t.emit(2, ev(10, 2, 0));
+        t.emit(0, ev(5, 0, 1));
+        t.emit(1, ev(10, 1, 2));
+        t.emit(0, ev(7, 0, 2));
+        let d = t.dump();
+        let keys: Vec<(u64, u64)> = d.iter().map(|e| (e.event.time.as_picos(), e.seq)).collect();
+        assert_eq!(keys, vec![(5, 1), (7, 3), (10, 0), (10, 2)]);
     }
 
     #[test]
-    fn component_filter_and_contains() {
-        let mut t = Tracer::new(TraceLevel::Debug);
+    fn off_tracer_admits_nothing() {
+        let mut t = Tracer::new(4, 0, false);
+        assert!(!t.is_on());
+        t.emit(0, ev(1, 0, 1));
+        assert_eq!(t.recorded(), 0);
+        assert!(t.dump().is_empty() && t.events().is_empty());
+    }
+
+    #[test]
+    fn log_keeps_every_event_in_admission_order() {
+        let mut t = Tracer::new(2, 1, true);
+        for i in 0..3u64 {
+            t.emit(1, ev(10 - i, 1, 0));
+        }
+        let times: Vec<u64> = t.events().iter().map(|e| e.time.as_picos()).collect();
+        assert_eq!(times, vec![10, 9, 8], "the log is unbounded and unsorted");
+        assert_eq!(t.dump().len(), 1, "the ring still keeps its capacity");
+        assert_eq!(t.recorded(), 3);
+
+        let mut log_only = Tracer::new(2, 0, true);
+        assert!(log_only.is_on());
+        log_only.emit(0, ev(1, 0, 1));
+        assert_eq!((log_only.events().len(), log_only.dump().len()), (1, 0));
+    }
+
+    #[test]
+    fn trail_filters_by_packet_lane() {
+        let mut t = Tracer::new(2, 8, false);
+        t.emit(0, ev(1, 0, 1));
+        t.emit(1, ev(2, 1, 0));
+        t.emit(0, ev(3, 0, 1));
+        let trail = t.trail(0, 1);
+        assert_eq!(trail.len(), 2);
+        assert!(trail.iter().all(|e| e.event.data.packet_lane() == Some((0, 1))));
+        assert!(t.trail(3, 3).is_empty());
+    }
+
+    #[test]
+    fn render_mentions_counts_and_events() {
+        let mut t = Tracer::new(1, 2, false);
+        t.emit(0, ev(42, 0, 1));
+        let s = t.render();
+        assert!(s.contains("1 retained of 1 recorded"));
+        assert!(s.contains("42"));
+    }
+
+    #[test]
+    fn outbox_keeps_nothing_until_enabled_and_drains_in_order() {
+        let mut outbox = TraceOutbox::default();
+        let mut t = Tracer::new(2, 4, true);
+        outbox.push(1, SimTime::ZERO, ComponentId::MESH, ev(0, 0, 1).data);
+        assert!(outbox.is_empty() && !outbox.is_on());
+        outbox.enable();
+        outbox.push(1, SimTime::from_picos(9), ComponentId::MESH, ev(9, 0, 1).data);
+        outbox.push(0, SimTime::from_picos(3), ComponentId::nic(0), ev(3, 1, 0).data);
+        outbox.drain_into(&mut t);
+        assert!(outbox.is_empty());
+        let admitted: Vec<(u64, usize)> = t.dump().iter().map(|e| (e.seq, e.node)).collect();
+        assert_eq!(admitted, vec![(1, 0), (0, 1)], "pushed order, each in its node's ring");
+    }
+
+    #[test]
+    fn contains_matches_rendered_log_events() {
+        let mut t = Tracer::new(2, 4, true);
         t.emit(
-            SimTime::ZERO,
-            TraceLevel::Info,
-            ComponentId::nic(0),
-            TraceData::PacketInjected {
-                src: 0,
-                dst: 1,
-                bytes: 22,
-                seq: Some(7),
+            0,
+            TraceEvent {
+                time: SimTime::ZERO,
+                component: ComponentId::nic(0),
+                data: TraceData::PacketInjected {
+                    src: 0,
+                    dst: 1,
+                    bytes: 22,
+                    seq: Some(7),
+                },
             },
         );
-        t.emit(SimTime::ZERO, TraceLevel::Info, ComponentId::nic(1), delivered());
-        assert_eq!(t.events_for("nic0").count(), 1);
-        assert_eq!(t.events_for("nic1").count(), 1);
+        t.emit(
+            1,
+            TraceEvent {
+                time: SimTime::ZERO,
+                component: ComponentId::nic(1),
+                data: TraceData::PacketDelivered {
+                    src: 0,
+                    dst: 1,
+                    bytes: 22,
+                },
+            },
+        );
         assert!(t.contains("seq=7"));
         assert!(t.contains("delivered"));
         assert!(!t.contains("dropped"));
-        t.clear();
-        assert!(t.events().is_empty());
     }
 
     #[test]
     fn display_formats_fields() {
         let e = TraceEvent {
             time: SimTime::ZERO,
-            level: TraceLevel::Warn,
             component: ComponentId::nic(3),
             data: TraceData::FifoThreshold {
                 fifo: "out",
@@ -536,17 +711,28 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("nic3"), "{s}");
         assert!(s.contains("out fifo threshold raised at 4096B"), "{s}");
+        assert_eq!(
+            TraceData::DataArrival { page: 4 }.to_string(),
+            "data arrival interrupt page=4"
+        );
+    }
+
+    /// Every ring slot is preallocated, so a slot must not grow: 1024
+    /// nodes of 64 slots stay within 1024 × 64 × 88 B.
+    #[test]
+    fn ring_slots_stay_small() {
+        assert!(std::mem::size_of::<TraceEvent>() <= 72);
+        assert!(std::mem::size_of::<Option<FlightEntry>>() <= 88);
     }
 
     #[test]
     fn telemetry_config_defaults_off() {
         let c = TelemetryConfig::default();
         assert_eq!(c, TelemetryConfig::off());
-        assert!(c.trace_level.is_none() && !c.latency && !c.profile);
-        assert!(c.flight_recorder > 0, "flight recorder rides along by default");
+        assert!(!c.trace && !c.latency && !c.profile);
+        assert!(c.flight_recorder > 0, "the ring rides along by default");
         let f = TelemetryConfig::full();
-        assert_eq!(f.trace_level, Some(TraceLevel::Debug));
-        assert!(f.latency && f.profile);
+        assert!(f.trace && f.latency && f.profile);
     }
 
     #[test]
@@ -562,5 +748,6 @@ mod tests {
         assert_eq!(lane(TraceData::PacketDelivered { src: 2, dst: 5, bytes: 64 }), Some((2, 5)));
         assert_eq!(lane(TraceData::DmaStart { node: 2, bytes: 64 }), None);
         assert_eq!(lane(TraceData::LinkDown { from: 0, to: 1, epoch: 1 }), None);
+        assert_eq!(lane(TraceData::BadDelivery { page: 7 }), None);
     }
 }

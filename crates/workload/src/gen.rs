@@ -24,7 +24,7 @@
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::cmp::Reverse;
 
-use shrimp_core::{Machine, MachineConfig, MachineError, MapRequest};
+use shrimp_core::{Machine, MachineConfig, MachineError, MapRequest, StageHistograms};
 use shrimp_core::pram::SharedPair;
 use shrimp_mem::{VirtAddr, PAGE_SIZE, WORD_SIZE};
 use shrimp_mesh::{MeshShape, NodeId};
@@ -252,11 +252,7 @@ pub(crate) struct KindStats {
     pub completed: u64,
     pub duration: Histogram,
     pub op_latency: Histogram,
-    pub e2e: Histogram,
-    pub out_fifo: Histogram,
-    pub mesh: Histogram,
-    pub in_fifo: Histogram,
-    pub dma: Histogram,
+    pub stages: StageHistograms,
 }
 
 /// Index of a kind into the stats array.
@@ -780,11 +776,7 @@ impl<'a> Generator<'a> {
                     s.bytes += d.len;
                     let k = kind_index(&self.sc.specs[s.spec].kind);
                     let st = &mut self.stats[k];
-                    st.e2e.record_duration(rec.end_to_end());
-                    st.out_fifo.record_duration(rec.out_fifo());
-                    st.mesh.record_duration(rec.mesh());
-                    st.in_fifo.record_duration(rec.in_fifo());
-                    st.dma.record_duration(rec.dma());
+                    st.stages.record(rec);
                     p.bytes_left = p.bytes_left.saturating_sub(d.len);
                     if p.bytes_left == 0 {
                         self.pending[link] = None;

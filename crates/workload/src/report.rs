@@ -79,14 +79,7 @@ impl Report {
                 MetricValue::Histogram(_) => {}
             }
         }
-        let t = m.telemetry();
-        if t.e2e.count() > 0 {
-            reg.set_histogram("latency.e2e", &t.e2e);
-            reg.set_histogram("latency.out_fifo", &t.out_fifo);
-            reg.set_histogram("latency.mesh", &t.mesh);
-            reg.set_histogram("latency.in_fifo", &t.in_fifo);
-            reg.set_histogram("latency.dma", &t.dma);
-        }
+        m.telemetry().stages.register(&mut reg, "latency");
 
         reg.set_counter("sessions.completed", completed);
         reg.set_counter("sessions.goodput_bytes", goodput);
@@ -107,13 +100,7 @@ impl Report {
             if st.op_latency.count() > 0 {
                 reg.set_histogram(format!("sessions.{name}.op_latency"), &st.op_latency);
             }
-            if st.e2e.count() > 0 {
-                reg.set_histogram(format!("sessions.{name}.e2e"), &st.e2e);
-                reg.set_histogram(format!("sessions.{name}.out_fifo"), &st.out_fifo);
-                reg.set_histogram(format!("sessions.{name}.mesh"), &st.mesh);
-                reg.set_histogram(format!("sessions.{name}.in_fifo"), &st.in_fifo);
-                reg.set_histogram(format!("sessions.{name}.dma"), &st.dma);
-            }
+            st.stages.register(&mut reg, &format!("sessions.{name}"));
         }
 
         Report {

@@ -4,8 +4,9 @@
 use shrimp::cpu::{Assembler, Reg};
 use shrimp::mem::{PAGE_SIZE, VirtAddr};
 use shrimp::mesh::{MeshShape, NodeId};
-use shrimp::nic::{NicInterrupt, UpdatePolicy};
+use shrimp::nic::UpdatePolicy;
 use shrimp::os::Pid;
+use shrimp::sim::trace::{ComponentId, TraceData};
 use shrimp::{Machine, MachineConfig, MachineError, MapRequest};
 
 struct Link {
@@ -175,13 +176,13 @@ fn data_arrival_interrupt_fires_once_when_armed() {
     l.m.poke(NodeId(0), l.s, l.src_va.add(4), &2u32.to_le_bytes())
         .unwrap();
     l.m.run_until_idle().unwrap();
-    let arrivals: Vec<_> = l
-        .m
-        .interrupts()
-        .iter()
-        .filter(|(_, n, irq)| *n == NodeId(1) && matches!(irq, NicInterrupt::DataArrival { .. }))
-        .collect();
-    assert_eq!(arrivals.len(), 1, "one-shot arrival interrupt");
+    let arrivals =
+        l.m.trace()
+            .dump()
+            .iter()
+            .filter(|e| e.node == 1 && matches!(e.event.data, TraceData::DataArrival { .. }))
+            .count();
+    assert_eq!(arrivals, 1, "one-shot arrival interrupt");
 }
 
 #[test]
@@ -429,6 +430,7 @@ fn flow_control_survives_a_sustained_burst() {
     cfg.nic.out_fifo_threshold = 4 * 1024;
     cfg.nic.in_fifo_bytes = 5 * 1024;
     cfg.nic.in_fifo_threshold = 4 * 1024;
+    cfg.telemetry.trace = true;
     let mut m = Machine::new(cfg);
     let s = m.create_process(NodeId(0));
     let r = m.create_process(NodeId(1));
@@ -453,9 +455,8 @@ fn flow_control_survives_a_sustained_burst() {
     assert_eq!(m.peek(NodeId(1), r, rcv_va, 8 * PAGE_SIZE).unwrap(), data);
     assert!(m.drops().is_empty(), "flow control must not drop");
     assert!(
-        m.interrupts()
-            .iter()
-            .any(|(_, n, irq)| *n == NodeId(0) && matches!(irq, NicInterrupt::OutgoingThreshold)),
+        m.trace().events().iter().any(|e| e.component == ComponentId::nic(0)
+            && matches!(e.data, TraceData::FifoThreshold { fifo: "out", raised: true, .. })),
         "the burst must have tripped the outgoing threshold"
     );
 }

@@ -124,9 +124,9 @@ fn profiling_and_recorder_are_perturbation_free() {
     );
     // The observed run really did observe.
     assert!(observed.profile().is_some(), "profiler was enabled");
-    assert!(observed.flight_recorder().recorded() > 0, "recorder saw traffic");
+    assert!(observed.trace().recorded() > 0, "recorder saw traffic");
     assert!(base.profile().is_none(), "profiler off yields no report");
-    assert_eq!(base.flight_recorder().recorded(), 0, "disabled recorder stays empty");
+    assert_eq!(base.trace().recorded(), 0, "disabled recorder stays empty");
 }
 
 /// The network pump visits only nodes on its active worklist
@@ -223,7 +223,7 @@ fn flight_recorder_keeps_a_causal_packet_trail() {
     let m = run_ring(2, 1, |cfg| {
         cfg.telemetry.flight_recorder = 1024; // retain everything on a tiny run
     });
-    let trail = m.packet_trail(NodeId(0), NodeId(1));
+    let trail = m.trace().trail(0, 1);
     assert!(!trail.is_empty(), "lane 0→1 must have recorded events");
     let mut saw_inject = None;
     let mut saw_deliver = None;
@@ -255,8 +255,8 @@ fn flight_recorder_keeps_a_causal_packet_trail() {
 #[test]
 fn default_config_records_flights_invisibly() {
     let m = run_ring(2, 1, |_| {});
-    assert!(m.flight_recorder().is_enabled(), "recorder is on by default");
-    assert!(m.flight_recorder().recorded() > 0, "default run retains recent events");
-    let rendered = m.flight_dump();
+    assert!(m.trace().is_on(), "recorder is on by default");
+    assert!(m.trace().recorded() > 0, "default run retains recent events");
+    let rendered = m.trace().render();
     assert!(rendered.contains("retained of"), "dump renders its header");
 }

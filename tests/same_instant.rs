@@ -106,7 +106,7 @@ fn order_at_the_ejection(x: u16, d: u16) -> Vec<String> {
         "x's packet is ready at the ejection"
     );
 
-    m.flight_recorder()
+    m.trace()
         .dump()
         .iter()
         .filter(|e| e.event.time == ejected)
