@@ -24,10 +24,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use shrimp_cpu::{Cpu, Program, Reg};
-use shrimp_mem::{CacheMode, MemError, PageNum, PhysAddr, VirtAddr, PAGE_SIZE, WORD_SIZE};
+use shrimp_mem::{PhysAddr, VirtAddr, PAGE_SIZE, WORD_SIZE};
 use shrimp_mesh::{MeshNetwork, NodeId};
-use shrimp_nic::{NetworkInterface, NicError, OutSegment, ShrimpPacket, UpdatePolicy};
-use shrimp_os::kernel::OutgoingRecord;
+use shrimp_nic::{NetworkInterface, NicError, ShrimpPacket};
 use shrimp_os::{ExportId, Kernel, OsError, Pid};
 use shrimp_sim::{
     to_chrome_json_with_counters, ComponentId, EnginePhase, EngineProfileReport, EngineProfiler,
@@ -39,33 +38,10 @@ use crate::config::MachineConfig;
 use crate::error::MachineError;
 use crate::node::{CpuExit, Event, NicWork, Node, NodeEvent};
 
-/// Identifies one established mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MappingId(pub u32);
+mod mapping;
 
-/// A request to establish a virtual memory mapping — the kernel half of
-/// the paper's
-/// `map(send-buf, destination, receive-buf)` call (§2). The receive
-/// buffer is named by an export the receiving process published.
-#[derive(Debug, Clone, Copy)]
-pub struct MapRequest {
-    /// Sending node.
-    pub src_node: NodeId,
-    /// Sending process.
-    pub src_pid: Pid,
-    /// First byte of the send buffer (any alignment).
-    pub src_va: VirtAddr,
-    /// Receiving node.
-    pub dst_node: NodeId,
-    /// The receiving process's export.
-    pub export: ExportId,
-    /// Byte offset into the exported buffer (any alignment).
-    pub dst_offset: u64,
-    /// Length in bytes.
-    pub len: u64,
-    /// Transfer strategy.
-    pub policy: UpdatePolicy,
-}
+use mapping::Registration;
+pub use mapping::{MapRequest, MappingId};
 
 /// One delivered packet's memory arrival, for latency experiments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -270,12 +246,6 @@ impl ActiveNodes {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Registration {
-    id: MappingId,
-    req: MapRequest,
-}
-
 /// The simulated SHRIMP multicomputer.
 ///
 /// # Examples
@@ -446,222 +416,6 @@ impl Machine {
             .node_mut(node)
             .kernel
             .export_buffer(pid, va.page(), pages, allowed)?)
-    }
-
-    /// Establishes a virtual memory mapping: the expensive, fully
-    /// protection-checked `map` system call of paper §2. Costs
-    /// [`MachineConfig::map_syscall_cost`] of simulated time.
-    ///
-    /// Arbitrary (non-page-aligned) ranges are supported through the
-    /// §3.2 split-page mechanism; each source page may end up carrying
-    /// two NIPT segments.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the send buffer is not mapped, the export does not admit
-    /// the sender, or the NIPT cannot hold the required segments.
-    pub fn map(&mut self, req: MapRequest) -> Result<MappingId, MachineError> {
-        if req.len == 0 {
-            return Err(MachineError::EmptyMapping);
-        }
-        let first_dst_page_index = req.dst_offset / PAGE_SIZE;
-        let last_dst_page_index = (req.dst_offset + req.len - 1) / PAGE_SIZE;
-        let dst_pages = last_dst_page_index - first_dst_page_index + 1;
-
-        // Receiver half: protection check, pin/record, collect frames.
-        let token = self.node_mut(req.dst_node).kernel.grant_in_mapping(
-            req.export,
-            req.src_node,
-            first_dst_page_index,
-            dst_pages,
-        )?;
-        for &frame in &token.frames {
-            self.node_mut(req.dst_node).nic.map_in(frame, true)?;
-        }
-
-        // Sender half: validate + write-through caching.
-        let first_src_vpn = req.src_va.page();
-        let last_src_vpn = req.src_va.add(req.len - 1).page();
-        let src_pages = last_src_vpn.raw() - first_src_vpn.raw() + 1;
-        self.node_mut(req.src_node)
-            .kernel
-            .prepare_out_mapping(req.src_pid, first_src_vpn, src_pages)?;
-        self.flush_tlb(req.src_node);
-
-        // Build the NIPT segments by walking both sides simultaneously,
-        // splitting at every page boundary of either side, and record
-        // each one for the §4.4 bookkeeping.
-        let mut pos = 0u64;
-        while pos < req.len {
-            let src_byte = req.src_va.add(pos);
-            let src_vpn = src_byte.page();
-            let src_frame = self.node(req.src_node).kernel.frame_of(req.src_pid, src_vpn)?;
-            let src_off = src_byte.offset();
-
-            let dst_byte = req.dst_offset + pos;
-            let dst_page_index = dst_byte / PAGE_SIZE;
-            let dst_frame = token.frames[(dst_page_index - first_dst_page_index) as usize];
-            let dst_off = dst_byte % PAGE_SIZE;
-
-            let chunk = (PAGE_SIZE - src_off)
-                .min(PAGE_SIZE - dst_off)
-                .min(req.len - pos);
-
-            let seg = OutSegment {
-                src_start: src_off,
-                src_end: src_off + chunk,
-                dst_node: req.dst_node,
-                dst_base: dst_frame.base().add(dst_off),
-                policy: req.policy,
-            };
-            self.node_mut(req.src_node)
-                .nic
-                .map_out_segment(src_frame, seg)?;
-            self.node_mut(req.src_node)
-                .kernel
-                .add_outgoing_record(OutgoingRecord {
-                    dst_node: req.dst_node,
-                    dst_frame,
-                    pid: req.src_pid,
-                    vpn: src_vpn,
-                    src_frame,
-                });
-            pos += chunk;
-        }
-
-        let id = MappingId(self.next_mapping);
-        self.next_mapping += 1;
-        self.registrations.push(Registration { id, req });
-        if self.trace.is_on() {
-            let data = TraceData::PageMapped {
-                node: req.dst_node.0,
-                page: req.src_va.page().raw(),
-            };
-            self.emit(req.src_node, self.now(), ComponentId::MACHINE, data);
-        }
-
-        // The map call is the deliberately slow, rare operation.
-        let done = self.now() + self.config.map_syscall_cost;
-        self.run_until(done);
-        Ok(id)
-    }
-
-    /// Tears down a mapping established by [`Machine::map`]: removes the
-    /// sender's NIPT segments and kernel records, restores write-back
-    /// caching on source pages with no remaining outgoing mappings, and
-    /// releases the receiver's mapped-in state when no other sender
-    /// imports those frames. Costs half a `map` call of kernel time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MachineError::EmptyMapping`] if `id` is unknown (or
-    /// already unmapped).
-    pub fn unmap(&mut self, id: MappingId) -> Result<(), MachineError> {
-        let pos = self
-            .registrations
-            .iter()
-            .position(|r| r.id == id)
-            .ok_or(MachineError::EmptyMapping)?;
-        let req = self.registrations.remove(pos).req;
-
-        // Walk the mapped range exactly as map() did, clearing segments.
-        let mut dst_frames = Vec::new();
-        let mut pos_b = 0u64;
-        while pos_b < req.len {
-            let src_byte = req.src_va.add(pos_b);
-            let src_vpn = src_byte.page();
-            let src_frame = self.node(req.src_node).kernel.frame_of(req.src_pid, src_vpn)?;
-            let dst_byte = req.dst_offset + pos_b;
-            let dst_off = dst_byte % PAGE_SIZE;
-            let chunk = (PAGE_SIZE - src_byte.offset())
-                .min(PAGE_SIZE - dst_off)
-                .min(req.len - pos_b);
-            if let Some(seg) = self.nodes[req.src_node.0 as usize]
-                .nic
-                .unmap_out(src_frame, src_byte.offset())
-            {
-                dst_frames.push(seg.dst_base.page());
-            }
-            let removed = self.nodes[req.src_node.0 as usize]
-                .kernel
-                .remove_outgoing(req.src_pid, src_vpn, req.dst_node);
-            dst_frames.extend(removed.iter().map(|r| r.dst_frame));
-            // Restore write-back caching if this page has no other
-            // outgoing segments left.
-            let frame_clear = self.nodes[req.src_node.0 as usize]
-                .nic
-                .nipt()
-                .entry(src_frame)
-                .is_none_or(|e| !e.is_mapped_out());
-            if frame_clear {
-                if let Some(proc) = self.nodes[req.src_node.0 as usize]
-                    .kernel
-                    .process_mut(req.src_pid)
-                {
-                    proc.page_table_mut().set_cache_mode(src_vpn, CacheMode::WriteBack);
-                }
-            }
-            pos_b += chunk;
-        }
-        self.flush_tlb(req.src_node);
-
-        dst_frames.sort_unstable();
-        dst_frames.dedup();
-        for frame in dst_frames {
-            let free = self.nodes[req.dst_node.0 as usize]
-                .kernel
-                .release_import(frame, req.src_node);
-            if free {
-                let _ = self.nodes[req.dst_node.0 as usize].nic.map_in(frame, false);
-            }
-        }
-
-        if self.trace.is_on() {
-            let data = TraceData::PageUnmapped {
-                node: req.dst_node.0,
-                page: req.src_va.page().raw(),
-            };
-            self.emit(req.src_node, self.now(), ComponentId::MACHINE, data);
-        }
-        let done = self.now() + self.config.map_syscall_cost / 2;
-        self.run_until(done);
-        Ok(())
-    }
-
-    /// Maps the command page controlling the page backing `data_va` into
-    /// the process's address space, returning the command page's virtual
-    /// base address (§4.2). Accesses at offset `o` of the command page
-    /// talk to the NIC about offset `o` of the data page.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `data_va` is not mapped.
-    pub fn map_command_page(
-        &mut self,
-        node: NodeId,
-        pid: Pid,
-        data_va: VirtAddr,
-    ) -> Result<VirtAddr, MachineError> {
-        let pages_per_node = self.config.pages_per_node;
-        let frame = self.node(node).kernel.frame_of(pid, data_va.page())?;
-        let kernel = &mut self.node_mut(node).kernel;
-        let proc = kernel
-            .process_mut(pid)
-            .ok_or(MachineError::Os(OsError::NoSuchProcess(pid)))?;
-        let vpn = proc.reserve_vpns(1);
-        // Command "frames" live just past installed memory, at the fixed
-        // distance the hardware decodes.
-        let cmd_frame = PageNum::new(pages_per_node + frame.raw());
-        proc.page_table_mut().map(
-            vpn,
-            cmd_frame,
-            shrimp_mem::PageFlags {
-                protection: shrimp_mem::Protection::ReadWrite,
-                cache_mode: CacheMode::WriteThrough, // uncached in effect; bypassed below
-                pinned: true,
-            },
-        );
-        Ok(vpn.base())
     }
 
     // ───────────────────────── program execution ─────────────────────────
@@ -868,42 +622,6 @@ impl Machine {
     /// The closed-loop generator's blocking wait.
     pub fn run_until_new_delivery(&mut self, limit: SimTime, seen: usize) -> bool {
         self.run_until_pred(limit, |m| m.delivery_log.len() > seen)
-    }
-
-    // ───────────────────────────── paging ────────────────────────────────
-
-    /// Starts the §4.4 pageout protocol for a frame of `node`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel protocol errors (pinned frame, no importers,
-    /// already in progress).
-    pub fn begin_pageout(&mut self, node: NodeId, frame: PageNum) -> Result<(), MachineError> {
-        let msgs = self.node_mut(node).kernel.begin_pageout(frame)?;
-        let latency = self.config.kernel_msg_latency;
-        let at = self.now() + latency;
-        for (dst, msg) in msgs {
-            self.push_event(at, dst.0, NodeEvent::KernelMsg { msg });
-        }
-        Ok(())
-    }
-
-    /// True once every importer acknowledged (run the machine first).
-    pub fn pageout_complete(&self, node: NodeId, frame: PageNum) -> bool {
-        self.node(node).kernel.pageout_complete(frame)
-    }
-
-    /// Finishes a complete pageout, freeing the frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel protocol errors.
-    pub fn complete_pageout(&mut self, node: NodeId, frame: PageNum) -> Result<(), MachineError> {
-        let n = self.node_mut(node);
-        n.kernel.complete_pageout(frame)?;
-        n.nic.map_in(frame, false)?;
-        self.flush_tlb(node);
-        Ok(())
     }
 
     // ──────────────────────────── event loop ─────────────────────────────
@@ -1336,128 +1054,6 @@ impl Machine {
         self.nodes[node.0 as usize].schedule_wakeups(t, &mut self.sched)
     }
 
-    // ─────────────────────────── fault service ───────────────────────────
-
-    fn handle_fault(&mut self, t: SimTime, node: NodeId, pid: Pid, error: MemError) {
-        if let MemError::ProtectionViolation { addr, write: true } = error {
-            if let Ok(rec) = self.nodes[node.0 as usize].kernel.handle_write_fault(pid, addr) {
-                // Re-establish the invalidated mapping (§4.4): re-run
-                // the receiver grant for the covered pages and rewrite
-                // the NIPT segments, then resume the faulting store.
-                let ok = self.reestablish(node, pid, rec);
-                let cost = self.config.fault_cost
-                    + self.config.kernel_msg_latency * 2
-                    + self.config.map_syscall_cost / 4;
-                if ok {
-                    let resume = t + cost;
-                    let n = &mut self.nodes[node.0 as usize];
-                    n.cpu_busy_until = resume;
-                    self.push_event(resume, node.0, NodeEvent::CpuStep);
-                    self.flush_tlb(node);
-                    return;
-                }
-            }
-        }
-        // Unserviceable fault: the process is killed.
-        let n = &mut self.nodes[node.0 as usize];
-        n.sched.remove(pid);
-        n.running = None;
-        self.syscall_log.push((t, node, pid, u32::MAX));
-        self.push_event(t, node.0, NodeEvent::CpuStep);
-    }
-
-    fn reestablish(&mut self, node: NodeId, pid: Pid, rec: OutgoingRecord) -> bool {
-        let Some(reg) = self
-            .registrations
-            .iter()
-            .find(|r| {
-                r.req.src_node == node
-                    && r.req.src_pid == pid
-                    && r.req.src_va.page().raw() <= rec.vpn.raw()
-                    && rec.vpn.raw()
-                        <= r.req.src_va.add(r.req.len - 1).page().raw()
-            })
-            .cloned()
-        else {
-            return false;
-        };
-        let req = reg.req;
-        // The faulting node is on the pump worklist already (its own
-        // event raised the fault); the receiver is touched from here.
-        self.active.mark(req.dst_node.0);
-        // Which destination pages does this source page touch?
-        let page_rel = rec.vpn.raw() - req.src_va.page().raw();
-        let first_byte = (page_rel * PAGE_SIZE).saturating_sub(req.src_va.offset());
-        let last_byte = ((page_rel + 1) * PAGE_SIZE - 1 - req.src_va.offset()).min(req.len - 1);
-        let first_dst_page = (req.dst_offset + first_byte) / PAGE_SIZE;
-        let last_dst_page = (req.dst_offset + last_byte) / PAGE_SIZE;
-
-        // Receiver side: page the buffer back in and re-grant.
-        {
-            let dst_kernel = &mut self.nodes[req.dst_node.0 as usize].kernel;
-            let Some(export) = dst_kernel.export(req.export).copied() else {
-                return false;
-            };
-            for p in first_dst_page..=last_dst_page {
-                let vpn = shrimp_mem::VirtPageNum::new(export.vpn.raw() + p);
-                if dst_kernel.ensure_mapped(export.pid, vpn).is_err() {
-                    return false;
-                }
-            }
-        }
-        let token = match self.nodes[req.dst_node.0 as usize].kernel.grant_in_mapping(
-            req.export,
-            req.src_node,
-            first_dst_page,
-            last_dst_page - first_dst_page + 1,
-        ) {
-            Ok(tok) => tok,
-            Err(_) => return false,
-        };
-        for &frame in &token.frames {
-            if self.nodes[req.dst_node.0 as usize]
-                .nic
-                .map_in(frame, true)
-                .is_err()
-            {
-                return false;
-            }
-        }
-        // Rewrite the segments covering this source page.
-        let mut pos = first_byte;
-        while pos <= last_byte {
-            let src_byte = req.src_va.add(pos);
-            let src_off = src_byte.offset();
-            let dst_byte = req.dst_offset + pos;
-            let dst_page = dst_byte / PAGE_SIZE;
-            let dst_off = dst_byte % PAGE_SIZE;
-            let frame = token.frames[(dst_page - first_dst_page) as usize];
-            let chunk = (PAGE_SIZE - src_off)
-                .min(PAGE_SIZE - dst_off)
-                .min(req.len - pos);
-            let seg = OutSegment {
-                src_start: src_off,
-                src_end: src_off + chunk,
-                dst_node: req.dst_node,
-                dst_base: frame.base().add(dst_off),
-                policy: req.policy,
-            };
-            if self.nodes[node.0 as usize]
-                .nic
-                .map_out_segment(rec.src_frame, seg)
-                .is_err()
-            {
-                return false;
-            }
-            pos += chunk;
-        }
-        true
-    }
-
-    fn flush_tlb(&mut self, node: NodeId) {
-        self.nodes[node.0 as usize].tlb.flush();
-    }
-
     // ─────────────────── host store path (poke / msglib) ─────────────────
 
     /// One host store word. Returns when its bus write ends and whether
@@ -1629,7 +1225,9 @@ mod poke_equivalence;
 mod tests {
     use super::*;
     use shrimp_cpu::Assembler;
+    use shrimp_mem::MemError;
     use shrimp_mesh::MeshShape;
+    use shrimp_nic::UpdatePolicy;
     use shrimp_os::ExportId;
 
     fn two_node() -> (Machine, Pid, Pid) {

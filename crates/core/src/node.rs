@@ -19,7 +19,7 @@ use shrimp_mem::{
     XpressBus, WORD_SIZE,
 };
 use shrimp_mesh::{MeshPacket, NodeId};
-use shrimp_nic::{NetworkInterface, NicBackend, Payload, ShrimpPacket};
+use shrimp_nic::{NetworkInterface, NicBackend, OutSegment, Payload, ShrimpPacket};
 use shrimp_os::{Kernel, KernelMsg, OsError, Pid, RoundRobin, SchedDecision};
 use shrimp_sim::{Scheduler, SimDuration, SimTime};
 
@@ -346,26 +346,13 @@ impl Node {
 
     /// Clears the NIPT out-segments on `src_frame` that point at
     /// `dst_node`'s invalidated `dst_frame`.
-    pub(crate) fn scrub_segments(
-        &mut self,
-        src_frame: PageNum,
-        dst_node: NodeId,
-        dst_frame: PageNum,
-    ) {
-        let starts: Vec<u64> = self
-            .nic
-            .nipt()
-            .entry(src_frame)
-            .map(|e| {
-                e.segments()
-                    .filter(|s| s.dst_node == dst_node && s.dst_base.page() == dst_frame)
-                    .map(|s| s.src_start)
-                    .collect()
-            })
-            .unwrap_or_default();
-        for start in starts {
-            // Through the trait so backends with cached translations
-            // (the unpinned IOTLB) observe the shootdown.
+    fn scrub_segments(&mut self, src_frame: PageNum, dst_node: NodeId, dst_frame: PageNum) {
+        let doomed = |s: &&OutSegment| s.dst_node == dst_node && s.dst_base.page() == dst_frame;
+        let next = |nic: &NetworkInterface| {
+            Some(nic.nipt().entry(src_frame)?.segments().find(doomed)?.src_start)
+        };
+        // Through the NIC hook, so the unpinned IOTLB sees the shootdown.
+        while let Some(start) = next(&self.nic) {
             self.nic.unmap_out(src_frame, start);
         }
     }

@@ -710,6 +710,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
 mod tests {
     use super::*;
     use crate::topology::MeshShape;
+    use shrimp_sim::SimRng;
 
     const FAR: SimTime = SimTime::from_picos(u64::MAX / 2);
 
@@ -1180,67 +1181,69 @@ mod tests {
         assert!(n.is_idle());
     }
 
-// temporary reproduction test
-#[test]
-fn uniform_traffic_never_wedges() {
-    use crate::config::MeshConfig;
-    use crate::packet::MeshPacket;
-    use crate::topology::{MeshShape, NodeId};
-    use shrimp_sim::{SimRng, SimTime, SimDuration};
-    use std::collections::VecDeque;
-
-    let shape = MeshShape::new(4, 4);
-    let mut net = crate::network::MeshNetwork::new(MeshConfig::paragon(shape));
-    let mut rng = SimRng::seed_from(42);
-    let mut queues: Vec<VecDeque<MeshPacket>> = (0..16).map(|_| VecDeque::new()).collect();
-    let mut now = SimTime::ZERO;
-    for round in 0..60 {
-        for src in 0..16u16 {
-            let mut dst = rng.gen_range(0..16u16);
-            while dst == src { dst = rng.gen_range(0..16u16); }
-            if queues[src as usize].len() < 4 {
-                queues[src as usize].push_back(MeshPacket::new(NodeId(src), NodeId(dst), vec![0u8;128]));
-            }
-        }
-        net.advance(now);
-        for n in 0..16u16 {
-            while net.eject(NodeId(n)).is_some() {}
-            while let Some(p) = queues[n as usize].pop_front() {
-                if let Err(p) = net.try_inject(now.max(net.now()), p) {
-                    queues[n as usize].push_front(p);
-                    break;
+    /// Uniform random traffic on a 4x4 mesh, each node holding up to
+    /// four packets for injection, drains completely: no routing cycle
+    /// wedges the mesh.
+    #[test]
+    fn uniform_traffic_never_wedges() {
+        let mut n = net(4, 4);
+        let mut rng = SimRng::seed_from(42);
+        let mut queues: Vec<VecDeque<MeshPacket>> = (0..16).map(|_| VecDeque::new()).collect();
+        let mut now = SimTime::ZERO;
+        for _ in 0..60 {
+            for src in 0..16u16 {
+                let mut dst = rng.gen_range(0..16u16);
+                while dst == src {
+                    dst = rng.gen_range(0..16u16);
+                }
+                if queues[src as usize].len() < 4 {
+                    queues[src as usize].push_back(pkt(src, dst, 128));
                 }
             }
-        }
-        let _ = round;
-        now += SimDuration::from_us(4);
-    }
-    // Drain.
-    let mut stall = 0;
-    loop {
-        let before = net.in_flight() + queues.iter().map(|q| q.len()).sum::<usize>();
-        while let Some(t) = net.next_event_time() { net.advance(t); now = now.max(t); }
-        for n in 0..16u16 {
-            while net.eject(NodeId(n)).is_some() {}
-            while let Some(p) = queues[n as usize].pop_front() {
-                if let Err(p) = net.try_inject(now.max(net.now()), p) {
-                    queues[n as usize].push_front(p);
-                    break;
+            n.advance(now);
+            for node in 0..16u16 {
+                while n.eject(NodeId(node)).is_some() {}
+                while let Some(p) = queues[node as usize].pop_front() {
+                    if let Err(p) = n.try_inject(now.max(n.now()), p) {
+                        queues[node as usize].push_front(p);
+                        break;
+                    }
                 }
             }
+            now += SimDuration::from_us(4);
         }
-        let after = net.in_flight() + queues.iter().map(|q| q.len()).sum::<usize>();
-        if after == 0 {
-            // Drain leftover (stale) retry events before the idle check.
-            while let Some(t) = net.next_event_time() { net.advance(t); }
-            break;
+        // Drain.
+        let mut stall = 0;
+        loop {
+            let before = n.in_flight() + queues.iter().map(|q| q.len()).sum::<usize>();
+            while let Some(t) = n.next_event_time() {
+                n.advance(t);
+                now = now.max(t);
+            }
+            for node in 0..16u16 {
+                while n.eject(NodeId(node)).is_some() {}
+                while let Some(p) = queues[node as usize].pop_front() {
+                    if let Err(p) = n.try_inject(now.max(n.now()), p) {
+                        queues[node as usize].push_front(p);
+                        break;
+                    }
+                }
+            }
+            let after = n.in_flight() + queues.iter().map(|q| q.len()).sum::<usize>();
+            if after == 0 {
+                // Drain leftover (stale) retry events before the idle check.
+                while let Some(t) = n.next_event_time() {
+                    n.advance(t);
+                }
+                break;
+            }
+            if after == before && n.next_event_time().is_none() {
+                stall += 1;
+                assert!(stall < 3, "mesh wedged with {after} packets outstanding");
+            } else {
+                stall = 0;
+            }
         }
-        if after == before && net.next_event_time().is_none() {
-            stall += 1;
-            assert!(stall < 3, "mesh wedged with {after} packets outstanding");
-        } else { stall = 0; }
+        assert!(n.is_idle());
     }
-    assert!(net.is_idle());
-}
-
 }

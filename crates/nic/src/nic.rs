@@ -210,14 +210,19 @@ impl NetworkInterface {
         Ok(())
     }
 
-    /// Kernel hook: an outgoing mapping segment was installed or
-    /// rewritten.
+    /// Kernel hook: an outgoing mapping segment was installed. Unlike
+    /// [`Nipt::set_out_segment`], it never replaces a segment in place:
+    /// one with the same start overlaps too.
     ///
     /// # Errors
     ///
-    /// Propagates [`Nipt::set_out_segment`] failures (overlap, bad
-    /// segment).
+    /// [`NicError::BadMapping`] on an overlap; other
+    /// [`Nipt::set_out_segment`] failures (bad segment, both slots
+    /// taken) propagate.
     pub fn map_out_segment(&mut self, page: PageNum, seg: OutSegment) -> Result<(), NicError> {
+        if self.nipt.entry(page).is_some_and(|e| e.segment_at(seg.src_start).is_some()) {
+            return Err(NicError::BadMapping("segments overlap"));
+        }
         self.nipt.set_out_segment(page, seg)
     }
 

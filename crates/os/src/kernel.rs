@@ -13,7 +13,9 @@
 //!   recorded ([`Kernel::add_outgoing_record`]) for §4.4.
 //! * **Receiver half** ([`Kernel::grant_in_mapping`]) — validates the
 //!   export, then either **pins** the frames (the simple §4.4 policy) or
-//!   merely records the importing node (the invalidate policy).
+//!   merely records the import (the invalidate policy). Imports are
+//!   counted per segment, so a frame is released with the last segment
+//!   that sends into it.
 //! * **Mapping consistency** (§4.4) — before replacing an imported frame,
 //!   the kernel broadcasts `InvalidateNipt` to every importer, which
 //!   marks its source pages read-only (so the next store faults and the
@@ -96,15 +98,16 @@ pub struct Kernel {
     next_pid: u32,
     next_export: u32,
     exports: Vec<Export>,
-    /// Local frames remote NIPTs send into → the importing nodes.
-    importers: BTreeMap<PageNum, BTreeSet<NodeId>>,
-    /// Local outgoing mappings, per source frame.
+    /// Local frames remote NIPTs send into → each importing node's
+    /// count of segments into the frame.
+    importers: BTreeMap<PageNum, BTreeMap<NodeId, u32>>,
+    /// One record per live local NIPT out-segment.
     outgoing: Vec<OutgoingRecord>,
     /// Pageouts awaiting acknowledgements: frame → nodes still to ack.
     pageouts: BTreeMap<PageNum, BTreeSet<NodeId>>,
-    /// Outgoing mappings invalidated by a remote pageout, waiting for a
-    /// write fault to trigger re-establishment.
-    invalidated: BTreeMap<(Pid, VirtPageNum), OutgoingRecord>,
+    /// The records of segments a remote pageout scrubbed, waiting for a
+    /// write fault on their page to trigger re-establishment.
+    invalidated: Vec<OutgoingRecord>,
 }
 
 impl Kernel {
@@ -127,7 +130,7 @@ impl Kernel {
             importers: BTreeMap::new(),
             outgoing: Vec::new(),
             pageouts: BTreeMap::new(),
-            invalidated: BTreeMap::new(),
+            invalidated: Vec::new(),
         }
     }
 
@@ -286,8 +289,8 @@ impl Kernel {
 
     /// Receiver half of `map`: checks the export admits `from_node` and
     /// covers `[offset_pages, offset_pages + pages)`, pins frames under
-    /// the pin policy, records the importer, and returns the frames for
-    /// the sender's NIPT.
+    /// the pin policy, records one import of each frame, and returns the
+    /// frames for the sender's NIPT.
     ///
     /// # Errors
     ///
@@ -306,7 +309,7 @@ impl Kernel {
                 return Err(OsError::ExportRefused { node: from_node });
             }
         }
-        if offset_pages + pages > export.pages {
+        if offset_pages.checked_add(pages).is_none_or(|end| end > export.pages) {
             return Err(OsError::ExportTooSmall);
         }
         let pin = self.policy == ConsistencyPolicy::Pin;
@@ -327,7 +330,7 @@ impl Kernel {
             frames.push(frame);
         }
         for &frame in &frames {
-            self.importers.entry(frame).or_default().insert(from_node);
+            *self.importers.entry(frame).or_default().entry(from_node).or_default() += 1;
         }
         Ok(MapToken { frames })
     }
@@ -359,48 +362,66 @@ impl Kernel {
         self.outgoing.push(rec);
     }
 
-    /// Removes every outgoing record of `(pid, vpn)` towards `dst_node`,
-    /// returning them (the sender half of `unmap`).
+    /// Removes the record of one torn-down segment of `(pid, vpn)`
+    /// towards `dst_node` (the sender half of `unmap`): the live record
+    /// into `dst_frame`, or, with `None` for a segment a pageout already
+    /// scrubbed, one of the page's invalidations. The page is writable
+    /// again once no invalidation is left on it, and write-back once no
+    /// record is.
     pub fn remove_outgoing(
         &mut self,
         pid: Pid,
         vpn: VirtPageNum,
         dst_node: NodeId,
-    ) -> Vec<OutgoingRecord> {
-        let mut removed = Vec::new();
-        self.outgoing.retain(|r| {
-            if r.pid == pid && r.vpn == vpn && r.dst_node == dst_node {
-                removed.push(*r);
-                false
-            } else {
-                true
+        dst_frame: Option<PageNum>,
+    ) {
+        let on_page = |r: &OutgoingRecord| r.pid == pid && r.vpn == vpn;
+        let records = match dst_frame {
+            Some(_) => &mut self.outgoing,
+            None => &mut self.invalidated,
+        };
+        let this = |r: &OutgoingRecord| {
+            on_page(r) && r.dst_node == dst_node && dst_frame.is_none_or(|f| r.dst_frame == f)
+        };
+        if let Some(i) = records.iter().position(this) {
+            records.remove(i);
+        }
+        if self.invalidated.iter().any(on_page) {
+            return;
+        }
+        if let Some(proc) = self.procs.get_mut(&pid) {
+            let pt = proc.page_table_mut();
+            pt.set_protection(vpn, Protection::ReadWrite);
+            if !self.outgoing.iter().any(on_page) {
+                pt.set_cache_mode(vpn, CacheMode::WriteBack);
             }
-        });
-        self.invalidated.remove(&(pid, vpn));
-        removed
+        }
     }
 
-    /// Releases `from`'s import of local `frame` (the receiver half of
-    /// `unmap`). Returns true when no importer remains, so the caller can
-    /// clear the mapped-in bit and unpin.
+    /// Releases one of `from`'s imports of local `frame`: a segment that
+    /// sent into it is gone (the receiver half of `unmap`). Returns true
+    /// once no import is left, so the caller can clear the mapped-in
+    /// bit; the frame is unpinned then.
     pub fn release_import(&mut self, frame: PageNum, from: NodeId) -> bool {
-        match self.importers.get_mut(&frame) {
-            Some(set) => {
-                set.remove(&from);
-                if set.is_empty() {
-                    self.importers.remove(&frame);
-                    for proc in self.procs.values_mut() {
-                        for v in proc.page_table().virt_pages_of_frame(frame) {
-                            proc.page_table_mut().set_pinned(v, false);
-                        }
-                    }
-                    true
-                } else {
-                    false
-                }
+        let Some(nodes) = self.importers.get_mut(&frame) else {
+            return true;
+        };
+        match nodes.get_mut(&from) {
+            Some(n) if *n > 1 => *n -= 1,
+            _ => {
+                nodes.remove(&from);
             }
-            None => true,
         }
+        if !nodes.is_empty() {
+            return false;
+        }
+        self.importers.remove(&frame);
+        for proc in self.procs.values_mut() {
+            for v in proc.page_table().virt_pages_of_frame(frame) {
+                proc.page_table_mut().set_pinned(v, false);
+            }
+        }
+        true
     }
 
     /// The outgoing mapping records for a local source frame.
@@ -416,7 +437,7 @@ impl Kernel {
     pub fn importers_of(&self, frame: PageNum) -> Vec<NodeId> {
         self.importers
             .get(&frame)
-            .map(|s| s.iter().copied().collect())
+            .map(|n| n.keys().copied().collect())
             .unwrap_or_default()
     }
 
@@ -439,11 +460,10 @@ impl Kernel {
         if self.pageouts.contains_key(&frame) {
             return Err(OsError::PageoutInProgress(frame));
         }
-        let importers = self
+        let importers: BTreeSet<NodeId> = self
             .importers
             .get(&frame)
-            .cloned()
-            .filter(|s| !s.is_empty())
+            .map(|n| n.keys().copied().collect())
             .ok_or(OsError::NoPageout(frame))?;
         let msgs: Vec<(NodeId, KernelMsg)> = importers
             .iter()
@@ -478,21 +498,16 @@ impl Kernel {
                 // We are a sender whose NIPT points at (from, frame):
                 // invalidate by marking source pages read-only; the next
                 // store faults and re-establishes (§4.4).
-                let mut scrub = Vec::new();
-                let mut keep = Vec::with_capacity(self.outgoing.len());
-                for rec in self.outgoing.drain(..) {
-                    if rec.dst_node == from && rec.dst_frame == frame {
-                        if let Some(proc) = self.procs.get_mut(&rec.pid) {
-                            proc.page_table_mut()
-                                .set_protection(rec.vpn, Protection::ReadOnly);
-                        }
-                        self.invalidated.insert((rec.pid, rec.vpn), rec);
-                        scrub.push(rec.src_frame);
-                    } else {
-                        keep.push(rec);
+                let start = self.invalidated.len();
+                let hit = |r: &mut OutgoingRecord| r.dst_node == from && r.dst_frame == frame;
+                self.invalidated.extend(self.outgoing.extract_if(.., hit));
+                let scrub = &self.invalidated[start..];
+                for rec in scrub {
+                    if let Some(proc) = self.procs.get_mut(&rec.pid) {
+                        proc.page_table_mut().set_protection(rec.vpn, Protection::ReadOnly);
                     }
                 }
-                self.outgoing = keep;
+                let scrub = scrub.iter().map(|r| r.src_frame).collect();
                 (
                     vec![KernelMsg::InvalidateAck {
                         from: self.node,
@@ -538,10 +553,10 @@ impl Kernel {
         Ok(())
     }
 
-    /// Services a write fault at `addr` in `pid`. If the page's outgoing
-    /// mapping was invalidated by a remote pageout, the invalidation
-    /// record is returned so the machine can re-run the mapping
-    /// handshake, and the page becomes writable again.
+    /// Services a write fault at `addr` in `pid`. If a remote pageout
+    /// invalidated segments of the page, the page becomes writable again
+    /// and the first of their records is returned; the machine re-runs
+    /// the mapping handshake, which records each segment anew.
     ///
     /// # Errors
     ///
@@ -553,15 +568,17 @@ impl Kernel {
         addr: VirtAddr,
     ) -> Result<OutgoingRecord, OsError> {
         let vpn = addr.page();
-        let rec = self
+        let on_page = |r: &OutgoingRecord| r.pid == pid && r.vpn == vpn;
+        let rec = *self
             .invalidated
-            .remove(&(pid, vpn))
+            .iter()
+            .find(|r| on_page(r))
             .ok_or(OsError::RangeNotMapped { pid, vpn })?;
+        self.invalidated.retain(|r| !on_page(r));
         if let Some(proc) = self.procs.get_mut(&pid) {
             proc.page_table_mut()
                 .set_protection(vpn, Protection::ReadWrite);
         }
-        self.outgoing.push(rec);
         Ok(rec)
     }
 }
@@ -623,6 +640,10 @@ mod tests {
         ));
         assert!(matches!(
             k.grant_in_mapping(id, NodeId(2), 2, 3),
+            Err(OsError::ExportTooSmall)
+        ));
+        assert!(matches!(
+            k.grant_in_mapping(id, NodeId(2), u64::MAX, 2),
             Err(OsError::ExportTooSmall)
         ));
         assert!(matches!(
