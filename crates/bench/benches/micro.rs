@@ -4,6 +4,8 @@
 //! honest (the snoop-path NIPT lookup runs once per bus write, the event
 //! queue once per simulated event).
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 

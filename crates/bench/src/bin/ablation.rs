@@ -15,6 +15,8 @@
 //! * `paging` — pin vs invalidate mapping consistency (§4.4): what a
 //!   pageout costs and what the faulting re-establishment costs.
 
+#![forbid(unsafe_code)]
+
 use shrimp_bench::{banner, fmt_rate, fmt_us, write_metrics, Table};
 use shrimp_core::{Machine, MachineConfig, MapRequest};
 use shrimp_mem::{PageNum, PAGE_SIZE};

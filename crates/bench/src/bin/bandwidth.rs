@@ -12,6 +12,8 @@
 //! cargo run -p shrimp-bench --bin bandwidth
 //! ```
 
+#![forbid(unsafe_code)]
+
 use shrimp_bench::{banner, fmt_rate, write_metrics, Table};
 use shrimp_core::{Machine, MachineConfig, MapRequest};
 use shrimp_cpu::Reg;

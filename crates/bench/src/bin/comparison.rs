@@ -17,6 +17,8 @@
 //! cargo run -p shrimp-bench --bin comparison
 //! ```
 
+#![forbid(unsafe_code)]
+
 use shrimp_baseline::{BaselineConfig, BaselineMachine};
 use shrimp_bench::{banner, fmt_rate, fmt_ratio, fmt_us, write_metrics, Table};
 use shrimp_core::msglib;

@@ -13,6 +13,8 @@
 //! cargo run -p shrimp-bench --bin faultsweep
 //! ```
 
+#![forbid(unsafe_code)]
+
 use shrimp_bench::{banner, fmt_rate, write_metrics, Table};
 use shrimp_core::{Machine, MachineConfig, MapRequest};
 use shrimp_cpu::Reg;

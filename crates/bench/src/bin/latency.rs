@@ -9,6 +9,8 @@
 //! cargo run -p shrimp-bench --bin latency
 //! ```
 
+#![forbid(unsafe_code)]
+
 use shrimp_bench::{banner, fmt_us, write_metrics, Table};
 use shrimp_core::{Machine, MachineConfig, MapRequest};
 use shrimp_mesh::{MeshShape, NodeId};

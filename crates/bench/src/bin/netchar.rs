@@ -6,6 +6,8 @@
 //! cargo run -p shrimp-bench --bin netchar
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 
 use shrimp_bench::workloads::TrafficPattern;

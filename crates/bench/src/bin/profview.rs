@@ -18,6 +18,8 @@
 //! the pair count, the median overhead and its quartiles, and fails
 //! when the median exceeds PCT percent.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 use shrimp_bench::{banner, write_metrics};

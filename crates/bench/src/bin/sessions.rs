@@ -11,6 +11,8 @@
 //!
 //! `--smoke` runs a two-point sweep small enough for CI.
 
+#![forbid(unsafe_code)]
+
 use shrimp_bench::{banner, fmt_rate, fmt_us, write_metrics, Table};
 use shrimp_sim::MetricsRegistry;
 use shrimp_workload::dsl::Scenario;

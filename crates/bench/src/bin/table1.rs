@@ -5,6 +5,8 @@
 //! cargo run -p shrimp-bench --bin table1
 //! ```
 
+#![forbid(unsafe_code)]
+
 use shrimp_bench::{banner, metric_key, write_metrics, Table};
 use shrimp_core::msglib;
 

@@ -13,6 +13,8 @@
 //! cargo run -p shrimp-bench --bin traceview
 //! ```
 
+#![forbid(unsafe_code)]
+
 use shrimp_bench::{banner, write_metrics};
 use shrimp_core::{Machine, MachineConfig, MapRequest};
 use shrimp_mem::PAGE_SIZE;

@@ -14,7 +14,8 @@
 //! This library provides the text-table renderer those binaries share
 //! and the synthetic [`workloads`] used by the `netchar` extension.
 
-pub mod alloc_stats;
+#![forbid(unsafe_code)]
+
 pub mod workloads;
 
 use std::fmt::Display;
@@ -118,8 +119,8 @@ pub fn banner(title: impl Display) {
 /// Resolves the metrics output path for a benchmark binary: the value
 /// following `--metrics-out` on the command line when present,
 /// otherwise the conventional `BENCH_<name>.metrics.json`. Every bin
-/// under `src/bin/` routes its snapshot through this one helper, so
-/// the flag is spelled and parsed the same way everywhere.
+/// under `src/bin/` that writes a snapshot routes it through this one
+/// helper, so the flag is spelled and parsed the same way everywhere.
 ///
 /// # Panics
 ///

@@ -340,7 +340,7 @@ impl Machine {
     }
 
     /// Number of discrete events handled since construction; a measure of
-    /// simulator work, independent of wall-clock (used by `simspeed`).
+    /// simulator work, independent of wall-clock.
     pub fn events_processed(&self) -> u64 {
         self.sched.processed()
     }

@@ -8,10 +8,12 @@
 //! fire the queued housekeeps between words.) Both machines must agree
 //! right after the store, and again once drained.
 //!
-//! The equivalence cannot see a bulk step that stopped firing, so a
-//! guard test drives the benchmark's `auto_stream` shape page by page
-//! and asserts the merged step takes every page, and that each fallback
-//! refuses without changing anything.
+//! The equivalence cannot see a bulk step that stopped firing, so two
+//! guard tests drive a buffer page by page and assert that the bulk
+//! step takes every page: the merged step on the benchmark's
+//! `auto_stream` shape, the quiet-NIC step on a deliberate-update fill.
+//! A third asserts that each fallback refuses without changing
+//! anything.
 
 use proptest::prelude::*;
 use shrimp_mem::{VirtAddr, PAGE_SIZE, WORD_SIZE};
@@ -235,7 +237,7 @@ proptest! {
     }
 }
 
-// ─────────────────────── the merged step fires ───────────────────────
+// ───────────────────────── the bulk steps fire ─────────────────────────
 
 /// The benchmark's `auto_stream` shape: the whole buffer mapped for
 /// automatic blocked-write update, nothing warmed.
@@ -291,6 +293,37 @@ fn merged_runs_take_the_bulk_step() {
         rig.m.nic_stats(SND).merged_writes,
         PAGES * (PAGE_SIZE / WORD_SIZE - 1)
     );
+}
+
+/// A fill of a deliberate-update buffer: the NIC ignores every store,
+/// so each page's first word leaves it quiet and the quiet-NIC step
+/// takes the rest of the page.
+#[test]
+fn quiet_runs_take_the_bulk_step() {
+    let deliberate = Setup {
+        policy: UpdatePolicy::Deliberate,
+        ..auto_stream()
+    };
+    let mut rig = build(&deliberate);
+    let mut t = rig.m.now();
+    for page in 0..PAGES {
+        let va = rig.src.add(page * PAGE_SIZE);
+        let (end, quiet) = first_word(&mut rig, t, va);
+        assert!(quiet, "page {page}: the NIC ignores a deliberate-update store");
+        let words = PAGE_SIZE / WORD_SIZE - 1;
+        t = bulk_step(&mut rig, end, va.add(WORD_SIZE), words, quiet)
+            .unwrap_or_else(|| panic!("page {page} went word by word"));
+    }
+    rig.m.run_until(t);
+    let stored = rig
+        .m
+        .peek(SND, rig.pid, rig.src, PAGES * PAGE_SIZE)
+        .expect("peek");
+    for page in stored.chunks_exact(PAGE_SIZE as usize) {
+        assert_eq!(word(&page[..4]), 0x5eed_f00d);
+        assert!(page[4..].iter().all(|&b| b == 0x3c));
+    }
+    assert!(rig.m.deliveries().is_empty(), "a fill sends nothing");
 }
 
 /// Where a refused case stores, as byte offsets into the buffer: a

@@ -227,7 +227,8 @@ impl NetworkInterface {
     }
 
     /// Kernel hook: the outgoing segment of `page` at `offset` was torn
-    /// down. The page's IOTLB entry is shot down.
+    /// down. The page's IOTLB entry is shot down with the removed
+    /// segment's buffered writes; the page's other writes wait on.
     pub fn unmap_out(&mut self, page: PageNum, offset: u64) -> Option<OutSegment> {
         let seg = self.nipt.clear_out_segment(page, offset);
         self.invalidate_translation(page);

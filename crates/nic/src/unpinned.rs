@@ -34,8 +34,8 @@
 //!   pending completion.
 //! - **Shootdown.** [`NetworkInterface::unmap_out`] and
 //!   [`NetworkInterface::map_in`] with `mapped = false` drop the page's
-//!   entry and its buffered writes. Installing into a full IOTLB evicts
-//!   the least-recently-used entry.
+//!   entry and the buffered writes no remaining segment captures.
+//!   Installing into a full IOTLB evicts the least-recently-used entry.
 //!
 //! Everything is deterministic: completions run in `(ready, page)` order
 //! and the LRU victim is the smallest `(last use, page)`.
@@ -258,14 +258,21 @@ impl NetworkInterface {
     }
 
     /// The shootdown hook: every cached translation for `page` is
-    /// dropped (the TLB-shootdown analogue). Buffered writes for the page
-    /// die with the mapping, matching the pinned NIC's treatment of
-    /// writes to pages unmapped mid-flight. A no-op on the pinned NIC,
-    /// whose NIPT is always authoritative.
+    /// dropped (the TLB-shootdown analogue). A buffered write dies with
+    /// its segment, matching the pinned NIC's treatment of writes to
+    /// pages unmapped mid-flight; a write another segment still captures
+    /// waits on for its map-in. A no-op on the pinned NIC, whose NIPT is
+    /// always authoritative.
     pub(crate) fn invalidate_translation(&mut self, page: PageNum) {
-        if let Some(tlb) = self.iotlb.as_mut() {
-            tlb.evict(page);
-            tlb.pending.remove(&page);
+        let Some(tlb) = self.iotlb.as_mut() else {
+            return;
+        };
+        tlb.evict(page);
+        if let Some(entry) = tlb.pending.get_mut(&page) {
+            entry.writes.retain(|w| self.nipt.capture(w.addr, 1).is_some());
+            if entry.writes.is_empty() {
+                tlb.pending.remove(&page);
+            }
         }
     }
 }

@@ -292,6 +292,11 @@ impl Kernel {
     /// the pin policy, records one import of each frame, and returns the
     /// frames for the sender's NIPT.
     ///
+    /// A grant of a frame whose pageout is pending (a §4.4 write fault
+    /// serviced before [`Kernel::complete_pageout`]) cancels the
+    /// pageout: the frame stays, and the imports the pageout invalidated
+    /// are forgotten, so this grant's is the frame's only one.
+    ///
     /// # Errors
     ///
     /// [`OsError::NotExported`], [`OsError::ExportRefused`],
@@ -330,6 +335,9 @@ impl Kernel {
             frames.push(frame);
         }
         for &frame in &frames {
+            if self.pageouts.remove(&frame).is_some() {
+                self.importers.remove(&frame);
+            }
             *self.importers.entry(frame).or_default().entry(from_node).or_default() += 1;
         }
         Ok(MapToken { frames })
@@ -535,7 +543,8 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// [`OsError::NoPageout`] if no complete pageout is pending.
+    /// [`OsError::NoPageout`] if no complete pageout is pending, also
+    /// when a grant cancelled it.
     pub fn complete_pageout(&mut self, frame: PageNum) -> Result<(), OsError> {
         if !self.pageout_complete(frame) {
             return Err(OsError::NoPageout(frame));

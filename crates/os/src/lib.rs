@@ -14,9 +14,9 @@
 //!   (invalidate → acknowledge → replace, with page-fault
 //!   re-establishment).
 //! * [`msg`] — kernel-to-kernel messages carried by the machine model.
-//! * [`sched`] — round-robin and gang schedulers; SHRIMP's protection
-//!   story is *independent* of the choice, which is the point of §1's
-//!   multiprogramming argument.
+//! * [`sched`] — the per-node round-robin scheduler; SHRIMP's protection
+//!   story is *independent* of the scheduling policy, which is the point
+//!   of §1's multiprogramming argument.
 //! * [`error`] — [`OsError`].
 //!
 //! Cross-node coordination (the two halves of `map`, invalidations and
@@ -50,4 +50,4 @@ pub use error::OsError;
 pub use kernel::{ExportId, Kernel, MapToken};
 pub use msg::KernelMsg;
 pub use process::{Pid, Process};
-pub use sched::{GangScheduler, RoundRobin, SchedDecision};
+pub use sched::{RoundRobin, SchedDecision};

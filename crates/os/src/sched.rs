@@ -1,11 +1,10 @@
-//! Process schedulers.
+//! The process scheduler.
 //!
 //! SHRIMP's protection does not depend on the scheduling policy —
 //! "having hardware that supports general multiprogramming gives us the
 //! ability to experiment with various scheduling policies" (paper §1).
-//! Two policies are provided: per-node round-robin (general
-//! multiprogramming), and gang scheduling (the CM-5's requirement,
-//! included as the contrast case and for ablation benches).
+//! Each node runs its own round-robin scheduler (general
+//! multiprogramming); no machine-wide gang schedule is needed.
 
 use std::collections::VecDeque;
 
@@ -125,41 +124,6 @@ impl RoundRobin {
     }
 }
 
-/// A machine-wide gang scheduler: all nodes run the same *job* during the
-/// same quantum. This is the CM-5-style constraint SHRIMP does **not**
-/// need; it exists for comparison.
-#[derive(Debug, Clone)]
-pub struct GangScheduler {
-    quantum: SimDuration,
-    jobs: Vec<u32>,
-}
-
-impl GangScheduler {
-    /// Creates a gang scheduler over `jobs` job ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs` is empty.
-    pub fn new(quantum: SimDuration, jobs: Vec<u32>) -> Self {
-        assert!(!jobs.is_empty(), "gang scheduler needs at least one job");
-        GangScheduler { quantum, jobs }
-    }
-
-    /// The job running machine-wide at `now`, plus the end of its slot.
-    pub fn job_at(&self, now: SimTime) -> (u32, SimTime) {
-        let q = self.quantum.as_picos();
-        let slot = now.as_picos() / q;
-        let job = self.jobs[(slot % self.jobs.len() as u64) as usize];
-        let until = SimTime::from_picos((slot + 1) * q);
-        (job, until)
-    }
-
-    /// The jobs in rotation.
-    pub fn jobs(&self) -> &[u32] {
-        &self.jobs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,21 +209,5 @@ mod tests {
         rr.tick(t(0));
         rr.add(Pid(1)); // already current
         assert_eq!(rr.tick(t(10)), SchedDecision::Run { pid: Pid(1), until: t(20) });
-    }
-
-    #[test]
-    fn gang_schedule_is_globally_consistent() {
-        let g = GangScheduler::new(ms(10), vec![7, 8]);
-        assert_eq!(g.job_at(t(0)), (7, t(10)));
-        assert_eq!(g.job_at(t(9)), (7, t(10)));
-        assert_eq!(g.job_at(t(10)), (8, t(20)));
-        assert_eq!(g.job_at(t(25)), (7, t(30)));
-        assert_eq!(g.jobs(), &[7, 8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one job")]
-    fn empty_gang_rejected() {
-        GangScheduler::new(ms(1), Vec::new());
     }
 }

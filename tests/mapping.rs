@@ -325,6 +325,49 @@ fn unmap_of_an_invalidated_mapping_restores_writes() {
     }
 }
 
+/// A write fault serviced after every importer acknowledged a pageout,
+/// but before the receiver completes it, re-grants the frame: the grant
+/// cancels the pageout, so `complete_pageout` frees nothing and the
+/// sender's re-established segment still lands.
+#[test]
+fn a_grant_cancels_a_pending_pageout() {
+    for backend in BACKENDS {
+        let mut w = World::new(backend);
+        let src = w.src(1);
+        let (dst, export) = w.dst(1);
+        w.map(src, export, 0, PAGE_SIZE).unwrap();
+        let frame = w.frame(dst);
+        w.m.begin_pageout(RCV, frame).unwrap();
+        w.m.run_until_idle().unwrap();
+        w.cpu_store(src, 7);
+        let done = w.m.complete_pageout(RCV, frame);
+        w.poke(src.add(4), 8);
+        assert!(w.m.drops().is_empty(), "{backend:?} dropped: {:?}", w.m.drops());
+        assert_eq!(done, Err(MachineError::Os(OsError::NoPageout(frame))), "{backend:?}");
+        assert_eq!((w.peek(dst), w.peek(dst.add(4))), (7, 8), "{backend:?}");
+        w.done();
+    }
+}
+
+/// Unmapping one of two mappings on a source page keeps the other's
+/// write that is still waiting to leave (on the unpinned NIC, behind
+/// its IOTLB map-in).
+#[test]
+fn unmap_keeps_the_other_mappings_pending_write() {
+    for backend in BACKENDS {
+        let mut w = World::new(backend);
+        let src = w.src(1);
+        let (dst, export) = w.dst(2);
+        w.map(src, export, 0, HALF).unwrap();
+        let b = w.map(src.add(HALF), export, PAGE_SIZE, HALF).unwrap();
+        w.m.poke(SND, w.s, src, &5u32.to_le_bytes()).unwrap();
+        w.m.unmap(b).unwrap();
+        w.m.run_until_idle().unwrap();
+        assert_eq!(w.peek(dst), 5, "{backend:?}");
+        w.done();
+    }
+}
+
 /// A second `map` of a mapped source range is refused with the overlap
 /// error, and the first mapping keeps its destination.
 #[test]
