@@ -277,7 +277,6 @@ impl Machine {
         let flags = PageFlags {
             protection: Protection::ReadWrite,
             cache_mode: CacheMode::WriteThrough, // uncached in effect; bypassed below
-            pinned: true,
         };
         proc.page_table_mut().map(vpn, cmd_frame, flags);
         Ok(vpn.base())
@@ -289,8 +288,8 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Propagates kernel protocol errors (pinned frame, no importers,
-    /// already in progress).
+    /// Propagates kernel protocol errors (no importers, already in
+    /// progress).
     pub fn begin_pageout(&mut self, node: NodeId, frame: PageNum) -> Result<(), MachineError> {
         let msgs = self.node_mut(node).kernel.begin_pageout(frame)?;
         let latency = self.config.kernel_msg_latency;

@@ -142,11 +142,7 @@ impl Node {
         }
         Node {
             id,
-            kernel: Kernel::with_policy(
-                id,
-                config.pages_per_node,
-                shrimp_os::kernel::ConsistencyPolicy::Invalidate,
-            ),
+            kernel: Kernel::new(id, config.pages_per_node),
             mem: PhysicalMemory::new(config.pages_per_node),
             cache: CacheModel::new(config.cache),
             xpress: XpressBus::new(config.bus),
@@ -581,11 +577,11 @@ fn nic_dma_read(
     src: PhysAddr,
     len: u64,
 ) -> (Payload, SimTime) {
-    let txn = xpress.read(at, src, len, shrimp_mem::BusInitiator::NicDma);
+    let end = xpress.read(at, len).end;
     let payload = shrimp_nic::pooled_payload(len as usize, |buf| {
         let _ = mem.read_bytes_into(src, buf);
     });
-    (payload, txn.grant.end)
+    (payload, end)
 }
 
 impl NodeBusView<'_> {
@@ -621,30 +617,19 @@ impl MemoryBus for NodeBusView<'_> {
         let (phys, _mode, t) = self.translate(now, addr, false)?;
         if self.is_command(phys) {
             // Command reads are uncached I/O reads over the bus.
-            let txn = self
-                .xpress
-                .read(t, phys, WORD_SIZE, shrimp_mem::BusInitiator::Cpu);
-            let v = self.nic.command_read(txn.grant.end, phys);
-            return Ok((v, txn.grant.end));
+            let end = self.xpress.read(t, WORD_SIZE).end;
+            let v = self.nic.command_read(end, phys);
+            return Ok((v, end));
         }
         let outcome = self.cache.load(phys);
         if outcome.bus_access {
-            if let Some(victim) = outcome.writeback {
-                self.xpress.write(
-                    t,
-                    victim,
-                    self.cache.config().line_size,
-                    shrimp_mem::BusInitiator::Cpu,
-                );
+            let line = self.cache.config().line_size;
+            if outcome.writeback.is_some() {
+                self.xpress.write(t, line);
             }
-            let txn = self.xpress.read(
-                t,
-                phys,
-                self.cache.config().line_size,
-                shrimp_mem::BusInitiator::Cpu,
-            );
+            let end = self.xpress.read(t, line).end;
             let v = self.mem.read_word(phys)?;
-            return Ok((v, txn.grant.end));
+            return Ok((v, end));
         }
         let v = self.mem.read_word(phys)?;
         Ok((v, t))
@@ -653,10 +638,7 @@ impl MemoryBus for NodeBusView<'_> {
     fn store_word(&mut self, now: SimTime, addr: VirtAddr, value: u32) -> Result<SimTime, MemError> {
         let (phys, mode, t) = self.translate(now, addr, true)?;
         if self.is_command(phys) {
-            let txn = self
-                .xpress
-                .write(t, phys, WORD_SIZE, shrimp_mem::BusInitiator::Cpu);
-            let end = txn.grant.end;
+            let end = self.xpress.write(t, WORD_SIZE).end;
             // A plain store to a command page issues the encoded command.
             // mem_read services deliberate-update DMA reads.
             let mem = &mut *self.mem;
@@ -670,19 +652,11 @@ impl MemoryBus for NodeBusView<'_> {
         }
         let outcome = self.cache.store(phys, mode);
         let mut end = t;
-        if let Some(victim) = outcome.writeback {
-            self.xpress.write(
-                t,
-                victim,
-                self.cache.config().line_size,
-                shrimp_mem::BusInitiator::Cpu,
-            );
+        if outcome.writeback.is_some() {
+            self.xpress.write(t, self.cache.config().line_size);
         }
         if outcome.bus_access {
-            let txn = self
-                .xpress
-                .write(t, phys, WORD_SIZE, shrimp_mem::BusInitiator::Cpu);
-            end = txn.grant.end;
+            end = self.xpress.write(t, WORD_SIZE).end;
             if mode == CacheMode::WriteThrough {
                 // The NIC snoops the write off the bus (paper §3.1).
                 self.nic.snoop_write(end, phys, &value.to_le_bytes());
@@ -703,16 +677,10 @@ impl MemoryBus for NodeBusView<'_> {
         if self.is_command(phys) {
             // The §4.3 protocol: the read cycle returns the DMA status;
             // if it matches, the write cycle starts the transfer.
-            let txn = self
-                .xpress
-                .read(t, phys, WORD_SIZE, shrimp_mem::BusInitiator::Cpu);
-            let status = self.nic.command_read(txn.grant.end, phys);
-            let mut end = txn.grant.end;
+            let mut end = self.xpress.read(t, WORD_SIZE).end;
+            let status = self.nic.command_read(end, phys);
             if status == expected {
-                let wtxn = self
-                    .xpress
-                    .write(end, phys, WORD_SIZE, shrimp_mem::BusInitiator::Cpu);
-                end = wtxn.grant.end;
+                end = self.xpress.write(end, WORD_SIZE).end;
                 let mem = &mut *self.mem;
                 let xpress = &mut *self.xpress;
                 let _ = self
@@ -725,16 +693,10 @@ impl MemoryBus for NodeBusView<'_> {
         }
         // A locked data-memory CMPXCHG: one atomic read-(maybe-)write
         // bus transaction.
-        let txn = self
-            .xpress
-            .read(t, phys, WORD_SIZE, shrimp_mem::BusInitiator::Cpu);
+        let mut end = self.xpress.read(t, WORD_SIZE).end;
         let old = self.mem.read_word(phys)?;
-        let mut end = txn.grant.end;
         if old == expected {
-            let wtxn = self
-                .xpress
-                .write(end, phys, WORD_SIZE, shrimp_mem::BusInitiator::Cpu);
-            end = wtxn.grant.end;
+            end = self.xpress.write(end, WORD_SIZE).end;
             self.mem.write_word(phys, new)?;
             let _ = self.cache.store(phys, mode);
             if mode == CacheMode::WriteThrough {

@@ -1,49 +1,18 @@
 //! Xpress memory bus and EISA expansion bus timing models.
 //!
-//! Both buses serve one transaction at a time. Every *write* transaction
+//! Both buses serve one transaction at a time, and a transaction returns
+//! only its [`Grant`]: when the bus served it. Every *write* transaction
 //! on the Xpress bus is visible to snoopers — that visibility is the
 //! SHRIMP NIC's input (paper §3: "Outgoing data ... is snooped directly
-//! off the Xpress memory bus"). The EISA bus carries incoming data from
-//! the NIC to main memory at its 33 MB/s burst rate, which is the paper's
-//! peak-bandwidth bottleneck (§5.1).
+//! off the Xpress memory bus"); the snooper needs only the write's data,
+//! which the caller holds, and the grant's end. The EISA bus carries
+//! incoming data from the NIC to main memory at its 33 MB/s burst rate,
+//! which is the paper's peak-bandwidth bottleneck (§5.1).
 
 use shrimp_sim::resource::Grant;
 use shrimp_sim::{BandwidthResource, SimDuration, SimTime};
 
-use crate::addr::{PhysAddr, WORD_SIZE};
-
-/// Who initiated a bus transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BusInitiator {
-    /// The node CPU.
-    Cpu,
-    /// The network interface's DMA engine.
-    NicDma,
-}
-
-/// Direction of a bus transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BusKind {
-    /// Data moves from initiator to memory (snoopable on the Xpress bus).
-    Write,
-    /// Data moves from memory to initiator.
-    Read,
-}
-
-/// The completed timing record of one bus transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BusTransaction {
-    /// When the bus served this transaction.
-    pub grant: Grant,
-    /// Start address.
-    pub addr: PhysAddr,
-    /// Length in bytes.
-    pub len: u64,
-    /// Read or write.
-    pub kind: BusKind,
-    /// Who drove the transaction.
-    pub initiator: BusInitiator,
-}
+use crate::addr::WORD_SIZE;
 
 /// Bus bandwidths and overheads for one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,18 +65,16 @@ impl Default for BusConfig {
 /// # Examples
 ///
 /// ```
-/// use shrimp_mem::{XpressBus, BusConfig, BusInitiator, PhysAddr};
+/// use shrimp_mem::{XpressBus, BusConfig};
 /// use shrimp_sim::SimTime;
 ///
 /// let mut bus = XpressBus::new(BusConfig::default());
-/// let txn = bus.write(SimTime::ZERO, PhysAddr::new(0x100), 4, BusInitiator::Cpu);
-/// assert!(txn.grant.end > txn.grant.start);
+/// let grant = bus.write(SimTime::ZERO, 4);
+/// assert!(grant.end > grant.start);
 /// ```
 #[derive(Debug, Clone)]
 pub struct XpressBus {
     resource: BandwidthResource,
-    writes: u64,
-    reads: u64,
 }
 
 impl XpressBus {
@@ -115,28 +82,13 @@ impl XpressBus {
     pub fn new(config: BusConfig) -> Self {
         XpressBus {
             resource: BandwidthResource::new(config.xpress_bytes_per_sec, config.xpress_overhead),
-            writes: 0,
-            reads: 0,
         }
     }
 
-    /// Performs a write transaction. The returned record is what snoopers
-    /// (the NIC) observe.
-    pub fn write(
-        &mut self,
-        now: SimTime,
-        addr: PhysAddr,
-        len: u64,
-        initiator: BusInitiator,
-    ) -> BusTransaction {
-        self.writes += 1;
-        BusTransaction {
-            grant: self.resource.transfer(now, len),
-            addr,
-            len,
-            kind: BusKind::Write,
-            initiator,
-        }
+    /// Performs a write transaction of `len` bytes. Its end is when
+    /// snoopers (the NIC) see the write.
+    pub fn write(&mut self, now: SimTime, len: u64) -> Grant {
+        self.resource.transfer(now, len)
     }
 
     /// Performs `n` write transactions of `len` bytes each, back to back:
@@ -145,7 +97,6 @@ impl XpressBus {
     /// calls (see [`BandwidthResource::transfer_run`]); the grant runs
     /// from the first write's start to the last one's end.
     pub fn write_run(&mut self, now: SimTime, n: u64, len: u64) -> Grant {
-        self.writes += n;
         self.resource.transfer_run(now, n, len)
     }
 
@@ -155,47 +106,14 @@ impl XpressBus {
         self.resource.duration_of(WORD_SIZE)
     }
 
-    /// Performs a read transaction.
-    pub fn read(
-        &mut self,
-        now: SimTime,
-        addr: PhysAddr,
-        len: u64,
-        initiator: BusInitiator,
-    ) -> BusTransaction {
-        self.reads += 1;
-        BusTransaction {
-            grant: self.resource.transfer(now, len),
-            addr,
-            len,
-            kind: BusKind::Read,
-            initiator,
-        }
+    /// Performs a read transaction of `len` bytes.
+    pub fn read(&mut self, now: SimTime, len: u64) -> Grant {
+        self.resource.transfer(now, len)
     }
 
     /// When the bus next goes idle.
     pub fn free_at(&self) -> SimTime {
         self.resource.free_at()
-    }
-
-    /// Total write transactions served.
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Total read transactions served.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Bus utilization over `[0, now]`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        self.resource.utilization(now)
-    }
-
-    /// Total bytes moved.
-    pub fn bytes_total(&self) -> u64 {
-        self.resource.bytes_total()
     }
 }
 
@@ -204,18 +122,17 @@ impl XpressBus {
 /// # Examples
 ///
 /// ```
-/// use shrimp_mem::{EisaBus, BusConfig, PhysAddr};
+/// use shrimp_mem::{EisaBus, BusConfig};
 /// use shrimp_sim::SimTime;
 ///
 /// let mut eisa = EisaBus::new(BusConfig::default());
-/// let txn = eisa.dma_write(SimTime::ZERO, PhysAddr::new(0), 4096);
+/// let grant = eisa.dma_write(SimTime::ZERO, 4096);
 /// // 4 KB at 33 MB/s is ~124 us.
-/// assert!(txn.grant.end.as_micros_f64() > 120.0);
+/// assert!(grant.end.as_micros_f64() > 120.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EisaBus {
     resource: BandwidthResource,
-    transfers: u64,
 }
 
 impl EisaBus {
@@ -223,30 +140,12 @@ impl EisaBus {
     pub fn new(config: BusConfig) -> Self {
         EisaBus {
             resource: BandwidthResource::new(config.eisa_bytes_per_sec, config.eisa_overhead),
-            transfers: 0,
         }
     }
 
     /// DMA-writes `len` bytes of incoming packet data to memory.
-    pub fn dma_write(&mut self, now: SimTime, addr: PhysAddr, len: u64) -> BusTransaction {
-        self.transfers += 1;
-        BusTransaction {
-            grant: self.resource.transfer(now, len),
-            addr,
-            len,
-            kind: BusKind::Write,
-            initiator: BusInitiator::NicDma,
-        }
-    }
-
-    /// When the bus next goes idle.
-    pub fn free_at(&self) -> SimTime {
-        self.resource.free_at()
-    }
-
-    /// Total DMA transfers served.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
+    pub fn dma_write(&mut self, now: SimTime, len: u64) -> Grant {
+        self.resource.transfer(now, len)
     }
 
     /// Total bytes moved.
@@ -258,11 +157,6 @@ impl EisaBus {
     pub fn achieved_rate(&self, now: SimTime) -> f64 {
         self.resource.achieved_rate(now)
     }
-
-    /// Configured burst rate in bytes/second.
-    pub fn bytes_per_sec(&self) -> u64 {
-        self.resource.bytes_per_sec()
-    }
 }
 
 #[cfg(test)]
@@ -272,25 +166,19 @@ mod tests {
     #[test]
     fn xpress_serializes_transactions() {
         let mut bus = XpressBus::new(BusConfig::default());
-        let a = bus.write(SimTime::ZERO, PhysAddr::new(0), 4, BusInitiator::Cpu);
-        let b = bus.write(SimTime::ZERO, PhysAddr::new(4), 4, BusInitiator::Cpu);
-        assert_eq!(b.grant.start, a.grant.end);
-        assert_eq!(bus.writes(), 2);
-        assert_eq!(bus.reads(), 0);
-        assert_eq!(bus.bytes_total(), 8);
+        let a = bus.write(SimTime::ZERO, 4);
+        let b = bus.write(SimTime::ZERO, 4);
+        assert_eq!(b.start, a.end);
     }
 
     #[test]
     fn write_run_matches_word_writes() {
         let mut one = XpressBus::new(BusConfig::default());
-        one.read(SimTime::ZERO, PhysAddr::new(0), 64, BusInitiator::NicDma);
+        one.read(SimTime::ZERO, 64);
         let mut run = one.clone();
         let mut t = SimTime::ZERO;
         for i in 0..64 {
-            let end = one
-                .write(t, PhysAddr::new(i * 4), 4, BusInitiator::Cpu)
-                .grant
-                .end;
+            let end = one.write(t, 4).end;
             if i > 0 {
                 assert_eq!(end.since(t), one.word_time(), "word {i}");
             }
@@ -303,8 +191,8 @@ mod tests {
     #[test]
     fn word_write_is_fast_relative_to_eisa() {
         let mut bus = XpressBus::new(BusConfig::default());
-        let txn = bus.write(SimTime::ZERO, PhysAddr::new(0), 4, BusInitiator::Cpu);
-        let ns = txn.grant.end.since(txn.grant.start).as_nanos_f64();
+        let grant = bus.write(SimTime::ZERO, 4);
+        let ns = grant.end.since(grant.start).as_nanos_f64();
         // 30ns overhead + 4B/132MB/s ≈ 30ns: word write well under 100ns.
         assert!(ns < 100.0, "word write took {ns}ns");
     }
@@ -314,9 +202,8 @@ mod tests {
         let cfg = BusConfig::shrimp_prototype();
         let mut eisa = EisaBus::new(cfg);
         let mut now = SimTime::ZERO;
-        for i in 0..64 {
-            let txn = eisa.dma_write(now, PhysAddr::new(i * 4096), 4096);
-            now = txn.grant.end;
+        for _ in 0..64 {
+            now = eisa.dma_write(now, 4096).end;
         }
         let rate = eisa.achieved_rate(now);
         // Setup overhead shaves a bit off 33 MB/s but must stay close.
@@ -328,28 +215,17 @@ mod tests {
         let proto = BusConfig::shrimp_prototype();
         let next = BusConfig::shrimp_next_generation();
         assert!(next.eisa_bytes_per_sec > 2 * proto.eisa_bytes_per_sec);
-        let eisa = EisaBus::new(next);
-        assert_eq!(eisa.bytes_per_sec(), 70_000_000);
+        // 70 KB at 70 MB/s is 1 ms, plus the setup overhead.
+        let grant = EisaBus::new(next).dma_write(SimTime::ZERO, 70_000);
+        let expected = SimDuration::from_ms(1) + next.eisa_overhead;
+        assert_eq!(grant.end.since(grant.start), expected);
     }
 
     #[test]
     fn reads_and_writes_share_the_bus() {
         let mut bus = XpressBus::new(BusConfig::default());
-        let w = bus.write(SimTime::ZERO, PhysAddr::new(0), 64, BusInitiator::NicDma);
-        let r = bus.read(SimTime::ZERO, PhysAddr::new(64), 64, BusInitiator::Cpu);
-        assert_eq!(r.grant.start, w.grant.end);
-        assert_eq!(bus.reads(), 1);
-        assert!(bus.utilization(r.grant.end) > 0.9);
-    }
-
-    #[test]
-    fn transaction_records_carry_metadata() {
-        let mut eisa = EisaBus::new(BusConfig::default());
-        let txn = eisa.dma_write(SimTime::ZERO, PhysAddr::new(0x40), 16);
-        assert_eq!(txn.kind, BusKind::Write);
-        assert_eq!(txn.initiator, BusInitiator::NicDma);
-        assert_eq!(txn.len, 16);
-        assert_eq!(txn.addr, PhysAddr::new(0x40));
-        assert_eq!(eisa.transfers(), 1);
+        let w = bus.write(SimTime::ZERO, 64);
+        let r = bus.read(SimTime::ZERO, 64);
+        assert_eq!(r.start, w.end);
     }
 }

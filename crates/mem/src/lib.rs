@@ -39,7 +39,7 @@ pub mod phys;
 pub mod tlb;
 
 pub use addr::{PageNum, PhysAddr, VirtAddr, VirtPageNum, PAGE_SIZE, WORD_SIZE};
-pub use bus::{BusConfig, BusInitiator, BusKind, BusTransaction, EisaBus, XpressBus};
+pub use bus::{BusConfig, EisaBus, XpressBus};
 pub use cache::{CacheConfig, CacheModel, CacheOutcome};
 pub use error::MemError;
 pub use page_table::{CacheMode, PageFlags, PageTable, Protection};

@@ -47,10 +47,6 @@ pub struct PageFlags {
     pub protection: Protection,
     /// Caching strategy.
     pub cache_mode: CacheMode,
-    /// True while the frame is pinned (not eligible for replacement);
-    /// the kernel pins pages with incoming communication mappings
-    /// (paper §4.4).
-    pub pinned: bool,
 }
 
 impl Default for PageFlags {
@@ -58,7 +54,6 @@ impl Default for PageFlags {
         PageFlags {
             protection: Protection::ReadWrite,
             cache_mode: CacheMode::WriteBack,
-            pinned: false,
         }
     }
 }
@@ -132,18 +127,6 @@ impl PageTable {
         match self.entries.get_mut(&vpn) {
             Some(e) => {
                 e.1.cache_mode = mode;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Pins or unpins an existing entry. Returns `false` if `vpn` is not
-    /// mapped.
-    pub fn set_pinned(&mut self, vpn: VirtPageNum, pinned: bool) -> bool {
-        match self.entries.get_mut(&vpn) {
-            Some(e) => {
-                e.1.pinned = pinned;
                 true
             }
             None => false,
@@ -287,14 +270,12 @@ mod tests {
     }
 
     #[test]
-    fn cache_mode_and_pin_flags() {
+    fn set_cache_mode_takes_effect() {
         let mut pt = PageTable::new();
         pt.map(VirtPageNum::new(0), PageNum::new(0), rw());
         assert!(pt.set_cache_mode(VirtPageNum::new(0), CacheMode::WriteThrough));
-        assert!(pt.set_pinned(VirtPageNum::new(0), true));
         let (_, flags) = pt.entry(VirtPageNum::new(0)).unwrap();
         assert_eq!(flags.cache_mode, CacheMode::WriteThrough);
-        assert!(flags.pinned);
     }
 
     #[test]

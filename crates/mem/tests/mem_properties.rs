@@ -40,7 +40,6 @@ proptest! {
                 PageFlags {
                     protection: if writable { Protection::ReadWrite } else { Protection::ReadOnly },
                     cache_mode: CacheMode::WriteBack,
-                    pinned: false,
                 },
             );
         }

@@ -14,7 +14,6 @@
 
 use std::collections::VecDeque;
 
-use bytes::Bytes;
 use shrimp_sim::fault::{FaultConfig, LinkFault, LinkFaultSite};
 use shrimp_sim::{
     ComponentId, EventQueue, Histogram, SimDuration, SimTime, TraceData, TraceOutbox,
@@ -119,14 +118,14 @@ pub struct LinkUse {
 }
 
 /// The simulated routing backplane, generic over the payload type its
-/// packets carry (raw [`Bytes`] by default; the full machine instantiates
-/// it with the NIC's structured packet so nothing is re-serialized at the
-/// mesh boundary).
+/// packets carry (raw bytes, a `Vec<u8>`, by default; the full machine
+/// instantiates it with the NIC's structured packet so nothing is
+/// re-serialized at the mesh boundary).
 ///
 /// Drive it with [`MeshNetwork::try_inject`], [`MeshNetwork::advance`] and
 /// [`MeshNetwork::eject`]; see the crate docs for an end-to-end example.
 #[derive(Debug)]
-pub struct MeshNetwork<P = Bytes> {
+pub struct MeshNetwork<P = Vec<u8>> {
     config: MeshConfig,
     shape: MeshShape,
     routers: Vec<RouterState>,

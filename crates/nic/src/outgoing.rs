@@ -141,42 +141,38 @@ impl NetworkInterface {
         if ready > now {
             return None;
         }
-        if self.retx.is_some() {
-            let dst = self.shape.id_at(head.header().dst_coord);
-            let base_rto = self.config.retx.base_timeout;
-            let window = self.config.retx.window_packets;
-            let st = self.retx.as_mut().expect("checked above");
-            let peer = st
+        let dst = self.shape.id_at(head.header().dst_coord);
+        let base_rto = self.config.retx.base_timeout;
+        let mut peer = None;
+        if let Some(st) = self.retx.as_mut() {
+            let p = st
                 .send
                 .entry(dst.0)
                 .or_insert_with(|| SendPeer::new(base_rto));
-            if peer.unacked.len() >= window {
+            if p.unacked.len() >= self.config.retx.window_packets {
                 // Retransmit buffer full: stop draining until acks or a
                 // timeout free it.
                 return None;
             }
-            let (packet, _) = self.out_fifo.pop().expect("head peeked above");
-            let seq = peer.next_seq;
-            peer.next_seq += 1;
-            let mut framed = packet.framed(LinkCtl {
-                kind: FrameKind::Data,
-                seq,
-            });
-            framed.stamp.injected = now;
-            // Defensive: refill_from_overflow preserves `born` as the
-            // ready time, so injection can no longer precede it; the
-            // clamp only degrades gracefully if that invariant breaks.
-            framed.stamp.born = framed.stamp.born.min(now);
-            peer.unacked.push_back(framed.clone());
-            peer.timeout_at = Some(now + peer.rto);
-            self.refill_from_overflow(now);
-            self.clear_out_threshold(now);
-            return Some(MeshPacket::new(self.node, dst, framed));
+            peer = Some(p);
         }
-        let (mut packet, _) = self.out_fifo.pop()?;
+        let (mut packet, _) = self.out_fifo.pop().expect("head peeked above");
+        if let Some(p) = peer.as_mut() {
+            packet = packet.framed(LinkCtl {
+                kind: FrameKind::Data,
+                seq: p.next_seq,
+            });
+            p.next_seq += 1;
+        }
         packet.stamp.injected = now;
+        // Defensive: refill_from_overflow preserves `born` as the ready
+        // time, so injection can no longer precede it; the clamp only
+        // degrades gracefully if that invariant breaks.
         packet.stamp.born = packet.stamp.born.min(now);
-        let dst = self.shape.id_at(packet.header().dst_coord);
+        if let Some(p) = peer {
+            p.unacked.push_back(packet.clone());
+            p.timeout_at = Some(now + p.rto);
+        }
         // Space freed: stalled packets enter the FIFO now.
         self.refill_from_overflow(now);
         self.clear_out_threshold(now);

@@ -14,7 +14,6 @@
 //! [`ShrimpPacket::decode`] produce/parse the equivalent wire bytes and
 //! exist for wire-level tests and tools.
 
-use bytes::Bytes;
 use shrimp_mesh::{MeshCoord, MeshPayload, NodeId};
 use shrimp_mem::PhysAddr;
 use shrimp_sim::SimTime;
@@ -147,15 +146,14 @@ pub const INLINE_PAYLOAD_MAX: usize = 8;
 pub enum Payload {
     /// Up to [`INLINE_PAYLOAD_MAX`] bytes, stored in place.
     Inline { len: u8, buf: [u8; INLINE_PAYLOAD_MAX] },
-    /// A refcounted slice of a shared buffer.
-    Shared(Bytes),
     /// A refcounted buffer from the [`arena`](crate::arena) pool; the
     /// allocation is recycled when the last pipeline stage drops it.
     Pooled(std::sync::Arc<crate::arena::PoolBuf>),
 }
 
 impl Payload {
-    /// Builds a payload from a slice, inlining it when it fits.
+    /// Builds a payload from a slice, inlining it when it fits and
+    /// copying it into a pooled buffer otherwise.
     pub fn copy_from_slice(data: &[u8]) -> Payload {
         if data.len() <= INLINE_PAYLOAD_MAX {
             let mut buf = [0u8; INLINE_PAYLOAD_MAX];
@@ -165,7 +163,9 @@ impl Payload {
                 buf,
             }
         } else {
-            Payload::Shared(Bytes::copy_from_slice(data))
+            let mut buf = crate::arena::take(data.len());
+            buf.copy_from_slice(data);
+            Payload::Pooled(std::sync::Arc::new(buf))
         }
     }
 
@@ -173,7 +173,6 @@ impl Payload {
     pub fn as_slice(&self) -> &[u8] {
         match self {
             Payload::Inline { len, buf } => &buf[..*len as usize],
-            Payload::Shared(b) => b,
             Payload::Pooled(p) => p,
         }
     }
@@ -182,7 +181,6 @@ impl Payload {
     pub fn len(&self) -> usize {
         match self {
             Payload::Inline { len, .. } => *len as usize,
-            Payload::Shared(b) => b.len(),
             Payload::Pooled(p) => p.len(),
         }
     }
@@ -192,16 +190,11 @@ impl Payload {
         self.len() == 0
     }
 
-    /// Flips one bit in place. A shared payload is copied first so other
+    /// Flips one bit in place. A pooled payload is copied first so other
     /// holders of the buffer are unaffected (fault injection only).
     fn flip_bit(&mut self, byte: usize, mask: u8) {
         match self {
             Payload::Inline { buf, .. } => buf[byte] ^= mask,
-            Payload::Shared(b) => {
-                let mut v = b.to_vec();
-                v[byte] ^= mask;
-                *b = Bytes::from(v);
-            }
             Payload::Pooled(p) => {
                 // Fault injection only — copy, other holders keep the
                 // pristine buffer.
@@ -228,17 +221,7 @@ impl From<crate::arena::PoolBuf> for Payload {
 
 impl From<Vec<u8>> for Payload {
     fn from(v: Vec<u8>) -> Payload {
-        if v.len() <= INLINE_PAYLOAD_MAX {
-            Payload::copy_from_slice(&v)
-        } else {
-            Payload::Shared(Bytes::from(v))
-        }
-    }
-}
-
-impl From<Bytes> for Payload {
-    fn from(b: Bytes) -> Payload {
-        Payload::Shared(b)
+        Payload::copy_from_slice(&v)
     }
 }
 
@@ -832,7 +815,7 @@ mod tests {
         let p = ShrimpPacket::new(header(), vec![1, 2, 3, 4]);
         assert!(matches!(p.into_payload(), Payload::Inline { len: 4, .. }));
         let p = ShrimpPacket::new(header(), vec![0; INLINE_PAYLOAD_MAX + 1]);
-        assert!(matches!(p.into_payload(), Payload::Shared(_)));
+        assert!(matches!(p.into_payload(), Payload::Pooled(_)));
     }
 
     #[test]

@@ -31,8 +31,6 @@ pub enum OsError {
     },
     /// The export is too small for the requested mapping.
     ExportTooSmall,
-    /// The frame is pinned and cannot be paged out.
-    FramePinned(PageNum),
     /// A pageout is already in progress for the frame.
     PageoutInProgress(PageNum),
     /// No pageout is in progress for the frame.
@@ -54,7 +52,6 @@ impl fmt::Display for OsError {
                 write!(f, "export does not admit node {node}")
             }
             OsError::ExportTooSmall => write!(f, "export smaller than requested mapping"),
-            OsError::FramePinned(p) => write!(f, "frame {p} is pinned"),
             OsError::PageoutInProgress(p) => write!(f, "pageout already in progress for {p}"),
             OsError::NoPageout(p) => write!(f, "no pageout in progress for {p}"),
             OsError::Mem(e) => write!(f, "memory error: {e}"),

@@ -12,10 +12,10 @@
 //!   NIC can snoop every store (§3.1); each installed segment is then
 //!   recorded ([`Kernel::add_outgoing_record`]) for §4.4.
 //! * **Receiver half** ([`Kernel::grant_in_mapping`]) — validates the
-//!   export, then either **pins** the frames (the simple §4.4 policy) or
-//!   merely records the import (the invalidate policy). Imports are
-//!   counted per segment, so a frame is released with the last segment
-//!   that sends into it.
+//!   export, then records the import. Imports are counted per segment,
+//!   so a frame is released with the last segment that sends into it.
+//!   The paper's simpler alternative, pinning every imported frame, is
+//!   not modelled.
 //! * **Mapping consistency** (§4.4) — before replacing an imported frame,
 //!   the kernel broadcasts `InvalidateNipt` to every importer, which
 //!   marks its source pages read-only (so the next store faults and the
@@ -58,18 +58,6 @@ pub struct MapToken {
     pub frames: Vec<PageNum>,
 }
 
-/// How the kernel keeps remote NIPTs consistent with local paging (§4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConsistencyPolicy {
-    /// Pin every frame with an incoming mapping; replacement of such a
-    /// frame is simply refused. "Satisfactory if there are not too many
-    /// communication mappings."
-    Pin,
-    /// Allow replacement after an invalidation round-trip with every
-    /// importer (the TLB-shootdown-style protocol).
-    Invalidate,
-}
-
 /// A sender-side outgoing mapping record (used to service invalidations
 /// and faults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +80,6 @@ pub struct OutgoingRecord {
 #[derive(Debug, Clone)]
 pub struct Kernel {
     node: NodeId,
-    policy: ConsistencyPolicy,
     procs: BTreeMap<Pid, Process>,
     free_frames: Vec<PageNum>,
     next_pid: u32,
@@ -111,16 +98,10 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Creates a kernel managing `num_frames` frames with the pin policy.
+    /// Creates a kernel managing `num_frames` frames.
     pub fn new(node: NodeId, num_frames: u64) -> Self {
-        Kernel::with_policy(node, num_frames, ConsistencyPolicy::Pin)
-    }
-
-    /// Creates a kernel with an explicit consistency policy.
-    pub fn with_policy(node: NodeId, num_frames: u64, policy: ConsistencyPolicy) -> Self {
         Kernel {
             node,
-            policy,
             procs: BTreeMap::new(),
             // Reverse order so allocation hands out ascending frames.
             free_frames: (0..num_frames).rev().map(PageNum::new).collect(),
@@ -137,11 +118,6 @@ impl Kernel {
     /// This kernel's node.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// The consistency policy in force.
-    pub fn policy(&self) -> ConsistencyPolicy {
-        self.policy
     }
 
     /// Frames not currently allocated.
@@ -288,9 +264,8 @@ impl Kernel {
     }
 
     /// Receiver half of `map`: checks the export admits `from_node` and
-    /// covers `[offset_pages, offset_pages + pages)`, pins frames under
-    /// the pin policy, records one import of each frame, and returns the
-    /// frames for the sender's NIPT.
+    /// covers `[offset_pages, offset_pages + pages)`, records one import
+    /// of each frame, and returns the frames for the sender's NIPT.
     ///
     /// A grant of a frame whose pageout is pending (a §4.4 write fault
     /// serviced before [`Kernel::complete_pageout`]) cancels the
@@ -317,10 +292,9 @@ impl Kernel {
         if offset_pages.checked_add(pages).is_none_or(|end| end > export.pages) {
             return Err(OsError::ExportTooSmall);
         }
-        let pin = self.policy == ConsistencyPolicy::Pin;
         let proc = self
             .procs
-            .get_mut(&export.pid)
+            .get(&export.pid)
             .ok_or(OsError::NoSuchProcess(export.pid))?;
         let mut frames = Vec::with_capacity(pages as usize);
         for i in 0..pages {
@@ -329,9 +303,6 @@ impl Kernel {
                 .page_table()
                 .entry(v)
                 .ok_or(OsError::RangeNotMapped { pid: export.pid, vpn: v })?;
-            if pin {
-                proc.page_table_mut().set_pinned(v, true);
-            }
             frames.push(frame);
         }
         for &frame in &frames {
@@ -409,7 +380,7 @@ impl Kernel {
     /// Releases one of `from`'s imports of local `frame`: a segment that
     /// sent into it is gone (the receiver half of `unmap`). Returns true
     /// once no import is left, so the caller can clear the mapped-in
-    /// bit; the frame is unpinned then.
+    /// bit.
     pub fn release_import(&mut self, frame: PageNum, from: NodeId) -> bool {
         let Some(nodes) = self.importers.get_mut(&frame) else {
             return true;
@@ -424,11 +395,6 @@ impl Kernel {
             return false;
         }
         self.importers.remove(&frame);
-        for proc in self.procs.values_mut() {
-            for v in proc.page_table().virt_pages_of_frame(frame) {
-                proc.page_table_mut().set_pinned(v, false);
-            }
-        }
         true
     }
 
@@ -456,15 +422,11 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// [`OsError::FramePinned`] under the pin policy,
     /// [`OsError::PageoutInProgress`] if already started,
     /// [`OsError::NoPageout`] if nothing imports the frame (no protocol
     /// is needed — pages with only outgoing mappings "can safely be
     /// replaced").
     pub fn begin_pageout(&mut self, frame: PageNum) -> Result<Vec<(NodeId, KernelMsg)>, OsError> {
-        if self.policy == ConsistencyPolicy::Pin && self.importers.contains_key(&frame) {
-            return Err(OsError::FramePinned(frame));
-        }
         if self.pageouts.contains_key(&frame) {
             return Err(OsError::PageoutInProgress(frame));
         }
@@ -554,7 +516,6 @@ impl Kernel {
         for proc in self.procs.values_mut() {
             let vpns = proc.page_table().virt_pages_of_frame(frame);
             for v in vpns {
-                proc.page_table_mut().set_pinned(v, false);
                 proc.page_table_mut().unmap(v);
             }
         }
@@ -661,14 +622,6 @@ mod tests {
         ));
         let token = k.grant_in_mapping(id, NodeId(2), 1, 2).unwrap();
         assert_eq!(token.frames.len(), 2);
-        // Pin policy: frames pinned and importer recorded.
-        let (_, flags) = k
-            .process(pid)
-            .unwrap()
-            .page_table()
-            .entry(VirtPageNum::new(base.raw() + 1))
-            .unwrap();
-        assert!(flags.pinned);
         assert_eq!(k.importers_of(token.frames[0]), vec![NodeId(2)]);
     }
 
@@ -694,23 +647,9 @@ mod tests {
     }
 
     #[test]
-    fn pin_policy_refuses_pageout() {
-        let mut k = kernel();
-        let pid = k.create_process();
-        let base = k.alloc_pages(pid, 1).unwrap();
-        let id = k.export_buffer(pid, base, 1, None).unwrap();
-        let token = k.grant_in_mapping(id, NodeId(1), 0, 1).unwrap();
-        assert!(matches!(
-            k.begin_pageout(token.frames[0]),
-            Err(OsError::FramePinned(_))
-        ));
-    }
-
-    #[test]
     fn invalidate_protocol_full_round() {
-        // Receiver kernel (node 0, invalidate policy) and sender kernel
-        // (node 1).
-        let mut recv = Kernel::with_policy(NodeId(0), 16, ConsistencyPolicy::Invalidate);
+        // Receiver kernel (node 0) and sender kernel (node 1).
+        let mut recv = Kernel::new(NodeId(0), 16);
         let mut send = Kernel::new(NodeId(1), 16);
 
         let rpid = recv.create_process();
@@ -772,7 +711,7 @@ mod tests {
 
     #[test]
     fn pageout_without_importers_is_trivial() {
-        let mut k = Kernel::with_policy(NodeId(0), 16, ConsistencyPolicy::Invalidate);
+        let mut k = Kernel::new(NodeId(0), 16);
         let pid = k.create_process();
         let base = k.alloc_pages(pid, 1).unwrap();
         let frame = k.frame_of(pid, base).unwrap();
@@ -783,7 +722,7 @@ mod tests {
 
     #[test]
     fn double_pageout_rejected() {
-        let mut k = Kernel::with_policy(NodeId(0), 16, ConsistencyPolicy::Invalidate);
+        let mut k = Kernel::new(NodeId(0), 16);
         let pid = k.create_process();
         let base = k.alloc_pages(pid, 1).unwrap();
         let id = k.export_buffer(pid, base, 1, None).unwrap();

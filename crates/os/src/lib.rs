@@ -9,10 +9,11 @@
 //!   *exports* (a process's standing permission for a remote process to
 //!   map its memory), the two halves of the `map` call
 //!   ([`Kernel::prepare_out_mapping`] configures write-through caching on
-//!   the sender; [`Kernel::grant_in_mapping`] checks the export and pins
-//!   frames on the receiver), and the §4.4 mapping-consistency protocol
-//!   (invalidate → acknowledge → replace, with page-fault
-//!   re-establishment).
+//!   the sender; [`Kernel::grant_in_mapping`] checks the export and
+//!   records the import on the receiver), and the §4.4
+//!   mapping-consistency protocol (invalidate → acknowledge → replace,
+//!   with page-fault re-establishment). The paper's alternative to that
+//!   protocol, pinning every imported frame, is not modelled.
 //! * [`msg`] — kernel-to-kernel messages carried by the machine model.
 //! * [`sched`] — the per-node round-robin scheduler; SHRIMP's protection
 //!   story is *independent* of the scheduling policy, which is the point

@@ -3,7 +3,7 @@
 
 use shrimp_mem::{PageNum, Protection, VirtPageNum};
 use shrimp_mesh::NodeId;
-use shrimp_os::kernel::{ConsistencyPolicy, OutgoingRecord};
+use shrimp_os::kernel::OutgoingRecord;
 use shrimp_os::{Kernel, KernelMsg, Pid};
 
 /// The sender half of a one-page `map` of `vpn` into `dst_frame` on
@@ -19,10 +19,10 @@ fn map_out(k: &mut Kernel, pid: Pid, vpn: VirtPageNum, dst_frame: PageNum) {
     });
 }
 
-/// Builds one receiver (invalidate policy) and `n` sender kernels all
-/// importing the same receiver frame.
+/// Builds one receiver and `n` sender kernels all importing the same
+/// receiver frame.
 fn world(n: u16) -> (Kernel, Vec<(Kernel, Pid, VirtPageNum)>, PageNum) {
-    let mut recv = Kernel::with_policy(NodeId(0), 32, ConsistencyPolicy::Invalidate);
+    let mut recv = Kernel::new(NodeId(0), 32);
     let rpid = recv.create_process();
     let rbuf = recv.alloc_pages(rpid, 1).unwrap();
     let export = recv.export_buffer(rpid, rbuf, 1, None).unwrap();
@@ -109,8 +109,8 @@ fn unrelated_mappings_survive_a_shootdown() {
 }
 
 #[test]
-fn release_import_unpins_under_pin_policy() {
-    let mut recv = Kernel::new(NodeId(0), 16); // pin policy
+fn release_import_counts_down_to_the_last_importer() {
+    let mut recv = Kernel::new(NodeId(0), 16);
     let rpid = recv.create_process();
     let rbuf = recv.alloc_pages(rpid, 1).unwrap();
     let export = recv.export_buffer(rpid, rbuf, 1, None).unwrap();
@@ -119,17 +119,12 @@ fn release_import_unpins_under_pin_policy() {
     let frame = t1.frames[0];
 
     assert!(!recv.release_import(frame, NodeId(1)), "node 2 still imports");
-    let (_, flags) = recv.process(rpid).unwrap().page_table().entry(rbuf).unwrap();
-    assert!(flags.pinned, "still pinned while imported");
-
     assert!(recv.release_import(frame, NodeId(2)), "last importer gone");
-    let (_, flags) = recv.process(rpid).unwrap().page_table().entry(rbuf).unwrap();
-    assert!(!flags.pinned, "unpinned once nobody imports");
 }
 
 #[test]
 fn ensure_mapped_pages_back_in() {
-    let mut k = Kernel::with_policy(NodeId(0), 16, ConsistencyPolicy::Invalidate);
+    let mut k = Kernel::new(NodeId(0), 16);
     let pid = k.create_process();
     let buf = k.alloc_pages(pid, 1).unwrap();
     let frame = k.frame_of(pid, buf).unwrap();

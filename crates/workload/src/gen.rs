@@ -21,8 +21,7 @@
 //! issued as completions arrive. Automatic-update (DSM) writes bypass
 //! the engine and need no serialization.
 
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::cmp::Reverse;
+use std::collections::{BTreeMap, VecDeque};
 
 use shrimp_core::{Machine, MachineConfig, MachineError, MapRequest, StageHistograms};
 use shrimp_core::pram::SharedPair;
@@ -31,7 +30,8 @@ use shrimp_mesh::{MeshShape, NodeId};
 use shrimp_nic::{RetxConfig, UpdatePolicy};
 use shrimp_os::Pid;
 use shrimp_sim::{
-    FaultConfig, Histogram, LinkChurnConfig, LinkFaultConfig, SimDuration, SimRng, SimTime,
+    EventQueue, FaultConfig, Histogram, LinkChurnConfig, LinkFaultConfig, SimDuration, SimRng,
+    SimTime,
 };
 
 use crate::dsl::{DurRange, NodeSel, Scenario, SessionKind};
@@ -294,9 +294,9 @@ struct Generator<'a> {
     /// Links with an outstanding expectation.
     inflight: usize,
 
-    /// (due, seq, slot, step): total order ties broken by issue seq.
-    heap: BinaryHeap<Reverse<(SimTime, u64, usize, StepKey)>>,
-    seq: u64,
+    /// Each open session's next step by due time (slot, step); ties
+    /// pop in the order they were scheduled.
+    heap: EventQueue<(usize, Step)>,
     /// Delivery-log read cursor (also indexes telemetry records).
     cursor: usize,
 
@@ -304,22 +304,6 @@ struct Generator<'a> {
     /// Session durations across all kinds (the bench's p50/p95/p99).
     duration_all: Histogram,
     goodput: u64,
-}
-
-/// `Step` as an orderable heap key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum StepKey {
-    Issue,
-    Respond,
-}
-
-impl From<Step> for StepKey {
-    fn from(s: Step) -> Self {
-        match s {
-            Step::Issue => StepKey::Issue,
-            Step::Respond => StepKey::Respond,
-        }
-    }
 }
 
 impl<'a> Generator<'a> {
@@ -355,8 +339,7 @@ impl<'a> Generator<'a> {
             next_instance: 0,
             active: 0,
             inflight: 0,
-            heap: BinaryHeap::new(),
-            seq: 0,
+            heap: EventQueue::new(),
             cursor: 0,
             stats: Default::default(),
             duration_all: Histogram::default(),
@@ -370,13 +353,13 @@ impl<'a> Generator<'a> {
         loop {
             self.harvest()?;
             self.refill_slots()?;
-            if let Some(&Reverse((due, _, _, _))) = self.heap.peek() {
+            if let Some(due) = self.heap.peek_time() {
                 let now = self.m.now();
                 if due > now {
                     self.m.run_until(due);
                     continue; // harvest what the advance produced
                 }
-                let Reverse((_, _, slot, step)) = self.heap.pop().expect("peeked above");
+                let (_, (slot, step)) = self.heap.pop().expect("peeked above");
                 self.execute(slot, step)?;
             } else if self.inflight > 0 {
                 let limit = self.m.now() + WAIT_HORIZON;
@@ -399,8 +382,7 @@ impl<'a> Generator<'a> {
     }
 
     fn schedule(&mut self, due: SimTime, slot: usize, step: Step) {
-        self.seq += 1;
-        self.heap.push(Reverse((due, self.seq, slot, step.into())));
+        self.heap.push(due, (slot, step));
     }
 
     fn draw_dur(rng: &mut SimRng, r: DurRange) -> SimDuration {
@@ -638,12 +620,12 @@ impl<'a> Generator<'a> {
 
     // ────────────────────────── session stepping ─────────────────────────
 
-    fn execute(&mut self, slot: usize, step: StepKey) -> Result<(), WorkloadError> {
+    fn execute(&mut self, slot: usize, step: Step) -> Result<(), WorkloadError> {
         let s = self.sessions[slot].as_mut().expect("scheduled slot is open");
         let spec_idx = s.spec;
         let kind = self.sc.specs[spec_idx].kind;
         match (kind, step) {
-            (SessionKind::Rpc { request_bytes, .. }, StepKey::Issue) => {
+            (SessionKind::Rpc { request_bytes, .. }, Step::Issue) => {
                 let mut fill = vec![0u8; request_bytes as usize];
                 s.rng.fill_bytes(&mut fill);
                 s.issued_at = self.m.now();
@@ -653,7 +635,7 @@ impl<'a> Generator<'a> {
                 let words = request_bytes / WORD_SIZE as u32;
                 self.submit_transfer(TransferReq { link: req, slot, page: 0, words, fill: Some(fill) })?;
             }
-            (SessionKind::Rpc { response_bytes, .. }, StepKey::Respond) => {
+            (SessionKind::Rpc { response_bytes, .. }, Step::Respond) => {
                 let mut fill = vec![0u8; response_bytes as usize];
                 s.rng.fill_bytes(&mut fill);
                 let Channel::Rpc { rsp, .. } = self.channels[s.channel] else {
@@ -662,7 +644,7 @@ impl<'a> Generator<'a> {
                 let words = response_bytes / WORD_SIZE as u32;
                 self.submit_transfer(TransferReq { link: rsp, slot, page: 0, words, fill: Some(fill) })?;
             }
-            (SessionKind::Stream { pages, .. }, StepKey::Issue) => {
+            (SessionKind::Stream { pages, .. }, Step::Issue) => {
                 let page = pages - s.remaining;
                 let Channel::Stream { link } = self.channels[s.channel] else {
                     unreachable!("stream session on stream channel")
@@ -670,7 +652,7 @@ impl<'a> Generator<'a> {
                 let words = (PAGE_SIZE / WORD_SIZE) as u32;
                 self.submit_transfer(TransferReq { link, slot, page, words, fill: None })?;
             }
-            (SessionKind::Fanout { bytes, .. }, StepKey::Issue) => {
+            (SessionKind::Fanout { bytes, .. }, Step::Issue) => {
                 let Channel::Fanout { ref links } = self.channels[s.channel] else {
                     unreachable!("fanout session on fanout channel")
                 };
@@ -681,7 +663,7 @@ impl<'a> Generator<'a> {
                     self.submit_transfer(TransferReq { link, slot, page: 0, words, fill: None })?;
                 }
             }
-            (SessionKind::Dsm { pages, write_bytes, .. }, StepKey::Issue) => {
+            (SessionKind::Dsm { pages, write_bytes, .. }, Step::Issue) => {
                 let Channel::Dsm { ab, ba, pair } = self.channels[s.channel] else {
                     unreachable!("dsm session on dsm channel")
                 };
@@ -718,7 +700,7 @@ impl<'a> Generator<'a> {
                     self.op_done(slot)?;
                 }
             }
-            (_, StepKey::Respond) => unreachable!("Respond is an rpc-only step"),
+            (_, Step::Respond) => unreachable!("Respond is an rpc-only step"),
         }
         Ok(())
     }
