@@ -149,8 +149,9 @@ impl BaselineMachine {
             self.mesh.advance(next);
             t = t.max(next);
         }
+        // The wire phase runs on the mesh's own clock.
         let arrival = loop {
-            match self.mesh.eject(dst) {
+            match self.mesh.eject(self.mesh.now(), dst) {
                 Some((_, at)) => break at,
                 None => {
                     let next = self

@@ -41,10 +41,11 @@ fn run(shape: MeshShape, pattern: TrafficPattern, interval: SimDuration, seed: u
 
     let pump = |net: &mut MeshNetwork, queues: &mut Vec<VecDeque<MeshPacket>>, t: SimTime| {
         net.advance(t);
+        let t = t.max(net.now());
         for node in shape.iter_nodes() {
-            while net.eject(node).is_some() {}
+            while net.eject(t, node).is_some() {}
             while let Some(p) = queues[node.0 as usize].pop_front() {
-                if let Err(refused) = net.try_inject(t.max(net.now()), p) {
+                if let Err(refused) = net.try_inject(t, p) {
                     queues[node.0 as usize].push_front(refused);
                     break;
                 }

@@ -714,6 +714,11 @@ impl Machine {
             (Some(t), None) | (None, Some(t)) => t,
             (Some(a), Some(b)) => a.min(b),
         };
+        debug_assert!(
+            next >= self.sched.now(),
+            "next instant {next:?} precedes the clock {:?}",
+            self.sched.now()
+        );
         if limit.is_some_and(|limit| next > limit) {
             return Step::PastLimit;
         }
@@ -908,7 +913,7 @@ impl Machine {
             }
             match self.mesh.peek_ejection(node) {
                 Some(arrival) if arrival <= t => {
-                    let (pkt, arrival) = self.mesh.eject(node).expect("peeked ejection");
+                    let (pkt, arrival) = self.mesh.eject(t, node).expect("peeked ejection");
                     if self.trace.is_on() {
                         let data = TraceData::PacketEjected {
                             src: pkt.src().0,

@@ -28,7 +28,7 @@
 //! let pkt = MeshPacket::new(NodeId(0), NodeId(15), vec![1, 2, 3, 4]);
 //! assert!(net.try_inject(SimTime::ZERO, pkt).is_ok());
 //! net.advance(SimTime::from_picos(u64::MAX / 2));
-//! let (delivered, _arrival) = net.eject(NodeId(15)).expect("packet must arrive");
+//! let (delivered, _arrival) = net.eject(net.now(), NodeId(15)).expect("packet must arrive");
 //! assert_eq!(&delivered.payload()[..], &[1, 2, 3, 4]);
 //! ```
 

@@ -12,9 +12,10 @@
 //! ejection buffer, then the router input buffers, then upstream links —
 //! reproducing the paper's end-to-end backpressure chain.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
-use shrimp_sim::fault::{FaultConfig, LinkFault, LinkFaultSite};
+use shrimp_sim::fault::{ChurnCycles, FaultConfig, LinkFault, LinkFaultSite};
 use shrimp_sim::{
     ComponentId, EventQueue, Histogram, SimDuration, SimTime, TraceData, TraceOutbox,
 };
@@ -39,10 +40,60 @@ enum Event {
     SlotDrained { node: NodeId, port: usize },
     /// Something changed; re-attempt forwarding at `node`.
     Retry { node: NodeId },
-    /// The churn schedule fails directed link `link` (`node * 4 + dir`).
-    LinkDown { link: usize },
-    /// The churn schedule repairs directed link `link`.
-    LinkUp { link: usize },
+}
+
+/// A link churn schedule, drawn as it fires (DESIGN.md §5g). It holds
+/// each churned link's undrawn windows and at most one pending
+/// transition per link, outside the mesh's event queue.
+#[derive(Debug, Default)]
+struct ChurnSchedule {
+    /// Each churned link's windows not yet drawn, indexed like
+    /// `MeshNetwork::link_free_at` (`None` on the mesh edge).
+    cycles: Vec<Option<ChurnCycles>>,
+    /// The next transition of each link with one left, keyed
+    /// `(time, link)`: a failure carries its window's repair time, a
+    /// repair `None`. With one entry per link, same-instant transitions
+    /// run in link order.
+    due: BinaryHeap<Reverse<(SimTime, usize, Option<SimTime>)>>,
+}
+
+impl ChurnSchedule {
+    /// The schedule `cfg` draws for every physical link of `shape`.
+    fn new(cfg: &FaultConfig, shape: MeshShape) -> Self {
+        let mut churn = ChurnSchedule::default();
+        for link in 0..shape.nodes() as usize * 4 {
+            let node = NodeId((link / 4) as u16);
+            let physical = shape.neighbor(node, Direction::ALL[link % 4]).is_some();
+            let cycles = physical.then(|| cfg.churn_windows(link as u64));
+            churn.cycles.push(cycles);
+            churn.queue_next_window(link);
+        }
+        churn
+    }
+
+    /// Queues the failure of `link`'s next window, if it has one.
+    fn queue_next_window(&mut self, link: usize) {
+        if let Some((down_at, up_at)) = self.cycles[link].as_mut().and_then(Iterator::next) {
+            let (down_at, up_at) = (SimTime::ZERO + down_at, SimTime::ZERO + up_at);
+            self.due.push(Reverse((down_at, link, Some(up_at))));
+        }
+    }
+
+    /// When the next transition falls due.
+    fn next_time(&self) -> Option<SimTime> {
+        self.due.peek().map(|&Reverse((t, ..))| t)
+    }
+
+    /// Takes the next transition as `(time, link, up)` and queues the
+    /// link's one after it: a failure's repair, a repair's next window.
+    fn pop(&mut self) -> (SimTime, usize, bool) {
+        let Reverse((t, link, repair_at)) = self.due.pop().expect("a transition is due");
+        match repair_at {
+            Some(up_at) => self.due.push(Reverse((up_at, link, None))),
+            None => self.queue_next_window(link),
+        }
+        (t, link, repair_at.is_none())
+    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -157,6 +208,9 @@ pub struct MeshNetwork<P = Vec<u8>> {
     /// epoch. Present exactly while a churn schedule is armed: adaptive
     /// routing and the bounce paths then replace static dimension-order.
     routes: Option<RouteColumns>,
+    /// The armed churn schedule's pending transitions; empty without
+    /// churn.
+    churn: ChurnSchedule,
     /// Link up/down, reroute and bounce events, made deep inside
     /// [`MeshNetwork::advance`], for the host's tracer to drain. Pure
     /// observation: it never affects routing or timing.
@@ -201,6 +255,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
             link_up: vec![true; n * 4],
             epoch: 0,
             routes: None,
+            churn: ChurnSchedule::default(),
             outbox: TraceOutbox::default(),
             ejection_notices: Vec::new(),
             noticed: vec![false; n],
@@ -211,10 +266,15 @@ impl<P: MeshPayload> MeshNetwork<P> {
     /// injection. Each directed link gets its own named RNG stream, so a
     /// fault plan is reproducible regardless of traffic order elsewhere.
     ///
-    /// An active churn config additionally schedules the entire
-    /// fail/repair event set up front (a pure function of the seed) and
-    /// switches routing from static dimension-order to west-first
-    /// adaptive for the rest of the run.
+    /// An active churn config additionally arms every physical link's
+    /// fail/repair schedule, whose windows are drawn as they fire (a pure
+    /// function of the seed), and switches routing from static
+    /// dimension-order to west-first adaptive for the rest of the run.
+    /// Arming again replaces the schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if churn is armed while packets or events are pending.
     pub fn set_fault_injection(&mut self, cfg: &FaultConfig) {
         let links = self.link_free_at.len();
         if cfg.link.is_active() {
@@ -223,20 +283,15 @@ impl<P: MeshPayload> MeshNetwork<P> {
             self.faults = Vec::new();
         }
         self.routes = cfg.churn.is_active().then(|| RouteColumns::new(self.shape));
+        self.churn = ChurnSchedule::default();
         if self.routes.is_none() {
             return;
         }
-        for link in 0..links {
-            let node = NodeId((link / 4) as u16);
-            let dir = Direction::ALL[link % 4];
-            if self.shape.neighbor(node, dir).is_none() {
-                continue; // mesh edge: no physical link to churn
-            }
-            for (down_at, up_at) in cfg.churn_windows(link as u64) {
-                self.events.push(SimTime::ZERO + down_at, Event::LinkDown { link });
-                self.events.push(SimTime::ZERO + up_at, Event::LinkUp { link });
-            }
-        }
+        assert!(
+            self.in_flight == 0 && self.events.is_empty(),
+            "link churn is armed on an idle mesh"
+        );
+        self.churn = ChurnSchedule::new(cfg, self.shape);
     }
 
     /// The outbox of link up/down, reroute and bounce events. Off until
@@ -364,10 +419,20 @@ impl<P: MeshPayload> MeshNetwork<P> {
         Ok(())
     }
 
-    /// Processes all internal events up to and including `until`.
+    /// Processes all internal events up to and including `until`. A churn
+    /// transition runs before every queued event of its instant.
     pub fn advance(&mut self, until: SimTime) {
-        while let Some(t) = self.events.peek_time() {
-            if t > until {
+        loop {
+            let queued = self.events.peek_time();
+            if let Some(at) = self.churn.next_time() {
+                if at <= until && queued.is_none_or(|t| at <= t) {
+                    let (at, link, up) = self.churn.pop();
+                    self.now = self.now.max(at);
+                    self.set_link_state(link, up, at);
+                    continue;
+                }
+            }
+            if queued.is_none_or(|t| t > until) {
                 break;
             }
             let (t, ev) = self.events.pop().expect("peeked event must pop");
@@ -413,15 +478,17 @@ impl<P: MeshPayload> MeshNetwork<P> {
                     }
                     self.try_forward(node, t);
                 }
-                Event::LinkDown { link } => self.set_link_state(link, false, t),
-                Event::LinkUp { link } => self.set_link_state(link, true, t),
             }
         }
     }
 
-    /// The time of the next internal event, if any.
+    /// The time of the next internal event or churn transition, if any.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.events.peek_time()
+        let queued = self.events.peek_time();
+        match self.churn.next_time() {
+            Some(at) => Some(queued.map_or(at, |t| t.min(at))),
+            None => queued,
+        }
     }
 
     /// Arrival time of the packet at the head of `node`'s ejection buffer.
@@ -457,9 +524,15 @@ impl<P: MeshPayload> MeshNetwork<P> {
     }
 
     /// Pulls the next delivered packet (and its arrival time) from `node`'s
-    /// ejection buffer. Pulling frees a slot, which may restart a stalled
-    /// upstream pipeline.
-    pub fn eject(&mut self, node: NodeId) -> Option<(MeshPacket<P>, SimTime)> {
+    /// ejection buffer at the caller's time `now`. Pulling frees a slot,
+    /// which may restart a stalled upstream pipeline: the mesh retries
+    /// there at `now`, or at the arrival if that is later, never earlier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` is earlier than events already processed.
+    pub fn eject(&mut self, now: SimTime, node: NodeId) -> Option<(MeshPacket<P>, SimTime)> {
+        assert!(now >= self.now, "ejection in the past");
         let (id, arrival) = self.routers[node.0 as usize].ejection.pop_front()?;
         let inflight = self.release(id);
         self.stats.packets_ejected += 1;
@@ -467,16 +540,15 @@ impl<P: MeshPayload> MeshNetwork<P> {
             .transit_latency
             .record(arrival.since(inflight.injected_at).as_picos());
         self.stats.hops.record(inflight.hops as u64);
-        let retry_at = self.now.max(arrival);
-        self.schedule_retry(node, retry_at);
+        self.schedule_retry(node, now.max(arrival));
         Some((inflight.packet, arrival))
     }
 
-    /// True when nothing is in flight and no events are pending
-    /// (undelivered packets sitting in ejection buffers count as in
-    /// flight).
+    /// True when nothing is in flight and no events or churn transitions
+    /// are pending (undelivered packets sitting in ejection buffers count
+    /// as in flight).
     pub fn is_idle(&self) -> bool {
-        self.in_flight == 0 && self.events.is_empty()
+        self.in_flight == 0 && self.events.is_empty() && self.churn.due.is_empty()
     }
 
     /// Number of packets injected but not yet ejected.
@@ -709,7 +781,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
 mod tests {
     use super::*;
     use crate::topology::MeshShape;
-    use shrimp_sim::SimRng;
+    use shrimp_sim::{SimRng, Tracer};
 
     const FAR: SimTime = SimTime::from_picos(u64::MAX / 2);
 
@@ -725,7 +797,7 @@ mod tests {
         let mut out = Vec::new();
         loop {
             net.advance(FAR);
-            match net.eject(node) {
+            match net.eject(net.now(), node) {
                 Some(d) => out.push(d),
                 None => break,
             }
@@ -794,7 +866,10 @@ mod tests {
                 *now = (*now).max(next);
             } else {
                 // Fully backpressured: the receiver must consume.
-                got.push(n.eject(sink).expect("backpressured network must have a delivery"));
+                got.push(
+                    n.eject(*now, sink)
+                        .expect("backpressured network must have a delivery"),
+                );
             }
         }
     }
@@ -1058,7 +1133,7 @@ mod tests {
             let mut got = 0usize;
             let eject_all = |n: &mut MeshNetwork, got: &mut usize| {
                 for node in 0..9 {
-                    while n.eject(NodeId(node)).is_some() {
+                    while n.eject(n.now(), NodeId(node)).is_some() {
                         *got += 1;
                     }
                 }
@@ -1110,6 +1185,120 @@ mod tests {
         );
     }
 
+    /// Churn transitions run in `(time, link)` order, each window's
+    /// failure before its repair, and never enter the event queue:
+    /// `next_event_time` names the next one while the queue is empty,
+    /// and the mesh stays busy until the last repair.
+    #[test]
+    fn churn_transitions_follow_the_per_link_windows() {
+        let us = SimDuration::from_us;
+        // Fixed cycle lengths fail and heal every link at the same
+        // instants, so the tie rule decides the whole order; drawn
+        // lengths interleave the links.
+        let plans = [
+            ((us(1), us(1)), (us(2), us(2))),
+            ((us(1), us(9)), (SimDuration::ZERO, us(3))),
+        ];
+        for (fail_after, repair_after) in plans {
+            let cfg = shrimp_sim::FaultConfig {
+                seed: 5,
+                churn: shrimp_sim::LinkChurnConfig {
+                    times: 3,
+                    fail_after,
+                    repair_after,
+                },
+                ..Default::default()
+            };
+            let mut n = net(3, 2);
+            n.trace_outbox_mut().enable();
+            n.set_fault_injection(&cfg);
+            let mut want = Vec::new();
+            for link in 0..n.link_up.len() {
+                let from = NodeId((link / 4) as u16);
+                let Some(to) = n.shape().neighbor(from, Direction::ALL[link % 4]) else {
+                    continue;
+                };
+                for (down_at, up_at) in cfg.churn_windows(link as u64) {
+                    want.push((SimTime::ZERO + down_at, link, from.0, to.0, false));
+                    want.push((SimTime::ZERO + up_at, link, from.0, to.0, true));
+                }
+            }
+            // Stable: each link keeps its own down-before-up order.
+            want.sort_by_key(|&(t, link, ..)| (t, link));
+            let want: Vec<_> = want
+                .into_iter()
+                .map(|(t, _, from, to, up)| (t, from, to, up))
+                .collect();
+
+            let mut tracer = Tracer::new(n.shape().nodes() as usize, 0, true);
+            while let Some(t) = n.next_event_time() {
+                assert!(n.events.is_empty(), "no transition enters the event queue");
+                assert_eq!(n.churn.next_time(), Some(t));
+                assert!(!n.is_idle(), "a pending transition keeps the mesh busy");
+                n.advance(t);
+                n.trace_outbox_mut().drain_into(&mut tracer);
+            }
+            assert!(n.is_idle());
+            assert!(n.link_up.iter().all(|&up| up), "every failure was repaired");
+            let got: Vec<_> = tracer
+                .events()
+                .iter()
+                .map(|e| match e.data {
+                    TraceData::LinkDown { from, to, .. } => (e.time, from, to, false),
+                    TraceData::LinkUp { from, to, .. } => (e.time, from, to, true),
+                    ref other => panic!("unexpected trace event {other:?}"),
+                })
+                .collect();
+            assert_eq!(got.len(), 14 * 3 * 2, "14 directed links, 3 windows each");
+            assert_eq!(got, want);
+        }
+    }
+
+    /// A transition runs before the queued mesh events of its instant:
+    /// a link that fails exactly when a packet's head arrives over it
+    /// tears the worm, which bounces home.
+    #[test]
+    fn churn_transition_precedes_same_instant_traffic() {
+        let hop = MeshConfig::paragon(MeshShape::new(2, 1)).hop_latency;
+        let cfg = shrimp_sim::FaultConfig {
+            seed: 3,
+            churn: shrimp_sim::LinkChurnConfig {
+                times: 1,
+                fail_after: (hop, hop),
+                repair_after: (SimDuration::from_us(1), SimDuration::from_us(1)),
+            },
+            ..Default::default()
+        };
+        let mut n = net(2, 1);
+        n.set_fault_injection(&cfg);
+        // Forwarded at 0, the head arrives at node 1 at `hop`, the very
+        // instant every link fails.
+        n.try_inject(SimTime::ZERO, pkt(0, 1, 64)).unwrap();
+        assert!(drain(&mut n, NodeId(1)).is_empty(), "the torn worm never arrives");
+        assert_eq!(drain(&mut n, NodeId(0)).len(), 1, "the packet bounces home");
+        assert_eq!(n.stats().bounced, 1);
+        assert!(n.is_idle());
+    }
+
+    /// An ejection by a host whose clock ran past the mesh's last event
+    /// must not schedule mesh work before that clock (DESIGN.md §5d).
+    #[test]
+    fn ejection_never_schedules_before_the_callers_clock() {
+        let mut n = net(2, 1);
+        n.try_inject(SimTime::ZERO, pkt(0, 1, 64)).unwrap();
+        n.advance(FAR);
+        assert_eq!(n.next_event_time(), None);
+        let arrival = n.peek_ejection(NodeId(1)).expect("the packet arrived");
+        let host = n.now() + SimDuration::from_us(5);
+        let (_, at) = n.eject(host, NodeId(1)).expect("one delivery");
+        assert_eq!(at, arrival, "ejection keeps the arrival time");
+        assert!(
+            n.next_event_time().is_some_and(|t| t >= host),
+            "mesh event at {:?}, before the host clock {host:?}",
+            n.next_event_time()
+        );
+    }
+
     #[test]
     fn packet_slab_is_bounded_by_peak_in_flight() {
         let mut n = net(4, 4);
@@ -1125,7 +1314,7 @@ mod tests {
             peak = peak.max(n.in_flight());
             n.advance(FAR);
             for node in 0..16 {
-                while n.eject(NodeId(node)).is_some() {}
+                while n.eject(n.now(), NodeId(node)).is_some() {}
             }
         }
         assert_eq!(n.stats().packets_ejected, injected as u64);
@@ -1201,7 +1390,7 @@ mod tests {
             }
             n.advance(now);
             for node in 0..16u16 {
-                while n.eject(NodeId(node)).is_some() {}
+                while n.eject(now, NodeId(node)).is_some() {}
                 while let Some(p) = queues[node as usize].pop_front() {
                     if let Err(p) = n.try_inject(now.max(n.now()), p) {
                         queues[node as usize].push_front(p);
@@ -1220,7 +1409,7 @@ mod tests {
                 now = now.max(t);
             }
             for node in 0..16u16 {
-                while n.eject(NodeId(node)).is_some() {}
+                while n.eject(now, NodeId(node)).is_some() {}
                 while let Some(p) = queues[node as usize].pop_front() {
                     if let Err(p) = n.try_inject(now.max(n.now()), p) {
                         queues[node as usize].push_front(p);

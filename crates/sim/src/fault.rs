@@ -77,11 +77,12 @@ impl LinkFaultConfig {
 }
 
 /// Seeded link up/down churn: every directed link fails and repairs on
-/// its own schedule, drawn once (at arm time) from a per-link stream.
+/// its own schedule, drawn from a per-link stream.
 ///
-/// Drawing the whole schedule up front — rather than deciding lazily as
-/// the simulation advances — makes the event set a pure function of
-/// `(seed, link_index)`, independent of traffic or how far any
+/// Each link's windows come from [`FaultConfig::churn_windows`], drawn
+/// one at a time as the run reaches them. The draws depend on nothing
+/// but the link's own stream, so the schedule is a pure function of
+/// `(seed, link_index)`, independent of traffic or of how far any
 /// particular run happens to advance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkChurnConfig {
@@ -159,27 +160,17 @@ impl FaultConfig {
         self.link.is_active() || self.nic.is_active() || self.churn.is_active()
     }
 
-    /// The full fail/repair schedule for one directed link as
-    /// `(down_at, up_at)` offsets from simulation start, strictly
-    /// increasing. Empty when churn is disabled.
+    /// The fail/repair schedule of one directed link, drawn lazily: each
+    /// window is drawn from the link's stream only when the iterator
+    /// reaches it. Empty when churn is disabled.
     #[must_use]
-    pub fn churn_windows(&self, link_index: u64) -> Vec<(SimDuration, SimDuration)> {
-        if !self.churn.is_active() {
-            return Vec::new();
+    pub fn churn_windows(&self, link_index: u64) -> ChurnCycles {
+        ChurnCycles {
+            cfg: self.churn,
+            rng: SimRng::stream_from(self.seed, STREAM_KIND_CHURN | link_index),
+            at: SimDuration::ZERO,
+            left: self.churn.times,
         }
-        let mut rng = SimRng::stream_from(self.seed, STREAM_KIND_CHURN | link_index);
-        let mut draw = |(lo, hi): (SimDuration, SimDuration)| {
-            SimDuration::from_picos(rng.gen_range(lo.as_picos()..=hi.as_picos()))
-        };
-        let mut at = SimDuration::ZERO;
-        let mut windows = Vec::with_capacity(self.churn.times as usize);
-        for _ in 0..self.churn.times {
-            let down_at = at + draw(self.churn.fail_after);
-            let up_at = down_at + draw(self.churn.repair_after);
-            windows.push((down_at, up_at));
-            at = up_at;
-        }
-        windows
     }
 
     /// Builds the fault site for one directed link, or `None` when link
@@ -201,6 +192,38 @@ impl FaultConfig {
             cfg: self.nic,
             rng: SimRng::stream_from(self.seed, STREAM_KIND_NIC | node_index),
         })
+    }
+}
+
+/// One directed link's fail/repair windows as `(down_at, up_at)`
+/// offsets from simulation start, in time order: a window never
+/// starts before the previous one ends. Made by
+/// [`FaultConfig::churn_windows`].
+#[derive(Debug, Clone)]
+pub struct ChurnCycles {
+    cfg: LinkChurnConfig,
+    rng: SimRng,
+    /// End of the last window drawn.
+    at: SimDuration,
+    /// Windows not yet drawn.
+    left: u32,
+}
+
+impl Iterator for ChurnCycles {
+    type Item = (SimDuration, SimDuration);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let mut draw = |(lo, hi): (SimDuration, SimDuration)| {
+            SimDuration::from_picos(self.rng.gen_range(lo.as_picos()..=hi.as_picos()))
+        };
+        let down_at = self.at + draw(self.cfg.fail_after);
+        let up_at = down_at + draw(self.cfg.repair_after);
+        self.at = up_at;
+        Some((down_at, up_at))
     }
 }
 
@@ -389,9 +412,10 @@ mod tests {
             },
             ..FaultConfig::default()
         };
-        let a = cfg.churn_windows(7);
-        assert_eq!(a, cfg.churn_windows(7), "same link, same schedule");
-        assert_ne!(a, cfg.churn_windows(8), "links draw independent schedules");
+        let windows = |link| cfg.churn_windows(link).collect::<Vec<_>>();
+        let a = windows(7);
+        assert_eq!(a, windows(7), "same link, same schedule");
+        assert_ne!(a, windows(8), "links draw independent schedules");
         assert_eq!(a.len(), 4);
         let mut prev = SimDuration::ZERO;
         for &(down_at, up_at) in &a {
@@ -399,7 +423,7 @@ mod tests {
             assert!(up_at > down_at, "every failure is eventually repaired");
             prev = up_at;
         }
-        assert!(FaultConfig::default().churn_windows(0).is_empty());
+        assert_eq!(FaultConfig::default().churn_windows(0).next(), None);
     }
 
     #[test]

@@ -25,8 +25,6 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Default)]
 pub struct SerialResource {
     free_at: SimTime,
-    busy_total: SimDuration,
-    grants: u64,
 }
 
 /// The time window granted to one reservation on a [`SerialResource`].
@@ -39,11 +37,6 @@ pub struct Grant {
 }
 
 impl Grant {
-    /// Time the requester spent queued before service began.
-    pub fn queueing_delay(&self, requested_at: SimTime) -> SimDuration {
-        self.start.saturating_since(requested_at)
-    }
-
     /// Total latency from request to completion.
     pub fn latency(&self, requested_at: SimTime) -> SimDuration {
         self.end.saturating_since(requested_at)
@@ -62,8 +55,6 @@ impl SerialResource {
         let start = now.max(self.free_at);
         let end = start + duration;
         self.free_at = end;
-        self.busy_total += duration;
-        self.grants += 1;
         Grant { start, end }
     }
 
@@ -74,42 +65,14 @@ impl SerialResource {
     fn reserve_run(&mut self, now: SimTime, n: u64, duration: SimDuration) -> Grant {
         debug_assert!(n > 0, "a run reserves at least once");
         let start = now.max(self.free_at);
-        let busy = duration * n;
-        let end = start + busy;
+        let end = start + duration * n;
         self.free_at = end;
-        self.busy_total += busy;
-        self.grants += n;
         Grant { start, end }
     }
 
     /// The next instant at which the resource is idle.
     pub fn free_at(&self) -> SimTime {
         self.free_at
-    }
-
-    /// True if the resource is idle at `now`.
-    pub fn is_free(&self, now: SimTime) -> bool {
-        self.free_at <= now
-    }
-
-    /// Cumulative time spent busy.
-    pub fn busy_total(&self) -> SimDuration {
-        self.busy_total
-    }
-
-    /// Number of reservations granted so far.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Utilization over the window `[SimTime::ZERO, now]`, in `0.0..=1.0`.
-    /// Returns 0 when `now` is the start of the run.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        let elapsed = now.as_picos();
-        if elapsed == 0 {
-            return 0.0;
-        }
-        (self.busy_total.as_picos() as f64 / elapsed as f64).min(1.0)
     }
 }
 
@@ -179,34 +142,14 @@ impl BandwidthResource {
         self.per_transaction + SimDuration::from_bytes_at_rate(bytes, self.bytes_per_sec)
     }
 
-    /// Configured rate in bytes per second.
-    pub fn bytes_per_sec(&self) -> u64 {
-        self.bytes_per_sec
-    }
-
     /// The next instant at which the resource is idle.
     pub fn free_at(&self) -> SimTime {
         self.inner.free_at()
     }
 
-    /// True if the resource is idle at `now`.
-    pub fn is_free(&self, now: SimTime) -> bool {
-        self.inner.is_free(now)
-    }
-
     /// Total bytes transferred so far.
     pub fn bytes_total(&self) -> u64 {
         self.bytes_total
-    }
-
-    /// Cumulative busy time.
-    pub fn busy_total(&self) -> SimDuration {
-        self.inner.busy_total()
-    }
-
-    /// Utilization over `[0, now]`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        self.inner.utilization(now)
     }
 
     /// Achieved throughput over `[0, now]` in bytes/second.
@@ -237,8 +180,7 @@ mod tests {
         assert_eq!(a.end, SimTime::ZERO + ns(10));
         assert_eq!(b.start, a.end);
         assert_eq!(b.end, a.end + ns(5));
-        assert_eq!(r.grants(), 2);
-        assert_eq!(r.busy_total(), ns(15));
+        assert_eq!(r.free_at(), SimTime::ZERO + ns(15));
     }
 
     #[test]
@@ -248,8 +190,7 @@ mod tests {
         // Next request arrives after the resource went idle.
         let g = r.reserve(SimTime::ZERO + ns(100), ns(10));
         assert_eq!(g.start, SimTime::ZERO + ns(100));
-        assert!(r.is_free(SimTime::ZERO + ns(200)));
-        assert!(!r.is_free(SimTime::ZERO + ns(105)));
+        assert_eq!(r.free_at(), SimTime::ZERO + ns(110));
     }
 
     #[test]
@@ -257,18 +198,8 @@ mod tests {
         let mut r = SerialResource::new();
         r.reserve(SimTime::ZERO, ns(10));
         let g = r.reserve(SimTime::ZERO + ns(2), ns(4));
-        assert_eq!(g.queueing_delay(SimTime::ZERO + ns(2)), ns(8));
+        assert_eq!(g.start, SimTime::ZERO + ns(10), "queued behind the first");
         assert_eq!(g.latency(SimTime::ZERO + ns(2)), ns(12));
-    }
-
-    #[test]
-    fn utilization_is_bounded() {
-        let mut r = SerialResource::new();
-        r.reserve(SimTime::ZERO, ns(10));
-        assert_eq!(r.utilization(SimTime::ZERO), 0.0);
-        let u = r.utilization(SimTime::ZERO + ns(20));
-        assert!((u - 0.5).abs() < 1e-9);
-        assert!(r.utilization(SimTime::ZERO + ns(5)) <= 1.0);
     }
 
     #[test]

@@ -6,26 +6,24 @@ use shrimp_sim::{BandwidthResource, EventQueue, Histogram, SerialResource, SimDu
 
 proptest! {
     /// A serialized resource never double-books: grants are disjoint,
-    /// ordered, and total busy time equals the sum of requested
-    /// durations.
+    /// ordered, each as long as requested, and the resource frees when
+    /// the last one ends.
     #[test]
     fn serial_resource_grants_are_disjoint(
         reqs in prop::collection::vec((0u64..10_000, 1u64..500), 1..100),
     ) {
         let mut r = SerialResource::new();
         let mut grants = Vec::new();
-        let mut total = 0u64;
         for (at, dur) in reqs {
             let g = r.reserve(SimTime::from_picos(at), SimDuration::from_picos(dur));
             prop_assert!(g.start >= SimTime::from_picos(at));
             prop_assert_eq!(g.end.since(g.start).as_picos(), dur);
+            prop_assert_eq!(r.free_at(), g.end);
             grants.push(g);
-            total += dur;
         }
         for w in grants.windows(2) {
             prop_assert!(w[1].start >= w[0].end, "grants must not overlap");
         }
-        prop_assert_eq!(r.busy_total().as_picos(), total);
     }
 
     /// Bandwidth durations are monotone in payload size and additive

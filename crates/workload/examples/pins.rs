@@ -13,7 +13,7 @@ fn main() {
     for path in names {
         let text = std::fs::read_to_string(&path).expect("scenario file");
         let sc = Scenario::parse(&text).expect("scenario parses");
-        if sc.name == "mixed10k" && cfg!(debug_assertions) {
+        if matches!(sc.name.as_str(), "mixed10k" | "sessions_faulty") && cfg!(debug_assertions) {
             println!("{:<14} skipped (debug build)", sc.name);
             continue;
         }

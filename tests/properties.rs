@@ -42,7 +42,7 @@ proptest! {
                         // Fully backpressured: drain one delivery.
                         let mut drained = false;
                         for node in shape.iter_nodes() {
-                            if let Some((p, _)) = net.eject(node) {
+                            if let Some((p, _)) = net.eject(now, node) {
                                 let pos = expected
                                     .iter()
                                     .position(|&(en, et)| en == node && et == p.payload()[0]);
@@ -65,7 +65,7 @@ proptest! {
             }
             let mut any = false;
             for node in shape.iter_nodes() {
-                while let Some((p, _)) = net.eject(node) {
+                while let Some((p, _)) = net.eject(net.now(), node) {
                     prop_assert_eq!(p.dst(), node);
                     let pos = expected
                         .iter()
@@ -101,7 +101,7 @@ proptest! {
                 match net.next_event_time() {
                     Some(t) => { net.advance(t); now = now.max(t); }
                     None => {
-                        let (p, _) = net.eject(NodeId(8)).expect("must drain");
+                        let (p, _) = net.eject(now, NodeId(8)).expect("must drain");
                         got.push(p.payload()[0]);
                     }
                 }
@@ -109,7 +109,7 @@ proptest! {
         }
         loop {
             while let Some(t) = net.next_event_time() { net.advance(t); }
-            match net.eject(NodeId(8)) {
+            match net.eject(net.now(), NodeId(8)) {
                 Some((p, _)) => got.push(p.payload()[0]),
                 None => break,
             }

@@ -242,6 +242,21 @@ fn golden_mixed10k() {
     assert_eq!(a.events_processed, 277_661);
 }
 
+/// The benchmark's `sessions_faulty` workload at seed 777, in full:
+/// every one of the 48 directed links of a 4x4 mesh fails and heals
+/// until the last of 2,000 sessions closes, under loss and corruption,
+/// so a schedule drawn wrong or applied at the wrong time moves the
+/// pins. (Drawn picosecond times do not tie here; the mesh's unit
+/// tests check the same-instant order.) Release-only, as
+/// `golden_mixed10k`; CI also runs it in a debug build, where the pump
+/// worklist and clock assertions check churn, loss and bounces at
+/// scale.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "2,000 sessions: run with --release")]
+fn golden_sessions_faulty() {
+    check_golden("sessions_faulty", 0x742e_65a6_1d26_c87d, 58_495, 16_208);
+}
+
 /// Acceptance soak: on a 4×4 mesh every directed link fails and
 /// repairs exactly once (`times=1` schedules one down/up window per
 /// link by construction) while all four session kinds run. The run
