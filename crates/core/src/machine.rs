@@ -187,15 +187,13 @@ struct ActiveNodes {
 }
 
 impl ActiveNodes {
-    /// A set of `n` nodes, all active, with room for one wake per node.
-    fn all(n: usize) -> Self {
-        let mut set = ActiveNodes {
+    /// An empty set of `n` nodes, with room for one wake per node.
+    fn new(n: usize) -> Self {
+        ActiveNodes {
             words: vec![0; n.div_ceil(64)],
             wakes: BinaryHeap::with_capacity(n),
             next_wake: vec![None; n],
-        };
-        set.mark_all(n);
-        set
+        }
     }
 
     /// Puts `node` back on the worklist at the first pump at or after
@@ -220,13 +218,6 @@ impl ActiveNodes {
                 *next = None;
             }
             self.mark(node);
-        }
-    }
-
-    fn mark_all(&mut self, n: usize) {
-        for (w, word) in self.words.iter_mut().enumerate() {
-            let live = n - w * 64;
-            *word = if live >= 64 { !0 } else { (1 << live) - 1 };
         }
     }
 
@@ -321,7 +312,7 @@ impl Machine {
                 n.nic.trace_outbox_mut().enable();
             }
         }
-        let active = ActiveNodes::all(nodes.len());
+        let active = ActiveNodes::new(nodes.len());
         Machine {
             config,
             nodes,
@@ -369,7 +360,10 @@ impl Machine {
         &self.nodes[id.0 as usize]
     }
 
+    /// The node a host call changes, put on the pump worklist: its next
+    /// visit may have work (DESIGN.md §5j).
     fn node_mut(&mut self, id: NodeId) -> &mut Node {
+        self.active.mark(id.0);
         &mut self.nodes[id.0 as usize]
     }
 
@@ -663,19 +657,18 @@ impl Machine {
         self.run_loop(Some(limit), pred).unwrap_or(false)
     }
 
-    /// The one run loop behind every run method. It puts every node on
-    /// the pump worklist, then steps until `stop` holds (checked before
-    /// each step and once more when the machine idles), the next instant
-    /// lies past `limit`, or nothing is left. Only an unbounded run has
-    /// a step budget. A panic dumps the trace rings before it resumes
-    /// (DESIGN.md §5h). Returns whether `stop` held.
+    /// The one run loop behind every run method. It steps until `stop`
+    /// holds (checked before each step and once more when the machine
+    /// idles), the next instant lies past `limit`, or nothing is left.
+    /// Only an unbounded run has a step budget. A panic dumps the trace
+    /// rings before it resumes (DESIGN.md §5h). Returns whether `stop`
+    /// held.
     fn run_loop(
         &mut self,
         limit: Option<SimTime>,
         mut stop: impl FnMut(&Machine) -> bool,
     ) -> Result<bool, MachineError> {
         const MAX_IDLE_STEPS: u64 = 50_000_000;
-        self.mark_all_active();
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut steps = 0u64;
             loop {
@@ -750,13 +743,6 @@ impl Machine {
         self.mesh.trace_outbox_mut().drain_into(&mut self.trace);
         self.pump_network(t);
         self.profiler.end_sampled(EnginePhase::MeshPump, p);
-    }
-
-    /// Puts every node on the pump worklist. Called at the entry of the
-    /// run loop: the host API may have mutated any node between runs,
-    /// and cannot mutate one during a run.
-    fn mark_all_active(&mut self) {
-        self.active.mark_all(self.nodes.len());
     }
 
     /// Prints the trace rings' retained events to stderr; called on the
@@ -1058,9 +1044,9 @@ impl Machine {
 
     // ─────────────────── host store path (poke / msglib) ─────────────────
 
-    /// One host store word. Returns when its bus write ends and whether
-    /// the node's NIC is quiet afterwards (no deadline, no outgoing or
-    /// incoming work).
+    /// One host store word, which puts its node on the pump worklist.
+    /// Returns when its bus write ends and whether the node's NIC is
+    /// quiet afterwards (no deadline, no outgoing or incoming work).
     fn store_through(
         &mut self,
         node: NodeId,
@@ -1070,8 +1056,7 @@ impl Machine {
         value: u32,
     ) -> Result<(SimTime, bool), MachineError> {
         let pages_per_node = self.config.pages_per_node;
-        let done =
-            self.nodes[node.0 as usize].store_word_through(t, pid, va, value, pages_per_node)?;
+        let done = self.node_mut(node).store_word_through(t, pid, va, value, pages_per_node)?;
         let nic_quiet = self.schedule_node_wakeups(t, node).quiet;
         Ok((done, nic_quiet))
     }
@@ -1665,6 +1650,27 @@ mod tests {
         // The metrics snapshot still works — counters live on the NIC
         // regardless of the telemetry switches.
         assert!(m.metrics_snapshot().counter("nic0.packets_sent").unwrap() > 0);
+    }
+
+    /// A host call puts only the node it touches on the pump worklist
+    /// (DESIGN.md §5j): after a poke on node 2 of a quiet 2x2 machine,
+    /// the next pump visits node 2 alone.
+    #[test]
+    fn a_poke_marks_only_its_node() {
+        let mut cfg = MachineConfig::prototype(MeshShape::new(2, 2));
+        cfg.telemetry.profile = true;
+        let mut m = Machine::new(cfg);
+        let pid = m.create_process(NodeId(2));
+        let va = m.alloc_pages(NodeId(2), pid, 1).unwrap();
+        m.run_until_idle().unwrap();
+        m.pump_network(m.now());
+        assert_eq!(m.active.words, [0], "a quiet pump clears every node");
+        m.poke(NodeId(2), pid, va, &[7; 8]).unwrap();
+        assert_eq!(m.active.words, [1 << 2], "the poke marks its node alone");
+        let visits = |m: &Machine| m.profile().expect("profiling on").pump_node_visits;
+        let before = visits(&m);
+        m.pump_network(m.now());
+        assert_eq!(visits(&m) - before, 1);
     }
 
     #[test]

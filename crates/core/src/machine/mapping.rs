@@ -108,6 +108,7 @@ impl Machine {
     /// required segments (an already-mapped source byte overlaps). A
     /// failed `map` changes nothing and takes no time.
     pub fn map(&mut self, req: MapRequest) -> Result<MappingId, MachineError> {
+        self.mark_endpoints(req);
         if req.len == 0 {
             return Err(MachineError::EmptyMapping);
         }
@@ -157,6 +158,7 @@ impl Machine {
             .position(|r| r.id == id)
             .ok_or(MachineError::EmptyMapping)?;
         let req = self.registrations.remove(pos).req;
+        self.mark_endpoints(req);
         for seg in req.segments(0..req.len) {
             self.teardown(req, seg);
         }
@@ -171,6 +173,17 @@ impl Machine {
         let done = self.now() + self.config.map_syscall_cost / 2;
         self.run_until(done);
         Ok(())
+    }
+
+    /// Puts both endpoints of `req` on the pump worklist (DESIGN.md
+    /// §5j): installing or tearing down its segments changes both NICs.
+    /// An off-mesh id names no node to mark.
+    fn mark_endpoints(&mut self, req: MapRequest) {
+        for node in [req.src_node, req.dst_node] {
+            if usize::from(node.0) < self.nodes.len() {
+                self.active.mark(node.0);
+            }
+        }
     }
 
     /// Installs the segments of request bytes `bytes`, all or nothing:

@@ -40,6 +40,9 @@ enum Event {
     SlotDrained { node: NodeId, port: usize },
     /// Something changed; re-attempt forwarding at `node`.
     Retry { node: NodeId },
+    /// A link flipped: the `Retry` arm for each router in
+    /// `MeshNetwork::transition_woken`, in node order.
+    TransitionWake,
 }
 
 /// A link churn schedule, drawn as it fires (DESIGN.md §5g). It holds
@@ -193,6 +196,9 @@ pub struct MeshNetwork<P = Vec<u8>> {
     /// Earliest pending Retry per node, deduplicating wakeups so
     /// congestion cannot flood the event queue with redundant retries.
     retry_at: Vec<Option<SimTime>>,
+    /// The routers the pending `TransitionWake` retries, in node order;
+    /// empty when none is pending.
+    transition_woken: Vec<u16>,
     /// Fault site per directed link (same indexing as `link_free_at`);
     /// empty unless [`MeshNetwork::set_fault_injection`] armed one.
     faults: Vec<Option<LinkFaultSite>>,
@@ -249,6 +255,7 @@ impl<P: MeshPayload> MeshNetwork<P> {
             now: SimTime::ZERO,
             in_flight: 0,
             retry_at: vec![None; n],
+            transition_woken: Vec::new(),
             faults: Vec::new(),
             stats: NetworkStats::default(),
             link_use: vec![LinkUse::default(); n * 4],
@@ -303,6 +310,13 @@ impl<P: MeshPayload> MeshNetwork<P> {
     /// Applies one churn transition: flips the link, bumps the epoch
     /// (staling every route column), and wakes every router so heads
     /// that were waiting on — or newly have — a route re-decide.
+    ///
+    /// The wake is one `TransitionWake` event for the routers whose
+    /// retry slot has no retry at or before `t`: the per-router `Retry`
+    /// events it stands for would have had consecutive sequence numbers
+    /// at one instant, so they always popped back to back (DESIGN.md
+    /// §5g). A second transition at the same instant, applied before any
+    /// queued event of that instant pops, joins the pending wake.
     fn set_link_state(&mut self, link: usize, up: bool, t: SimTime) {
         if self.link_up[link] == up {
             return;
@@ -322,8 +336,15 @@ impl<P: MeshPayload> MeshNetwork<P> {
             };
             self.outbox.push(from.0, t, ComponentId::MESH, data);
         }
-        for node in 0..self.retry_at.len() {
-            self.schedule_retry(NodeId(node as u16), t);
+        let pending = !self.transition_woken.is_empty();
+        for (node, slot) in self.retry_at.iter_mut().enumerate() {
+            if slot.is_none_or(|w| t < w) {
+                *slot = Some(t);
+                self.transition_woken.push(node as u16);
+            }
+        }
+        if !pending && !self.transition_woken.is_empty() {
+            self.events.push(t, Event::TransitionWake);
         }
     }
 
@@ -471,12 +492,14 @@ impl<P: MeshPayload> MeshNetwork<P> {
                     }
                     self.try_forward(node, t);
                 }
-                Event::Retry { node } => {
-                    // Clear the dedup slot (stale earlier-time markers too).
-                    if self.retry_at[node.0 as usize].is_some_and(|w| w <= t) {
-                        self.retry_at[node.0 as usize] = None;
+                Event::Retry { node } => self.retry(node, t),
+                Event::TransitionWake => {
+                    let mut woken = std::mem::take(&mut self.transition_woken);
+                    for &node in &woken {
+                        self.retry(NodeId(node), t);
                     }
-                    self.try_forward(node, t);
+                    woken.clear();
+                    self.transition_woken = woken;
                 }
             }
         }
@@ -755,6 +778,15 @@ impl<P: MeshPayload> MeshNetwork<P> {
         self.outbox.push(at.0, t, ComponentId::MESH, data);
         // A mesh event at `back_at` so the host pumps ejections then.
         self.schedule_retry(src, back_at);
+    }
+
+    /// A `Retry` at `node` fires: clears its dedup slot (stale
+    /// earlier-time markers too) and re-attempts forwarding.
+    fn retry(&mut self, node: NodeId, t: SimTime) {
+        if self.retry_at[node.0 as usize].is_some_and(|w| w <= t) {
+            self.retry_at[node.0 as usize] = None;
+        }
+        self.try_forward(node, t);
     }
 
     fn wake_feeder(&mut self, node: NodeId, port: usize, t: SimTime) {
@@ -1277,6 +1309,37 @@ mod tests {
         assert!(drain(&mut n, NodeId(1)).is_empty(), "the torn worm never arrives");
         assert_eq!(drain(&mut n, NodeId(0)).len(), 1, "the packet bounces home");
         assert_eq!(n.stats().bounced, 1);
+        assert!(n.is_idle());
+    }
+
+    /// A link transition wakes the routers with one mesh event, not one
+    /// per router: on a quiet 4x4 mesh each transition queues at most
+    /// one, and all 16 routers still retry.
+    #[test]
+    fn each_transition_queues_at_most_one_mesh_event() {
+        let cfg = shrimp_sim::FaultConfig {
+            seed: 5,
+            churn: shrimp_sim::LinkChurnConfig {
+                times: 3,
+                fail_after: (SimDuration::from_ns(100), SimDuration::from_us(2)),
+                repair_after: (SimDuration::from_ns(100), SimDuration::from_us(1)),
+            },
+            ..Default::default()
+        };
+        let mut n = net(4, 4);
+        n.set_fault_injection(&cfg);
+        let mut applied = 0;
+        while !n.churn.due.is_empty() {
+            let (at, link, up) = n.churn.pop();
+            let epoch = n.epoch;
+            n.set_link_state(link, up, at);
+            applied += n.epoch - epoch;
+            assert_eq!(n.events.len(), 1, "one wake per transition");
+            assert_eq!(n.transition_woken.len(), 16, "every router retries");
+            n.advance(at);
+            assert!(n.events.is_empty() && n.transition_woken.is_empty());
+        }
+        assert_eq!(applied, 2 * 3 * 48, "every transition of 48 links applied");
         assert!(n.is_idle());
     }
 

@@ -281,12 +281,8 @@ impl NetworkInterface {
         if let Some(s) = self.stall_until {
             deadline = fold(s, deadline);
         }
-        if let Some(st) = &self.retx {
-            for peer in st.send.values() {
-                if let Some(t) = peer.timeout_at {
-                    deadline = fold(t, deadline);
-                }
-            }
+        if let Some(t) = self.retx.as_ref().and_then(RetxState::next_timeout) {
+            deadline = fold(t, deadline);
         }
         if let Some(t) = self.iotlb.as_ref().and_then(Iotlb::next_ready) {
             deadline = fold(t, deadline);

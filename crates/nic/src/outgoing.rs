@@ -15,7 +15,7 @@ use shrimp_sim::{SimTime, TraceData};
 use crate::datapath::SnoopOutcome;
 use crate::nic::NetworkInterface;
 use crate::packet::{FrameKind, LinkCtl, Payload, ShrimpPacket, WireHeader};
-use crate::retx::SendPeer;
+use crate::retx::{RetxState, SendPeer};
 
 impl NetworkInterface {
     pub(crate) fn queue_packet(
@@ -111,10 +111,8 @@ impl NetworkInterface {
         if let Some((t, _, _)) = self.ctl_queue.front() {
             ready = Some(ready.map_or(*t, |r| r.min(*t)));
         }
-        if let Some(st) = &self.retx {
-            if st.send.values().any(|p| p.resend_from.is_some()) {
-                ready = Some(SimTime::ZERO);
-            }
+        if self.retx.as_ref().is_some_and(RetxState::replaying) {
+            ready = Some(SimTime::ZERO);
         }
         ready
     }
@@ -142,36 +140,33 @@ impl NetworkInterface {
             return None;
         }
         let dst = self.shape.id_at(head.header().dst_coord);
-        let base_rto = self.config.retx.base_timeout;
-        let mut peer = None;
-        if let Some(st) = self.retx.as_mut() {
-            let p = st
-                .send
-                .entry(dst.0)
-                .or_insert_with(|| SendPeer::new(base_rto));
-            if p.unacked.len() >= self.config.retx.window_packets {
+        let window = self.config.retx.window_packets;
+        if let Some(st) = &self.retx {
+            if st.send().get(&dst.0).is_some_and(|p| p.unacked.len() >= window) {
                 // Retransmit buffer full: stop draining until acks or a
                 // timeout free it.
                 return None;
             }
-            peer = Some(p);
         }
         let (mut packet, _) = self.out_fifo.pop().expect("head peeked above");
-        if let Some(p) = peer.as_mut() {
-            packet = packet.framed(LinkCtl {
-                kind: FrameKind::Data,
-                seq: p.next_seq,
-            });
-            p.next_seq += 1;
-        }
         packet.stamp.injected = now;
         // Defensive: refill_from_overflow preserves `born` as the ready
         // time, so injection can no longer precede it; the clamp only
         // degrades gracefully if that invariant breaks.
         packet.stamp.born = packet.stamp.born.min(now);
-        if let Some(p) = peer {
-            p.unacked.push_back(packet.clone());
-            p.timeout_at = Some(now + p.rto);
+        if let Some(st) = self.retx.as_mut() {
+            let base_rto = self.config.retx.base_timeout;
+            packet = st.edit(|send| {
+                let p = send.entry(dst.0).or_insert_with(|| SendPeer::new(base_rto));
+                let framed = packet.framed(LinkCtl {
+                    kind: FrameKind::Data,
+                    seq: p.next_seq,
+                });
+                p.next_seq += 1;
+                p.unacked.push_back(framed.clone());
+                p.timeout_at = Some(now + p.rto);
+                framed
+            });
         }
         // Space freed: stalled packets enter the FIFO now.
         self.refill_from_overflow(now);
@@ -183,11 +178,7 @@ impl NetworkInterface {
     /// waiting to be injected. Always false with retransmission off, so
     /// callers can gate extra drain passes on it for free.
     pub fn has_pending_control(&self) -> bool {
-        !self.ctl_queue.is_empty()
-            || self
-                .retx
-                .as_ref()
-                .is_some_and(|st| st.send.values().any(|p| p.resend_from.is_some()))
+        !self.ctl_queue.is_empty() || self.retx.as_ref().is_some_and(RetxState::replaying)
     }
 
     /// True while the Outgoing FIFO is over its threshold — the CPU must

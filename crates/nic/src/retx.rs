@@ -7,8 +7,6 @@
 //! backoff and arms a flat [`crate::RetxConfig::reroute_backoff`] pace —
 //! escalation would only delay recovery past the repair).
 
-use std::collections::BTreeMap;
-
 use shrimp_mesh::{MeshPacket, NodeId};
 use shrimp_sim::{ComponentId, SimDuration, SimTime, TraceData};
 
@@ -17,6 +15,9 @@ use crate::nic::NetworkInterface;
 use crate::packet::{FrameKind, LinkCtl, ShrimpPacket};
 
 /// Go-back-N sender state toward one destination node.
+///
+/// A peer with nothing outstanding runs no timer and replays nothing:
+/// `unacked` empty implies `timeout_at` and `resend_from` are `None`.
 #[derive(Debug, Clone)]
 pub(crate) struct SendPeer {
     /// Sequence number the next new data frame will carry.
@@ -58,40 +59,114 @@ pub(crate) struct RecvPeer {
     pub(crate) last_nacked: Option<u32>,
 }
 
-/// All go-back-N state of one NIC (present only when
-/// [`crate::RetxConfig::enabled`] is set).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RetxState {
-    /// Sender books, keyed by destination node id (BTreeMap for
-    /// deterministic iteration order).
-    pub(crate) send: BTreeMap<u16, SendPeer>,
-    /// Receiver books, keyed by source node id.
-    pub(crate) recv: BTreeMap<u16, RecvPeer>,
+pub(crate) use books::RetxState;
+
+/// The sender books behind private fields, so that every change to them
+/// refreshes the cached wake values (DESIGN.md §5b).
+mod books {
+    use std::collections::BTreeMap;
+
+    use shrimp_sim::SimTime;
+
+    use super::{RecvPeer, SendPeer};
+
+    /// All go-back-N state of one NIC (present only when
+    /// [`crate::RetxConfig::enabled`] is set).
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct RetxState {
+        /// Sender books, keyed by destination node id (BTreeMap for
+        /// deterministic iteration order). Changed only through
+        /// [`RetxState::edit`].
+        send: BTreeMap<u16, SendPeer>,
+        /// Receiver books, keyed by source node id.
+        pub(crate) recv: BTreeMap<u16, RecvPeer>,
+        /// The earliest `timeout_at` over `send`.
+        next_timeout: Option<SimTime>,
+        /// Whether any peer in `send` has `resend_from` set.
+        replaying: bool,
+    }
+
+    impl RetxState {
+        /// The sender books, read-only.
+        pub(crate) fn send(&self) -> &BTreeMap<u16, SendPeer> {
+            &self.send
+        }
+
+        /// Runs `f` on the sender books, then refreshes the earliest
+        /// retransmit deadline and the replay flag by a rescan. The only
+        /// way to change a peer's `timeout_at` or `resend_from`.
+        pub(crate) fn edit<R>(&mut self, f: impl FnOnce(&mut BTreeMap<u16, SendPeer>) -> R) -> R {
+            let out = f(&mut self.send);
+            self.next_timeout = earliest_timeout(&self.send);
+            self.replaying = any_replaying(&self.send);
+            debug_assert!(
+                self.send.values().all(|p| !p.unacked.is_empty()
+                    || (p.timeout_at.is_none() && p.resend_from.is_none())),
+                "a peer with nothing outstanding runs a timer or a replay"
+            );
+            out
+        }
+
+        /// The earliest running retransmit timer over all peers. Debug
+        /// builds check it against a fresh scan.
+        pub(crate) fn next_timeout(&self) -> Option<SimTime> {
+            debug_assert_eq!(
+                self.next_timeout,
+                earliest_timeout(&self.send),
+                "cached retransmit deadline went stale"
+            );
+            self.next_timeout
+        }
+
+        /// Whether any peer is replaying its window. Debug builds check
+        /// it against a fresh scan.
+        pub(crate) fn replaying(&self) -> bool {
+            debug_assert_eq!(
+                self.replaying,
+                any_replaying(&self.send),
+                "cached replay flag went stale"
+            );
+            self.replaying
+        }
+    }
+
+    fn earliest_timeout(send: &BTreeMap<u16, SendPeer>) -> Option<SimTime> {
+        send.values().filter_map(|p| p.timeout_at).min()
+    }
+
+    fn any_replaying(send: &BTreeMap<u16, SendPeer>) -> bool {
+        send.values().any(|p| p.resend_from.is_some())
+    }
 }
 
 impl NetworkInterface {
-    /// Scans the per-peer retransmit timers at `now`: an expired timer
-    /// rewinds the window to its base and doubles the timeout (capped).
-    /// Called from [`NetworkInterface::poll`].
+    /// Fires the per-peer retransmit timers due at `now`: an expired
+    /// timer rewinds the window to its base and doubles the timeout
+    /// (capped). Called from [`NetworkInterface::poll`]; returns at once
+    /// while the earliest timer lies ahead.
     pub(crate) fn poll_retx(&mut self, now: SimTime) {
         let Some(st) = self.retx.as_mut() else {
             return;
         };
+        if st.next_timeout().is_none_or(|t| now < t) {
+            return;
+        }
         let max_rto = self.config.retx.max_timeout;
         let base_rto = self.config.retx.base_timeout;
         let component = ComponentId::nic(self.node.0);
-        for (&peer_id, peer) in st.send.iter_mut() {
-            if peer.unacked.is_empty() {
-                peer.timeout_at = None;
-                peer.resend_from = None;
-            } else if peer.timeout_at.is_some_and(|t| now >= t) {
-                // Nothing came back in time: go back to the window
-                // base and double the timeout (capped).
+        let (node, stats, outbox) = (self.node.0, &mut self.stats, &mut self.outbox);
+        st.edit(|send| {
+            for (&peer_id, peer) in send.iter_mut() {
+                if peer.timeout_at.is_none_or(|t| now < t) {
+                    continue;
+                }
+                // Nothing came back in time: go back to the window base
+                // and double the timeout (capped).
                 peer.resend_from = Some(peer.base_seq);
                 peer.rto = (peer.rto * 2).min(max_rto);
                 peer.timeout_at = Some(now + peer.rto);
-                self.stats.retx_timeouts += 1;
-                if self.outbox.is_on() {
+                stats.retx_timeouts += 1;
+                if outbox.is_on() {
                     let attempt =
                         (peer.rto.as_picos() / base_rto.as_picos().max(1)).max(1) as u32;
                     let data = TraceData::RetxTimeout {
@@ -99,37 +174,44 @@ impl NetworkInterface {
                         base_seq: peer.base_seq,
                         attempt,
                     };
-                    self.outbox.push(self.node.0, now, component, data);
+                    outbox.push(node, now, component, data);
                 }
             }
-        }
+        });
     }
 
-    /// Emits the next frame of an in-progress go-back-N replay, if any.
+    /// Emits the next frame of an in-progress go-back-N replay, if any;
+    /// returns at once when no peer is replaying.
     pub(crate) fn pop_resend(&mut self, now: SimTime) -> Option<MeshPacket<ShrimpPacket>> {
         let node = self.node;
         let st = self.retx.as_mut()?;
-        for (&peer_id, peer) in st.send.iter_mut() {
-            let Some(from) = peer.resend_from else {
-                continue;
-            };
-            let idx = from.wrapping_sub(peer.base_seq) as usize;
-            if idx >= peer.unacked.len() {
-                peer.resend_from = None;
-                continue;
-            }
-            let mut framed = peer.unacked[idx].clone();
-            framed.stamp.injected = now;
-            let next = from + 1;
-            let more = (next.wrapping_sub(peer.base_seq) as usize) < peer.unacked.len();
-            peer.resend_from = more.then_some(next);
-            peer.timeout_at = Some(now + peer.rto);
-            self.stats.retransmissions += 1;
-            let data = TraceData::Retransmit { peer: peer_id, seq: from };
-            self.outbox.push(node.0, now, ComponentId::nic(node.0), data);
-            return Some(MeshPacket::new(node, NodeId(peer_id), framed));
+        if !st.replaying() {
+            return None;
         }
-        None
+        let (peer_id, from, framed) = st.edit(|send| {
+            for (&peer_id, peer) in send.iter_mut() {
+                let Some(from) = peer.resend_from else {
+                    continue;
+                };
+                let idx = from.wrapping_sub(peer.base_seq) as usize;
+                if idx >= peer.unacked.len() {
+                    peer.resend_from = None;
+                    continue;
+                }
+                let mut framed = peer.unacked[idx].clone();
+                framed.stamp.injected = now;
+                let next = from + 1;
+                let more = (next.wrapping_sub(peer.base_seq) as usize) < peer.unacked.len();
+                peer.resend_from = more.then_some(next);
+                peer.timeout_at = Some(now + peer.rto);
+                return Some((peer_id, from, framed));
+            }
+            None
+        })?;
+        self.stats.retransmissions += 1;
+        let data = TraceData::Retransmit { peer: peer_id, seq: from };
+        self.outbox.push(node.0, now, ComponentId::nic(node.0), data);
+        Some(MeshPacket::new(node, NodeId(peer_id), framed))
     }
 
     /// Handles one of our own frames returned by the mesh bounce path.
@@ -149,12 +231,14 @@ impl NetworkInterface {
         let pace = self.config.retx.reroute_backoff;
         if let Some(LinkCtl { kind: FrameKind::Data, .. }) = packet.link() {
             let dst = self.shape.id_at(packet.header().dst_coord);
-            if let Some(peer) = self.retx.as_mut().and_then(|st| st.send.get_mut(&dst.0)) {
-                if !peer.unacked.is_empty() {
-                    peer.rto = base_rto;
-                    peer.resend_from = None;
-                    peer.timeout_at = Some(now + pace);
-                }
+            if let Some(st) = self.retx.as_mut() {
+                st.edit(|send| {
+                    if let Some(peer) = send.get_mut(&dst.0).filter(|p| !p.unacked.is_empty()) {
+                        peer.rto = base_rto;
+                        peer.resend_from = None;
+                        peer.timeout_at = Some(now + pace);
+                    }
+                });
             }
         }
         Ok(())
@@ -230,32 +314,35 @@ impl NetworkInterface {
         let Some(st) = self.retx.as_mut() else {
             return;
         };
-        let Some(peer) = st.send.get_mut(&peer_node.0) else {
-            return;
-        };
-        let mut progressed = false;
-        while peer.base_seq < seq && !peer.unacked.is_empty() {
-            peer.unacked.pop_front();
-            peer.base_seq += 1;
-            progressed = true;
-        }
-        if progressed {
-            // Progress restarts the timer and resets the backoff.
-            if peer.rto > base_rto {
-                self.stats.gbn_backoff_resets += 1;
-            }
-            peer.rto = base_rto;
-            peer.timeout_at = if peer.unacked.is_empty() {
-                None
-            } else {
-                Some(now + peer.rto)
+        let stats = &mut self.stats;
+        st.edit(|send| {
+            let Some(peer) = send.get_mut(&peer_node.0) else {
+                return;
             };
-            if let Some(r) = peer.resend_from {
-                let r = r.max(peer.base_seq);
-                let live = (r.wrapping_sub(peer.base_seq) as usize) < peer.unacked.len();
-                peer.resend_from = live.then_some(r);
+            let mut progressed = false;
+            while peer.base_seq < seq && !peer.unacked.is_empty() {
+                peer.unacked.pop_front();
+                peer.base_seq += 1;
+                progressed = true;
             }
-        }
+            if progressed {
+                // Progress restarts the timer and resets the backoff.
+                if peer.rto > base_rto {
+                    stats.gbn_backoff_resets += 1;
+                }
+                peer.rto = base_rto;
+                peer.timeout_at = if peer.unacked.is_empty() {
+                    None
+                } else {
+                    Some(now + peer.rto)
+                };
+                if let Some(r) = peer.resend_from {
+                    let r = r.max(peer.base_seq);
+                    let live = (r.wrapping_sub(peer.base_seq) as usize) < peer.unacked.len();
+                    peer.resend_from = live.then_some(r);
+                }
+            }
+        });
     }
 
     /// Go-back-N request: replay everything from `seq` on. Also carries
@@ -265,13 +352,15 @@ impl NetworkInterface {
         let Some(st) = self.retx.as_mut() else {
             return;
         };
-        let Some(peer) = st.send.get_mut(&peer_node.0) else {
-            return;
-        };
-        if seq >= peer.base_seq && !peer.unacked.is_empty() {
-            peer.resend_from = Some(peer.base_seq);
-            peer.timeout_at = Some(now + peer.rto);
-        }
+        st.edit(|send| {
+            let Some(peer) = send.get_mut(&peer_node.0) else {
+                return;
+            };
+            if seq >= peer.base_seq && !peer.unacked.is_empty() {
+                peer.resend_from = Some(peer.base_seq);
+                peer.timeout_at = Some(now + peer.rto);
+            }
+        });
     }
 
     /// Queues a link-level control frame for immediate injection.
@@ -293,8 +382,12 @@ mod tests {
     use crate::packet::FrameKind;
     use crate::testutil::{map_out, relay_ctl, rnic, rpair, send_word, shape, t};
     use shrimp_mem::PageNum;
-    use shrimp_mesh::NodeId;
+    use shrimp_mesh::{MeshPacket, NodeId};
+    use shrimp_sim::{SimDuration, SimTime};
     use crate::nic::NetworkInterface;
+    use crate::packet::ShrimpPacket;
+    use crate::unpinned::Iotlb;
+    use proptest::prelude::*;
 
     #[test]
     fn retx_data_frames_carry_sequence_numbers() {
@@ -420,5 +513,98 @@ mod tests {
         relay_ctl(&mut r, &mut s, 6000);
         let c = s.pop_outgoing(t(6000)).expect("window reopened");
         assert_eq!(c.payload().link().unwrap().seq, 2);
+    }
+
+    /// `next_deadline`, `outgoing_ready_at` and `has_pending_control`
+    /// as a scan of every go-back-N peer computes them.
+    fn scanned(n: &NetworkInterface) -> (Option<SimTime>, Option<SimTime>, bool) {
+        let peers: Vec<_> = n.retx.iter().flat_map(|st| st.send().values()).collect();
+        let timer = peers.iter().filter_map(|p| p.timeout_at).min();
+        let replaying = peers.iter().any(|p| p.resend_from.is_some());
+        let merge = n.pending.as_ref().map(|p| p.last_write + n.config.merge_window);
+        let iotlb = n.iotlb.as_ref().and_then(Iotlb::next_ready);
+        let deadline = [merge, n.stall_until, timer, iotlb].into_iter().flatten().min();
+        let fifo = n.out_fifo.peek_with_time().map(|(_, at)| at);
+        let ctl = n.ctl_queue.front().map(|&(at, _, _)| at);
+        let ready = if replaying {
+            Some(SimTime::ZERO)
+        } else {
+            fifo.into_iter().chain(ctl).min()
+        };
+        (deadline, ready, !n.ctl_queue.is_empty() || replaying)
+    }
+
+    /// Moves every packet `from` will send at `now` onto `wire`.
+    fn drain(from: &mut NetworkInterface, now: SimTime, wire: &mut Vec<MeshPacket<ShrimpPacket>>) {
+        while let Some(mp) = from.pop_outgoing(now) {
+            wire.push(mp);
+        }
+    }
+
+    proptest! {
+        /// The cached earliest retransmit timer and replay flag answer
+        /// every wake query as a scan of all peers would, under random
+        /// sends, drops, acks, nacks, timeouts and bounces.
+        #[test]
+        fn cached_wake_values_match_a_scan(
+            steps in prop::collection::vec((0u8..10, 0u64..40_000, any::<prop::sample::Index>()), 1..200)
+        ) {
+            let (mut s, mut r) = rpair();
+            let (mut data, mut ctl) = (Vec::new(), Vec::new());
+            let mut now = SimTime::ZERO;
+            for (i, (action, gap_ns, pick)) in steps.into_iter().enumerate() {
+                now += SimDuration::from_ns(gap_ns);
+                match action {
+                    // A store on the mapped page.
+                    0 | 1 => {
+                        let addr = PageNum::new(2).at_offset((i as u64 % 1024) * 4);
+                        s.snoop_write(now, addr, &(i as u32).to_le_bytes());
+                    }
+                    // The sender injects whatever is ready: new data,
+                    // replays, acks.
+                    2 => drain(&mut s, now, &mut data),
+                    // The oldest data frame (first or replayed) reaches
+                    // the receiver: the mesh keeps each pair in order.
+                    3 if !data.is_empty() => {
+                        let _ = r.accept_packet(now, data.remove(0));
+                    }
+                    // The mesh eats a frame.
+                    4 if !data.is_empty() => {
+                        data.remove(pick.index(data.len()));
+                    }
+                    // The receiver injects its acks and nacks.
+                    5 => drain(&mut r, now, &mut ctl),
+                    // The oldest ack or nack reaches the sender, or is lost.
+                    6 if !ctl.is_empty() => {
+                        let mp = ctl.remove(0);
+                        if pick.index(4) > 0 {
+                            s.accept_packet(now, mp).unwrap();
+                        }
+                    }
+                    // The sender's earliest deadline fires.
+                    7 => {
+                        if let Some(d) = s.next_deadline() {
+                            now = now.max(d);
+                        }
+                        s.poll(now);
+                    }
+                    // No route: the mesh bounces a frame to its source.
+                    8 if !data.is_empty() => {
+                        s.accept_packet(now, data.remove(pick.index(data.len()))).unwrap();
+                    }
+                    // The receiver delivers to memory, freeing its FIFO.
+                    _ => {
+                        while r.pop_incoming(now).is_some() {}
+                        r.poll(now);
+                    }
+                }
+                for n in [&s, &r] {
+                    let (deadline, ready, pending) = scanned(n);
+                    prop_assert_eq!(n.next_deadline(), deadline, "step {}", i);
+                    prop_assert_eq!(n.outgoing_ready_at(), ready, "step {}", i);
+                    prop_assert_eq!(n.has_pending_control(), pending, "step {}", i);
+                }
+            }
+        }
     }
 }

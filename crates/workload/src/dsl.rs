@@ -8,9 +8,10 @@
 //! ```text
 //! # comments and blank lines are ignored
 //! scenario <name>                    # [A-Za-z0-9_-]+
-//! mesh <W>x<H>                       # machine shape
+//! mesh <W>x<H>                       # machine shape, at most 1024 nodes
 //! seed <u64>                         # master seed; every stream derives from it
-//! pages <u64>                        # physical pages per node (>= 32)
+//! pages <u64>                        # physical pages per node (>= 32; at most
+//!                                    # 2^20 pages, 4 GiB, over all nodes)
 //! users <u32>                        # closed-loop concurrency cap
 //! nic <shrimp|unpinned>              # optional NIC backend (default shrimp);
 //!                                    # `nic=<backend>` is accepted too
@@ -26,7 +27,10 @@
 //! `S`/`D` are either a node index or `any` (seed-resolved per session
 //! instance). `LO..HI` are durations with a unit suffix (`ps`, `ns`,
 //! `us`, `ms`); the serializer picks the largest unit that divides the
-//! value exactly, so durations round-trip bit-exactly.
+//! value exactly, so durations round-trip bit-exactly. A count that
+//! overflows its field (`leaves` is `u16`, the other counts `u32`) or a
+//! duration past `u64` picoseconds is an error on its line, never
+//! wrapped.
 
 use std::fmt::Write as _;
 
@@ -36,6 +40,11 @@ use shrimp_sim::SimDuration;
 /// Bytes per page — must agree with `shrimp_mem::PAGE_SIZE`.
 const PAGE_SIZE: u64 = shrimp_mem::PAGE_SIZE;
 const WORD: u64 = shrimp_mem::WORD_SIZE;
+/// The largest mesh a scenario may ask for.
+const MAX_NODES: u16 = 1024;
+/// The most physical pages a scenario may ask for over all nodes
+/// (4 GiB).
+const MAX_TOTAL_PAGES: u64 = 1 << 20;
 
 /// A parse or validation failure, with the offending line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -239,9 +248,10 @@ impl Scenario {
         self.specs.iter().map(|s| u64::from(s.count)).sum()
     }
 
-    /// Nodes in the mesh.
+    /// Nodes in the mesh (saturating: [`Scenario::validate`] rejects a
+    /// mesh of more than 1,024).
     pub fn nodes(&self) -> u16 {
-        self.mesh.0 * self.mesh.1
+        self.mesh.0.saturating_mul(self.mesh.1)
     }
 
     /// Parses a scenario document.
@@ -295,6 +305,9 @@ impl Scenario {
                             line: ln,
                             message: format!("bad mesh {rest:?} (want WxH)"),
                         })?;
+                    if mesh_nodes((w, h)).is_none() {
+                        return err(ln, format!("mesh {rest:?} has over {MAX_NODES} nodes"));
+                    }
                     mesh = Some((w, h));
                 }
                 "seed" => {
@@ -304,7 +317,7 @@ impl Scenario {
                     pages = Some(parse_u64(rest, ln, "pages")?);
                 }
                 "users" => {
-                    users = Some(parse_u64(rest, ln, "users")? as u32);
+                    users = Some(parse_int(rest, ln, "users")?);
                 }
                 "nic" => {
                     if nic.is_some() {
@@ -332,7 +345,7 @@ impl Scenario {
                     churn = Some(ChurnSpec {
                         fail: kv.range("fail")?,
                         repair: kv.range("repair")?,
-                        times: kv.u64("times")? as u32,
+                        times: kv.int("times")?,
                     });
                     kv.finish()?;
                 }
@@ -342,30 +355,30 @@ impl Scenario {
                         .map(|(k, r)| (k, r.trim()))
                         .unwrap_or((rest, ""));
                     let kv = KvLine::parse(kvrest, ln)?;
-                    let count = kv.u64("count")? as u32;
+                    let count = kv.int("count")?;
                     let src = NodeSel::parse(&kv.raw("src")?, ln)?;
                     let kind = match kind_kw {
                         "rpc" => SessionKind::Rpc {
-                            requests: kv.u64("requests")? as u32,
-                            request_bytes: kv.u64("request")? as u32,
-                            response_bytes: kv.u64("response")? as u32,
+                            requests: kv.int("requests")?,
+                            request_bytes: kv.int("request")?,
+                            response_bytes: kv.int("response")?,
                             think: kv.range("think")?,
                             server: kv.range("server")?,
                         },
                         "stream" => SessionKind::Stream {
-                            pages: kv.u64("pages")? as u32,
+                            pages: kv.int("pages")?,
                             gap: kv.range("gap")?,
                         },
                         "fanout" => SessionKind::Fanout {
-                            leaves: kv.u64("leaves")? as u16,
-                            rounds: kv.u64("rounds")? as u32,
-                            bytes: kv.u64("bytes")? as u32,
+                            leaves: kv.int("leaves")?,
+                            rounds: kv.int("rounds")?,
+                            bytes: kv.int("bytes")?,
                             think: kv.range("think")?,
                         },
                         "dsm" => SessionKind::Dsm {
-                            pages: kv.u64("pages")? as u32,
-                            ops: kv.u64("ops")? as u32,
-                            write_bytes: kv.u64("write")? as u32,
+                            pages: kv.int("pages")?,
+                            ops: kv.int("ops")?,
+                            write_bytes: kv.int("write")?,
                             think: kv.range("think")?,
                         },
                         other => return err(ln, format!("unknown session kind {other:?}")),
@@ -411,12 +424,17 @@ impl Scenario {
     /// Returns a whole-document [`DslError`] (line 0) on violation.
     pub fn validate(&self) -> Result<(), DslError> {
         let e = |m: String| -> Result<(), DslError> { err(0, m) };
-        let nodes = self.nodes();
+        let Some(nodes) = mesh_nodes(self.mesh) else {
+            return e(format!("mesh must have at most {MAX_NODES} nodes"));
+        };
         if nodes == 0 {
             return e("mesh must have at least one node".into());
         }
         if self.pages < 32 {
             return e("pages must be >= 32 (MachineConfig::validate)".into());
+        }
+        if u64::from(nodes).saturating_mul(self.pages) > MAX_TOTAL_PAGES {
+            return e(format!("nodes x pages must be <= {MAX_TOTAL_PAGES}"));
         }
         if self.users == 0 {
             return e("users must be >= 1".into());
@@ -585,9 +603,21 @@ fn parse_backend(s: &str, line: usize) -> Result<NicBackend, DslError> {
         })
 }
 
+/// A `W`x`H` mesh's node count, unless it overflows or exceeds
+/// [`MAX_NODES`].
+fn mesh_nodes((w, h): (u16, u16)) -> Option<u16> {
+    w.checked_mul(h).filter(|&n| n <= MAX_NODES)
+}
+
 fn parse_u64(s: &str, line: usize, what: &str) -> Result<u64, DslError> {
     s.parse::<u64>()
         .map_err(|_| DslError { line, message: format!("bad {what} {s:?}") })
+}
+
+/// Parses a `u64` and converts it to the field's narrower type.
+fn parse_int<T: TryFrom<u64>>(s: &str, line: usize, what: &str) -> Result<T, DslError> {
+    let v = parse_u64(s, line, what)?;
+    T::try_from(v).map_err(|_| DslError { line, message: format!("{what} {v} is out of range") })
 }
 
 /// Renders a duration with the largest unit that divides it exactly, so
@@ -622,7 +652,10 @@ fn parse_dur(s: &str, line: usize) -> Result<SimDuration, DslError> {
         return err(line, format!("duration {s:?} needs a unit (ps/ns/us/ms)"));
     };
     let v = parse_u64(num, line, "duration")?;
-    Ok(SimDuration::from_picos(v * scale))
+    let ps = v
+        .checked_mul(scale)
+        .ok_or(DslError { line, message: format!("duration {s:?} is out of range") })?;
+    Ok(SimDuration::from_picos(ps))
 }
 
 /// A `key=value ...` line with consumed-key tracking (so stray keys are
@@ -659,6 +692,11 @@ impl KvLine {
     fn u64(&self, key: &str) -> Result<u64, DslError> {
         let v = self.take(key)?;
         parse_u64(&v, self.line, key)
+    }
+
+    fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, DslError> {
+        let v = self.take(key)?;
+        parse_int(&v, self.line, key)
     }
 
     fn f64(&self, key: &str) -> Result<f64, DslError> {
@@ -728,6 +766,45 @@ mod tests {
         assert!(Scenario::parse(&bad).is_err(), "inverted range");
         let bad = minimal() + "session rpc count=1 src=0 dst=9 requests=1 request=4 response=4 think=0ns..0ns server=0ns..0ns\n";
         assert!(Scenario::parse(&bad).is_err(), "node out of range");
+
+        // Hostile numbers return `Err`: nothing overflows, wraps or panics.
+        let line_of = |text: &str| Scenario::parse(text).expect_err(text).line;
+        // The u16 product of `nodes` overflows; 33x32 only exceeds the cap.
+        for mesh in ["mesh 300x300", "mesh 33x32", "mesh 65535x65535"] {
+            assert_eq!(line_of(&minimal().replace("mesh 2x1", mesh)), 2, "{mesh}");
+        }
+        let big = minimal().replace("mesh 2x1", "mesh 32x32");
+        assert_eq!(Scenario::parse(&big).unwrap().nodes(), 1024);
+        // Pages over all nodes past 2^20 (4 GiB), or past u64.
+        assert!(Scenario::parse(&big.replace("pages 64", "pages 1024")).is_ok());
+        for pages in ["pages 1025", "pages 18446744073709551615"] {
+            assert!(Scenario::parse(&big.replace("pages 64", pages)).is_err(), "{pages}");
+        }
+        // Every narrowed count reports its line instead of wrapping.
+        let rpc = 6;
+        for (from, to) in [
+            ("count=3", "count=4294967297"),
+            ("requests=2", "requests=4294967297"),
+            ("request=64", "request=4294967360"),
+            ("response=32", "response=4294967328"),
+        ] {
+            assert_eq!(line_of(&minimal().replace(from, to)), rpc, "{to}");
+        }
+        assert_eq!(line_of(&minimal().replace("users 2", "users 4294967298")), 5);
+        let extra = [
+            "link fail=1us..2us repair=1us..2us times=4294967297",
+            "session stream count=1 src=0 dst=1 pages=4294967297 gap=0ns..0ns",
+            "session fanout count=1 src=0 leaves=65537 rounds=1 bytes=4 think=0ns..0ns",
+            "session fanout count=1 src=0 leaves=1 rounds=4294967297 bytes=4 think=0ns..0ns",
+            "session fanout count=1 src=0 leaves=1 rounds=1 bytes=4294967300 think=0ns..0ns",
+            "session dsm count=1 src=0 dst=1 pages=4294967297 ops=1 write=4 think=0ns..0ns",
+            "session dsm count=1 src=0 dst=1 pages=1 ops=4294967297 write=4 think=0ns..0ns",
+            "session dsm count=1 src=0 dst=1 pages=1 ops=1 write=4294967300 think=0ns..0ns",
+            "session stream count=1 src=0 dst=1 pages=1 gap=0ns..18446744073709552ms",
+        ];
+        for line in extra {
+            assert_eq!(line_of(&format!("{}{line}\n", minimal())), rpc + 1, "{line}");
+        }
     }
 
     #[test]
