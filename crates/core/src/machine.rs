@@ -19,9 +19,11 @@
 //! 4. deliberate-update transfers start from user level with a locked
 //!    `CMPXCHG` against a command page and stream a page through the same
 //!    outgoing datapath.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!
+//! This file keeps the host API, the run loop, event dispatch and
+//! observation. The mapping control plane lives in `machine/mapping.rs`,
+//! and the wake policy with the mesh coupling (the network pump, NIC
+//! wakeups, ejection, drain and pop) in `machine/fabric.rs`.
 
 use shrimp_cpu::{Cpu, Program, Reg};
 use shrimp_mem::{PhysAddr, VirtAddr, PAGE_SIZE, WORD_SIZE};
@@ -29,17 +31,19 @@ use shrimp_mesh::{MeshNetwork, NodeId};
 use shrimp_nic::{NetworkInterface, NicError, ShrimpPacket};
 use shrimp_os::{ExportId, Kernel, OsError, Pid};
 use shrimp_sim::{
-    to_chrome_json_with_counters, ComponentId, EnginePhase, EngineProfileReport, EngineProfiler,
-    Histogram, MetricsRegistry, MetricsSnapshot, Scheduler, SimDuration, SimTime, TraceData,
-    TraceEvent, Tracer,
+    ComponentId, EnginePhase, EngineProfileReport, EngineProfiler, Histogram, MetricsRegistry,
+    MetricsSnapshot, Scheduler, SimDuration, SimTime, TraceData, TraceEvent, Tracer,
 };
 
 use crate::config::MachineConfig;
 use crate::error::MachineError;
-use crate::node::{CpuExit, Event, NicWork, Node, NodeEvent};
+use crate::node::{CpuExit, Event, Node, NodeEvent};
 
+mod fabric;
 mod mapping;
 
+use fabric::ActiveNodes;
+pub(crate) use fabric::{NicWakeups, WakePlan};
 use mapping::Registration;
 pub use mapping::{MapRequest, MappingId};
 
@@ -169,71 +173,6 @@ impl MachineTelemetry {
     fn record(&mut self, rec: LatencyRecord) {
         self.stages.record(&rec);
         self.records.push(rec);
-    }
-}
-
-/// The pump worklist: one bit per node whose next visit may do work
-/// (DESIGN.md §5j), iterated in ascending node id, plus the timed wakes
-/// that put a node back when its next outgoing packet becomes ready.
-#[derive(Debug)]
-struct ActiveNodes {
-    words: Vec<u64>,
-    /// Min-heap of `(instant, node)` wakes; stale entries only cost a
-    /// no-op visit.
-    wakes: BinaryHeap<Reverse<(SimTime, u16)>>,
-    /// Each node's earliest pending wake, so a covered wake is not
-    /// pushed again.
-    next_wake: Vec<Option<SimTime>>,
-}
-
-impl ActiveNodes {
-    /// An empty set of `n` nodes, with room for one wake per node.
-    fn new(n: usize) -> Self {
-        ActiveNodes {
-            words: vec![0; n.div_ceil(64)],
-            wakes: BinaryHeap::with_capacity(n),
-            next_wake: vec![None; n],
-        }
-    }
-
-    /// Puts `node` back on the worklist at the first pump at or after
-    /// `at`, unless a wake no later than `at` is pending.
-    fn wake_at(&mut self, node: u16, at: SimTime) {
-        let next = &mut self.next_wake[node as usize];
-        if next.is_none_or(|w| at < w) {
-            *next = Some(at);
-            self.wakes.push(Reverse((at, node)));
-        }
-    }
-
-    /// Marks every node whose wake is due by `t`.
-    fn wake_due(&mut self, t: SimTime) {
-        while let Some(&Reverse((at, node))) = self.wakes.peek() {
-            if at > t {
-                break;
-            }
-            self.wakes.pop();
-            let next = &mut self.next_wake[node as usize];
-            if *next == Some(at) {
-                *next = None;
-            }
-            self.mark(node);
-        }
-    }
-
-    #[inline]
-    fn mark(&mut self, node: u16) {
-        self.words[node as usize / 64] |= 1 << (node % 64);
-    }
-
-    #[inline]
-    fn clear(&mut self, node: u16) {
-        self.words[node as usize / 64] &= !(1 << (node % 64));
-    }
-
-    #[cfg(debug_assertions)]
-    fn contains(&self, node: u16) -> bool {
-        self.words[node as usize / 64] & (1 << (node % 64)) != 0
     }
 }
 
@@ -630,12 +569,6 @@ impl Machine {
         self.sched.advance_clock(limit);
     }
 
-    /// Runs for a span of simulated time.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let t = self.now() + d;
-        self.run_until(t);
-    }
-
     /// Runs until no machine or mesh events remain (all CPUs halted or
     /// spinning CPUs excepted — a spinning CPU never quiesces, so this
     /// errors if more than `MAX_IDLE_STEPS` instants fire without the
@@ -730,21 +663,6 @@ impl Machine {
         Step::Ran
     }
 
-    /// Advances the mesh to `t`, then marks the nodes it ejected to,
-    /// drains its link, reroute and bounce events into the trace and
-    /// pumps the network.
-    fn advance_mesh(&mut self, t: SimTime) {
-        // Sampled: this runs several times per simulated event, so
-        // exact per-call timing would cost more than the pump itself.
-        let p = self.profiler.begin_sampled(EnginePhase::MeshPump);
-        self.mesh.advance(t);
-        let active = &mut self.active;
-        self.mesh.drain_ejection_notices(|node| active.mark(node.0));
-        self.mesh.trace_outbox_mut().drain_into(&mut self.trace);
-        self.pump_network(t);
-        self.profiler.end_sampled(EnginePhase::MeshPump, p);
-    }
-
     /// Prints the trace rings' retained events to stderr; called on the
     /// panic path of the run loop so a failing assertion ships its
     /// causal context.
@@ -778,26 +696,11 @@ impl Machine {
                 }
                 // After the trap's service, which never touches this
                 // node's pending NIC work (DESIGN.md §5d).
-                self.schedule_node_wakeups(t, id);
+                self.schedule_wakeups(t, id);
             }
-            NodeEvent::NicHousekeep => {
-                let n = &mut self.nodes[node as usize];
-                n.housekeep_wakeup = None;
-                n.nic.poll(t);
-                self.schedule_node_wakeups(t, id);
-                // A housekeep may end an injected FIFO stall or arm a
-                // retransmit replay; resume acceptance and push replays.
-                self.deliver_ejections(t, id);
-                self.drain_outgoing(t, id);
-            }
-            NodeEvent::DrainOutgoing => {
-                self.nodes[node as usize].drain_wakeup = None;
-                self.drain_outgoing(t, id);
-            }
-            NodeEvent::PopIncoming => {
-                self.nodes[node as usize].pop_wakeup = None;
-                self.pop_incoming(t, id);
-            }
+            NodeEvent::NicHousekeep => self.housekeep_fired(t, id),
+            NodeEvent::DrainOutgoing => self.drain_fired(t, id),
+            NodeEvent::PopIncoming => self.pop_fired(t, id),
             NodeEvent::DmaComplete { addr, data } => {
                 self.nodes[node as usize].commit_dma(addr, data);
                 // The delivery freed Incoming-FIFO space. (It was logged
@@ -812,207 +715,6 @@ impl Machine {
             }
         }
         self.drain_nic_trace(node);
-    }
-
-    // ────────────────────────── network pumping ──────────────────────────
-
-    /// Delivers due ejections, drains Outgoing FIFOs into the mesh and
-    /// drains NIC trace events on every node of the active worklist, in
-    /// ascending node id, after first putting back the nodes whose
-    /// timed wake is due. Runs after every mesh advance and after every
-    /// `DmaComplete`; the run loops interleave mesh events natively, so
-    /// no wakeup needs to be scheduled here.
-    ///
-    /// A node stays on the worklist only while an ejection is queued
-    /// for it or an outgoing packet is ready now (held back by the mesh,
-    /// a full go-back-N window or a pending resend). Leaving with a
-    /// packet ready later, it is woken at that instant; its deadlines
-    /// and incoming pops mark it through their own events. A skipped
-    /// node's visit would do nothing, so every visit that still happens
-    /// runs in its old order (DESIGN.md §5j). A visit touches only its
-    /// own node and the mesh's injection side, so no node joins the
-    /// worklist mid-pump.
-    fn pump_network(&mut self, t: SimTime) {
-        self.active.wake_due(t);
-        #[cfg(debug_assertions)]
-        self.assert_skipped_visits_are_no_ops(t);
-        let mut visits = 0u64;
-        for w in 0..self.active.words.len() {
-            let mut bits = self.active.words[w];
-            while bits != 0 {
-                let node = (w * 64) as u16 + bits.trailing_zeros() as u16;
-                bits &= bits - 1;
-                let id = NodeId(node);
-                self.deliver_ejections(t, id);
-                let outgoing = self.drain_outgoing(t, id);
-                self.drain_nic_trace(node);
-                if outgoing.is_none_or(|r| r > t) && self.mesh.peek_ejection(id).is_none() {
-                    self.active.clear(node);
-                    if let Some(r) = outgoing {
-                        self.active.wake_at(node, r);
-                    }
-                }
-                visits += 1;
-            }
-        }
-        self.profiler.note_pump_visits(visits);
-    }
-
-    /// The worklist invariant: a visit to any node the pump at `t`
-    /// skips would be a no-op. Nothing is ejected or injected, no
-    /// wakeup is pushed and no NIC trace event waits to be drained.
-    #[cfg(debug_assertions)]
-    fn assert_skipped_visits_are_no_ops(&self, t: SimTime) {
-        for (i, n) in self.nodes.iter().enumerate() {
-            let id = NodeId(i as u16);
-            if self.active.contains(id.0) {
-                continue;
-            }
-            let woken_by = |r| self.active.next_wake[i].is_some_and(|w| w <= r);
-            assert!(
-                self.mesh.peek_ejection(id).is_none(),
-                "{id:?} is off the pump worklist with an ejection queued"
-            );
-            assert!(
-                n.nic
-                    .outgoing_ready_at()
-                    .is_none_or(|r| r > t && woken_by(r)),
-                "{id:?} is off the pump worklist with an outgoing packet ready \
-                 by {t:?} or no wake before it"
-            );
-            assert!(
-                n.wakeups_covered(t),
-                "{id:?} is off the pump worklist with a NIC wakeup to push"
-            );
-            assert!(
-                n.nic.trace_outbox().is_empty(),
-                "{id:?} is off the pump worklist with NIC trace events to drain"
-            );
-        }
-    }
-
-    fn deliver_ejections(&mut self, t: SimTime, node: NodeId) {
-        loop {
-            let n = &mut self.nodes[node.0 as usize];
-            if !n.nic.can_accept_from_network_at(t) {
-                break;
-            }
-            match self.mesh.peek_ejection(node) {
-                Some(arrival) if arrival <= t => {
-                    let (pkt, arrival) = self.mesh.eject(t, node).expect("peeked ejection");
-                    if self.trace.is_on() {
-                        let data = TraceData::PacketEjected {
-                            src: pkt.src().0,
-                            dst: pkt.dst().0,
-                            bytes: pkt.wire_len() as u32,
-                        };
-                        self.emit(node, arrival.max(t), ComponentId::nic(node.0), data);
-                    }
-                    let n = &mut self.nodes[node.0 as usize];
-                    if let Err(e) = n.nic.accept_packet(arrival.max(t), pkt) {
-                        self.drop_log.push((t, node, e));
-                    }
-                }
-                _ => break,
-            }
-        }
-        let n = &mut self.nodes[node.0 as usize];
-        if let Some(r) = n.nic.incoming_ready_at() {
-            n.due_pop_wakeup(t, r.max(t), &mut self.sched);
-        }
-    }
-
-    /// Injects every ready Outgoing-FIFO packet the mesh accepts, then
-    /// schedules the node's wakeups. Returns when the head outgoing
-    /// packet left behind is ready, if any (see [`Node::schedule_wakeups`]).
-    fn drain_outgoing(&mut self, t: SimTime, node: NodeId) -> Option<SimTime> {
-        loop {
-            if !self.mesh.can_inject(node) {
-                // Mesh backpressure: retried on the next mesh event.
-                break;
-            }
-            match self.nodes[node.0 as usize].drain_outbound(t) {
-                Some(pkt) => {
-                    if self.trace.is_on() {
-                        let inner = pkt.payload();
-                        let data = TraceData::PacketInjected {
-                            src: pkt.src().0,
-                            dst: pkt.dst().0,
-                            bytes: inner.wire_len() as u32,
-                            seq: inner.link().map(|l| l.seq),
-                        };
-                        self.emit(node, t, ComponentId::nic(node.0), data);
-                    }
-                    if self.mesh.try_inject(t, pkt).is_err() {
-                        debug_assert!(false, "can_inject checked above");
-                        break;
-                    }
-                }
-                None => break,
-            }
-        }
-        self.schedule_node_wakeups(t, node).outgoing
-    }
-
-    fn pop_incoming(&mut self, t: SimTime, node: NodeId) {
-        loop {
-            let n = &mut self.nodes[node.0 as usize];
-            match n.nic.pop_incoming(t) {
-                Some(Ok(delivery)) => {
-                    let start = delivery.ready_at.max(t);
-                    let grant = n.eisa.dma_write(start, delivery.data.len() as u64);
-                    if self.trace.is_on() {
-                        let bytes = delivery.data.len() as u32;
-                        let c = ComponentId::nic(node.0);
-                        self.emit(node, grant.start, c, TraceData::DmaStart { node: node.0, bytes });
-                        self.emit(node, grant.end, c, TraceData::DmaEnd { node: node.0, bytes });
-                        let data = TraceData::PacketDelivered {
-                            src: delivery.src.0,
-                            dst: node.0,
-                            bytes,
-                        };
-                        self.emit(node, grant.end, c, data);
-                    }
-                    if self.config.telemetry.latency {
-                        self.telemetry.record(LatencyRecord {
-                            node,
-                            src: delivery.src,
-                            bytes: delivery.data.len() as u64,
-                            born: delivery.stamp.born,
-                            injected: delivery.stamp.injected,
-                            accepted: delivery.stamp.accepted,
-                            dma_start: grant.start,
-                            dma_end: grant.end,
-                        });
-                    }
-                    self.delivery_log.push(DeliveryRecord {
-                        time: grant.end,
-                        node,
-                        dst_addr: delivery.dst_addr,
-                        len: delivery.data.len() as u64,
-                        src: delivery.src,
-                    });
-                    self.push_event(
-                        grant.end,
-                        node.0,
-                        NodeEvent::DmaComplete {
-                            addr: delivery.dst_addr,
-                            data: delivery.data,
-                        },
-                    );
-                }
-                Some(Err(e)) => self.drop_log.push((t, node, e)),
-                None => break,
-            }
-        }
-        // Space freed: blocked ejections may now proceed.
-        self.deliver_ejections(t, node);
-        // Acks/nacks minted while accepting those ejections must go out
-        // now — the drain wakeup filter skips same-instant readiness.
-        // With retransmission off this is never taken.
-        if self.nodes[node.0 as usize].nic.has_pending_control() {
-            self.drain_outgoing(t, node);
-        }
     }
 
     /// Admits `data`, seen by `component` at `time`, into `node`'s ring
@@ -1038,10 +740,6 @@ impl Machine {
         }
     }
 
-    fn schedule_node_wakeups(&mut self, t: SimTime, node: NodeId) -> NicWork {
-        self.nodes[node.0 as usize].schedule_wakeups(t, &mut self.sched)
-    }
-
     // ─────────────────── host store path (poke / msglib) ─────────────────
 
     /// One host store word, which puts its node on the pump worklist.
@@ -1057,8 +755,7 @@ impl Machine {
     ) -> Result<(SimTime, bool), MachineError> {
         let pages_per_node = self.config.pages_per_node;
         let done = self.node_mut(node).store_word_through(t, pid, va, value, pages_per_node)?;
-        let nic_quiet = self.schedule_node_wakeups(t, node).quiet;
-        Ok((done, nic_quiet))
+        Ok((done, self.schedule_wakeups(t, node).quiet()))
     }
 
     // ───────────────────────── instrumentation ───────────────────────────
@@ -1181,17 +878,6 @@ impl Machine {
         reg.snapshot()
     }
 
-    /// Exports the trace log (every event, with `telemetry.trace` on)
-    /// as a Chrome trace-event JSON document loadable in Perfetto. With
-    /// profiling on, the engine's cumulative per-phase wall times ride
-    /// along as `engine.profile` counter-track samples.
-    pub fn export_chrome_trace(&self) -> String {
-        let ts_us = self.now().as_picos() as f64 / 1e6;
-        let counters = self
-            .profile()
-            .map_or_else(Vec::new, |report| report.counter_samples(ts_us));
-        to_chrome_json_with_counters(self.trace.events(), &counters)
-    }
 }
 
 /// How one `Machine::step` ended.
@@ -1605,7 +1291,7 @@ mod tests {
         assert!(m.trace().contains("page mapped"));
 
         // And the Chrome export of that trace validates.
-        let trace = m.export_chrome_trace();
+        let trace = shrimp_sim::to_chrome_json_with_counters(m.trace().events(), &[]);
         shrimp_sim::validate_chrome_json(&trace).expect("exported trace must validate");
     }
 
@@ -1650,27 +1336,6 @@ mod tests {
         // The metrics snapshot still works — counters live on the NIC
         // regardless of the telemetry switches.
         assert!(m.metrics_snapshot().counter("nic0.packets_sent").unwrap() > 0);
-    }
-
-    /// A host call puts only the node it touches on the pump worklist
-    /// (DESIGN.md §5j): after a poke on node 2 of a quiet 2x2 machine,
-    /// the next pump visits node 2 alone.
-    #[test]
-    fn a_poke_marks_only_its_node() {
-        let mut cfg = MachineConfig::prototype(MeshShape::new(2, 2));
-        cfg.telemetry.profile = true;
-        let mut m = Machine::new(cfg);
-        let pid = m.create_process(NodeId(2));
-        let va = m.alloc_pages(NodeId(2), pid, 1).unwrap();
-        m.run_until_idle().unwrap();
-        m.pump_network(m.now());
-        assert_eq!(m.active.words, [0], "a quiet pump clears every node");
-        m.poke(NodeId(2), pid, va, &[7; 8]).unwrap();
-        assert_eq!(m.active.words, [1 << 2], "the poke marks its node alone");
-        let visits = |m: &Machine| m.profile().expect("profiling on").pump_node_visits;
-        let before = visits(&m);
-        m.pump_network(m.now());
-        assert_eq!(visits(&m) - before, 1);
     }
 
     #[test]

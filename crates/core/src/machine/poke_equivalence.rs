@@ -166,10 +166,7 @@ fn observe(rig: &Rig) -> Vec<String> {
     ];
     for n in &m.nodes {
         out.push(format!("{:?}", n.nic));
-        out.push(format!(
-            "wakeups {:?} {:?} {:?}",
-            n.housekeep_wakeup, n.drain_wakeup, n.pop_wakeup
-        ));
+        out.push(format!("{:?}", n.wakeups));
         out.push(format!("{:?}", n.tlb));
         out.push(format!("{:?}", n.cache));
         out.push(format!("{:?}", n.xpress));
@@ -350,7 +347,7 @@ fn step_until(m: &mut Machine, done: impl Fn(&Machine) -> bool) {
         if done(m) {
             return;
         }
-        m.run_for(SimDuration::from_ns(10));
+        m.run_until(m.now() + SimDuration::from_ns(10));
     }
     panic!("the awaited state never came");
 }
@@ -443,7 +440,7 @@ fn bulk_step_refuses_what_the_word_loop_would_do_differently() {
         .poke(SND, queued.pid, page1, &[7; 4])
         .expect("open a merge");
     assert_refused("drain wakeup does not cover", queued, PAGE_RUN, |r| {
-        r.m.nodes[0].drain_wakeup = None;
+        r.m.nodes[0].wakeups.forget_drain();
     });
 
     // Deadlines besides the merge: a go-back-N timer...

@@ -6,10 +6,10 @@
 //! their own node and push follow-up events straight onto the machine's
 //! scheduler: [`Node::cpu_step`] runs a CPU batch and reports the trap
 //! the machine must service as a [`CpuExit`], [`Node::kernel_msg`]
-//! sends a §4.4 message's replies, [`Node::commit_dma`] lands an EISA
-//! burst, and [`Node::schedule_wakeups`] arms the deduplicated NIC
-//! wakeups. Mesh-coupled work (FIFO drain, ejection delivery, the
-//! network pump) stays on the machine, which owns the mesh.
+//! sends a §4.4 message's replies, and [`Node::commit_dma`] lands an
+//! EISA burst. The NIC wakeups and the mesh-coupled work (FIFO drain,
+//! ejection delivery, the network pump) live in the machine's fabric
+//! module, which owns the wake policy (DESIGN.md §5j).
 
 use std::collections::BTreeMap;
 
@@ -25,6 +25,7 @@ use shrimp_sim::{Scheduler, SimDuration, SimTime};
 
 use crate::config::MachineConfig;
 use crate::error::MachineError;
+use crate::machine::{NicWakeups, WakePlan};
 
 /// What one node does when its event fires.
 #[derive(Debug, Clone)]
@@ -83,23 +84,6 @@ pub(crate) enum CpuExit {
     },
 }
 
-/// The NIC work [`Node::schedule_wakeups`] found pending.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct NicWork {
-    /// No deadline, no outgoing packet (ready now or later) and no
-    /// incoming delivery.
-    pub(crate) quiet: bool,
-    /// When the head outgoing packet is ready for injection, if any
-    /// ([`NetworkInterface::outgoing_ready_at`]).
-    pub(crate) outgoing: Option<SimTime>,
-}
-
-/// Whether a pending wakeup at `w` covers work due at `at`, so a visit
-/// at `t` need push no new one: it has not fired yet and is no later.
-fn covered(w: Option<SimTime>, at: SimTime, t: SimTime) -> bool {
-    w.is_some_and(|w| t <= w && w <= at)
-}
-
 /// One node of the simulated multicomputer and its whole private
 /// datapath.
 #[derive(Debug)]
@@ -116,12 +100,8 @@ pub(crate) struct Node {
     pub(crate) cpus: BTreeMap<Pid, Cpu>,
     pub(crate) running: Option<Pid>,
     pub(crate) cpu_busy_until: SimTime,
-    /// Pending-wakeup dedup: earliest scheduled PopIncoming /
-    /// DrainOutgoing / NicHousekeep event, so the pump paths don't flood
-    /// the queue with redundant wakeups.
-    pub(crate) pop_wakeup: Option<SimTime>,
-    pub(crate) drain_wakeup: Option<SimTime>,
-    pub(crate) housekeep_wakeup: Option<SimTime>,
+    /// The NIC wakeup events pending on this node.
+    pub(crate) wakeups: NicWakeups,
     /// Workload sessions ever opened with this node as their source
     /// (closed-loop generator accounting; see `shrimp-workload`).
     pub(crate) sessions_opened: u64,
@@ -153,9 +133,7 @@ impl Node {
             cpus: BTreeMap::new(),
             running: None,
             cpu_busy_until: SimTime::ZERO,
-            pop_wakeup: None,
-            drain_wakeup: None,
-            housekeep_wakeup: None,
+            wakeups: NicWakeups::default(),
             sessions_opened: 0,
             sessions_closed: 0,
         }
@@ -353,58 +331,6 @@ impl Node {
         }
     }
 
-    // ────────────────────────── wakeup scheduling ─────────────────────────
-
-    /// Schedules deduplicated NIC wakeup events (housekeep / drain / pop)
-    /// for whatever the NIC currently has pending, and reports what it
-    /// read: whether the NIC is quiet, and when its head outgoing packet
-    /// is ready (the pump worklist's leave test, DESIGN.md §5j).
-    pub(crate) fn schedule_wakeups(&mut self, t: SimTime, queue: &mut Scheduler<Event>) -> NicWork {
-        let housekeep = self.nic.next_deadline().map(|d| d.max(t));
-        let outgoing = self.nic.outgoing_ready_at();
-        let pop = self.nic.incoming_ready_at().map(|r| r.max(t));
-        let quiet = housekeep.is_none() && outgoing.is_none() && pop.is_none();
-        let drain = outgoing.filter(|&r| r > t);
-        if let Some(at) = housekeep {
-            if !covered(self.housekeep_wakeup, at, t) {
-                self.housekeep_wakeup = Some(at);
-                self.push(queue, at, NodeEvent::NicHousekeep);
-            }
-        }
-        if let Some(at) = drain {
-            if !covered(self.drain_wakeup, at, t) {
-                self.drain_wakeup = Some(at);
-                self.push(queue, at, NodeEvent::DrainOutgoing);
-            }
-        }
-        if let Some(at) = pop {
-            self.due_pop_wakeup(t, at, queue);
-        }
-        NicWork { quiet, outgoing }
-    }
-
-    /// Schedules a deduplicated PopIncoming wakeup at `at`.
-    pub(crate) fn due_pop_wakeup(&mut self, t: SimTime, at: SimTime, queue: &mut Scheduler<Event>) {
-        if !covered(self.pop_wakeup, at, t) {
-            self.pop_wakeup = Some(at);
-            self.push(queue, at, NodeEvent::PopIncoming);
-        }
-    }
-
-    /// True when [`Node::schedule_wakeups`] at `t` would push nothing:
-    /// the NIC's deadline, its later-ready outgoing packet and its
-    /// incoming delivery are each covered by their pending wakeup.
-    #[cfg(debug_assertions)]
-    pub(crate) fn wakeups_covered(&self, t: SimTime) -> bool {
-        let housekeep = self.nic.next_deadline().map(|d| d.max(t));
-        let drain = self.nic.outgoing_ready_at().filter(|&r| r > t);
-        let pop = self.nic.incoming_ready_at().map(|r| r.max(t));
-        let due = |w, at: Option<SimTime>| at.is_none_or(|at| covered(w, at, t));
-        due(self.housekeep_wakeup, housekeep)
-            && due(self.drain_wakeup, drain)
-            && due(self.pop_wakeup, pop)
-    }
-
     // ──────────────────────── host-facing datapath ────────────────────────
 
     /// Pulls the next mesh-ready packet off the Outgoing FIFO (the
@@ -480,7 +406,7 @@ impl Node {
             let (start, step) = (t.max(self.xpress.free_at()), self.xpress.word_time());
             let outgoing = self.nic.outgoing_ready_at();
             if self.nic.incoming_ready_at().is_some()
-                || outgoing.is_some_and(|r| r > t && self.drain_wakeup != Some(r))
+                || outgoing.is_some_and(|r| r > t && !self.wakeups.drains_at(r))
                 || !self.nic.merge_run(phys, data, start + step, step)
             {
                 return None;
@@ -500,54 +426,15 @@ impl Node {
             .write_bytes(phys, data)
             .expect("a data frame lies inside installed DRAM");
         match merge {
-            Some((start, step)) => self.replay_merge_housekeeps(t, start, step, words, queue),
-            None => debug_assert!(self.nic_quiet(), "a bulk store must leave the NIC quiet"),
+            Some((start, step)) => {
+                self.wakeups.replay_merge_housekeeps(&self.nic, t, start, step, words, queue);
+            }
+            None => debug_assert!(
+                WakePlan::of(&self.nic, end).quiet(),
+                "a bulk store must leave the NIC quiet"
+            ),
         }
         Some(end)
-    }
-
-    /// Pushes the `NicHousekeep` events that [`Node::schedule_wakeups`]
-    /// would push after each of `n` merged words (DESIGN.md §5k). Word
-    /// `k` is scheduled at its request time, `t` for the first and the
-    /// previous word's bus end after that, and finds the merge deadline
-    /// at its own bus end, `start + (k + 1) * step`, plus the window.
-    /// Each visited word applies the `covered` rule; the words skipped
-    /// between them are requested no later than the pending wakeup,
-    /// which is no later than their deadline, so they are covered.
-    fn replay_merge_housekeeps(
-        &mut self,
-        t: SimTime,
-        start: SimTime,
-        step: SimDuration,
-        n: u64,
-        queue: &mut Scheduler<Event>,
-    ) {
-        let window = self.nic.config().merge_window;
-        let request = |k: u64| if k == 0 { t } else { start + step * k };
-        let mut k = 0;
-        while k < n {
-            let at = start + step * (k + 1) + window;
-            if !covered(self.housekeep_wakeup, at, request(k)) {
-                self.housekeep_wakeup = Some(at);
-                self.push(queue, at, NodeEvent::NicHousekeep);
-            }
-            // The next word requested after the pending wakeup.
-            let w = self.housekeep_wakeup.expect("set or covered above");
-            k = (k + 1).max(w.saturating_since(start).as_picos() / step.as_picos() + 1);
-        }
-        #[cfg(debug_assertions)]
-        assert!(
-            self.wakeups_covered(request(n - 1)),
-            "a merged run must leave the wakeups as the word loop does"
-        );
-    }
-
-    /// True when the NIC has no pending work: no deadline, no outgoing
-    /// packet and no incoming delivery.
-    pub(crate) fn nic_quiet(&self) -> bool {
-        self.nic.next_deadline().is_none()
-            && self.nic.outgoing_ready_at().is_none()
-            && self.nic.incoming_ready_at().is_none()
     }
 }
 

@@ -255,14 +255,6 @@ impl CacheModel {
         }
     }
 
-    /// Drops all lines (discarding dirty data; used only in tests and
-    /// resets).
-    pub fn flush_all(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-    }
-
     /// Accesses that hit.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -414,14 +406,6 @@ mod tests {
         c.load(d); // evicts b
         assert!(c.load(a).hit);
         assert!(!c.load(b).hit);
-    }
-
-    #[test]
-    fn flush_all_empties() {
-        let mut c = small();
-        c.load(PhysAddr::new(0));
-        c.flush_all();
-        assert!(!c.load(PhysAddr::new(0)).hit);
     }
 
     #[test]

@@ -34,13 +34,6 @@ pub enum MemError {
         /// True for a write access, false for a read.
         write: bool,
     },
-    /// An access straddled a page boundary where that is not allowed.
-    PageBoundaryCrossed {
-        /// The offending virtual address.
-        addr: VirtAddr,
-        /// Access length in bytes.
-        len: u64,
-    },
 }
 
 impl fmt::Display for MemError {
@@ -56,9 +49,6 @@ impl fmt::Display for MemError {
             MemError::ProtectionViolation { addr, write } => {
                 let kind = if *write { "write" } else { "read" };
                 write!(f, "{kind} protection violation at {addr}")
-            }
-            MemError::PageBoundaryCrossed { addr, len } => {
-                write!(f, "access of {len} bytes at {addr} crosses a page boundary")
             }
         }
     }

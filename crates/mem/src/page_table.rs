@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::addr::{PageNum, PhysAddr, VirtAddr, VirtPageNum, PAGE_SIZE};
+use crate::addr::{PageNum, PhysAddr, VirtAddr, VirtPageNum};
 use crate::error::MemError;
 
 /// Access rights of a mapped page.
@@ -166,29 +166,6 @@ impl PageTable {
         Ok(t)
     }
 
-    /// Translates an access of `len` bytes that must not cross a page
-    /// boundary (the NIC's transfer granularity, paper §4.3).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::PageBoundaryCrossed`] if `[addr, addr+len)`
-    /// spans two pages, plus the errors of [`PageTable::translate_read`].
-    pub fn translate_within_page(
-        &self,
-        addr: VirtAddr,
-        len: u64,
-        write: bool,
-    ) -> Result<Translation, MemError> {
-        if len > 0 && addr.offset() + len > PAGE_SIZE {
-            return Err(MemError::PageBoundaryCrossed { addr, len });
-        }
-        if write {
-            self.translate_write(addr)
-        } else {
-            self.translate_read(addr)
-        }
-    }
-
     /// Iterates over all entries in virtual-page order.
     pub fn iter(&self) -> impl Iterator<Item = (VirtPageNum, PageNum, PageFlags)> + '_ {
         self.entries.iter().map(|(&v, &(f, fl))| (v, f, fl))
@@ -217,6 +194,7 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PAGE_SIZE;
 
     fn rw() -> PageFlags {
         PageFlags::default()
@@ -289,23 +267,6 @@ mod tests {
         assert_eq!(pt.unmap(VirtPageNum::new(0)), Some(PageNum::new(2)));
         assert_eq!(pt.unmap(VirtPageNum::new(0)), None);
         assert!(pt.is_empty());
-    }
-
-    #[test]
-    fn page_boundary_check() {
-        let mut pt = PageTable::new();
-        pt.map(VirtPageNum::new(0), PageNum::new(0), rw());
-        assert!(pt
-            .translate_within_page(VirtAddr::new(PAGE_SIZE - 4), 4, false)
-            .is_ok());
-        assert!(matches!(
-            pt.translate_within_page(VirtAddr::new(PAGE_SIZE - 4), 8, false),
-            Err(MemError::PageBoundaryCrossed { .. })
-        ));
-        // Zero-length accesses never straddle.
-        assert!(pt
-            .translate_within_page(VirtAddr::new(PAGE_SIZE - 1), 0, false)
-            .is_ok());
     }
 
     #[test]

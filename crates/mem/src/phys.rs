@@ -1,6 +1,6 @@
 //! Per-node physical memory (DRAM).
 
-use crate::addr::{PhysAddr, PageNum, PAGE_SIZE, WORD_SIZE};
+use crate::addr::{PhysAddr, PAGE_SIZE, WORD_SIZE};
 use crate::error::MemError;
 
 /// The DRAM of one node, addressed physically from zero.
@@ -38,11 +38,6 @@ impl PhysicalMemory {
     /// Number of installed pages.
     pub fn num_pages(&self) -> u64 {
         self.size() / PAGE_SIZE
-    }
-
-    /// True if `page` is an installed page.
-    pub fn contains_page(&self, page: PageNum) -> bool {
-        page.raw() < self.num_pages()
     }
 
     fn check(&self, addr: PhysAddr, len: u64) -> Result<usize, MemError> {
@@ -137,21 +132,12 @@ impl PhysicalMemory {
         self.data[i..i + len as usize].fill(value);
         Ok(())
     }
-
-    /// A read-only view of one whole page.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfRange`] if the page is not installed.
-    pub fn page_slice(&self, page: PageNum) -> Result<&[u8], MemError> {
-        let i = self.check(page.base(), PAGE_SIZE)?;
-        Ok(&self.data[i..i + PAGE_SIZE as usize])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PageNum;
 
     #[test]
     fn word_roundtrip_little_endian() {
@@ -208,12 +194,12 @@ mod tests {
     }
 
     #[test]
-    fn fill_and_page_slice() {
+    fn fill_covers_a_page() {
         let mut m = PhysicalMemory::new(2);
         m.fill(PageNum::new(1).base(), PAGE_SIZE, 0xab).unwrap();
-        let page = m.page_slice(PageNum::new(1)).unwrap();
+        let page = m.read_bytes(PageNum::new(1).base(), PAGE_SIZE).unwrap();
         assert!(page.iter().all(|&b| b == 0xab));
-        assert!(m.page_slice(PageNum::new(2)).is_err());
+        assert!(m.fill(PageNum::new(2).base(), PAGE_SIZE, 0).is_err());
     }
 
     #[test]
@@ -221,8 +207,6 @@ mod tests {
         let m = PhysicalMemory::new(8);
         assert_eq!(m.size(), 8 * PAGE_SIZE);
         assert_eq!(m.num_pages(), 8);
-        assert!(m.contains_page(PageNum::new(7)));
-        assert!(!m.contains_page(PageNum::new(8)));
     }
 
     #[test]

@@ -36,18 +36,6 @@ impl MeshConfig {
         }
     }
 
-    /// A deliberately slow, tiny-buffered mesh for stress-testing flow
-    /// control in unit tests.
-    pub fn constrained(shape: MeshShape) -> Self {
-        MeshConfig {
-            shape,
-            link_bytes_per_sec: 1_000_000,
-            hop_latency: SimDuration::from_ns(500),
-            input_buffer_packets: 1,
-            ejection_buffer_packets: 1,
-        }
-    }
-
     /// Validates parameter sanity.
     ///
     /// # Panics

@@ -942,9 +942,21 @@ mod tests {
         }
     }
 
+    /// A deliberately slow, tiny-buffered 2x1 mesh for stress-testing
+    /// flow control.
+    fn constrained() -> MeshConfig {
+        MeshConfig {
+            shape: MeshShape::new(2, 1),
+            link_bytes_per_sec: 1_000_000,
+            hop_latency: SimDuration::from_ns(500),
+            input_buffer_packets: 1,
+            ejection_buffer_packets: 1,
+        }
+    }
+
     #[test]
     fn injection_backpressure_when_buffer_full() {
-        let mut n = MeshNetwork::new(MeshConfig::constrained(MeshShape::new(2, 1)));
+        let mut n = MeshNetwork::new(constrained());
         // Capacity 1: the first packet sits in the injection buffer until
         // forwarded; a second immediate injection must be refused.
         assert!(n.try_inject(SimTime::ZERO, pkt(0, 1, 900)).is_ok());
@@ -954,7 +966,7 @@ mod tests {
 
     #[test]
     fn blocked_receiver_backpressures_to_sender() {
-        let mut n = MeshNetwork::new(MeshConfig::constrained(MeshShape::new(2, 1)));
+        let mut n = MeshNetwork::new(constrained());
         let mut accepted = 0;
         let mut now = SimTime::ZERO;
         // Never eject at node 1. Buffers: inject(1) + input(1) + eject(1).

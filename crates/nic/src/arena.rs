@@ -90,11 +90,6 @@ pub fn take(len: usize) -> PoolBuf {
     PoolBuf { data }
 }
 
-/// Number of buffers currently at rest in the pool (diagnostics only).
-pub fn pooled_buffers() -> usize {
-    POOL.lock().expect("payload pool poisoned").len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,6 +108,10 @@ mod tests {
         assert_eq!(b2.len(), 16);
         assert!(b2.iter().all(|&x| x == 0));
         assert!(cap >= 64);
+    }
+
+    fn pooled_buffers() -> usize {
+        POOL.lock().expect("payload pool poisoned").len()
     }
 
     #[test]

@@ -226,11 +226,6 @@ impl NetworkInterface {
 
     // ───────────────────────── command space ─────────────────────────────
 
-    /// True if `addr` is one of this NIC's command addresses.
-    pub fn is_command_addr(&self, addr: PhysAddr) -> bool {
-        self.cmd_space.contains(addr)
-    }
-
     /// A read cycle on a command address: the DMA status word (§4.3).
     ///
     /// # Panics
@@ -575,7 +570,7 @@ mod tests {
         map_out(&mut n, 6, 1, 12, UpdatePolicy::Deliberate);
         let data_addr = PageNum::new(6).base();
         let cmd_addr = n.command_space().command_addr_for(data_addr);
-        assert!(n.is_command_addr(cmd_addr));
+        assert!(n.command_space().contains(cmd_addr));
         // Read phase: engine free → 0.
         assert_eq!(n.command_read(t(0), cmd_addr), 0);
         // Write phase: start 256 words.

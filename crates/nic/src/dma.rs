@@ -12,7 +12,7 @@
 //!   address — a single read therefore doubles as a completion poll and
 //!   as input to a backoff strategy.
 
-use shrimp_mem::{PhysAddr, WORD_SIZE};
+use shrimp_mem::PhysAddr;
 use shrimp_sim::SimTime;
 
 /// Status word returned by a command-page read, in the paper's encoding:
@@ -154,14 +154,6 @@ impl DmaEngine {
         matches!(self.state, State::Idle)
     }
 
-    /// Bytes the current transfer covers, if one is in progress.
-    pub fn current_bytes(&self) -> Option<u64> {
-        match self.state {
-            State::Busy { words, .. } => Some(words as u64 * WORD_SIZE),
-            State::Idle => None,
-        }
-    }
-
     /// Transfers started so far.
     pub fn transfers(&self) -> u64 {
         self.transfers
@@ -202,7 +194,6 @@ mod tests {
         assert_eq!(dma.status(t(0), PhysAddr::new(0)), DmaStatus::FREE);
         assert!(dma.start(t(0), PhysAddr::new(0x1000), 1024, t(10)));
         assert_eq!(dma.transfers(), 1);
-        assert_eq!(dma.current_bytes(), Some(4096));
     }
 
     #[test]

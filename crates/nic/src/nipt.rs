@@ -251,15 +251,6 @@ impl Nipt {
         None
     }
 
-    /// Removes all outgoing segments on `page`, returning how many were
-    /// removed.
-    pub fn clear_out_segments(&mut self, page: PageNum) -> usize {
-        match self.entries.get_mut(page.raw() as usize) {
-            Some(entry) => entry.segments.iter_mut().filter_map(Option::take).count(),
-            None => 0,
-        }
-    }
-
     /// The outgoing segment covering physical address `addr`, if any.
     /// This is the lookup the snooping datapath performs on every bus
     /// write.
@@ -313,24 +304,6 @@ impl Nipt {
             Some(e) => std::mem::take(&mut e.interrupt_on_arrival),
             None => false,
         }
-    }
-
-    /// Iterates pages with at least one outgoing segment.
-    pub fn mapped_out_pages(&self) -> impl Iterator<Item = PageNum> + '_ {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.is_mapped_out())
-            .map(|(i, _)| PageNum::new(i as u64))
-    }
-
-    /// Iterates pages that are mapped in.
-    pub fn mapped_in_pages(&self) -> impl Iterator<Item = PageNum> + '_ {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.mapped_in)
-            .map(|(i, _)| PageNum::new(i as u64))
     }
 }
 
@@ -487,19 +460,8 @@ mod tests {
         nipt.set_out_segment(p, seg(200, 300, 200)).unwrap();
         let removed = nipt.clear_out_segment(p, 250).unwrap();
         assert_eq!(removed.src_start, 200);
-        assert_eq!(nipt.clear_out_segments(p), 1);
+        assert!(nipt.entry(p).unwrap().is_mapped_out());
+        assert_eq!(nipt.clear_out_segment(p, 50).unwrap().src_start, 0);
         assert!(!nipt.entry(p).unwrap().is_mapped_out());
-    }
-
-    #[test]
-    fn mapped_page_iterators() {
-        let mut nipt = Nipt::new(6);
-        nipt.set_out_segment(PageNum::new(1), seg(0, 10, 0)).unwrap();
-        nipt.set_out_segment(PageNum::new(4), seg(0, 10, 0)).unwrap();
-        nipt.set_mapped_in(PageNum::new(5), true).unwrap();
-        let out: Vec<_> = nipt.mapped_out_pages().collect();
-        assert_eq!(out, vec![PageNum::new(1), PageNum::new(4)]);
-        let inn: Vec<_> = nipt.mapped_in_pages().collect();
-        assert_eq!(inn, vec![PageNum::new(5)]);
     }
 }

@@ -120,11 +120,6 @@ impl Kernel {
         self.node
     }
 
-    /// Frames not currently allocated.
-    pub fn free_frame_count(&self) -> usize {
-        self.free_frames.len()
-    }
-
     // ─────────────────────────── processes ──────────────────────────────
 
     /// Creates an empty process.
@@ -567,7 +562,7 @@ mod tests {
         let pid = k.create_process();
         let base = k.alloc_pages(pid, 4).unwrap();
         assert!(k.process(pid).unwrap().range_mapped(base, 4));
-        assert_eq!(k.free_frame_count(), 28);
+        assert_eq!(k.free_frames.len(), 28);
         // Frames ascend.
         let f0 = k.frame_of(pid, base).unwrap();
         let f1 = k.frame_of(pid, VirtPageNum::new(base.raw() + 1)).unwrap();
@@ -687,9 +682,9 @@ mod tests {
         // Receiver collects the ack and completes.
         recv.handle_msg(replies[0]);
         assert!(recv.pageout_complete(frame));
-        let free_before = recv.free_frame_count();
+        let free_before = recv.free_frames.len();
         recv.complete_pageout(frame).unwrap();
-        assert_eq!(recv.free_frame_count(), free_before + 1);
+        assert_eq!(recv.free_frames.len(), free_before + 1);
         assert!(recv
             .process(rpid)
             .unwrap()

@@ -114,15 +114,9 @@ pub struct CounterSample {
 }
 
 /// Serializes `events` (any order; sorted internally) into a Chrome
-/// trace-event JSON document.
-pub fn to_chrome_json(events: &[TraceEvent]) -> String {
-    to_chrome_json_with_counters(events, &[])
-}
-
-/// Like [`to_chrome_json`], additionally interleaving `counters` as
-/// `ph:"C"` samples on the machine process's engine-profile track. The
-/// sort and B/E-matching guarantees are unchanged; counter samples do
-/// not participate in span matching.
+/// trace-event JSON document, interleaving `counters` as `ph:"C"`
+/// samples on the machine process's engine-profile track. Counter
+/// samples do not participate in span matching.
 pub fn to_chrome_json_with_counters(events: &[TraceEvent], counters: &[CounterSample]) -> String {
     let mut entries: Vec<Entry> = events.iter().map(classify).collect();
     entries.extend(counters.iter().map(|c| Entry {
@@ -310,7 +304,7 @@ mod tests {
                 TraceData::DmaStart { node: 1, bytes: 64 },
             ),
         ];
-        let text = to_chrome_json(&events);
+        let text = to_chrome_json_with_counters(&events, &[]);
         let n = validate_chrome_json(&text).expect("exporter output must validate");
         assert_eq!(n, 3);
     }
@@ -357,7 +351,7 @@ mod tests {
                 },
             ),
         ];
-        let text = to_chrome_json(&events);
+        let text = to_chrome_json_with_counters(&events, &[]);
         let n = validate_chrome_json(&text).expect("must validate after dropping strays");
         assert_eq!(n, 2, "only the matched raise/clear pair survives");
     }
@@ -391,8 +385,6 @@ mod tests {
         assert_eq!(n, 3, "instant event plus two counter samples");
         assert!(text.contains("\"ph\":\"C\""));
         assert!(text.contains("engine.profile"));
-        // Empty counter slice degrades to the plain exporter.
-        assert_eq!(to_chrome_json(&events), to_chrome_json_with_counters(&events, &[]));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use chrome::{to_chrome_json, to_chrome_json_with_counters, validate_chrome_json, CounterSample};
+pub use chrome::{to_chrome_json_with_counters, validate_chrome_json, CounterSample};
 pub use event::EventQueue;
 pub use fault::{
     FaultConfig, LinkChurnConfig, LinkFault, LinkFaultConfig, LinkFaultSite, NicFaultConfig,

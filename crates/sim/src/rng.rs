@@ -179,7 +179,7 @@ impl SimRng {
 
     /// Creates a generator on a named ChaCha stream of `seed`.
     ///
-    /// Unlike [`SimRng::fork`], this does not advance any parent state:
+    /// It depends on no other generator's state:
     /// `stream_from(s, k)` always yields the same sequence for a given
     /// `(s, k)` no matter how many other streams exist or in what order
     /// they are created. Fault-injection sites rely on this so that
@@ -189,14 +189,6 @@ impl SimRng {
         let mut inner = ChaCha12::from_seed(seed);
         inner.stream = stream;
         SimRng { inner }
-    }
-
-    /// Derives an independent child generator (e.g. one per node) that is
-    /// still fully determined by the parent seed.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        let mut child = ChaCha12::from_seed(self.inner.next_u64() ^ stream);
-        child.stream = stream;
-        SimRng { inner: child }
     }
 
     /// Samples uniformly from a range.
@@ -264,14 +256,6 @@ impl SimRng {
         assert!(!items.is_empty(), "cannot choose from an empty slice");
         &items[self.gen_range(0..items.len())]
     }
-
-    /// Fisher-Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.gen_range(0..=i);
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -291,20 +275,6 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = SimRng::seed_from(1);
         let mut b = SimRng::seed_from(2);
-        assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn forks_are_deterministic_and_distinct() {
-        let mut parent1 = SimRng::seed_from(9);
-        let mut parent2 = SimRng::seed_from(9);
-        let mut c1 = parent1.fork(1);
-        let mut c2 = parent2.fork(1);
-        assert_eq!(c1.next_u64(), c2.next_u64());
-
-        let mut parent = SimRng::seed_from(9);
-        let mut a = parent.fork(1);
-        let mut b = parent.fork(2);
         assert_ne!(a.next_u64(), b.next_u64());
     }
 
@@ -340,16 +310,6 @@ mod tests {
         let mut buf = [0u8; 13];
         r.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SimRng::seed_from(5);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

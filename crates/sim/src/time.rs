@@ -117,13 +117,6 @@ impl SimDuration {
         SimDuration(ms * 1_000_000_000)
     }
 
-    /// Creates a duration from a (possibly fractional) nanosecond count,
-    /// rounding to the nearest picosecond.
-    pub fn from_nanos_f64(ns: f64) -> Self {
-        assert!(ns >= 0.0, "duration must be non-negative");
-        SimDuration((ns * 1_000.0).round() as u64)
-    }
-
     /// The time one item of `bytes` takes to move through a channel of
     /// `bytes_per_sec` bandwidth, rounded up to a whole picosecond.
     ///
@@ -268,7 +261,6 @@ mod tests {
         assert_eq!(SimDuration::from_ns(1).as_picos(), 1_000);
         assert_eq!(SimDuration::from_us(1).as_picos(), 1_000_000);
         assert_eq!(SimDuration::from_ms(1).as_picos(), 1_000_000_000);
-        assert_eq!(SimDuration::from_nanos_f64(1.5).as_picos(), 1_500);
     }
 
     #[test]

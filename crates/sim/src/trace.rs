@@ -305,10 +305,12 @@ pub struct FlightEntry {
     pub event: TraceEvent,
 }
 
+/// One node's ring: `(seq, event)` slots, pushed until the ring is
+/// full and then overwritten oldest first. The node is the ring's index.
 #[derive(Debug, Clone)]
 struct Ring {
-    buf: Vec<Option<FlightEntry>>,
-    /// Next write slot; wraps modulo capacity.
+    buf: Vec<(u64, TraceEvent)>,
+    /// The slot the next event takes.
     next: usize,
 }
 
@@ -354,7 +356,7 @@ impl Tracer {
     pub fn new(nodes: usize, capacity: usize, log: bool) -> Self {
         let rings = (0..nodes)
             .map(|_| Ring {
-                buf: vec![None; capacity],
+                buf: Vec::with_capacity(capacity),
                 next: 0,
             })
             .collect();
@@ -387,9 +389,15 @@ impl Tracer {
         self.seq += 1;
         if self.capacity > 0 {
             let ring = &mut self.rings[node];
-            let slot = ring.next;
-            ring.buf[slot] = Some(FlightEntry { seq, node, event });
-            ring.next = (slot + 1) % self.capacity;
+            if ring.buf.len() < self.capacity {
+                ring.buf.push((seq, event));
+            } else {
+                ring.buf[ring.next] = (seq, event);
+            }
+            ring.next += 1;
+            if ring.next == self.capacity {
+                ring.next = 0;
+            }
         }
         if let Some(log) = &mut self.log {
             log.push(event);
@@ -429,9 +437,11 @@ impl Tracer {
         let mut out: Vec<FlightEntry> = self
             .rings
             .iter()
-            .flat_map(|r| r.buf.iter().flatten())
+            .enumerate()
+            .flat_map(|(node, r)| {
+                r.buf.iter().map(move |&(seq, event)| FlightEntry { seq, node, event })
+            })
             .filter(|e| keep(&e.event))
-            .cloned()
             .collect();
         out.sort_by_key(|e| (e.event.time, e.seq));
         out
@@ -540,12 +550,6 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Observation defaults: trace log, latency and profiling off, a
-    /// small ring on (it is perturbation-free by design).
-    pub fn off() -> Self {
-        TelemetryConfig::default()
-    }
-
     /// Everything on.
     pub fn full() -> Self {
         TelemetryConfig {
@@ -718,17 +722,15 @@ mod tests {
     }
 
     /// Every ring slot is preallocated, so a slot must not grow: 1024
-    /// nodes of 64 slots stay within 1024 × 64 × 88 B.
+    /// nodes of 64 slots stay within 1024 × 64 × 72 B.
     #[test]
     fn ring_slots_stay_small() {
-        assert!(std::mem::size_of::<TraceEvent>() <= 72);
-        assert!(std::mem::size_of::<Option<FlightEntry>>() <= 88);
+        assert!(std::mem::size_of::<(u64, TraceEvent)>() <= 72);
     }
 
     #[test]
     fn telemetry_config_defaults_off() {
         let c = TelemetryConfig::default();
-        assert_eq!(c, TelemetryConfig::off());
         assert!(!c.trace && !c.latency && !c.profile);
         assert!(c.flight_recorder > 0, "the ring rides along by default");
         let f = TelemetryConfig::full();

@@ -45,6 +45,11 @@ const MAX_NODES: u16 = 1024;
 /// The most physical pages a scenario may ask for over all nodes
 /// (4 GiB).
 const MAX_TOTAL_PAGES: u64 = 1 << 20;
+/// The most link transitions (fails plus repairs over every directed
+/// link) a `link` line may ask for. A transition costs ~0.12 µs of host
+/// time, so this is about two seconds; `sessions_faulty` asks for
+/// 38,400.
+const MAX_CHURN_TRANSITIONS: u64 = 1 << 24;
 
 /// A parse or validation failure, with the offending line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -460,6 +465,15 @@ impl Scenario {
             if c.repair.lo > c.repair.hi {
                 return e("link repair range is inverted".into());
             }
+            // Each directed link fails and is repaired `times` times.
+            let (w, h) = (u64::from(self.mesh.0), u64::from(self.mesh.1));
+            let directed = 2 * ((w - 1) * h + w * (h - 1));
+            if 2 * directed * u64::from(c.times) > MAX_CHURN_TRANSITIONS {
+                return e(format!(
+                    "link times={} asks for over {MAX_CHURN_TRANSITIONS} link transitions",
+                    c.times
+                ));
+            }
         }
         for (i, s) in self.specs.iter().enumerate() {
             let at = |m: String| -> Result<(), DslError> { err(0, format!("session {i}: {m}")) };
@@ -805,6 +819,15 @@ mod tests {
         for line in extra {
             assert_eq!(line_of(&format!("{}{line}\n", minimal())), rpc + 1, "{line}");
         }
+        // Churn work is bounded: a fail and a repair per directed link
+        // and time, at most 2^24 transitions. A 2x1 mesh has 2 directed
+        // links, a 32x32 mesh 3,968.
+        let churn = |text: &str, times: u64| {
+            Scenario::parse(&format!("{text}link fail=1ps..1ps repair=1ps..1ps times={times}\n"))
+        };
+        assert!(churn(&minimal(), 1 << 22).is_ok());
+        assert_eq!(churn(&minimal(), (1 << 22) + 1).expect_err("over the bound").line, 0);
+        assert!(churn(&big, 4_294_967_295).is_err());
     }
 
     #[test]

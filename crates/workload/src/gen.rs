@@ -34,7 +34,7 @@ use shrimp_sim::{
     SimTime,
 };
 
-use crate::dsl::{DurRange, NodeSel, Scenario, SessionKind};
+use crate::dsl::{DslError, DurRange, NodeSel, Scenario, SessionKind};
 use crate::report::{delivery_hash, Report};
 
 /// Per-wait simulated-time horizon: a scenario whose next delivery is
@@ -48,6 +48,8 @@ const SESSION_STREAM_BASE: u64 = 0x5e55_1000;
 /// A workload run failure.
 #[derive(Debug)]
 pub enum WorkloadError {
+    /// The scenario breaks a bound of [`Scenario::validate`]; nothing ran.
+    Invalid(DslError),
     /// The machine rejected an operation.
     Machine(MachineError),
     /// The machine idled (or passed the wait horizon) with sessions
@@ -73,6 +75,7 @@ impl From<MachineError> for WorkloadError {
 impl std::fmt::Display for WorkloadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            WorkloadError::Invalid(e) => write!(f, "invalid scenario: {e}"),
             WorkloadError::Machine(e) => write!(f, "machine error: {e}"),
             WorkloadError::Stalled { at_ps, open_sessions, completed, deliveries } => {
                 write!(
@@ -91,7 +94,7 @@ impl std::error::Error for WorkloadError {}
 ///
 /// # Errors
 ///
-/// Propagates machine errors and stalls.
+/// Rejects an invalid scenario; propagates machine errors and stalls.
 pub fn run_scenario(sc: &Scenario) -> Result<Report, WorkloadError> {
     run_scenario_observed(sc).map(|(r, _)| r)
 }
@@ -101,7 +104,7 @@ pub fn run_scenario(sc: &Scenario) -> Result<Report, WorkloadError> {
 ///
 /// # Errors
 ///
-/// Propagates machine errors and stalls.
+/// Rejects an invalid scenario; propagates machine errors and stalls.
 pub fn run_scenario_observed(sc: &Scenario) -> Result<(Report, Machine), WorkloadError> {
     run_scenario_tuned(sc, None, |_| {})
 }
@@ -120,12 +123,15 @@ pub fn run_scenario_observed(sc: &Scenario) -> Result<(Report, Machine), Workloa
 ///
 /// # Errors
 ///
-/// Propagates machine errors and stalls.
+/// Returns [`WorkloadError::Invalid`], before any machine is built, when
+/// the scenario fails [`Scenario::validate`] (one built in code skips the
+/// parser's checks); propagates machine errors and stalls.
 pub fn run_scenario_tuned(
     sc: &Scenario,
     _unused: Option<usize>,
     tune: impl FnOnce(&mut MachineConfig),
 ) -> Result<(Report, Machine), WorkloadError> {
+    sc.validate().map_err(WorkloadError::Invalid)?;
     let mut cfg = MachineConfig::prototype(MeshShape::new(sc.mesh.0, sc.mesh.1));
     cfg.pages_per_node = sc.pages;
     cfg.nic_backend = sc.nic;
@@ -849,5 +855,28 @@ impl<'a> Generator<'a> {
             delivery_hash(self.m.deliveries()),
         );
         (report, self.m)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `Scenario` built in code skips the parser, so the run checks
+    /// it: a mesh whose node count overflows `u16`, and more pages than
+    /// any machine can hold, return `Err` instead of panicking while the
+    /// machine is built.
+    #[test]
+    fn scenarios_built_in_code_are_validated() {
+        let text = "scenario x\nmesh 2x1\nseed 1\npages 64\nusers 1\n\
+                    session stream count=1 src=0 dst=1 pages=1 gap=0ns..0ns\n";
+        let valid = Scenario::parse(text).expect("valid scenario");
+        let huge_mesh = Scenario { mesh: (300, 300), ..valid.clone() };
+        let huge_pages = Scenario { pages: u64::MAX, ..valid.clone() };
+        for sc in [huge_mesh, huge_pages] {
+            let got = run_scenario(&sc);
+            assert!(matches!(got, Err(WorkloadError::Invalid(_))), "{got:?}");
+        }
+        assert!(run_scenario(&valid).is_ok());
     }
 }

@@ -180,12 +180,12 @@ fn entering_a_run_marks_no_node() {
     let mut whole = run_ring(4, 2, tune);
     let done = visits(&whole);
     whole.run_until_idle().expect("idle");
-    whole.run_for(SimDuration::from_us(5));
+    whole.run_until(whole.now() + SimDuration::from_us(5));
     assert_eq!(visits(&whole), done, "a run with no host call visits nothing");
 
     let mut sliced = start_ring(4, 2, tune);
     while sliced.now() < whole.now() {
-        sliced.run_for(SimDuration::from_us(1));
+        sliced.run_until(sliced.now() + SimDuration::from_us(1));
     }
     sliced.run_until_idle().expect("idle");
     assert_eq!(delivery_hash(sliced.deliveries()), delivery_hash(whole.deliveries()));

@@ -17,7 +17,7 @@ fn load(name: &str) -> Scenario {
     Scenario::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"))
 }
 
-/// Runs `name` and checks the pinned values.
+/// Runs `name` and checks the pinned values and the packet ledger.
 fn check_golden(name: &str, hash: u64, events: u64, deliveries: u64) {
     let sc = load(name);
     let r = run_scenario(&sc).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -25,6 +25,48 @@ fn check_golden(name: &str, hash: u64, events: u64, deliveries: u64) {
     assert_eq!(r.delivery_hash, hash, "{name}: pinned delivery hash (got 0x{:016x})", r.delivery_hash);
     assert_eq!(r.events_processed, events, "{name}: pinned event count");
     assert_eq!(r.deliveries, deliveries, "{name}: pinned delivery count");
+    check_ledger(name, &r.metrics);
+}
+
+/// The packet ledger of a finished run, over its metrics snapshot with
+/// the NIC counters summed over nodes: the mesh took in only what the
+/// NICs sent, retransmitted or minted as link control; each packet it
+/// handed out was received, dropped at the NIC or consumed by
+/// go-back-N; it dropped the rest; and the machine's drop and delivery
+/// logs agree with the NICs.
+fn check_ledger(name: &str, m: &MetricsSnapshot) {
+    let nic = |field: &str| -> u64 {
+        m.entries()
+            .filter_map(|(metric, value)| {
+                let (node, f) = metric.strip_prefix("nic")?.split_once('.')?;
+                match value {
+                    MetricValue::Counter(n) if f == field && node.parse::<u32>().is_ok() => Some(*n),
+                    _ => None,
+                }
+            })
+            .sum()
+    };
+    let count = |metric: &str| m.counter(metric).unwrap_or_else(|| panic!("{name}: no {metric}"));
+    let (injected, ejected) = (count("mesh.packets_injected"), count("mesh.packets_ejected"));
+    let (received, unmapped) = (nic("packets_received"), nic("unmapped_drops"));
+    let nic_drops = nic("crc_drops") + nic("misroutes") + nic("fifo.in.rejections");
+    let sent = nic("packets_sent")
+        + nic("retx.retransmissions")
+        + nic("retx.acks_sent")
+        + nic("retx.nacks_sent");
+    assert_eq!(injected, sent, "{name}: the mesh took in what the NICs sent");
+    let taken = received
+        + nic_drops
+        + nic("retx.dup_drops")
+        + nic("retx.gap_drops")
+        + nic("retx.acks_received")
+        + nic("retx.nacks_received")
+        + nic("gbn.bounces");
+    assert_eq!(ejected, taken, "{name}: the NICs took every ejected packet");
+    let dropped = count("mesh.packets_dropped");
+    assert_eq!(injected, ejected + dropped, "{name}: the mesh ejects or drops each packet");
+    assert_eq!(count("machine.drops"), nic_drops + unmapped, "{name}: the drop log");
+    assert_eq!(count("machine.deliveries"), received - unmapped, "{name}: the delivery log");
 }
 
 #[test]
@@ -240,6 +282,7 @@ fn golden_mixed10k() {
     assert_eq!(a.sessions_completed, 10_000);
     assert_eq!(a.delivery_hash, 0xace0_3fe5_af81_f71c, "pinned hash (got 0x{:016x})", a.delivery_hash);
     assert_eq!(a.events_processed, 277_661);
+    check_ledger("mixed10k", &a.metrics);
 }
 
 /// The benchmark's `sessions_faulty` workload at seed 777, in full:
