@@ -703,8 +703,12 @@ impl Machine {
             NodeEvent::PopIncoming => self.pop_fired(t, id),
             NodeEvent::DmaComplete { addr, data } => {
                 self.nodes[node as usize].commit_dma(addr, data);
-                // The delivery freed Incoming-FIFO space. (It was logged
-                // at pop time, where its source is known.)
+                // A delivery's completion pumps the worklist. (The pop
+                // freed its Incoming-FIFO space and logged it, where its
+                // source is known.) The pump is load-bearing: without it
+                // the `mixed10k` and `unpinned_faulty` goldens, the
+                // generated-scenario digest and `tests/profiling.rs`'s
+                // pump-visit pin all move.
                 let p = self.profiler.begin_sampled(EnginePhase::MeshPump);
                 self.pump_network(t);
                 self.profiler.end_sampled(EnginePhase::MeshPump, p);

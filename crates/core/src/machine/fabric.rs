@@ -1,15 +1,14 @@
 //! The wake policy and the mesh coupling (DESIGN.md §5j): when the
 //! network pump visits a node, and when a node's NIC gets a wakeup
 //! event. SHRIMP's NIC does work only when a store is snooped or a
-//! packet arrives (§4). No other non-test code reads or writes the pump
-//! worklist (`ActiveNodes`; the rest of the crate only `mark`s a node),
-//! its timed wakes or a node's wakeup slots (`NicWakeups`), or pushes a
+//! packet arrives (§4). A NIC's timed work (deadlines, later-ready
+//! packets, incoming pops) runs at the node's own events; the pump
+//! couples the nodes to the mesh. No other non-test code reads or
+//! writes the pump worklist (`ActiveNodes`; the rest of the crate only
+//! `mark`s a node) or a node's wakeup slots (`NicWakeups`), or pushes a
 //! `NicHousekeep`, `DrainOutgoing` or `PopIncoming`. One `WakePlan`
 //! reads what a NIC has due; the wakeups, the quiet bit and the pump's
-//! no-op check all follow from it.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! skipped-visit check all follow from it.
 
 use shrimp_mesh::NodeId;
 use shrimp_nic::NetworkInterface;
@@ -19,58 +18,22 @@ use super::{DeliveryRecord, LatencyRecord, Machine};
 use crate::node::{Event, NodeEvent};
 
 /// The pump worklist: one bit per node whose next visit may do work,
-/// iterated in ascending node id, plus the timed wakes that put a node
-/// back when its next outgoing packet becomes ready.
+/// iterated in ascending node id.
 #[derive(Debug)]
 pub(super) struct ActiveNodes {
     words: Vec<u64>,
-    /// Min-heap of `(instant, node)` wakes; stale entries only cost a
-    /// no-op visit.
-    wakes: BinaryHeap<Reverse<(SimTime, u16)>>,
-    /// Each node's earliest pending wake, so a covered wake is not
-    /// pushed again.
-    next_wake: Vec<Option<SimTime>>,
 }
 
 impl ActiveNodes {
-    /// An empty set of `n` nodes, with room for one wake per node.
+    /// An empty set of `n` nodes.
     pub(super) fn new(n: usize) -> Self {
-        ActiveNodes {
-            words: vec![0; n.div_ceil(64)],
-            wakes: BinaryHeap::with_capacity(n),
-            next_wake: vec![None; n],
-        }
+        ActiveNodes { words: vec![0; n.div_ceil(64)] }
     }
 
     /// Puts `node` on the worklist: its next visit may have work.
     #[inline]
     pub(super) fn mark(&mut self, node: u16) {
         self.words[node as usize / 64] |= 1 << (node % 64);
-    }
-
-    /// Puts `node` back on the worklist at the first pump at or after
-    /// `at`, unless a wake no later than `at` is pending.
-    fn wake_at(&mut self, node: u16, at: SimTime) {
-        let next = &mut self.next_wake[node as usize];
-        if next.is_none_or(|w| at < w) {
-            *next = Some(at);
-            self.wakes.push(Reverse((at, node)));
-        }
-    }
-
-    /// Marks every node whose wake is due by `t`.
-    fn wake_due(&mut self, t: SimTime) {
-        while let Some(&Reverse((at, node))) = self.wakes.peek() {
-            if at > t {
-                break;
-            }
-            self.wakes.pop();
-            let next = &mut self.next_wake[node as usize];
-            if *next == Some(at) {
-                *next = None;
-            }
-            self.mark(node);
-        }
     }
 
     #[inline]
@@ -277,22 +240,19 @@ impl Machine {
 
     /// Delivers due ejections, drains Outgoing FIFOs into the mesh and
     /// drains NIC trace events on every node of the active worklist, in
-    /// ascending node id, after first putting back the nodes whose
-    /// timed wake is due. Runs after every mesh advance and after every
+    /// ascending node id. Runs after every mesh advance and after every
     /// `DmaComplete`; the run loops interleave mesh events natively, so
     /// no wakeup needs to be scheduled here.
     ///
     /// A node stays on the worklist only while an ejection is queued
     /// for it or an outgoing packet is ready now (held back by the mesh,
-    /// a full go-back-N window or a pending resend). Leaving with a
-    /// packet ready later, it is woken at that instant; its deadlines
-    /// and incoming pops mark it through their own events. A skipped
-    /// node's visit would do nothing, so every visit that still happens
-    /// runs in its old order (DESIGN.md §5j). A visit touches only its
-    /// own node and the mesh's injection side, so no node joins the
-    /// worklist mid-pump.
+    /// a full go-back-N window or a pending resend). Its timed work (a
+    /// deadline, a packet ready later, an incoming pop) runs at its own
+    /// `NicHousekeep`, `DrainOutgoing` and `PopIncoming` events, which
+    /// mark it (DESIGN.md §5j). A visit touches only its own node and
+    /// the mesh's injection side, so no node joins the worklist
+    /// mid-pump.
     pub(super) fn pump_network(&mut self, t: SimTime) {
-        self.active.wake_due(t);
         #[cfg(debug_assertions)]
         self.assert_skipped_visits_are_no_ops(t);
         let mut visits = 0u64;
@@ -307,9 +267,6 @@ impl Machine {
                 self.drain_nic_trace(node);
                 if outgoing.is_none_or(|r| r > t) && self.mesh.peek_ejection(id).is_none() {
                     self.active.clear(node);
-                    if let Some(r) = outgoing {
-                        self.active.wake_at(node, r);
-                    }
                 }
                 visits += 1;
             }
@@ -318,8 +275,10 @@ impl Machine {
     }
 
     /// The worklist invariant: a visit to any node the pump at `t`
-    /// skips would be a no-op. Nothing is ejected or injected, no
-    /// wakeup is pushed and no NIC trace event waits to be drained.
+    /// skips would be a no-op, but for injecting a packet ready at `t`,
+    /// which the node's own `DrainOutgoing` queued at `t` does. Nothing
+    /// is ejected, no wakeup is pushed and no NIC trace event waits to
+    /// be drained.
     #[cfg(debug_assertions)]
     fn assert_skipped_visits_are_no_ops(&self, t: SimTime) {
         for (i, n) in self.nodes.iter().enumerate() {
@@ -328,15 +287,14 @@ impl Machine {
                 continue;
             }
             let plan = WakePlan::of(&n.nic, t);
-            let woken_by = |r| self.active.next_wake[i].is_some_and(|w| w <= r);
             assert!(
                 self.mesh.peek_ejection(id).is_none(),
                 "{id:?} is off the pump worklist with an ejection queued"
             );
             assert!(
-                plan.outgoing.is_none_or(|r| r > t && woken_by(r)),
+                plan.outgoing.is_none_or(|r| r > t || (r == t && n.wakeups.drains_at(t))),
                 "{id:?} is off the pump worklist with an outgoing packet ready \
-                 by {t:?} or no wake before it"
+                 by {t:?} and no DrainOutgoing at {t:?}"
             );
             assert!(
                 n.wakeups.covers(&plan, t),
@@ -467,14 +425,10 @@ impl Machine {
                 None => break,
             }
         }
-        // Space freed: blocked ejections may now proceed.
+        // Space freed: blocked ejections may now proceed. An ack or
+        // nack minted while accepting them goes out in the pump that
+        // the ejection's own mesh retry at `t` triggers.
         self.deliver_ejections(t, node);
-        // Acks/nacks minted while accepting those ejections must go out
-        // now — the drain wakeup filter skips same-instant readiness.
-        // With retransmission off this is never taken.
-        if self.nodes[node.0 as usize].nic.has_pending_control() {
-            self.drain_outgoing(t, node);
-        }
     }
 }
 

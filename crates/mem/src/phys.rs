@@ -121,23 +121,11 @@ impl PhysicalMemory {
         self.data[i..i + bytes.len()].copy_from_slice(bytes);
         Ok(())
     }
-
-    /// Fills a byte range with a value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfRange`] if the range is not fully installed.
-    pub fn fill(&mut self, addr: PhysAddr, len: u64, value: u8) -> Result<(), MemError> {
-        let i = self.check(addr, len)?;
-        self.data[i..i + len as usize].fill(value);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::PageNum;
 
     #[test]
     fn word_roundtrip_little_endian() {
@@ -191,15 +179,6 @@ mod tests {
         let mut buf = [0u8; 16];
         m.read_bytes_into(PhysAddr::new(100), &mut buf).unwrap();
         assert_eq!(&buf, &data[..16]);
-    }
-
-    #[test]
-    fn fill_covers_a_page() {
-        let mut m = PhysicalMemory::new(2);
-        m.fill(PageNum::new(1).base(), PAGE_SIZE, 0xab).unwrap();
-        let page = m.read_bytes(PageNum::new(1).base(), PAGE_SIZE).unwrap();
-        assert!(page.iter().all(|&b| b == 0xab));
-        assert!(m.fill(PageNum::new(2).base(), PAGE_SIZE, 0).is_err());
     }
 
     #[test]

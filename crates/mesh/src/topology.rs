@@ -85,9 +85,14 @@ impl MeshShape {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero, or if the node count
+    /// overflows the `u16` that node ids are.
     pub fn new(width: u16, height: u16) -> Self {
         assert!(width > 0 && height > 0, "mesh dimensions must be positive");
+        assert!(
+            width.checked_mul(height).is_some(),
+            "a {width}x{height} mesh has more nodes than a u16 node id can name"
+        );
         MeshShape { width, height }
     }
 
@@ -285,5 +290,18 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_dimension_rejected() {
         MeshShape::new(0, 4);
+    }
+
+    /// 300x300 is 90,000 nodes: `nodes()` would overflow, and wrap to
+    /// 24,464 in a release build.
+    #[test]
+    #[should_panic(expected = "more nodes than a u16")]
+    fn node_count_overflow_rejected() {
+        MeshShape::new(300, 300);
+    }
+
+    #[test]
+    fn largest_u16_mesh_is_accepted() {
+        assert_eq!(MeshShape::new(255, 257).nodes(), 65_535);
     }
 }

@@ -14,7 +14,7 @@ use shrimp_sim::{SimDuration, SimTime};
 use crate::command::CommandOp;
 use crate::error::NicError;
 use crate::nic::NetworkInterface;
-use crate::nipt::{OutSegment, UpdatePolicy};
+use crate::nipt::UpdatePolicy;
 use crate::packet::Payload;
 
 /// What the NIC did with one snooped bus write.
@@ -272,15 +272,7 @@ impl NetworkInterface {
                 self.start_deliberate(now, data_addr, words, mem_read)
             }
             CommandOp::SetPolicy(policy) => {
-                let page = data_addr.page();
-                let seg = self
-                    .nipt
-                    .entry(page)
-                    .and_then(|e| e.segment_at(data_addr.offset()))
-                    .copied()
-                    .ok_or(NicError::NotDeliberateMapped { addr: data_addr })?;
-                self.nipt
-                    .set_out_segment(page, OutSegment { policy, ..seg })?;
+                self.nipt.set_policy(data_addr.page(), data_addr.offset(), policy)?;
                 Ok(CommandEffect::PolicyChanged)
             }
             CommandOp::ArmInterrupt => {
@@ -341,6 +333,7 @@ mod tests {
     use super::*;
     use crate::config::NicConfig;
     use crate::error::NicError;
+    use crate::nipt::OutSegment;
     use crate::testutil::{map_out, nic, shape, t};
     use shrimp_mem::PAGE_SIZE;
     use shrimp_mesh::NodeId;
@@ -468,9 +461,11 @@ mod tests {
         refused("receive stall", &mut n, 4, 8, t(100), ns(60));
 
         let (mut n, _) = open_merge(false);
+        n.unmap_out(PageNum::new(3), 0);
         map_out(&mut n, 3, 1, 9, UpdatePolicy::AutomaticSingle);
         refused("single-write page", &mut n, 4, 8, t(100), ns(60));
         let (mut n, _) = open_merge(false);
+        n.unmap_out(PageNum::new(3), 0);
         map_out(&mut n, 3, 2, 9, UpdatePolicy::AutomaticBlocked);
         refused("another destination", &mut n, 4, 8, t(100), ns(60));
 
@@ -527,30 +522,28 @@ mod tests {
     #[test]
     fn split_page_translates_via_correct_segment() {
         let mut n = nic();
-        n.nipt_mut()
-            .set_out_segment(
-                PageNum::new(5),
-                OutSegment {
-                    src_start: 0,
-                    src_end: 2048,
-                    dst_node: NodeId(1),
-                    dst_base: PageNum::new(8).at_offset(2048),
-                    policy: UpdatePolicy::AutomaticSingle,
-                },
-            )
-            .unwrap();
-        n.nipt_mut()
-            .set_out_segment(
-                PageNum::new(5),
-                OutSegment {
-                    src_start: 2048,
-                    src_end: PAGE_SIZE,
-                    dst_node: NodeId(2),
-                    dst_base: PageNum::new(3).base(),
-                    policy: UpdatePolicy::AutomaticSingle,
-                },
-            )
-            .unwrap();
+        n.map_out_segment(
+            PageNum::new(5),
+            OutSegment {
+                src_start: 0,
+                src_end: 2048,
+                dst_node: NodeId(1),
+                dst_base: PageNum::new(8).at_offset(2048),
+                policy: UpdatePolicy::AutomaticSingle,
+            },
+        )
+        .unwrap();
+        n.map_out_segment(
+            PageNum::new(5),
+            OutSegment {
+                src_start: 2048,
+                src_end: PAGE_SIZE,
+                dst_node: NodeId(2),
+                dst_base: PageNum::new(3).base(),
+                policy: UpdatePolicy::AutomaticSingle,
+            },
+        )
+        .unwrap();
         n.snoop_write(t(0), PageNum::new(5).at_offset(0), &[0; 4]);
         n.snoop_write(t(1), PageNum::new(5).at_offset(2048), &[0; 4]);
         let a = n.pop_outgoing(t(100_000)).unwrap();
@@ -569,8 +562,8 @@ mod tests {
         let mut n = nic();
         map_out(&mut n, 6, 1, 12, UpdatePolicy::Deliberate);
         let data_addr = PageNum::new(6).base();
-        let cmd_addr = n.command_space().command_addr_for(data_addr);
-        assert!(n.command_space().contains(cmd_addr));
+        let cmd_addr = n.cmd_space.command_addr_for(data_addr);
+        assert!(n.cmd_space.contains(cmd_addr));
         // Read phase: engine free → 0.
         assert_eq!(n.command_read(t(0), cmd_addr), 0);
         // Write phase: start 256 words.
@@ -608,7 +601,7 @@ mod tests {
         let mut n = nic();
         map_out(&mut n, 6, 1, 12, UpdatePolicy::Deliberate);
         let cmd = n
-            .command_space()
+            .cmd_space
             .command_addr_for(PageNum::new(6).at_offset(4092));
         // Crossing the page boundary.
         assert!(matches!(
@@ -616,14 +609,14 @@ mod tests {
             Err(NicError::CrossesPageBoundary)
         ));
         // Page without a deliberate mapping.
-        let cmd2 = n.command_space().command_addr_for(PageNum::new(7).base());
+        let cmd2 = n.cmd_space.command_addr_for(PageNum::new(7).base());
         assert!(matches!(
             n.command_write(t(0), cmd2, 2, |_, _| unreachable!()),
             Err(NicError::NotDeliberateMapped { .. })
         ));
         // Automatic mapping is not deliberate.
         map_out(&mut n, 8, 1, 13, UpdatePolicy::AutomaticSingle);
-        let cmd3 = n.command_space().command_addr_for(PageNum::new(8).base());
+        let cmd3 = n.cmd_space.command_addr_for(PageNum::new(8).base());
         assert!(matches!(
             n.command_write(t(0), cmd3, 2, |_, _| unreachable!()),
             Err(NicError::NotDeliberateMapped { .. })
@@ -634,7 +627,7 @@ mod tests {
     fn command_switches_policy_and_arms_interrupts() {
         let mut n = nic();
         map_out(&mut n, 2, 1, 9, UpdatePolicy::AutomaticSingle);
-        let cmd = n.command_space().command_addr_for(PageNum::new(2).base());
+        let cmd = n.cmd_space.command_addr_for(PageNum::new(2).base());
         let e = n
             .command_write(
                 t(0),

@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn incoming_delivery_to_mapped_in_page() {
         let mut n = nic();
-        n.nipt_mut().set_mapped_in(PageNum::new(4), true).unwrap();
+        n.map_in(PageNum::new(4), true).unwrap();
         let mp = wire_packet_for(&n, PageNum::new(4).at_offset(8), vec![9; 16]);
         n.accept_packet(t(0), mp).unwrap();
         assert!(n.pop_incoming(t(0)).is_none(), "receive latency first");
@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn corrupted_packet_rejected() {
         let mut n = nic();
-        n.nipt_mut().set_mapped_in(PageNum::new(4), true).unwrap();
+        n.map_in(PageNum::new(4), true).unwrap();
         let mp = wire_packet_for(&n, PageNum::new(4).base(), vec![1; 8]);
         // A network error: payload bytes change, stored CRC does not.
         let good = mp.into_payload();
@@ -278,8 +278,8 @@ mod tests {
     fn arrival_interrupt_fires_once() {
         let mut n = nic();
         n.trace_outbox_mut().enable();
-        n.nipt_mut().set_mapped_in(PageNum::new(4), true).unwrap();
-        n.nipt_mut().set_interrupt_on_arrival(PageNum::new(4), true).unwrap();
+        n.map_in(PageNum::new(4), true).unwrap();
+        n.nipt.set_interrupt_on_arrival(PageNum::new(4), true).unwrap();
         for _ in 0..2 {
             let mp = wire_packet_for(&n, PageNum::new(4).base(), vec![1; 4]);
             n.accept_packet(t(0), mp).unwrap();
@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn incoming_threshold_gates_acceptance() {
         let mut n = nic();
-        n.nipt_mut().set_mapped_in(PageNum::new(4), true).unwrap();
+        n.map_in(PageNum::new(4), true).unwrap();
         assert!(n.can_accept_from_network());
         // Fill past the threshold (6 KB of 8 KB) with 1 KB payloads.
         let mut pushed = 0;
@@ -322,7 +322,7 @@ mod tests {
             ..FaultConfig::default()
         };
         n.set_fault_injection(cfg.nic_site(0).expect("active"));
-        n.nipt_mut().set_mapped_in(PageNum::new(4), true).unwrap();
+        n.map_in(PageNum::new(4), true).unwrap();
         assert!(n.can_accept_from_network_at(t(0)));
         let mp = wire_packet_for(&n, PageNum::new(4).base(), vec![1; 8]);
         n.accept_packet(t(0), mp).unwrap();

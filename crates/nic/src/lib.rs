@@ -38,7 +38,7 @@
 //! let shape = MeshShape::new(2, 1);
 //! let mut nic = NetworkInterface::new(NodeId(0), shape, NicConfig::default(), 64);
 //! // Map local page 3 out to node 1's page 7, automatic single-write.
-//! nic.nipt_mut().set_out_segment(
+//! nic.map_out_segment(
 //!     PageNum::new(3),
 //!     OutSegment::full_page(NodeId(1), PageNum::new(7), UpdatePolicy::AutomaticSingle),
 //! )?;

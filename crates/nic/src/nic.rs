@@ -181,16 +181,6 @@ impl NetworkInterface {
         &self.nipt
     }
 
-    /// Mutable access to the NIPT — the `map` system call's target.
-    pub fn nipt_mut(&mut self) -> &mut Nipt {
-        &mut self.nipt
-    }
-
-    /// The command address region.
-    pub fn command_space(&self) -> CommandSpace {
-        self.cmd_space
-    }
-
     /// The DMA engine (primarily for inspection in tests and benches).
     pub fn dma(&self) -> &DmaEngine {
         &self.dma
@@ -210,19 +200,13 @@ impl NetworkInterface {
         Ok(())
     }
 
-    /// Kernel hook: an outgoing mapping segment was installed. Unlike
-    /// [`Nipt::set_out_segment`], it never replaces a segment in place:
-    /// one with the same start overlaps too.
+    /// Kernel hook: an outgoing mapping segment was installed.
     ///
     /// # Errors
     ///
-    /// [`NicError::BadMapping`] on an overlap; other
-    /// [`Nipt::set_out_segment`] failures (bad segment, both slots
-    /// taken) propagate.
+    /// Propagates [`Nipt::set_out_segment`] failures (bad segment,
+    /// overlap, both slots taken, off-table page).
     pub fn map_out_segment(&mut self, page: PageNum, seg: OutSegment) -> Result<(), NicError> {
-        if self.nipt.entry(page).is_some_and(|e| e.segment_at(seg.src_start).is_some()) {
-            return Err(NicError::BadMapping("segments overlap"));
-        }
         self.nipt.set_out_segment(page, seg)
     }
 

@@ -135,11 +135,6 @@ impl NiptEntry {
     pub fn is_mapped_in(&self) -> bool {
         self.mapped_in
     }
-
-    /// True if any outgoing segment is configured.
-    pub fn is_mapped_out(&self) -> bool {
-        self.segments().next().is_some()
-    }
 }
 
 /// The page table of one network interface.
@@ -189,8 +184,8 @@ impl Nipt {
             .ok_or(NicError::PageOutOfRange { page })
     }
 
-    /// Installs an outgoing segment on `page`. A segment with the same
-    /// `src_start` is replaced; otherwise the segment takes the free slot.
+    /// Installs an outgoing segment on `page` in a free slot. It never
+    /// replaces a segment: one with the same start overlaps too.
     ///
     /// # Errors
     ///
@@ -201,30 +196,6 @@ impl Nipt {
     pub fn set_out_segment(&mut self, page: PageNum, seg: OutSegment) -> Result<(), NicError> {
         seg.validate()?;
         let entry = self.entry_mut(page)?;
-        // Replace in place if same start.
-        if let Some(_slot) = entry
-            .segments
-            .iter_mut()
-            .flatten()
-            .find(|s| s.src_start == seg.src_start)
-        {
-            if entry
-                .segments
-                .iter()
-                .flatten()
-                .any(|s| s.src_start != seg.src_start && s.overlaps(&seg))
-            {
-                return Err(NicError::BadMapping("segments overlap"));
-            }
-            let slot = entry
-                .segments
-                .iter_mut()
-                .flatten()
-                .find(|s| s.src_start == seg.src_start)
-                .expect("checked above");
-            *slot = seg;
-            return Ok(());
-        }
         if entry.segments.iter().flatten().any(|s| s.overlaps(&seg)) {
             return Err(NicError::BadMapping("segments overlap"));
         }
@@ -237,6 +208,23 @@ impl Nipt {
                 "page already split between two mappings",
             )),
         }
+    }
+
+    /// Switches the update policy of the outgoing segment covering
+    /// `offset` on `page` (the `SetPolicy` command, §4.2).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NicError::NotDeliberateMapped`] if no segment covers
+    /// that byte.
+    pub fn set_policy(&mut self, page: PageNum, offset: u64, policy: UpdatePolicy) -> Result<(), NicError> {
+        let seg = self
+            .entries
+            .get_mut(page.raw() as usize)
+            .and_then(|e| e.segments.iter_mut().flatten().find(|s| s.contains(offset)))
+            .ok_or(NicError::NotDeliberateMapped { addr: page.at_offset(offset) })?;
+        seg.policy = policy;
+        Ok(())
     }
 
     /// Removes the outgoing segment that covers `offset` on `page`.
@@ -367,18 +355,25 @@ mod tests {
         ));
     }
 
+    /// A same-start segment is an overlap; `set_policy` changes the
+    /// covering segment's policy and nothing else.
     #[test]
-    fn same_start_replaces() {
+    fn set_policy_keeps_the_segment() {
         let mut nipt = Nipt::new(8);
         let p = PageNum::new(0);
         nipt.set_out_segment(p, seg(0, 200, 0)).unwrap();
-        let mut replacement = seg(0, 150, 64);
-        replacement.policy = UpdatePolicy::Deliberate;
-        nipt.set_out_segment(p, replacement).unwrap();
-        let s = nipt.lookup_out(p.at_offset(0)).unwrap();
-        assert_eq!(s.src_end, 150);
-        assert_eq!(s.policy, UpdatePolicy::Deliberate);
-        assert!(nipt.lookup_out(p.at_offset(180)).is_none());
+        assert!(matches!(
+            nipt.set_out_segment(p, seg(0, 150, 64)),
+            Err(NicError::BadMapping(_))
+        ));
+        nipt.set_policy(p, 180, UpdatePolicy::Deliberate).unwrap();
+        let s = *nipt.lookup_out(p.at_offset(0)).unwrap();
+        assert_eq!(s, OutSegment { policy: UpdatePolicy::Deliberate, ..seg(0, 200, 0) });
+        assert!(matches!(
+            nipt.set_policy(p, 200, UpdatePolicy::AutomaticSingle),
+            Err(NicError::NotDeliberateMapped { .. })
+        ));
+        assert!(nipt.set_policy(PageNum::new(9), 0, UpdatePolicy::Deliberate).is_err());
     }
 
     #[test]
@@ -460,8 +455,8 @@ mod tests {
         nipt.set_out_segment(p, seg(200, 300, 200)).unwrap();
         let removed = nipt.clear_out_segment(p, 250).unwrap();
         assert_eq!(removed.src_start, 200);
-        assert!(nipt.entry(p).unwrap().is_mapped_out());
+        assert_eq!(nipt.entry(p).unwrap().segments().count(), 1);
         assert_eq!(nipt.clear_out_segment(p, 50).unwrap().src_start, 0);
-        assert!(!nipt.entry(p).unwrap().is_mapped_out());
+        assert_eq!(nipt.entry(p).unwrap().segments().count(), 0);
     }
 }

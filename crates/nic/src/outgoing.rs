@@ -174,13 +174,6 @@ impl NetworkInterface {
         Some(MeshPacket::new(self.node, dst, packet))
     }
 
-    /// True when link-level control frames or go-back-N replays are
-    /// waiting to be injected. Always false with retransmission off, so
-    /// callers can gate extra drain passes on it for free.
-    pub fn has_pending_control(&self) -> bool {
-        !self.ctl_queue.is_empty() || self.retx.as_ref().is_some_and(RetxState::replaying)
-    }
-
     /// True while the Outgoing FIFO is over its threshold — the CPU must
     /// not issue further mapped writes (paper §4).
     pub fn cpu_must_stall(&self) -> bool {
@@ -220,7 +213,7 @@ mod tests {
 
         // First transfer: fills just over half the 8 KB out FIFO.
         let e1 = n
-            .command_write(t(0), n.command_space().command_addr_for(PageNum::new(6).base()),
+            .command_write(t(0), n.cmd_space.command_addr_for(PageNum::new(6).base()),
                 full_page, |_, len| (Payload::from(vec![0x11; len as usize]), t(500)))
             .unwrap();
         let CommandEffect::DmaStarted { done_at: done1 } = e1 else {
@@ -231,7 +224,7 @@ mod tests {
         // longer fits behind the first, so it lands in overflow with a
         // future born (= its own done_at).
         let e2 = n
-            .command_write(done1, n.command_space().command_addr_for(PageNum::new(7).base()),
+            .command_write(done1, n.cmd_space.command_addr_for(PageNum::new(7).base()),
                 full_page, |_, len| (Payload::from(vec![0x22; len as usize]), done1 + SimDuration::from_ns(500)))
             .unwrap();
         let CommandEffect::DmaStarted { done_at: done2 } = e2 else {

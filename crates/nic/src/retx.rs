@@ -497,7 +497,7 @@ mod tests {
         let mut s = NetworkInterface::new(NodeId(0), shape(), cfg, 64);
         map_out(&mut s, 2, 1, 4, UpdatePolicy::AutomaticSingle);
         let mut r = rnic(1);
-        r.nipt_mut().set_mapped_in(PageNum::new(4), true).unwrap();
+        r.map_in(PageNum::new(4), true).unwrap();
         for i in 0..3u32 {
             let addr = PageNum::new(2).at_offset(u64::from(i) * 4);
             s.snoop_write(t(u64::from(i) * 10), addr, &i.to_le_bytes());
@@ -515,9 +515,9 @@ mod tests {
         assert_eq!(c.payload().link().unwrap().seq, 2);
     }
 
-    /// `next_deadline`, `outgoing_ready_at` and `has_pending_control`
-    /// as a scan of every go-back-N peer computes them.
-    fn scanned(n: &NetworkInterface) -> (Option<SimTime>, Option<SimTime>, bool) {
+    /// `next_deadline` and `outgoing_ready_at` as a scan of every
+    /// go-back-N peer computes them.
+    fn scanned(n: &NetworkInterface) -> (Option<SimTime>, Option<SimTime>) {
         let peers: Vec<_> = n.retx.iter().flat_map(|st| st.send().values()).collect();
         let timer = peers.iter().filter_map(|p| p.timeout_at).min();
         let replaying = peers.iter().any(|p| p.resend_from.is_some());
@@ -531,7 +531,7 @@ mod tests {
         } else {
             fifo.into_iter().chain(ctl).min()
         };
-        (deadline, ready, !n.ctl_queue.is_empty() || replaying)
+        (deadline, ready)
     }
 
     /// Moves every packet `from` will send at `now` onto `wire`.
@@ -599,10 +599,9 @@ mod tests {
                     }
                 }
                 for n in [&s, &r] {
-                    let (deadline, ready, pending) = scanned(n);
+                    let (deadline, ready) = scanned(n);
                     prop_assert_eq!(n.next_deadline(), deadline, "step {}", i);
                     prop_assert_eq!(n.outgoing_ready_at(), ready, "step {}", i);
-                    prop_assert_eq!(n.has_pending_control(), pending, "step {}", i);
                 }
             }
         }

@@ -38,12 +38,11 @@ pub(crate) fn map_out(
     dst_page: u64,
     policy: UpdatePolicy,
 ) {
-    n.nipt_mut()
-        .set_out_segment(
-            PageNum::new(page),
-            OutSegment::full_page(NodeId(dst), PageNum::new(dst_page), policy),
-        )
-        .unwrap();
+    n.map_out_segment(
+        PageNum::new(page),
+        OutSegment::full_page(NodeId(dst), PageNum::new(dst_page), policy),
+    )
+    .unwrap();
 }
 
 pub(crate) fn wire_packet_for(
@@ -76,7 +75,7 @@ pub(crate) fn rpair() -> (NetworkInterface, NetworkInterface) {
     let mut s = rnic(0);
     map_out(&mut s, 2, 1, 4, UpdatePolicy::AutomaticSingle);
     let mut r = rnic(1);
-    r.nipt_mut().set_mapped_in(PageNum::new(4), true).unwrap();
+    r.map_in(PageNum::new(4), true).unwrap();
     (s, r)
 }
 

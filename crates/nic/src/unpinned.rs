@@ -404,7 +404,7 @@ mod tests {
         let mut n = unic();
         map_out(&mut n, 6, 1, 12, UpdatePolicy::Deliberate);
         let data_addr = PageNum::new(6).base();
-        let cmd = n.command_space().command_addr_for(data_addr);
+        let cmd = n.cmd_space.command_addr_for(data_addr);
         let lat = n.config().unpinned.map_in_latency;
         let e = n
             .command_write(t(0), cmd, 4, |_, _| (Payload::from(vec![0; 16]), t(500)))

@@ -74,12 +74,11 @@ proptest! {
         stores in prop::collection::vec((0u64..16, 0u64..2000, any::<u32>()), 1..60),
     ) {
         let mut n = nic();
-        n.nipt_mut()
-            .set_out_segment(
-                PageNum::new(3),
-                OutSegment::full_page(NodeId(1), PageNum::new(9), UpdatePolicy::AutomaticBlocked),
-            )
-            .unwrap();
+        n.map_out_segment(
+            PageNum::new(3),
+            OutSegment::full_page(NodeId(1), PageNum::new(9), UpdatePolicy::AutomaticBlocked),
+        )
+        .unwrap();
         // Model of the remote page.
         let mut expect = vec![0u8; PAGE_SIZE as usize];
         let mut offset = 0u64;
@@ -117,7 +116,7 @@ proptest! {
     #[test]
     fn incoming_threshold_gate(sizes in prop::collection::vec(16usize..1500, 1..40)) {
         let mut n = nic();
-        n.nipt_mut().set_mapped_in(PageNum::new(4), true).unwrap();
+        n.map_in(PageNum::new(4), true).unwrap();
         let mut accepted = 0u64;
         for (i, len) in sizes.iter().enumerate() {
             if !n.can_accept_from_network() {
@@ -160,7 +159,7 @@ proptest! {
         framed in any::<bool>(),
     ) {
         let mut n = nic();
-        n.nipt_mut().set_mapped_in(PageNum::new(4), true).unwrap();
+        n.map_in(PageNum::new(4), true).unwrap();
         let header = WireHeader {
             dst_coord: n.coord(),
             src: NodeId(1),
@@ -318,12 +317,11 @@ fn stats_never_lie_about_conservation() {
     // Deterministic end-to-end conservation check on the NIC alone:
     // packets out == packets queued, bytes preserved.
     let mut n = nic();
-    n.nipt_mut()
-        .set_out_segment(
-            PageNum::new(2),
-            OutSegment::full_page(NodeId(1), PageNum::new(7), UpdatePolicy::AutomaticSingle),
-        )
-        .unwrap();
+    n.map_out_segment(
+        PageNum::new(2),
+        OutSegment::full_page(NodeId(1), PageNum::new(7), UpdatePolicy::AutomaticSingle),
+    )
+    .unwrap();
     let mut bytes = 0;
     for i in 0..200u64 {
         let off = (i * 4) % PAGE_SIZE;

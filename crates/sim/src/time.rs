@@ -145,11 +145,6 @@ impl SimDuration {
         self.0 as f64 / 1_000_000.0
     }
 
-    /// True for a zero-length span.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))

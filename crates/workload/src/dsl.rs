@@ -13,8 +13,7 @@
 //! pages <u64>                        # physical pages per node (>= 32; at most
 //!                                    # 2^20 pages, 4 GiB, over all nodes)
 //! users <u32>                        # closed-loop concurrency cap
-//! nic <shrimp|unpinned>              # optional NIC backend (default shrimp);
-//!                                    # `nic=<backend>` is accepted too
+//! nic <shrimp|unpinned>              # optional NIC backend (default shrimp)
 //! fault drop=<f64> corrupt=<f64> seed=<u64>     # optional; enables go-back-N
 //! link fail=LO..HI repair=LO..HI times=N        # optional; per-link churn
 //! session rpc count=N src=S dst=D requests=R request=B response=B \
@@ -179,6 +178,17 @@ impl SessionKind {
             SessionKind::Stream { .. } => "stream",
             SessionKind::Fanout { .. } => "fanout",
             SessionKind::Dsm { .. } => "dsm",
+        }
+    }
+
+    /// The range a session draws its wait before each op from: the
+    /// think time, or a stream's gap.
+    pub(crate) fn think(&self) -> DurRange {
+        match *self {
+            SessionKind::Rpc { think, .. }
+            | SessionKind::Fanout { think, .. }
+            | SessionKind::Dsm { think, .. } => think,
+            SessionKind::Stream { gap, .. } => gap,
         }
     }
 }
@@ -395,13 +405,6 @@ impl Scenario {
                     };
                     kv.finish()?;
                     specs.push(SessionSpec { count, src, dst, kind });
-                }
-                // The issue-tracker spelling `nic=<backend>` as one token.
-                other if other.starts_with("nic=") && rest.is_empty() => {
-                    if nic.is_some() {
-                        return err(ln, "duplicate `nic` line");
-                    }
-                    nic = Some(parse_backend(&other["nic=".len()..], ln)?);
                 }
                 other => return err(ln, format!("unknown directive {other:?}")),
             }
@@ -865,28 +868,23 @@ mod tests {
     }
 
     #[test]
-    fn nic_line_round_trips_both_spellings() {
+    fn nic_line_round_trips() {
         let sc = Scenario::parse(&minimal()).unwrap();
         assert_eq!(sc.nic, NicBackend::Shrimp);
         assert!(!sc.to_text().contains("nic "), "default backend is implicit");
 
-        for directive in ["nic unpinned\n", "nic=unpinned\n"] {
-            let sc = Scenario::parse(&(minimal() + directive)).unwrap();
-            assert_eq!(sc.nic, NicBackend::Unpinned);
-            let text = sc.to_text();
-            assert!(text.contains("nic unpinned"), "canonical form: {text}");
-            assert_eq!(Scenario::parse(&text).unwrap(), sc);
-        }
+        let sc = Scenario::parse(&(minimal() + "nic unpinned\n")).unwrap();
+        assert_eq!(sc.nic, NicBackend::Unpinned);
+        let text = sc.to_text();
+        assert!(text.contains("nic unpinned"), "canonical form: {text}");
+        assert_eq!(Scenario::parse(&text).unwrap(), sc);
 
         assert!(Scenario::parse(&(minimal() + "nic rdma\n")).is_err(), "unknown backend");
         assert!(
             Scenario::parse(&(minimal() + "nic shrimp\nnic unpinned\n")).is_err(),
             "duplicate nic line"
         );
-        assert!(
-            Scenario::parse(&(minimal() + "nic=unpinned extra\n")).is_err(),
-            "trailing tokens after nic="
-        );
+        assert!(Scenario::parse(&(minimal() + "nic=unpinned\n")).is_err(), "one spelling");
     }
 
     #[test]

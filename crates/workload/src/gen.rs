@@ -441,14 +441,8 @@ impl<'a> Generator<'a> {
             SessionKind::Fanout { rounds, .. } => rounds,
             SessionKind::Dsm { ops, .. } => ops,
         };
-        let think = match spec.kind {
-            SessionKind::Rpc { think, .. } => think,
-            SessionKind::Stream { gap, .. } => gap,
-            SessionKind::Fanout { think, .. } => think,
-            SessionKind::Dsm { think, .. } => think,
-        };
         let now = self.m.now();
-        let first = now + Self::draw_dur(&mut rng, think);
+        let first = now + Self::draw_dur(&mut rng, spec.kind.think());
         self.m.note_session_opened(NodeId(src));
         self.sessions[slot] = Some(Session {
             spec: spec_idx,
@@ -721,12 +715,7 @@ impl<'a> Generator<'a> {
             self.close_session(slot);
             return Ok(());
         }
-        let think = match self.sc.specs[s.spec].kind {
-            SessionKind::Rpc { think, .. } => think,
-            SessionKind::Stream { gap, .. } => gap,
-            SessionKind::Fanout { think, .. } => think,
-            SessionKind::Dsm { think, .. } => think,
-        };
+        let think = self.sc.specs[s.spec].kind.think();
         let due = self.m.now() + Self::draw_dur(&mut s.rng, think);
         self.schedule(due, slot, Step::Issue);
         Ok(())
@@ -740,7 +729,7 @@ impl<'a> Generator<'a> {
     fn harvest(&mut self) -> Result<(), WorkloadError> {
         loop {
             // Collect first (immutable borrow), then act.
-            let mut done: Vec<(usize, SimTime)> = Vec::new();
+            let mut done: Vec<(usize, usize, SimTime)> = Vec::new();
             {
                 let deliveries = self.m.deliveries();
                 if self.cursor >= deliveries.len() {
@@ -769,26 +758,24 @@ impl<'a> Generator<'a> {
                     if p.bytes_left == 0 {
                         self.pending[link] = None;
                         self.inflight -= 1;
-                        done.push((link, d.time));
+                        done.push((link, slot, d.time));
                     }
                 }
             }
-            for (link, at) in done {
-                self.link_done(link, at)?;
+            for (link, slot, at) in done {
+                self.link_done(link, slot, at)?;
             }
         }
     }
 
     /// All bytes of a link's expectation arrived: free the engine, let
-    /// the next queued transfer go, then advance the owning session.
-    fn link_done(&mut self, link: usize, at: SimTime) -> Result<(), WorkloadError> {
-        // The completed transfer's slot was recorded when it was issued;
-        // recover it from the session owning the link *before* the
-        // engine hand-off (the pending entry is already cleared).
+    /// the next queued transfer go, then advance the session in `slot`,
+    /// which the cleared expectation named. A channel belongs to one
+    /// open session, and a fanout session closes only on its last
+    /// outstanding link, so that session is still open.
+    fn link_done(&mut self, link: usize, slot: usize, at: SimTime) -> Result<(), WorkloadError> {
         let src = self.links[link].src;
-        let deliberate = self.links[link].deliberate.is_some();
-        let mut owner = None;
-        if deliberate {
+        if self.links[link].deliberate.is_some() {
             let node = src.0 as usize;
             if self.engine_busy[node] == Some(link) {
                 self.engine_busy[node] = None;
@@ -797,23 +784,7 @@ impl<'a> Generator<'a> {
                 }
             }
         }
-        // Find the session that was waiting on this link.
-        for (slot, s) in self.sessions.iter().enumerate() {
-            if let Some(sess) = s {
-                let waits = match self.channels[sess.channel] {
-                    Channel::Rpc { req, rsp } => link == req || link == rsp,
-                    Channel::Stream { link: l } => link == l,
-                    Channel::Fanout { ref links } => links.contains(&link),
-                    Channel::Dsm { ab, ba, .. } => link == ab || link == ba,
-                };
-                if waits {
-                    owner = Some(slot);
-                    break;
-                }
-            }
-        }
-        let slot = owner.expect("completed link belongs to an open session");
-        let s = self.sessions[slot].as_mut().expect("owner is open");
+        let s = self.sessions[slot].as_mut().expect("a pending link's session is open");
         match self.sc.specs[s.spec].kind {
             SessionKind::Rpc { server, .. } => {
                 let Channel::Rpc { req, .. } = self.channels[s.channel] else {
@@ -825,7 +796,6 @@ impl<'a> Generator<'a> {
                     self.schedule(due.max(self.m.now()), slot, Step::Respond);
                 } else {
                     // Response at the client: the exchange is complete.
-                    let s = self.sessions[slot].as_mut().expect("owner is open");
                     let k = kind_index(&self.sc.specs[s.spec].kind);
                     self.stats[k].op_latency.record_duration(at.since(s.issued_at));
                     self.op_done(slot)?;

@@ -194,7 +194,7 @@ fn entering_a_run_marks_no_node() {
 }
 
 /// On the session mix a node leaves the pump worklist once no network
-/// work is due now, a timed wake brings it back, and a host call marks
+/// work is due now, its own events bring it back, and a host call marks
 /// only the nodes it touches (DESIGN.md §5j): a pump visits under one
 /// node on average, where marking every node at each run's entry
 /// averaged 0.998 and polling every node with any pending NIC work

@@ -1,14 +1,14 @@
 //! Same-instant order: when a mesh advance ejects a packet at the very
 //! instant another node's outgoing packet becomes ready, the network
-//! pump that follows the advance handles both in ascending node id,
-//! before any event queued for that instant runs (DESIGN.md §5d, §5j).
+//! pump that follows the advance delivers the ejection, and the sender
+//! injects from its own `DrainOutgoing` event at that instant, after
+//! the pump, whatever the ids (DESIGN.md §5d, §5j). A NIC's timed work
+//! runs at the node's own events; the pump visits only the nodes marked
+//! since its last visit, those holding an ejection and those holding a
+//! packet the mesh refused.
 //!
-//! The pump worklist drops a node whose only work is a packet ready
-//! later and wakes it at that packet's ready instant; without the wake,
-//! the injection would slip to the node's own `DrainOutgoing` event,
-//! after the ejection, whatever the ids. Running the instant's queued
-//! events before the mesh advance would move it ahead of the ejection
-//! instead.
+//! Running the instant's queued events before the mesh advance would
+//! move the injection ahead of the ejection.
 
 use shrimp::core::LatencyRecord;
 use shrimp::mem::VirtAddr;
@@ -118,14 +118,13 @@ fn order_at_the_ejection(x: u16, d: u16) -> Vec<String> {
         .collect()
 }
 
-/// A lower-id sender injects before the ejection: the pump after the
-/// mesh advance visits it first, woken at its packet's ready instant.
+/// A lower-id sender injects after the ejection, at its own event.
 #[test]
-fn lower_id_injection_precedes_the_ejection() {
-    assert_eq!(order_at_the_ejection(0, 2), ["inject 0", "eject 1"]);
+fn lower_id_injection_follows_the_ejection() {
+    assert_eq!(order_at_the_ejection(0, 2), ["eject 1", "inject 0"]);
 }
 
-/// A higher-id sender injects after the ejection, in the same pump.
+/// A higher-id sender injects after the ejection too.
 #[test]
 fn higher_id_injection_follows_the_ejection() {
     assert_eq!(order_at_the_ejection(2, 0), ["eject 1", "inject 2"]);
