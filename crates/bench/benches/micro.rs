@@ -21,11 +21,17 @@ use shrimp_sim::{EventQueue, SimTime};
 fn bench_crc32(c: &mut Criterion) {
     let page = vec![0xa5u8; 4096];
     c.bench_function("crc32/4096B", |b| b.iter(|| crc32(black_box(&page))));
+    // The session workloads' rpc and fanout payload sizes.
+    for len in [256, 512] {
+        c.bench_function(&format!("crc32/{len}B"), |b| {
+            b.iter(|| crc32(black_box(&page[..len])))
+        });
+    }
     let word = [0x5au8; 22];
     c.bench_function("crc32/22B_packet", |b| b.iter(|| crc32(black_box(&word))));
 }
 
-fn bench_frame(c: &mut Criterion) {
+fn bench_packet(c: &mut Criterion) {
     // What go-back-N pays per reliable data packet: framing a page-sized
     // packet extends its CRC over the 5-byte trailer only.
     let header = WireHeader {
@@ -40,6 +46,10 @@ fn bench_frame(c: &mut Criterion) {
     };
     c.bench_function("packet/frame_4096B", |b| {
         b.iter_batched(|| packet.clone(), |p| p.framed(link), BatchSize::SmallInput)
+    });
+    // What the receiving NIC pays per packet: the whole CRC again.
+    c.bench_function("packet/verify_4096B", |b| {
+        b.iter(|| black_box(&packet).verify_crc())
     });
 }
 
@@ -130,7 +140,7 @@ fn bench_cache(c: &mut Criterion) {
                 }
                 cache
             },
-            BatchSize::SmallInput,
+            BatchSize::LargeInput,
         )
     });
 }
@@ -195,7 +205,7 @@ fn bench_cpu(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_crc32,
-    bench_frame,
+    bench_packet,
     bench_nipt,
     bench_fifo,
     bench_event_queue,

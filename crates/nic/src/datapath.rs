@@ -645,6 +645,6 @@ mod tests {
             .command_write(t(0), cmd, CommandOp::ArmInterrupt.encode(), |_, _| unreachable!())
             .unwrap();
         assert_eq!(e, CommandEffect::InterruptToggled);
-        assert!(!n.nipt().entry(PageNum::new(2)).unwrap().is_mapped_in());
+        assert!(!n.nipt().is_mapped_in(PageNum::new(2)));
     }
 }

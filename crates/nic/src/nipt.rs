@@ -130,11 +130,6 @@ impl NiptEntry {
     pub fn segment_at(&self, offset: u64) -> Option<&OutSegment> {
         self.segments().find(|s| s.contains(offset))
     }
-
-    /// True if incoming packets may be delivered to this page.
-    pub fn is_mapped_in(&self) -> bool {
-        self.mapped_in
-    }
 }
 
 /// The page table of one network interface.

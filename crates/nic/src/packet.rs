@@ -577,28 +577,37 @@ fn body_crc(header: &WireHeader, payload: &[u8], link: Option<LinkCtl>) -> u32 {
     crc.finish()
 }
 
-/// Slicing-by-16 tables for the reflected IEEE 802.3 polynomial.
-/// `T[0]` is the classic byte-at-a-time table; `T[k][b]` is the CRC
-/// state of byte `b` followed by `k` zero bytes, so sixteen lookups
-/// advance the state over a 16-byte block at once.
-static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
+/// The reflected IEEE 802.3 polynomial (bit 31 holds the x^0
+/// coefficient, bit 0 the x^31 one).
+const POLY: u32 = 0xedb8_8320;
 
-const fn crc32_tables() -> [[u32; 256]; 16] {
-    let mut t = [[0u32; 256]; 16];
+/// Bytes each of [`Crc32::update`]'s four chains covers per block.
+const STRIPE: usize = 64;
+
+/// Bytes [`Crc32::update`] folds into the state at once: one stripe per
+/// chain.
+const BLOCK: usize = 4 * STRIPE;
+
+/// Slicing-by-8 tables. `T[0]` is the classic byte-at-a-time table;
+/// `T[k][b]` is the CRC state of byte `b` followed by `k` zero bytes, so
+/// eight lookups advance the state over an 8-byte word at once.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            crc = times_x(crc);
             bit += 1;
         }
         t[0][i] = crc;
         i += 1;
     }
     let mut k = 1;
-    while k < 16 {
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
             let prev = t[k - 1][i];
@@ -608,6 +617,83 @@ const fn crc32_tables() -> [[u32; 256]; 16] {
         k += 1;
     }
     t
+}
+
+/// The shift tables that fold [`Crc32::update`]'s chains together.
+/// `SHIFT[j - 1]` multiplies a state by x^(8·j·STRIPE) mod P, which is
+/// what feeding it `j` stripes of zero bytes does; `SHIFT[j - 1][k][b]`
+/// is the product of byte `b` in byte position `k` of the state, so four
+/// lookups apply it.
+static SHIFT: [[[u32; 256]; 4]; 3] = shift_tables();
+
+const fn shift_tables() -> [[[u32; 256]; 4]; 3] {
+    let mut t = [[[0u32; 256]; 4]; 3];
+    let mut j = 0;
+    while j < 3 {
+        // x^(8·(j + 1)·STRIPE): x^0 (bit 31) times x once per zero bit.
+        let mut factor = 1 << 31;
+        let mut bit = 0;
+        while bit < 8 * (j + 1) * STRIPE {
+            factor = times_x(factor);
+            bit += 1;
+        }
+        let mut k = 0;
+        while k < 4 {
+            let mut b = 0;
+            while b < 256 {
+                t[j][k][b] = multmodp(factor, (b as u32) << (8 * k));
+                b += 1;
+            }
+            k += 1;
+        }
+        j += 1;
+    }
+    t
+}
+
+/// `a` times x mod P: one step of the CRC register over a zero bit.
+const fn times_x(a: u32) -> u32 {
+    (a >> 1) ^ (POLY & (a & 1).wrapping_neg())
+}
+
+/// `a` times `b` mod P, as zlib's `multmodp` computes it for
+/// `crc32_combine`: `b` is multiplied by x once per bit of `a`, from the
+/// x^0 coefficient up, and summed where that bit is set.
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut m = 1 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            product ^= b;
+        }
+        b = times_x(b);
+        m >>= 1;
+    }
+    product
+}
+
+/// Advances `state` over one 8-byte word. The state folds into the
+/// first four bytes; those bytes are furthest from the word's end, so
+/// they take the deepest tables.
+fn slice8(state: u32, w: &[u8; 8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let lo = state ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    t[7][(lo & 0xff) as usize]
+        ^ t[6][((lo >> 8) & 0xff) as usize]
+        ^ t[5][((lo >> 16) & 0xff) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][w[4] as usize]
+        ^ t[2][w[5] as usize]
+        ^ t[1][w[6] as usize]
+        ^ t[0][w[7] as usize]
+}
+
+/// Applies one shift table (a multiplication mod P) to `state`.
+fn shift(table: &[[u32; 256]; 4], state: u32) -> u32 {
+    table[0][(state & 0xff) as usize]
+        ^ table[1][((state >> 8) & 0xff) as usize]
+        ^ table[2][((state >> 16) & 0xff) as usize]
+        ^ table[3][(state >> 24) as usize]
 }
 
 /// Incremental IEEE 802.3 CRC-32.
@@ -626,36 +712,36 @@ impl Crc32 {
         Crc32(!crc)
     }
 
-    /// Feeds bytes into the checksum: sixteen bytes per step through the
-    /// slicing tables, then a byte loop for the tail.
+    /// Feeds bytes into the checksum.
+    ///
+    /// Each 256-byte block runs as four independent slicing-by-8 chains,
+    /// one per 64-byte stripe: the first starts from the carried state,
+    /// the others from zero. The register update is linear over GF(2),
+    /// so the state after the block is the first chain's state shifted
+    /// past the other three stripes, XORed with the second's shifted
+    /// past two, the third's shifted past one and the fourth's.
+    /// Whole words after the last block, then single bytes, go through
+    /// one chain.
     pub fn update(&mut self, data: &[u8]) {
-        let t = &CRC32_TABLES;
+        const WORDS: usize = STRIPE / 8;
         let mut crc = self.0;
-        let mut blocks = data.chunks_exact(16);
-        for b in &mut blocks {
-            // The state folds into the first four bytes; those bytes are
-            // furthest from the block's end, so they take the deepest
-            // tables.
-            let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-            crc = t[15][(lo & 0xff) as usize]
-                ^ t[14][((lo >> 8) & 0xff) as usize]
-                ^ t[13][((lo >> 16) & 0xff) as usize]
-                ^ t[12][(lo >> 24) as usize]
-                ^ t[11][b[4] as usize]
-                ^ t[10][b[5] as usize]
-                ^ t[9][b[6] as usize]
-                ^ t[8][b[7] as usize]
-                ^ t[7][b[8] as usize]
-                ^ t[6][b[9] as usize]
-                ^ t[5][b[10] as usize]
-                ^ t[4][b[11] as usize]
-                ^ t[3][b[12] as usize]
-                ^ t[2][b[13] as usize]
-                ^ t[1][b[14] as usize]
-                ^ t[0][b[15] as usize];
+        let (blocks, rest) = data.as_chunks::<BLOCK>();
+        for block in blocks {
+            let (words, _) = block.as_chunks::<8>();
+            let mut c = [crc, 0, 0, 0];
+            for i in 0..WORDS {
+                for (lane, state) in c.iter_mut().enumerate() {
+                    *state = slice8(*state, &words[lane * WORDS + i]);
+                }
+            }
+            crc = shift(&SHIFT[2], c[0]) ^ shift(&SHIFT[1], c[1]) ^ shift(&SHIFT[0], c[2]) ^ c[3];
         }
-        for &byte in blocks.remainder() {
-            crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xff) as usize];
+        let (words, tail) = rest.as_chunks::<8>();
+        for w in words {
+            crc = slice8(crc, w);
+        }
+        for &byte in tail {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ byte as u32) & 0xff) as usize];
         }
         self.0 = crc;
     }
@@ -731,8 +817,8 @@ mod tests {
     #[test]
     fn slicing_matches_reference_at_every_length() {
         // Every length 0..=4200 (a page plus the largest header), hence
-        // every tail length 0..15 after the 16-byte blocks, from several
-        // start offsets.
+        // every count of whole words and tail bytes after the blocks,
+        // from several start offsets.
         let data = noise(4200 + 16, 0x5eed);
         for start in [0usize, 1, 7, 15] {
             let mut state = 0xffff_ffff;
@@ -743,6 +829,52 @@ mod tests {
                     "start {start} len {len}"
                 );
                 state = reference_update(state, &data[start + len..start + len + 1]);
+            }
+        }
+    }
+
+    #[test]
+    fn chains_match_reference_at_block_boundaries() {
+        // Either side of every block boundary up to 8 KiB, where the
+        // chains take over from the one-chain loop and hand back to it,
+        // and the largest payload, from several start offsets.
+        let mut lens: Vec<usize> = (1..=8192 / BLOCK)
+            .flat_map(|k| [k * BLOCK - 1, k * BLOCK, k * BLOCK + 1])
+            .collect();
+        lens.push(u16::MAX as usize);
+        let data = noise(u16::MAX as usize + 16, 0xb10c);
+        for start in [0usize, 1, 7, 15] {
+            let (mut state, mut fed) = (0xffff_ffff, 0);
+            for &len in &lens {
+                state = reference_update(state, &data[start + fed..start + len]);
+                fed = len;
+                assert_eq!(
+                    crc32(&data[start..start + len]),
+                    !state,
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn shift_tables_advance_over_zero_stripes() {
+        let mut states = vec![0, !0];
+        states.extend((0..32).map(|bit| 1u32 << bit));
+        states.extend(
+            noise(400, 0x5417)
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+        );
+        let zeros = [0u8; 3 * STRIPE];
+        for (j, table) in SHIFT.iter().enumerate() {
+            let stripes = &zeros[..(j + 1) * STRIPE];
+            for &state in &states {
+                assert_eq!(
+                    shift(table, state),
+                    reference_update(state, stripes),
+                    "SHIFT[{j}], state {state:#010x}"
+                );
             }
         }
     }

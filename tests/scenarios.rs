@@ -19,8 +19,9 @@ fn load(name: &str) -> Scenario {
     Scenario::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"))
 }
 
-/// Runs `name` and checks the pinned values and the packet ledger.
-fn check_golden(name: &str, hash: u64, events: u64, deliveries: u64) {
+/// Runs `name`, checks the pinned values and the packet ledger, and
+/// returns the run's metrics.
+fn check_golden(name: &str, hash: u64, events: u64, deliveries: u64) -> MetricsSnapshot {
     let sc = load(name);
     let r = run_scenario(&sc).unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(r.sessions_completed, sc.total_sessions(), "{name}: sessions completed");
@@ -28,26 +29,32 @@ fn check_golden(name: &str, hash: u64, events: u64, deliveries: u64) {
     assert_eq!(r.events_processed, events, "{name}: pinned event count");
     assert_eq!(r.deliveries, deliveries, "{name}: pinned delivery count");
     check_ledger(name, &r.metrics);
+    r.metrics
+}
+
+/// The `nic{i}.<field>` counter summed over every node.
+fn nic_total(m: &MetricsSnapshot, field: &str) -> u64 {
+    m.entries()
+        .filter_map(|(metric, value)| {
+            let (node, f) = metric.strip_prefix("nic")?.split_once('.')?;
+            match value {
+                MetricValue::Counter(n) if f == field && node.parse::<u32>().is_ok() => Some(*n),
+                _ => None,
+            }
+        })
+        .sum()
 }
 
 /// The packet ledger of a finished run, over its metrics snapshot with
 /// the NIC counters summed over nodes: the mesh took in only what the
 /// NICs sent, retransmitted or minted as link control; each packet it
 /// handed out was received, dropped at the NIC or consumed by
-/// go-back-N; it dropped the rest; and the machine's drop and delivery
-/// logs agree with the NICs.
+/// go-back-N; it dropped the rest; the machine's drop and delivery
+/// logs agree with the NICs; and a CRC check failed only on a packet
+/// the mesh corrupted (a sender whose CRC covered other bytes than it
+/// sent would fail more).
 fn check_ledger(name: &str, m: &MetricsSnapshot) {
-    let nic = |field: &str| -> u64 {
-        m.entries()
-            .filter_map(|(metric, value)| {
-                let (node, f) = metric.strip_prefix("nic")?.split_once('.')?;
-                match value {
-                    MetricValue::Counter(n) if f == field && node.parse::<u32>().is_ok() => Some(*n),
-                    _ => None,
-                }
-            })
-            .sum()
-    };
+    let nic = |field: &str| nic_total(m, field);
     let count = |metric: &str| m.counter(metric).unwrap_or_else(|| panic!("{name}: no {metric}"));
     let (injected, ejected) = (count("mesh.packets_injected"), count("mesh.packets_ejected"));
     let (received, unmapped) = (nic("packets_received"), nic("unmapped_drops"));
@@ -69,6 +76,18 @@ fn check_ledger(name: &str, m: &MetricsSnapshot) {
     assert_eq!(injected, ejected + dropped, "{name}: the mesh ejects or drops each packet");
     assert_eq!(count("machine.drops"), nic_drops + unmapped, "{name}: the drop log");
     assert_eq!(count("machine.deliveries"), received - unmapped, "{name}: the delivery log");
+    assert!(
+        nic("crc_drops") <= count("mesh.packets_corrupted"),
+        "{name}: a CRC check failed on a packet the mesh did not corrupt"
+    );
+}
+
+/// Checks that the mesh corrupted `corrupted` packets and the NICs'
+/// CRC checks dropped every one of them: a checksum that missed a
+/// flipped bit would deliver the packet instead.
+fn check_every_corruption_caught(name: &str, m: &MetricsSnapshot, corrupted: u64) {
+    assert_eq!(m.counter("mesh.packets_corrupted"), Some(corrupted), "{name}: pinned corrupted packets");
+    assert_eq!(nic_total(m, "crc_drops"), corrupted, "{name}: a corrupted packet passed its CRC check");
 }
 
 #[test]
@@ -125,7 +144,8 @@ fn golden_churn() {
 /// count.
 #[test]
 fn golden_unpinned_faulty() {
-    check_golden("unpinned_faulty", 0x86b2_9498_d792_a0ec, 2863, 712);
+    let m = check_golden("unpinned_faulty", 0x86b2_9498_d792_a0ec, 2863, 712);
+    check_every_corruption_caught("unpinned_faulty", &m, 2);
 }
 
 /// Renders every `nic{i}.*` entry of a snapshot as one row per metric
@@ -299,7 +319,8 @@ fn golden_mixed10k() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "2,000 sessions: run with --release")]
 fn golden_sessions_faulty() {
-    check_golden("sessions_faulty", 0x742e_65a6_1d26_c87d, 58_495, 16_208);
+    let m = check_golden("sessions_faulty", 0x742e_65a6_1d26_c87d, 58_495, 16_208);
+    check_every_corruption_caught("sessions_faulty", &m, 87);
 }
 
 /// Acceptance soak: on a 4×4 mesh every directed link fails and
