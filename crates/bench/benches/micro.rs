@@ -16,7 +16,7 @@ use shrimp_nic::packet::crc32;
 use shrimp_nic::{
     FrameKind, LinkCtl, Nipt, OutSegment, PacketFifo, ShrimpPacket, UpdatePolicy, WireHeader,
 };
-use shrimp_sim::{EventQueue, SimTime};
+use shrimp_sim::{EventQueue, SimDuration, SimTime};
 
 fn bench_crc32(c: &mut Criterion) {
     let page = vec![0xa5u8; 4096];
@@ -100,17 +100,37 @@ fn bench_fifo(c: &mut Criterion) {
 }
 
 fn bench_event_queue(c: &mut Criterion) {
+    fn push_pop_1k(time: impl Fn(u64) -> u64) -> u64 {
+        let mut q = EventQueue::with_capacity(1024);
+        for i in 0..1024u64 {
+            q.push(SimTime::from_picos(time(i)), i);
+        }
+        let mut sum = 0u64;
+        while let Some((_, e)) = q.pop() {
+            sum = sum.wrapping_add(e);
+        }
+        sum
+    }
+    // Scattered times: most pushes go to the heap.
     c.bench_function("event_queue/push_pop_1k", |b| {
+        b.iter(|| push_pop_1k(|i| (i * 7919) % 4096))
+    });
+    // Nondecreasing times: every push joins a lane.
+    c.bench_function("event_queue/in_order_1k", |b| {
+        b.iter(|| push_pop_1k(|i| i * 4))
+    });
+    // `auto_stream`'s shape: 200k merge deadlines pending while pops and
+    // in-order pushes alternate; one iteration is one pop and one push.
+    const DEPTH: u64 = 200_000;
+    let mut q = EventQueue::new();
+    for i in 0..DEPTH {
+        q.push(SimTime::from_picos(i * 60), i);
+    }
+    c.bench_function("event_queue/deep_in_order", |b| {
         b.iter(|| {
-            let mut q = EventQueue::with_capacity(1024);
-            for i in 0..1024u64 {
-                q.push(SimTime::from_picos((i * 7919) % 4096), i);
-            }
-            let mut sum = 0u64;
-            while let Some((_, e)) = q.pop() {
-                sum = sum.wrapping_add(e);
-            }
-            sum
+            let (t, e) = q.pop().expect("the queue stays DEPTH deep");
+            q.push(t + SimDuration::from_picos(DEPTH * 60), e);
+            e
         })
     });
 }

@@ -8,7 +8,8 @@
 //! * [`SimTime`] / [`SimDuration`] — integer picosecond timestamps, so all
 //!   arithmetic is exact and runs are bit-for-bit reproducible.
 //! * [`EventQueue`] — a priority queue with deterministic FIFO tie-breaking
-//!   for events scheduled at the same instant.
+//!   for events scheduled at the same instant. Pushes that arrive in time
+//!   order join FIFO lanes and skip its binary heap.
 //! * [`SerialResource`] and [`BandwidthResource`] — occupancy models for
 //!   one-at-a-time hardware (buses, links, DMA engines).
 //! * [`SimRng`] — a seeded ChaCha RNG so workloads are reproducible.

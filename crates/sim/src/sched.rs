@@ -4,7 +4,9 @@
 //! [`Scheduler`] is the machine model's single event queue. The run
 //! loop that drains it (find the next instant across the queue and the
 //! mesh, advance both, dispatch the instant's events) lives on its only
-//! host, the whole-machine model in `shrimp-core`.
+//! host, the whole-machine model in `shrimp-core`. The loop reads the
+//! next instant several times per event; the [`EventQueue`] inside
+//! caches it, so [`Scheduler::peek_time`] is a field read.
 
 use crate::event::EventQueue;
 use crate::time::SimTime;

@@ -4,6 +4,36 @@ use proptest::prelude::*;
 
 use shrimp_sim::{BandwidthResource, EventQueue, Histogram, SerialResource, SimDuration, SimTime};
 
+/// Runs `ops` (`Some(time)` pushes, `None` pops) on an [`EventQueue`] and
+/// on a reference model (a list searched for the earliest time, then the
+/// earliest push), comparing every pop and, after every operation, `len`,
+/// `is_empty` and `peek_time`.
+fn check_queue_against_model(
+    ops: impl IntoIterator<Item = Option<u64>>,
+) -> Result<(), TestCaseError> {
+    let mut q = EventQueue::new();
+    let mut model: Vec<(u64, usize)> = Vec::new(); // (time, push order)
+    for (seq, op) in ops.into_iter().enumerate() {
+        match op {
+            Some(t) => {
+                q.push(SimTime::from_picos(t), seq);
+                model.push((t, seq));
+            }
+            None => {
+                let earliest = (0..model.len()).min_by_key(|&i| model[i]);
+                let expect = earliest.map(|i| model.remove(i));
+                let got = q.pop().map(|(t, s)| (t.as_picos(), s));
+                prop_assert_eq!(got, expect);
+            }
+        }
+        prop_assert_eq!(q.len(), model.len());
+        prop_assert_eq!(q.is_empty(), model.is_empty());
+        let earliest = model.iter().map(|&(t, _)| t).min();
+        prop_assert_eq!(q.peek_time().map(SimTime::as_picos), earliest);
+    }
+    Ok(())
+}
+
 proptest! {
     /// A serialized resource never double-books: grants are disjoint,
     /// ordered, each as long as requested, and the resource frees when
@@ -41,26 +71,32 @@ proptest! {
     /// interleaving (checked against a reference model).
     #[test]
     fn event_queue_matches_reference(ops in prop::collection::vec(prop::option::of(0u64..100), 1..300)) {
-        let mut q = EventQueue::new();
-        let mut model: Vec<(u64, usize)> = Vec::new(); // (time, seq)
-        let mut seq = 0usize;
-        for op in ops {
-            match op {
-                Some(t) => {
-                    q.push(SimTime::from_picos(t), seq);
-                    model.push((t, seq));
-                    seq += 1;
+        check_queue_against_model(ops)?;
+    }
+
+    /// The same check on times that follow a rising walk with occasional
+    /// jumps back, so pushes fill every in-order lane and spill into the
+    /// heap. The pop share varies by case: some cases keep the queue
+    /// deep, others empty lanes often.
+    #[test]
+    fn event_queue_rising_walk_matches_reference(
+        pop_share in 1u8..8,
+        steps in prop::collection::vec((0u64..8, 0u8..16, 0u64..100), 1..500),
+    ) {
+        let mut now = 10_000u64;
+        let ops = steps.into_iter().map(|(rise, roll, back)| {
+            if roll < pop_share {
+                None
+            } else {
+                if roll == 15 {
+                    now -= back;
+                } else {
+                    now += rise;
                 }
-                None => {
-                    // Reference pop: earliest time, lowest seq.
-                    model.sort_by_key(|&(t, s)| (t, s));
-                    let expect = if model.is_empty() { None } else { Some(model.remove(0)) };
-                    let got = q.pop().map(|(t, s)| (t.as_picos(), s));
-                    prop_assert_eq!(got, expect);
-                }
+                Some(now)
             }
-            prop_assert_eq!(q.len(), model.len());
-        }
+        });
+        check_queue_against_model(ops)?;
     }
 
     /// Histogram statistics match a direct computation for any samples.
