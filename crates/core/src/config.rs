@@ -1,23 +1,39 @@
-//! Whole-machine configuration.
+//! Whole-machine configuration, and the machine's fixed costs.
 
-use shrimp_cpu::CpuConfig;
-use shrimp_mem::{BusConfig, CacheConfig};
-use shrimp_mesh::{MeshConfig, MeshShape};
+use shrimp_mem::BusConfig;
+use shrimp_mesh::MeshShape;
 use shrimp_nic::{NicBackend, NicConfig};
 use shrimp_sim::{FaultConfig, SimDuration, TelemetryConfig};
 
-/// Configuration of a simulated SHRIMP machine.
+/// Cost of the `map` system call (protection checking, page-table and
+/// NIPT updates on both nodes). Paid once per mapping — deliberately
+/// expensive, off the critical path (paper §2).
+pub const MAP_SYSCALL_COST: SimDuration = SimDuration::from_us(50);
+
+/// One-way latency of a kernel-to-kernel control message (§4.4
+/// protocol traffic).
+pub const KERNEL_MSG_LATENCY: SimDuration = SimDuration::from_us(10);
+
+/// Cost of taking a page fault or a trap into the kernel and returning.
+pub const FAULT_COST: SimDuration = SimDuration::from_us(20);
+
+/// Cost of a context switch (register save/restore + TLB flush).
+pub const CONTEXT_SWITCH_COST: SimDuration = SimDuration::from_us(15);
+
+/// TLB entries per node.
+pub const TLB_ENTRIES: usize = 64;
+
+/// Configuration of a simulated SHRIMP machine. Each node has a
+/// Pentium-class L2 cache (`shrimp_mem::CacheConfig::pentium_l2`), and
+/// the nodes sit on a Paragon-class backplane of `shape`
+/// (`shrimp_mesh::MeshConfig::paragon`).
 #[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
     /// Mesh dimensions.
     pub shape: MeshShape,
     /// Physical pages per node.
     pub pages_per_node: u64,
-    /// CPU timing.
-    pub cpu: CpuConfig,
-    /// Cache geometry.
-    pub cache: CacheConfig,
-    /// Xpress/EISA bus parameters.
+    /// The incoming-path (EISA) bus parameters.
     pub bus: BusConfig,
     /// Network interface parameters.
     pub nic: NicConfig,
@@ -25,23 +41,8 @@ pub struct MachineConfig {
     /// SHRIMP design (the default) or the NP-RDMA-style unpinned one
     /// (bounded IOTLB + dynamic map-in; see `shrimp_nic::unpinned`).
     pub nic_backend: NicBackend,
-    /// Backplane parameters.
-    pub mesh: MeshConfig,
-    /// Cost of the `map` system call (protection checking, page-table and
-    /// NIPT updates on both nodes). Paid once per mapping — deliberately
-    /// expensive, off the critical path (paper §2).
-    pub map_syscall_cost: SimDuration,
-    /// One-way latency of a kernel-to-kernel control message (§4.4
-    /// protocol traffic).
-    pub kernel_msg_latency: SimDuration,
-    /// Cost of taking a page fault into the kernel and returning.
-    pub fault_cost: SimDuration,
-    /// Cost of a context switch (register save/restore + TLB flush).
-    pub context_switch_cost: SimDuration,
     /// Scheduler quantum.
     pub quantum: SimDuration,
-    /// TLB entries per node.
-    pub tlb_entries: usize,
     /// Deterministic fault injection (all rates zero by default, which
     /// creates no fault sites and leaves the machine bit-identical to a
     /// build without the subsystem).
@@ -58,18 +59,10 @@ impl MachineConfig {
         MachineConfig {
             shape,
             pages_per_node: 256, // 1 MB per node keeps tests fast
-            cpu: CpuConfig::default(),
-            cache: CacheConfig::pentium_l2(),
             bus: BusConfig::shrimp_prototype(),
             nic: NicConfig::prototype(),
             nic_backend: NicBackend::default(),
-            mesh: MeshConfig::paragon(shape),
-            map_syscall_cost: SimDuration::from_us(50),
-            kernel_msg_latency: SimDuration::from_us(10),
-            fault_cost: SimDuration::from_us(20),
-            context_switch_cost: SimDuration::from_us(15),
             quantum: SimDuration::from_ms(10),
-            tlb_entries: 64,
             fault: FaultConfig::default(),
             telemetry: TelemetryConfig::default(),
         }
@@ -98,9 +91,7 @@ impl MachineConfig {
     /// Panics if any component configuration is invalid.
     pub fn validate(&self) {
         self.nic.validate();
-        self.mesh.validate();
         assert!(self.pages_per_node >= 32, "nodes need at least 32 pages");
-        assert!(self.tlb_entries > 0, "TLB must hold at least one entry");
     }
 }
 

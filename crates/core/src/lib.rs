@@ -6,6 +6,9 @@
 //! Paragon-style mesh backplane, all advanced by one deterministic event
 //! loop.
 //!
+//! * [`config`] — [`MachineConfig`], the settings a run varies, beside
+//!   the machine's fixed costs ([`config::MAP_SYSCALL_COST`] and the
+//!   rest).
 //! * [`Machine`] — build it from a [`MachineConfig`], create processes,
 //!   export receive buffers, establish mappings with [`Machine::map`],
 //!   and either run mini-ISA programs on the simulated CPUs or move data

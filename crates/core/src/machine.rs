@@ -27,12 +27,12 @@
 
 use shrimp_cpu::{Cpu, Program, Reg};
 use shrimp_mem::{PhysAddr, VirtAddr, PAGE_SIZE, WORD_SIZE};
-use shrimp_mesh::{MeshNetwork, NodeId};
+use shrimp_mesh::{MeshConfig, MeshNetwork, NodeId};
 use shrimp_nic::{NetworkInterface, NicError, ShrimpPacket};
 use shrimp_os::{ExportId, Kernel, OsError, Pid};
 use shrimp_sim::{
-    ComponentId, EnginePhase, EngineProfileReport, EngineProfiler, Histogram, MetricsRegistry,
-    MetricsSnapshot, Scheduler, SimDuration, SimTime, TraceData, TraceEvent, Tracer,
+    ComponentId, EnginePhase, EngineProfileReport, EngineProfiler, EventQueue, Histogram,
+    MetricsRegistry, MetricsSnapshot, SimDuration, SimTime, TraceData, TraceEvent, Tracer,
 };
 
 use crate::config::MachineConfig;
@@ -213,7 +213,12 @@ pub struct Machine {
     config: MachineConfig,
     nodes: Vec<Node>,
     mesh: MeshNetwork<ShrimpPacket>,
-    sched: Scheduler<Event>,
+    /// The machine's events; the mesh keeps its own queue.
+    queue: EventQueue<Event>,
+    /// Simulated time: the latest instant a step or a run reached.
+    now: SimTime,
+    /// Events popped, each of which is handled.
+    processed: u64,
     registrations: Vec<Registration>,
     next_mapping: u32,
     syscall_log: Vec<(SimTime, NodeId, Pid, u32)>,
@@ -241,7 +246,7 @@ impl Machine {
         config.validate();
         let shape = config.shape;
         let mut nodes: Vec<Node> = shape.iter_nodes().map(|id| Node::new(id, &config)).collect();
-        let mut mesh = MeshNetwork::new(config.mesh);
+        let mut mesh = MeshNetwork::new(MeshConfig::paragon(shape));
         mesh.set_fault_injection(&config.fault);
         let telemetry = config.telemetry;
         let trace = Tracer::new(nodes.len(), telemetry.flight_recorder, telemetry.trace);
@@ -256,7 +261,9 @@ impl Machine {
             config,
             nodes,
             mesh,
-            sched: Scheduler::new(),
+            queue: EventQueue::new(),
+            now: SimTime::ZERO,
+            processed: 0,
             registrations: Vec::new(),
             next_mapping: 1,
             syscall_log: Vec::new(),
@@ -272,7 +279,7 @@ impl Machine {
     /// Number of discrete events handled since construction; a measure of
     /// simulator work, independent of wall-clock.
     pub fn events_processed(&self) -> u64 {
-        self.sched.processed()
+        self.processed
     }
 
     /// The wall-clock engine profile, when `telemetry.profile` is on.
@@ -292,7 +299,7 @@ impl Machine {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.sched.now()
+        self.now
     }
 
     fn node(&self, id: NodeId) -> &Node {
@@ -355,8 +362,7 @@ impl Machine {
 
     /// Binds a program to `(node, pid)` as its CPU context.
     pub fn load_program(&mut self, node: NodeId, pid: Pid, program: Program) {
-        let cpu = Cpu::with_config(program, self.config.cpu);
-        self.node_mut(node).cpus.insert(pid, cpu);
+        self.node_mut(node).cpus.insert(pid, Cpu::new(program));
     }
 
     /// Sets a register of a process's CPU (experiment setup).
@@ -430,7 +436,6 @@ impl Machine {
                 len: data.len() as u64,
             });
         }
-        let pages_per_node = self.config.pages_per_node;
         let word = |bytes: &[u8]| u32::from_le_bytes(bytes.try_into().expect("4-byte chunk"));
         let mut t = self.now();
         let mut pos = 0;
@@ -450,8 +455,7 @@ impl Machine {
                     rest_va,
                     rest,
                     quiet,
-                    pages_per_node,
-                    &mut self.sched,
+                    &mut self.queue,
                 ) {
                     t = done;
                     continue;
@@ -566,7 +570,7 @@ impl Machine {
     pub fn run_until(&mut self, limit: SimTime) {
         // A bounded run has no step budget, so it cannot fail.
         let _ = self.run_loop(Some(limit), |_| false);
-        self.sched.advance_clock(limit);
+        self.now = self.now.max(limit);
     }
 
     /// Runs until no machine or mesh events remain (all CPUs halted or
@@ -633,7 +637,7 @@ impl Machine {
     /// it. Mesh work they queue for the same instant (an injection, say)
     /// runs in the next step, at the same time.
     fn step(&mut self, limit: Option<SimTime>) -> Step {
-        let queued = self.sched.peek_time();
+        let queued = self.queue.peek_time();
         let mesh = self.mesh.next_event_time();
         let next = match (queued, mesh) {
             (None, None) => return Step::Idle,
@@ -641,19 +645,20 @@ impl Machine {
             (Some(a), Some(b)) => a.min(b),
         };
         debug_assert!(
-            next >= self.sched.now(),
+            next >= self.now,
             "next instant {next:?} precedes the clock {:?}",
-            self.sched.now()
+            self.now
         );
         if limit.is_some_and(|limit| next > limit) {
             return Step::PastLimit;
         }
-        self.sched.advance_clock(next);
+        self.now = self.now.max(next);
         if mesh == Some(next) {
             self.advance_mesh(next);
         }
-        while self.sched.peek_time() == Some(next) {
-            let (_, ev) = self.sched.pop().expect("peeked event");
+        while self.queue.peek_time() == Some(next) {
+            let (_, ev) = self.queue.pop().expect("peeked event");
+            self.processed += 1;
             self.dispatch_event(next, ev);
         }
         debug_assert!(
@@ -676,18 +681,18 @@ impl Machine {
 
     /// Schedules a machine event.
     fn push_event(&mut self, at: SimTime, node: u16, ev: NodeEvent) {
-        self.sched.push(at, Event { node, ev });
+        self.queue.push(at, Event { node, ev });
     }
 
     /// Executes one popped event. The node-side halves live on [`Node`]
-    /// and push their follow-up events straight onto the scheduler. The
+    /// and push their follow-up events straight onto the queue. The
     /// trace events the node's NIC raised reach the sink by its end.
     fn dispatch_event(&mut self, t: SimTime, Event { node, ev }: Event) {
         self.active.mark(node);
         let id = NodeId(node);
         match ev {
             NodeEvent::CpuStep => {
-                match self.nodes[node as usize].cpu_step(t, &self.config, &mut self.sched) {
+                match self.nodes[node as usize].cpu_step(t, &mut self.queue) {
                     // Nothing ran, so the NIC raised nothing to drain.
                     CpuExit::Idle => return,
                     CpuExit::Ran => {}
@@ -714,8 +719,7 @@ impl Machine {
                 self.profiler.end_sampled(EnginePhase::MeshPump, p);
             }
             NodeEvent::KernelMsg { msg } => {
-                let latency = self.config.kernel_msg_latency;
-                self.nodes[node as usize].kernel_msg(t, msg, latency, &mut self.sched);
+                self.nodes[node as usize].kernel_msg(t, msg, &mut self.queue);
             }
         }
         self.drain_nic_trace(node);
@@ -757,8 +761,7 @@ impl Machine {
         va: VirtAddr,
         value: u32,
     ) -> Result<(SimTime, bool), MachineError> {
-        let pages_per_node = self.config.pages_per_node;
-        let done = self.node_mut(node).store_word_through(t, pid, va, value, pages_per_node)?;
+        let done = self.node_mut(node).store_word_through(t, pid, va, value)?;
         Ok((done, self.schedule_wakeups(t, node).quiet()))
     }
 
@@ -858,7 +861,7 @@ impl Machine {
             };
             reg.set_gauge(format!("mesh.link.{}-{}.util", a.0, b.0), util);
         }
-        reg.set_counter("machine.events_processed", self.sched.processed());
+        reg.set_counter("machine.events_processed", self.processed);
         reg.set_counter("machine.sim_time_ps", self.now().as_picos());
         reg.set_counter("machine.deliveries", self.delivery_log.len() as u64);
         reg.set_counter("machine.drops", self.drop_log.len() as u64);
@@ -937,7 +940,7 @@ mod tests {
         let (mut m, s, r) = two_node();
         let before = m.now();
         simple_map(&mut m, s, r, UpdatePolicy::AutomaticSingle);
-        assert!(m.now().since(before) >= m.config().map_syscall_cost);
+        assert!(m.now().since(before) >= crate::config::MAP_SYSCALL_COST);
     }
 
     #[test]
@@ -1127,6 +1130,23 @@ mod tests {
         assert_ne!(cmd, cmd2);
     }
 
+    /// The command page of each page of a buffer decodes, at every
+    /// in-page offset, to the NIC's command address for that page's
+    /// frame (§4.2).
+    #[test]
+    fn command_pages_translate_to_the_nics_command_addresses() {
+        let (mut m, s, _) = two_node();
+        let buf = m.alloc_pages(NodeId(0), s, 3).unwrap();
+        let space = *m.nic(NodeId(0)).command_space();
+        for k in 0..3 {
+            let data = buf.add(k * PAGE_SIZE + 0x234);
+            let cmd = m.map_command_page(NodeId(0), s, data).unwrap();
+            let phys = m.translate(NodeId(0), s, data).unwrap();
+            let decoded = m.translate(NodeId(0), s, cmd.add(0x234)).unwrap();
+            assert_eq!(decoded, space.command_addr_for(phys), "page {k}");
+        }
+    }
+
     #[test]
     fn eisa_stats_accumulate() {
         let (mut m, s, r) = two_node();
@@ -1180,7 +1200,7 @@ mod tests {
         m.push_event(t + SimDuration::from_ns(1), 1, NodeEvent::NicHousekeep);
         assert_eq!(m.step(None), Step::Ran);
         assert_eq!((m.now(), m.events_processed()), (t, 3));
-        assert_eq!(m.sched.peek_time(), Some(t + SimDuration::from_ns(1)));
+        assert_eq!(m.queue.peek_time(), Some(t + SimDuration::from_ns(1)));
     }
 
     /// A two-node machine with one automatic-update word in flight.
@@ -1206,7 +1226,7 @@ mod tests {
         let mut m = word_in_flight();
         let mut steps = Vec::new();
         loop {
-            let (queued, mesh) = (m.sched.peek_time(), m.mesh.next_event_time());
+            let (queued, mesh) = (m.queue.peek_time(), m.mesh.next_event_time());
             if m.step(None) == Step::Idle {
                 break;
             }
@@ -1253,9 +1273,21 @@ mod tests {
         assert_eq!(m.now(), limit);
         assert_eq!(m.events_processed(), before.events);
         assert_eq!(m.mesh.next_event_time(), Some(mesh_at), "mesh ran past the limit");
-        assert!(m.sched.peek_time().is_none_or(|t| t > limit));
+        assert!(m.queue.peek_time().is_none_or(|t| t > limit));
         assert_eq!(m.step(Some(limit)), Step::PastLimit);
         assert_eq!((m.now(), m.events_processed()), (limit, before.events));
+    }
+
+    /// The clock never runs backward: a run to an earlier limit leaves
+    /// it where it is.
+    #[test]
+    fn run_until_an_earlier_limit_leaves_the_clock() {
+        let (mut m, _, _) = two_node();
+        let early = m.now() + SimDuration::from_us(1);
+        let late = early + SimDuration::from_us(4);
+        m.run_until(late);
+        m.run_until(early);
+        assert_eq!(m.now(), late);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use shrimp_mesh::NodeId;
 use shrimp_nic::NetworkInterface;
-use shrimp_sim::{ComponentId, EnginePhase, Scheduler, SimDuration, SimTime, TraceData};
+use shrimp_sim::{ComponentId, EnginePhase, EventQueue, SimDuration, SimTime, TraceData};
 
 use super::{DeliveryRecord, LatencyRecord, Machine};
 use crate::node::{Event, NodeEvent};
@@ -105,7 +105,7 @@ pub(crate) struct NicWakeups {
 impl NicWakeups {
     /// Pushes, in this order, the housekeep, drain and pop wakeups of
     /// `plan` that no pending wakeup covers.
-    fn schedule(&mut self, node: u16, plan: &WakePlan, t: SimTime, queue: &mut Scheduler<Event>) {
+    fn schedule(&mut self, node: u16, plan: &WakePlan, t: SimTime, queue: &mut EventQueue<Event>) {
         if let Some(at) = plan.housekeep {
             if !covered(self.housekeep, at, t) {
                 self.housekeep = Some(at);
@@ -124,7 +124,7 @@ impl NicWakeups {
     }
 
     /// Pushes a `PopIncoming` at `at` unless a pending one covers it.
-    fn schedule_pop(&mut self, node: u16, at: SimTime, t: SimTime, queue: &mut Scheduler<Event>) {
+    fn schedule_pop(&mut self, node: u16, at: SimTime, t: SimTime, queue: &mut EventQueue<Event>) {
         if !covered(self.pop, at, t) {
             self.pop = Some(at);
             queue.push(at, Event { node, ev: NodeEvent::PopIncoming });
@@ -160,7 +160,7 @@ impl NicWakeups {
         start: SimTime,
         step: SimDuration,
         n: u64,
-        queue: &mut Scheduler<Event>,
+        queue: &mut EventQueue<Event>,
     ) {
         let node = nic.node().0;
         let window = nic.config().merge_window;
@@ -193,7 +193,7 @@ impl Machine {
     pub(super) fn schedule_wakeups(&mut self, t: SimTime, node: NodeId) -> WakePlan {
         let n = &mut self.nodes[node.0 as usize];
         let plan = WakePlan::of(&n.nic, t);
-        n.wakeups.schedule(node.0, &plan, t, &mut self.sched);
+        n.wakeups.schedule(node.0, &plan, t, &mut self.queue);
         plan
     }
 
@@ -336,7 +336,7 @@ impl Machine {
         }
         let n = &mut self.nodes[node.0 as usize];
         if let Some(r) = n.nic.incoming_ready_at() {
-            n.wakeups.schedule_pop(node.0, r.max(t), t, &mut self.sched);
+            n.wakeups.schedule_pop(node.0, r.max(t), t, &mut self.queue);
         }
     }
 

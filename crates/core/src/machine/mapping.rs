@@ -22,6 +22,7 @@ use shrimp_os::{ExportId, OsError, Pid};
 use shrimp_sim::{ComponentId, SimTime, TraceData};
 
 use super::Machine;
+use crate::config::{FAULT_COST, KERNEL_MSG_LATENCY, MAP_SYSCALL_COST};
 use crate::error::MachineError;
 use crate::node::NodeEvent;
 
@@ -95,7 +96,7 @@ impl MapRequest {
 impl Machine {
     /// Establishes a virtual memory mapping: the expensive, fully
     /// protection-checked `map` system call of paper §2. Costs
-    /// [`crate::MachineConfig::map_syscall_cost`] of simulated time.
+    /// [`MAP_SYSCALL_COST`] of simulated time.
     ///
     /// Arbitrary (non-page-aligned) ranges are supported through the
     /// §3.2 split-page mechanism; each source page may end up carrying
@@ -135,7 +136,7 @@ impl Machine {
         }
 
         // The map call is the deliberately slow, rare operation.
-        let done = self.now() + self.config.map_syscall_cost;
+        let done = self.now() + MAP_SYSCALL_COST;
         self.run_until(done);
         Ok(id)
     }
@@ -170,7 +171,7 @@ impl Machine {
             };
             self.emit(req.src_node, self.now(), ComponentId::MACHINE, data);
         }
-        let done = self.now() + self.config.map_syscall_cost / 2;
+        let done = self.now() + MAP_SYSCALL_COST / 2;
         self.run_until(done);
         Ok(())
     }
@@ -279,14 +280,16 @@ impl Machine {
         pid: Pid,
         data_va: VirtAddr,
     ) -> Result<VirtAddr, MachineError> {
-        let pages_per_node = self.config.pages_per_node;
         let frame = self.node(node).kernel.frame_of(pid, data_va.page())?;
-        let kernel = &mut self.node_mut(node).kernel;
-        let proc = kernel.process_mut(pid).ok_or(OsError::NoSuchProcess(pid))?;
-        let vpn = proc.reserve_vpns(1);
+        let n = self.node_mut(node);
         // Command "frames" live just past installed memory, at the fixed
         // distance the hardware decodes.
-        let cmd_frame = PageNum::new(pages_per_node + frame.raw());
+        let cmd_frame = n.nic.command_space().command_addr_for(frame.base()).page();
+        let proc = n
+            .kernel
+            .process_mut(pid)
+            .ok_or(OsError::NoSuchProcess(pid))?;
+        let vpn = proc.reserve_vpns(1);
         let flags = PageFlags {
             protection: Protection::ReadWrite,
             cache_mode: CacheMode::WriteThrough, // uncached in effect; bypassed below
@@ -305,8 +308,7 @@ impl Machine {
     /// progress).
     pub fn begin_pageout(&mut self, node: NodeId, frame: PageNum) -> Result<(), MachineError> {
         let msgs = self.node_mut(node).kernel.begin_pageout(frame)?;
-        let latency = self.config.kernel_msg_latency;
-        let at = self.now() + latency;
+        let at = self.now() + KERNEL_MSG_LATENCY;
         for (dst, msg) in msgs {
             self.push_event(at, dst.0, NodeEvent::KernelMsg { msg });
         }
@@ -342,9 +344,7 @@ impl Machine {
             if self.node_mut(node).kernel.handle_write_fault(pid, addr).is_ok()
                 && self.reestablish(node, pid, addr.page()).is_ok()
             {
-                let cost = self.config.fault_cost
-                    + self.config.kernel_msg_latency * 2
-                    + self.config.map_syscall_cost / 4;
+                let cost = FAULT_COST + KERNEL_MSG_LATENCY * 2 + MAP_SYSCALL_COST / 4;
                 let resume = t + cost;
                 let n = self.node_mut(node);
                 n.cpu_busy_until = resume;

@@ -162,7 +162,7 @@ fn observe(rig: &Rig) -> Vec<String> {
         format!("{:?}", m.peek(SND, rig.pid, rig.src, PAGES * PAGE_SIZE)),
         format!("{:?}", m.peek(RCV, rig.rpid, rig.dst, PAGES * PAGE_SIZE)),
         m.metrics_snapshot().to_json(),
-        format!("{:?}", m.sched),
+        format!("{:?}", m.queue),
     ];
     for n in &m.nodes {
         out.push(format!("{:?}", n.nic));
@@ -262,8 +262,7 @@ fn first_word(rig: &mut Rig, t: SimTime, va: VirtAddr) -> (SimTime, bool) {
 fn bulk_step(rig: &mut Rig, t: SimTime, va: VirtAddr, words: u64, quiet: bool) -> Option<SimTime> {
     let rest = vec![0x3c; (words * WORD_SIZE) as usize];
     let m = &mut rig.m;
-    let pages_per_node = m.config.pages_per_node;
-    m.nodes[SND.0 as usize].store_run_bulk(t, va, &rest, quiet, pages_per_node, &mut m.sched)
+    m.nodes[SND.0 as usize].store_run_bulk(t, va, &rest, quiet, &mut m.queue)
 }
 
 #[test]
@@ -463,7 +462,7 @@ fn bulk_step_refuses_what_the_word_loop_would_do_differently() {
     assert_refused("go-back-N timer", timer, PAGE_RUN, |_| {});
     // ...and a map-in in flight: with a two-entry IOTLB, warming leaves
     // pages 2 and 3 resident, so page 0's first word misses.
-    let mut map_in = build_with(&unpinned, |c| c.nic.unpinned.iotlb_entries = 2);
+    let mut map_in = build_with(&unpinned, |c| c.nic.iotlb_entries = 2);
     let (t, src) = (map_in.m.now(), map_in.src);
     first_word(&mut map_in, t, src);
     let last_page = Run {

@@ -4,7 +4,7 @@
 //! The machine dispatches every event in one `match`
 //! (`Machine::dispatch_event`). The node-side handlers here mutate only
 //! their own node and push follow-up events straight onto the machine's
-//! scheduler: [`Node::cpu_step`] runs a CPU batch and reports the trap
+//! event queue: [`Node::cpu_step`] runs a CPU batch and reports the trap
 //! the machine must service as a [`CpuExit`], [`Node::kernel_msg`]
 //! sends a §4.4 message's replies, and [`Node::commit_dma`] lands an
 //! EISA burst. The NIC wakeups and the mesh-coupled work (FIFO drain,
@@ -15,17 +15,22 @@ use std::collections::BTreeMap;
 
 use shrimp_cpu::{Cpu, MemoryBus, StepResult};
 use shrimp_mem::{
-    CacheMode, CacheModel, EisaBus, MemError, PageNum, PhysAddr, PhysicalMemory, Tlb, VirtAddr,
-    XpressBus, WORD_SIZE,
+    CacheConfig, CacheMode, CacheModel, EisaBus, MemError, PageNum, PhysAddr, PhysicalMemory, Tlb,
+    VirtAddr, XpressBus, WORD_SIZE,
 };
 use shrimp_mesh::{MeshPacket, NodeId};
 use shrimp_nic::{NetworkInterface, NicBackend, OutSegment, Payload, ShrimpPacket};
 use shrimp_os::{Kernel, KernelMsg, OsError, Pid, RoundRobin, SchedDecision};
-use shrimp_sim::{Scheduler, SimDuration, SimTime};
+use shrimp_sim::{EventQueue, SimDuration, SimTime};
 
-use crate::config::MachineConfig;
+use crate::config::{
+    MachineConfig, CONTEXT_SWITCH_COST, FAULT_COST, KERNEL_MSG_LATENCY, TLB_ENTRIES,
+};
 use crate::error::MachineError;
 use crate::machine::{NicWakeups, WakePlan};
+
+/// The page-table walk a TLB miss costs.
+const PAGE_WALK: SimDuration = SimDuration::from_ns(100);
 
 /// What one node does when its event fires.
 #[derive(Debug, Clone)]
@@ -124,11 +129,11 @@ impl Node {
             id,
             kernel: Kernel::new(id, config.pages_per_node),
             mem: PhysicalMemory::new(config.pages_per_node),
-            cache: CacheModel::new(config.cache),
-            xpress: XpressBus::new(config.bus),
+            cache: CacheModel::new(CacheConfig::pentium_l2()),
+            xpress: XpressBus::new(),
             eisa: EisaBus::new(config.bus),
             nic,
-            tlb: Tlb::new(config.tlb_entries),
+            tlb: Tlb::new(TLB_ENTRIES),
             sched: RoundRobin::new(config.quantum),
             cpus: BTreeMap::new(),
             running: None,
@@ -147,7 +152,7 @@ impl Node {
     // ─────────────────────── node-side event halves ───────────────────────
 
     /// Schedules `ev` on this node at `at`.
-    fn push(&self, queue: &mut Scheduler<Event>, at: SimTime, ev: NodeEvent) {
+    fn push(&self, queue: &mut EventQueue<Event>, at: SimTime, ev: NodeEvent) {
         queue.push(at, Event { node: self.id.0, ev });
     }
 
@@ -160,15 +165,9 @@ impl Node {
         self.cache.snoop_invalidate(addr, data.len() as u64);
     }
 
-    /// Handles a §4.4 kernel message and sends its replies `latency`
-    /// later.
-    pub(crate) fn kernel_msg(
-        &mut self,
-        t: SimTime,
-        msg: KernelMsg,
-        latency: SimDuration,
-        queue: &mut Scheduler<Event>,
-    ) {
+    /// Handles a §4.4 kernel message and sends its replies one
+    /// [`KERNEL_MSG_LATENCY`] later.
+    pub(crate) fn kernel_msg(&mut self, t: SimTime, msg: KernelMsg, queue: &mut EventQueue<Event>) {
         let from = msg.from();
         let (replies, scrub) = self.kernel.handle_msg(msg);
         // Remove the NIPT out-segments that pointed at the
@@ -181,19 +180,14 @@ impl Node {
         self.tlb.flush();
         for reply in replies {
             let ev = NodeEvent::KernelMsg { msg: reply };
-            queue.push(t + latency, Event { node: from.0, ev });
+            queue.push(t + KERNEL_MSG_LATENCY, Event { node: from.0, ev });
         }
     }
 
     /// Runs one CPU batch, pushing the CPU's own follow-up step. A trap
     /// is left to the machine, which services it and then schedules the
     /// NIC wakeups of every exit but [`CpuExit::Idle`].
-    pub(crate) fn cpu_step(
-        &mut self,
-        t: SimTime,
-        cfg: &MachineConfig,
-        queue: &mut Scheduler<Event>,
-    ) -> CpuExit {
+    pub(crate) fn cpu_step(&mut self, t: SimTime, queue: &mut EventQueue<Event>) -> CpuExit {
         if t < self.cpu_busy_until {
             return CpuExit::Idle; // stale event
         }
@@ -209,7 +203,7 @@ impl Node {
             self.tlb.flush();
             self.running = Some(pid);
             if from_other {
-                let resume = t + cfg.context_switch_cost;
+                let resume = t + CONTEXT_SWITCH_COST;
                 self.cpu_busy_until = resume;
                 // The incoming process's quantum starts once the
                 // switch completes.
@@ -225,22 +219,10 @@ impl Node {
             return CpuExit::Idle;
         };
         let result = {
-            let pages_per_node = cfg.pages_per_node;
-            let walk_latency = SimDuration::from_ns(100);
-            let Some(proc) = self.kernel.process(pid) else {
+            let Some(mut bus) = self.bus_view(pid) else {
                 self.sched.remove(pid);
                 self.cpus.insert(pid, cpu);
                 return CpuExit::Idle;
-            };
-            let mut bus = NodeBusView {
-                pt: proc.page_table(),
-                tlb: &mut self.tlb,
-                cache: &mut self.cache,
-                xpress: &mut self.xpress,
-                mem: &mut self.mem,
-                nic: &mut self.nic,
-                walk_latency,
-                pages_per_node,
             };
             // Batch a quantum of instructions into this one event. Only
             // register-only instructions (no bus transaction, no trap,
@@ -307,7 +289,7 @@ impl Node {
                     }
                     self.push(queue, t, NodeEvent::CpuStep);
                 } else {
-                    let resume = completes_at + cfg.fault_cost;
+                    let resume = completes_at + FAULT_COST;
                     self.cpu_busy_until = resume;
                     self.push(queue, resume, NodeEvent::CpuStep);
                 }
@@ -339,6 +321,19 @@ impl Node {
         self.nic.pop_outgoing(t)
     }
 
+    /// The memory system as `pid` sees it, or `None` when no such
+    /// process exists.
+    fn bus_view(&mut self, pid: Pid) -> Option<NodeBusView<'_>> {
+        Some(NodeBusView {
+            pt: self.kernel.process(pid)?.page_table(),
+            tlb: &mut self.tlb,
+            cache: &mut self.cache,
+            xpress: &mut self.xpress,
+            mem: &mut self.mem,
+            nic: &mut self.nic,
+        })
+    }
+
     /// One word of the host store path (poke / msglib setup): full
     /// translation, cache, bus and NIC snooping, no CPU.
     pub(crate) fn store_word_through(
@@ -347,22 +342,10 @@ impl Node {
         pid: Pid,
         va: VirtAddr,
         value: u32,
-        pages_per_node: u64,
     ) -> Result<SimTime, MachineError> {
-        let proc = self
-            .kernel
-            .process(pid)
+        let mut bus = self
+            .bus_view(pid)
             .ok_or(MachineError::Os(OsError::NoSuchProcess(pid)))?;
-        let mut bus = NodeBusView {
-            pt: proc.page_table(),
-            tlb: &mut self.tlb,
-            cache: &mut self.cache,
-            xpress: &mut self.xpress,
-            mem: &mut self.mem,
-            nic: &mut self.nic,
-            walk_latency: SimDuration::from_ns(100),
-            pages_per_node,
-        };
         Ok(bus.store_word(t, va, value)?)
     }
 
@@ -381,8 +364,7 @@ impl Node {
         va: VirtAddr,
         data: &[u8],
         quiet: bool,
-        pages_per_node: u64,
-        queue: &mut Scheduler<Event>,
+        queue: &mut EventQueue<Event>,
     ) -> Option<SimTime> {
         // Check everything first: the page is the TLB's MRU entry, so
         // every word's lookup would hit it, and it is a writable,
@@ -393,7 +375,7 @@ impl Node {
         if vpn != va.page()
             || !flags.protection.allows_write()
             || flags.cache_mode != CacheMode::WriteThrough
-            || frame.raw() >= pages_per_node
+            || self.nic.command_space().contains(frame.base())
         {
             return None;
         }
@@ -442,7 +424,8 @@ impl Node {
 
 /// The CPU's window onto one node's memory system: page-table
 /// translation with a TLB, the snooping cache, the Xpress bus (with NIC
-/// snooping of write-through stores), and command-page decoding.
+/// snooping of write-through stores), and command-page decoding. Built
+/// by `Node::bus_view`.
 struct NodeBusView<'a> {
     pt: &'a shrimp_mem::PageTable,
     tlb: &'a mut Tlb,
@@ -450,8 +433,6 @@ struct NodeBusView<'a> {
     xpress: &'a mut XpressBus,
     mem: &'a mut PhysicalMemory,
     nic: &'a mut NetworkInterface,
-    walk_latency: SimDuration,
-    pages_per_node: u64,
 }
 
 /// The deliberate-update DMA source read: one NIC-initiated bus read
@@ -491,11 +472,11 @@ impl NodeBusView<'_> {
             self.pt.translate_read(va)?
         };
         self.tlb.insert(vpn, tr.frame, tr.flags);
-        Ok((tr.phys, tr.flags.cache_mode, now + self.walk_latency))
+        Ok((tr.phys, tr.flags.cache_mode, now + PAGE_WALK))
     }
 
     fn is_command(&self, phys: PhysAddr) -> bool {
-        phys.page().raw() >= self.pages_per_node
+        self.nic.command_space().contains(phys)
     }
 }
 

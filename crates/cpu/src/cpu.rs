@@ -55,22 +55,10 @@ pub trait MemoryBus {
     }
 }
 
-/// CPU timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpuConfig {
-    /// Base cost of one instruction (issue + execute, excluding memory
-    /// system time). 15 ns ≈ a 66 MHz i486/Pentium-class pipeline retiring
-    /// one instruction per cycle.
-    pub cycle: SimDuration,
-}
-
-impl Default for CpuConfig {
-    fn default() -> Self {
-        CpuConfig {
-            cycle: SimDuration::from_ns(15),
-        }
-    }
-}
+/// Base cost of one instruction (issue + execute, excluding memory
+/// system time). 15 ns ≈ a 66 MHz i486/Pentium-class pipeline retiring
+/// one instruction per cycle.
+pub const CYCLE: SimDuration = SimDuration::from_ns(15);
 
 /// The outcome of one [`Cpu::step`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,17 +136,11 @@ pub struct Cpu {
     loads: u64,
     stores: u64,
     program: Program,
-    config: CpuConfig,
 }
 
 impl Cpu {
     /// Creates a CPU at pc 0 with zeroed registers.
     pub fn new(program: Program) -> Self {
-        Cpu::with_config(program, CpuConfig::default())
-    }
-
-    /// Creates a CPU with explicit timing parameters.
-    pub fn with_config(program: Program, config: CpuConfig) -> Self {
         Cpu {
             regs: [0; 8],
             pc: 0,
@@ -169,7 +151,6 @@ impl Cpu {
             loads: 0,
             stores: 0,
             program,
-            config,
         }
     }
 
@@ -247,7 +228,7 @@ impl Cpu {
             self.halted = true;
             return StepResult::Halted;
         };
-        let base_done = now + self.config.cycle;
+        let base_done = now + CYCLE;
         let mut completes_at = base_done;
 
         match instr {

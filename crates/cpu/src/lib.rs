@@ -11,9 +11,10 @@
 //!   [`Instr::CmpXchg`] the deliberate-update start protocol requires
 //!   (§4.3).
 //! * [`asm`] — a tiny assembler with labels.
-//! * [`cpu`] — the execution engine. Memory is reached through the
-//!   [`MemoryBus`] trait, which the machine model implements with
-//!   page-table translation, cache/bus timing and NIC snooping.
+//! * [`cpu`] — the execution engine. An instruction costs one
+//!   [`cpu::CYCLE`] plus its memory-system time. Memory is reached
+//!   through the [`MemoryBus`] trait, which the machine model implements
+//!   with page-table translation, cache/bus timing and NIC snooping.
 //!
 //! # Examples
 //!
@@ -42,5 +43,5 @@ pub mod cpu;
 pub mod isa;
 
 pub use asm::{AsmError, Assembler, Program};
-pub use cpu::{Cpu, CpuConfig, FlatMemory, MemoryBus, RunError, StepResult};
+pub use cpu::{Cpu, FlatMemory, MemoryBus, RunError, StepResult};
 pub use isa::{Instr, Reg};

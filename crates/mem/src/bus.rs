@@ -14,13 +14,18 @@ use shrimp_sim::{BandwidthResource, SimDuration, SimTime};
 
 use crate::addr::WORD_SIZE;
 
-/// Bus bandwidths and overheads for one node.
+/// Xpress memory bus sustained rate in bytes/second: four times the
+/// prototype's 33 MB/s EISA burst ("all other parts of the datapath have
+/// at least twice this bandwidth", paper §5.1).
+pub const XPRESS_BYTES_PER_SEC: u64 = 132_000_000;
+
+/// Fixed arbitration/setup overhead per Xpress transaction.
+pub const XPRESS_OVERHEAD: SimDuration = SimDuration::from_ns(30);
+
+/// The incoming-path bus of one node: the one bus the paper's two
+/// implementations build differently (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusConfig {
-    /// Xpress memory bus sustained rate in bytes/second.
-    pub xpress_bytes_per_sec: u64,
-    /// Fixed arbitration/setup overhead per Xpress transaction.
-    pub xpress_overhead: SimDuration,
     /// EISA expansion bus burst rate in bytes/second.
     pub eisa_bytes_per_sec: u64,
     /// Fixed setup overhead per EISA transfer.
@@ -28,13 +33,9 @@ pub struct BusConfig {
 }
 
 impl BusConfig {
-    /// The EISA-based SHRIMP prototype: 33 MB/s EISA burst (paper §5.1),
-    /// with an Xpress bus at four times that rate ("all other parts of the
-    /// datapath have at least twice this bandwidth").
+    /// The EISA-based SHRIMP prototype: 33 MB/s EISA burst (paper §5.1).
     pub fn shrimp_prototype() -> Self {
         BusConfig {
-            xpress_bytes_per_sec: 132_000_000,
-            xpress_overhead: SimDuration::from_ns(30),
             eisa_bytes_per_sec: 33_000_000,
             eisa_overhead: SimDuration::from_ns(120),
         }
@@ -44,8 +45,6 @@ impl BusConfig {
     /// the Xpress memory bus directly, bypassing EISA, for ~70 MB/s peak.
     pub fn shrimp_next_generation() -> Self {
         BusConfig {
-            xpress_bytes_per_sec: 132_000_000,
-            xpress_overhead: SimDuration::from_ns(30),
             // Incoming path is the Xpress bus itself, modelled at the
             // 70 MB/s the paper projects end-to-end.
             eisa_bytes_per_sec: 70_000_000,
@@ -65,10 +64,10 @@ impl Default for BusConfig {
 /// # Examples
 ///
 /// ```
-/// use shrimp_mem::{XpressBus, BusConfig};
+/// use shrimp_mem::XpressBus;
 /// use shrimp_sim::SimTime;
 ///
-/// let mut bus = XpressBus::new(BusConfig::default());
+/// let mut bus = XpressBus::new();
 /// let grant = bus.write(SimTime::ZERO, 4);
 /// assert!(grant.end > grant.start);
 /// ```
@@ -79,9 +78,9 @@ pub struct XpressBus {
 
 impl XpressBus {
     /// Creates an idle bus.
-    pub fn new(config: BusConfig) -> Self {
+    pub fn new() -> Self {
         XpressBus {
-            resource: BandwidthResource::new(config.xpress_bytes_per_sec, config.xpress_overhead),
+            resource: BandwidthResource::new(XPRESS_BYTES_PER_SEC, XPRESS_OVERHEAD),
         }
     }
 
@@ -114,6 +113,12 @@ impl XpressBus {
     /// When the bus next goes idle.
     pub fn free_at(&self) -> SimTime {
         self.resource.free_at()
+    }
+}
+
+impl Default for XpressBus {
+    fn default() -> Self {
+        XpressBus::new()
     }
 }
 
@@ -165,7 +170,7 @@ mod tests {
 
     #[test]
     fn xpress_serializes_transactions() {
-        let mut bus = XpressBus::new(BusConfig::default());
+        let mut bus = XpressBus::new();
         let a = bus.write(SimTime::ZERO, 4);
         let b = bus.write(SimTime::ZERO, 4);
         assert_eq!(b.start, a.end);
@@ -173,7 +178,7 @@ mod tests {
 
     #[test]
     fn write_run_matches_word_writes() {
-        let mut one = XpressBus::new(BusConfig::default());
+        let mut one = XpressBus::new();
         one.read(SimTime::ZERO, 64);
         let mut run = one.clone();
         let mut t = SimTime::ZERO;
@@ -190,7 +195,7 @@ mod tests {
 
     #[test]
     fn word_write_is_fast_relative_to_eisa() {
-        let mut bus = XpressBus::new(BusConfig::default());
+        let mut bus = XpressBus::new();
         let grant = bus.write(SimTime::ZERO, 4);
         let ns = grant.end.since(grant.start).as_nanos_f64();
         // 30ns overhead + 4B/132MB/s ≈ 30ns: word write well under 100ns.
@@ -223,7 +228,7 @@ mod tests {
 
     #[test]
     fn reads_and_writes_share_the_bus() {
-        let mut bus = XpressBus::new(BusConfig::default());
+        let mut bus = XpressBus::new();
         let w = bus.write(SimTime::ZERO, 64);
         let r = bus.read(SimTime::ZERO, 64);
         assert_eq!(r.start, w.end);

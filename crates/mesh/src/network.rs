@@ -1346,7 +1346,12 @@ mod tests {
             let epoch = n.epoch;
             n.set_link_state(link, up, at);
             applied += n.epoch - epoch;
-            assert_eq!(n.events.len(), 1, "one wake per transition");
+            let mut queued = n.events.clone();
+            let wake = queued.pop();
+            assert!(
+                matches!(wake, Some((t, Event::TransitionWake)) if t == at) && queued.is_empty(),
+                "one wake per transition"
+            );
             assert_eq!(n.transition_woken.len(), 16, "every router retries");
             n.advance(at);
             assert!(n.events.is_empty() && n.transition_woken.is_empty());

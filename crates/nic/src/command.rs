@@ -92,7 +92,9 @@ impl CommandOp {
     }
 }
 
-/// The command address region of one node.
+/// The command address region of one node: the one home of the §4.2
+/// layout, which puts the command page of data page `p` exactly
+/// installed memory above it.
 ///
 /// # Examples
 ///
@@ -114,22 +116,20 @@ pub struct CommandSpace {
     /// "distance" between a data address and its command address is
     /// exactly the memory size (§4.2).
     base: u64,
-    size: u64,
 }
 
 impl CommandSpace {
     /// Creates the command region for a node with `phys_size` bytes of
     /// DRAM.
     pub fn new(phys_size: u64) -> Self {
-        CommandSpace {
-            base: phys_size,
-            size: phys_size,
-        }
+        CommandSpace { base: phys_size }
     }
 
-    /// True if `addr` falls inside the command region.
+    /// True if `addr` is a command address rather than installed
+    /// memory. Every command address is [`CommandSpace::command_addr_for`]
+    /// of a data address, so none lies past the region's end.
     pub fn contains(&self, addr: PhysAddr) -> bool {
-        (self.base..self.base + self.size).contains(&addr.raw())
+        addr.raw() >= self.base
     }
 
     /// The data address a command address controls, or `None` if `addr`
@@ -146,16 +146,6 @@ impl CommandSpace {
     pub fn command_addr_for(&self, data: PhysAddr) -> PhysAddr {
         assert!(data.raw() < self.base, "data address outside installed memory");
         PhysAddr::new(data.raw() + self.base)
-    }
-
-    /// First command address.
-    pub fn base(&self) -> PhysAddr {
-        PhysAddr::new(self.base)
-    }
-
-    /// Region size in bytes (== installed memory).
-    pub fn size(&self) -> u64 {
-        self.size
     }
 }
 
@@ -198,12 +188,9 @@ mod tests {
     #[test]
     fn space_geometry() {
         let cmd = CommandSpace::new(16 * 4096);
-        assert_eq!(cmd.base(), PhysAddr::new(16 * 4096));
-        assert_eq!(cmd.size(), 16 * 4096);
         assert!(!cmd.contains(PhysAddr::new(16 * 4096 - 1)));
         assert!(cmd.contains(PhysAddr::new(16 * 4096)));
-        assert!(cmd.contains(PhysAddr::new(32 * 4096 - 1)));
-        assert!(!cmd.contains(PhysAddr::new(32 * 4096)));
+        assert!(cmd.contains(cmd.command_addr_for(PhysAddr::new(16 * 4096 - 1))));
     }
 
     #[test]

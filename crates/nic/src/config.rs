@@ -26,46 +26,15 @@ pub struct NicConfig {
     /// Largest payload of one packet in bytes. Deliberate-update transfers
     /// are also limited to one page per command (§4.3).
     pub max_payload: u64,
-    /// Fixed setup cost for the deliberate-update DMA engine per transfer.
-    pub dma_setup: SimDuration,
     /// Link-level go-back-N retransmission. Disabled by default: the
     /// baseline wire format and timing are then bit-identical to a NIC
     /// without the engine.
     pub retx: RetxConfig,
-    /// Parameters of the unpinned (NP-RDMA-style) backend. Inert on the
-    /// pinned SHRIMP backend, so carrying them here keeps [`NicConfig`]
-    /// the single NIC parameter block either backend is built from.
-    pub unpinned: UnpinnedConfig,
-}
-
-/// Parameters of the unpinned backend's outgoing IOTLB and dynamic
-/// map-in path (see `shrimp_nic::unpinned`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnpinnedConfig {
-    /// Outgoing-translation IOTLB capacity in pages. Capacity pressure
-    /// evicts the least-recently-used entry through the shootdown path.
+    /// The unpinned backend's outgoing-translation IOTLB capacity in
+    /// pages (see [`crate::unpinned`]). Capacity pressure evicts the
+    /// least-recently-used entry through the shootdown path. Inert on
+    /// the pinned SHRIMP backend.
     pub iotlb_entries: usize,
-    /// Kernel round-trip charged for one dynamic map-in: the time from
-    /// an IOTLB miss to the entry being installed and the buffered
-    /// write(s) replayed.
-    pub map_in_latency: SimDuration,
-}
-
-impl UnpinnedConfig {
-    /// Defaults sized for the prototype mesh: a 32-page IOTLB and a
-    /// 20 µs kernel round-trip per dynamic map-in.
-    pub fn prototype() -> Self {
-        UnpinnedConfig {
-            iotlb_entries: 32,
-            map_in_latency: SimDuration::from_us(20),
-        }
-    }
-}
-
-impl Default for UnpinnedConfig {
-    fn default() -> Self {
-        UnpinnedConfig::prototype()
-    }
 }
 
 /// Which NIC backend a machine is built with.
@@ -99,7 +68,8 @@ impl NicBackend {
     }
 }
 
-/// Go-back-N retransmission parameters.
+/// Go-back-N retransmission parameters. The engine's timings are the
+/// constants of [`crate::retx`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetxConfig {
     /// Master switch. When off, packets carry no sequence trailer.
@@ -108,17 +78,6 @@ pub struct RetxConfig {
     /// NIC stops pulling new data for that destination (backpressure up
     /// the FIFO chain).
     pub window_packets: usize,
-    /// Initial retransmit timeout after the last send to a destination.
-    pub base_timeout: SimDuration,
-    /// Exponential-backoff cap for the retransmit timeout.
-    pub max_timeout: SimDuration,
-    /// Replay pacing after the mesh *bounces* a frame back (no route to
-    /// the destination under the current link set). A bounce means the
-    /// fabric is down, not lossy: the engine retries every
-    /// `reroute_backoff` at a flat rate instead of escalating the
-    /// exponential loss backoff, so recovery starts promptly once a
-    /// link heals or a reroute appears.
-    pub reroute_backoff: SimDuration,
 }
 
 impl RetxConfig {
@@ -130,15 +89,11 @@ impl RetxConfig {
         }
     }
 
-    /// Reliable delivery with parameters sized for the prototype mesh:
-    /// the base timeout comfortably exceeds a page-packet round trip.
+    /// Reliable delivery with a 32-packet window per destination.
     pub fn reliable() -> Self {
         RetxConfig {
             enabled: true,
             window_packets: 32,
-            base_timeout: SimDuration::from_us(60),
-            max_timeout: SimDuration::from_us(960),
-            reroute_backoff: SimDuration::from_us(30),
         }
     }
 }
@@ -161,9 +116,8 @@ impl NicConfig {
             receive_latency: SimDuration::from_ns(350),
             merge_window: SimDuration::from_ns(500),
             max_payload: 4096,
-            dma_setup: SimDuration::from_ns(200),
             retx: RetxConfig::disabled(),
-            unpinned: UnpinnedConfig::prototype(),
+            iotlb_entries: 32,
         }
     }
 
@@ -195,24 +149,8 @@ impl NicConfig {
         );
         if self.retx.enabled {
             assert!(self.retx.window_packets >= 1, "retx window must be positive");
-            assert!(
-                self.retx.base_timeout > SimDuration::ZERO
-                    && self.retx.base_timeout <= self.retx.max_timeout,
-                "retx timeouts must be positive and ordered"
-            );
-            assert!(
-                self.retx.reroute_backoff > SimDuration::ZERO,
-                "reroute backoff must be positive"
-            );
         }
-        assert!(
-            self.unpinned.iotlb_entries >= 1,
-            "IOTLB must hold at least one entry"
-        );
-        assert!(
-            self.unpinned.map_in_latency > SimDuration::ZERO,
-            "map-in latency must be positive"
-        );
+        assert!(self.iotlb_entries >= 1, "IOTLB must hold at least one entry");
     }
 }
 

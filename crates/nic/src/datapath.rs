@@ -17,6 +17,10 @@ use crate::nic::NetworkInterface;
 use crate::nipt::UpdatePolicy;
 use crate::packet::Payload;
 
+/// Fixed setup cost of the deliberate-update DMA engine per transfer,
+/// paid after its source read.
+pub const DMA_SETUP: SimDuration = SimDuration::from_ns(200);
+
 /// What the NIC did with one snooped bus write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnoopOutcome {
@@ -315,7 +319,7 @@ impl NetworkInterface {
         let (data, read_done) = mem_read(src, len);
         let read_done = read_done + self.map_in_dma_source(src.page());
         assert_eq!(data.len() as u64, len, "mem_read returned wrong length");
-        let done_at = read_done + self.config.dma_setup;
+        let done_at = read_done + DMA_SETUP;
         let started = self.dma.start(now, src, words, done_at);
         debug_assert!(started, "engine was idle");
         let dst = seg.translate(src.offset());
@@ -410,7 +414,7 @@ mod tests {
         map_out(&mut n, 3, 1, 9, UpdatePolicy::AutomaticBlocked);
         n.snoop_write(t(0), PageNum::new(3).base(), &[1; 4]);
         let opened = if unpinned {
-            t(0) + n.config().unpinned.map_in_latency
+            t(0) + crate::unpinned::MAP_IN_LATENCY
         } else {
             t(0)
         };

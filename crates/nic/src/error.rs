@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use shrimp_mem::{PageNum, PhysAddr};
-use shrimp_mesh::{MeshCoord, NodeId};
+use shrimp_mesh::MeshCoord;
 
 /// Errors raised by the network interface.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,8 +43,6 @@ pub enum NicError {
     },
     /// A transfer would cross a page boundary (one page per command, §4.3).
     CrossesPageBoundary,
-    /// The destination node in a mapping is off-mesh.
-    UnknownNode(NodeId),
 }
 
 impl fmt::Display for NicError {
@@ -67,7 +65,6 @@ impl fmt::Display for NicError {
             NicError::CrossesPageBoundary => {
                 write!(f, "transfer crosses a page boundary")
             }
-            NicError::UnknownNode(node) => write!(f, "destination {node} is off-mesh"),
         }
     }
 }

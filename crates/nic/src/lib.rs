@@ -71,7 +71,7 @@ pub(crate) mod testutil;
 
 pub use arena::PoolBuf;
 pub use command::{CommandOp, CommandSpace};
-pub use config::{NicBackend, NicConfig, RetxConfig, UnpinnedConfig};
+pub use config::{NicBackend, NicConfig, RetxConfig};
 pub use dma::{DmaEngine, DmaStatus};
 pub use error::NicError;
 pub use fifo::PacketFifo;

@@ -125,8 +125,8 @@ impl NetworkInterface {
     }
 
     /// Creates the unpinned NIC of `node`: the datapath of
-    /// [`NetworkInterface::new`] behind an empty outgoing IOTLB whose
-    /// parameters come from `config.unpinned` (see [`crate::unpinned`]).
+    /// [`NetworkInterface::new`] behind an empty outgoing IOTLB of
+    /// `config.iotlb_entries` pages (see [`crate::unpinned`]).
     ///
     /// # Panics
     ///
@@ -179,6 +179,12 @@ impl NetworkInterface {
     /// The network interface page table.
     pub fn nipt(&self) -> &Nipt {
         &self.nipt
+    }
+
+    /// The command address region (§4.2): where the command page of
+    /// each local data page sits.
+    pub fn command_space(&self) -> &CommandSpace {
+        &self.cmd_space
     }
 
     /// The DMA engine (primarily for inspection in tests and benches).

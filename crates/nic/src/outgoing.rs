@@ -15,7 +15,7 @@ use shrimp_sim::{SimTime, TraceData};
 use crate::datapath::SnoopOutcome;
 use crate::nic::NetworkInterface;
 use crate::packet::{FrameKind, LinkCtl, Payload, ShrimpPacket, WireHeader};
-use crate::retx::{RetxState, SendPeer};
+use crate::retx::{RetxState, SendPeer, BASE_TIMEOUT};
 
 impl NetworkInterface {
     pub(crate) fn queue_packet(
@@ -84,10 +84,9 @@ impl NetworkInterface {
     /// A stalled deliberate-update packet may still be waiting on its
     /// DMA read: `stamp.born` is the engine's `done_at`, possibly in the
     /// future. Re-entering the FIFO at the refill instant would let the
-    /// packet inject before its data exists, which the born clamp at the
-    /// pop sites then papers over by rewriting `born` backwards. Refill
-    /// at `max(now, born)` instead, matching the ready time the packet
-    /// would have had without the overflow detour.
+    /// packet inject before its data exists. Refill at `max(now, born)`
+    /// instead, matching the ready time the packet would have had
+    /// without the overflow detour; the pop asserts the packet was born.
     pub(crate) fn refill_from_overflow(&mut self, now: SimTime) {
         while let Some(pkt) = self.overflow.front() {
             if !self.out_fifo.would_fit(pkt.wire_len()) {
@@ -150,14 +149,18 @@ impl NetworkInterface {
         }
         let (mut packet, _) = self.out_fifo.pop().expect("head peeked above");
         packet.stamp.injected = now;
-        // Defensive: refill_from_overflow preserves `born` as the ready
-        // time, so injection can no longer precede it; the clamp only
-        // degrades gracefully if that invariant breaks.
-        packet.stamp.born = packet.stamp.born.min(now);
+        // Both pushes enter the FIFO no earlier than `born` (`queue_packet`
+        // at `born`, `refill_from_overflow` at `max(now, born)`), and the
+        // head left only once its push time was due.
+        debug_assert!(
+            packet.stamp.born <= now,
+            "a packet injected before it was born"
+        );
         if let Some(st) = self.retx.as_mut() {
-            let base_rto = self.config.retx.base_timeout;
             packet = st.edit(|send| {
-                let p = send.entry(dst.0).or_insert_with(|| SendPeer::new(base_rto));
+                let p = send
+                    .entry(dst.0)
+                    .or_insert_with(|| SendPeer::new(BASE_TIMEOUT));
                 let framed = packet.framed(LinkCtl {
                     kind: FrameKind::Data,
                     seq: p.next_seq,

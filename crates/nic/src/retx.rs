@@ -4,8 +4,8 @@
 //! when [`crate::RetxConfig::enabled`] is set). The engine distinguishes
 //! two loss regimes: a *lossy* fabric (timeouts escalate with exponential
 //! backoff, capped) and a *down* fabric (a bounced own-frame resets the
-//! backoff and arms a flat [`crate::RetxConfig::reroute_backoff`] pace —
-//! escalation would only delay recovery past the repair).
+//! backoff and arms a flat [`REROUTE_BACKOFF`] pace — escalation would
+//! only delay recovery past the repair).
 
 use shrimp_mesh::{MeshPacket, NodeId};
 use shrimp_sim::{ComponentId, SimDuration, SimTime, TraceData};
@@ -13,6 +13,21 @@ use shrimp_sim::{ComponentId, SimDuration, SimTime, TraceData};
 use crate::error::NicError;
 use crate::nic::NetworkInterface;
 use crate::packet::{FrameKind, LinkCtl, ShrimpPacket};
+
+/// Initial retransmit timeout after the last send to a destination:
+/// comfortably above a page-packet round trip on the prototype mesh.
+pub const BASE_TIMEOUT: SimDuration = SimDuration::from_us(60);
+
+/// Exponential-backoff cap for the retransmit timeout (four doublings
+/// of [`BASE_TIMEOUT`]).
+pub const MAX_TIMEOUT: SimDuration = SimDuration::from_us(960);
+
+/// Replay pacing after the mesh *bounces* a frame back (no route to the
+/// destination under the current link set). A bounce means the fabric
+/// is down, not lossy: the engine retries at this flat rate instead of
+/// escalating the exponential loss backoff, so recovery starts promptly
+/// once a link heals or a reroute appears.
+pub const REROUTE_BACKOFF: SimDuration = SimDuration::from_us(30);
 
 /// Go-back-N sender state toward one destination node.
 ///
@@ -151,8 +166,6 @@ impl NetworkInterface {
         if st.next_timeout().is_none_or(|t| now < t) {
             return;
         }
-        let max_rto = self.config.retx.max_timeout;
-        let base_rto = self.config.retx.base_timeout;
         let component = ComponentId::nic(self.node.0);
         let (node, stats, outbox) = (self.node.0, &mut self.stats, &mut self.outbox);
         st.edit(|send| {
@@ -163,12 +176,12 @@ impl NetworkInterface {
                 // Nothing came back in time: go back to the window base
                 // and double the timeout (capped).
                 peer.resend_from = Some(peer.base_seq);
-                peer.rto = (peer.rto * 2).min(max_rto);
+                peer.rto = (peer.rto * 2).min(MAX_TIMEOUT);
                 peer.timeout_at = Some(now + peer.rto);
                 stats.retx_timeouts += 1;
                 if outbox.is_on() {
                     let attempt =
-                        (peer.rto.as_picos() / base_rto.as_picos().max(1)).max(1) as u32;
+                        (peer.rto.as_picos() / BASE_TIMEOUT.as_picos()).max(1) as u32;
                     let data = TraceData::RetxTimeout {
                         peer: peer_id,
                         base_seq: peer.base_seq,
@@ -221,22 +234,20 @@ impl NetworkInterface {
     /// the loss backoff — the fabric is *down*, not lossy, and
     /// escalation would only delay recovery past the repair — cancel
     /// any pending replay, and arm a flat-rate retry
-    /// [`crate::RetxConfig::reroute_backoff`] from now. Every further
+    /// [`REROUTE_BACKOFF`] from now. Every further
     /// bounce re-arms the same pacing, so the engine probes the fabric
     /// at a constant rate until a route exists again. Bounced ack/nack
     /// frames are simply dropped: the data path's own timers recover.
     pub(crate) fn accept_bounce(&mut self, now: SimTime, packet: &ShrimpPacket) -> Result<(), NicError> {
         self.stats.gbn_bounces += 1;
-        let base_rto = self.config.retx.base_timeout;
-        let pace = self.config.retx.reroute_backoff;
         if let Some(LinkCtl { kind: FrameKind::Data, .. }) = packet.link() {
             let dst = self.shape.id_at(packet.header().dst_coord);
             if let Some(st) = self.retx.as_mut() {
                 st.edit(|send| {
                     if let Some(peer) = send.get_mut(&dst.0).filter(|p| !p.unacked.is_empty()) {
-                        peer.rto = base_rto;
+                        peer.rto = BASE_TIMEOUT;
                         peer.resend_from = None;
-                        peer.timeout_at = Some(now + pace);
+                        peer.timeout_at = Some(now + REROUTE_BACKOFF);
                     }
                 });
             }
@@ -310,7 +321,6 @@ impl NetworkInterface {
 
     /// Cumulative ack: every sequence below `seq` has arrived at `peer`.
     pub(crate) fn handle_ack(&mut self, now: SimTime, peer_node: NodeId, seq: u32) {
-        let base_rto = self.config.retx.base_timeout;
         let Some(st) = self.retx.as_mut() else {
             return;
         };
@@ -327,10 +337,10 @@ impl NetworkInterface {
             }
             if progressed {
                 // Progress restarts the timer and resets the backoff.
-                if peer.rto > base_rto {
+                if peer.rto > BASE_TIMEOUT {
                     stats.gbn_backoff_resets += 1;
                 }
-                peer.rto = base_rto;
+                peer.rto = BASE_TIMEOUT;
                 peer.timeout_at = if peer.unacked.is_empty() {
                     None
                 } else {
@@ -469,7 +479,7 @@ mod tests {
         let (mut s, mut r) = rpair();
         let mp = send_word(&mut s, 0, 0);
         drop(mp); // lost, and no later frame will surface the gap
-        let base = s.config().retx.base_timeout;
+        let base = super::BASE_TIMEOUT;
         let first_deadline = s.next_deadline().expect("timer armed");
         s.poll(first_deadline);
         assert_eq!(s.stats().retx_timeouts, 1);

@@ -6,15 +6,15 @@
 //! map-time pinning**. It is the same [`NetworkInterface`], built by
 //! [`NetworkInterface::unpinned`] with an outgoing IOTLB: a bounded
 //! cache of which mapped pages are NIC-resident. A miss means a dynamic
-//! map-in — one kernel round trip, [`crate::config::UnpinnedConfig::
-//! map_in_latency`] — must complete before the write can packetize.
+//! map-in — one kernel round trip, [`MAP_IN_LATENCY`] — must complete
+//! before the write can packetize.
 //!
 //! The IOTLB is consulted at five places, all hooks in this module; on
 //! the pinned NIC each is a no-op:
 //!
 //! - **Snoop.** A snooped write the NIPT captures, to a page that is
 //!   not resident, is buffered and a map-in is scheduled at
-//!   `now + map_in_latency`. A write that misses on a page whose map-in
+//!   `now + MAP_IN_LATENCY`. A write that misses on a page whose map-in
 //!   is already in flight joins the pending entry without escalating the
 //!   wait — the flat-pacing discipline the go-back-N engine uses for
 //!   reroute bounces (a miss means "not resident yet", not "lossy path",
@@ -47,6 +47,11 @@ use shrimp_sim::{SimDuration, SimTime};
 
 use crate::datapath::SnoopOutcome;
 use crate::nic::NetworkInterface;
+
+/// Kernel round trip charged for one dynamic map-in: the time from an
+/// IOTLB miss to the entry being installed and the buffered write(s)
+/// replayed.
+pub const MAP_IN_LATENCY: SimDuration = SimDuration::from_us(20);
 
 /// IOTLB and dynamic map-in counters of the unpinned backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -195,7 +200,7 @@ impl NetworkInterface {
             entry.writes.push(w);
         } else {
             tlb.map_ins += 1;
-            let ready = now + self.config.unpinned.map_in_latency;
+            let ready = now + MAP_IN_LATENCY;
             tlb.pending.insert(
                 page,
                 MissEntry {
@@ -229,7 +234,7 @@ impl NetworkInterface {
     /// completion waits for: the kernel is already involved on this
     /// path, so the map-in is synchronous. Zero on the pinned NIC.
     pub(crate) fn map_in_dma_source(&mut self, page: PageNum) -> SimDuration {
-        let cap = self.config.unpinned.iotlb_entries;
+        let cap = self.config.iotlb_entries;
         let Some(tlb) = self.iotlb.as_mut() else {
             return SimDuration::ZERO;
         };
@@ -240,14 +245,14 @@ impl NetworkInterface {
         tlb.misses += 1;
         tlb.map_ins += 1;
         tlb.install(page, cap);
-        self.config.unpinned.map_in_latency
+        MAP_IN_LATENCY
     }
 
     /// The poll hook: completes every map-in ready by `now`, earliest
     /// first, replaying its buffered writes through the resident snoop
     /// path at the completion instant. Replays count no hit.
     pub(crate) fn complete_map_ins(&mut self, now: SimTime) {
-        let cap = self.config.unpinned.iotlb_entries;
+        let cap = self.config.iotlb_entries;
         while let Some((ready, writes)) =
             self.iotlb.as_mut().and_then(|t| t.complete_next(now, cap))
         {
@@ -293,10 +298,7 @@ mod tests {
 
     fn tiny_unic(entries: usize) -> NetworkInterface {
         let cfg = NicConfig {
-            unpinned: crate::config::UnpinnedConfig {
-                iotlb_entries: entries,
-                ..crate::config::UnpinnedConfig::prototype()
-            },
+            iotlb_entries: entries,
             ..NicConfig::default()
         };
         NetworkInterface::unpinned(NodeId(0), shape(), cfg, 64)
@@ -310,7 +312,7 @@ mod tests {
         // First touch misses: buffered, no packet yet.
         assert_eq!(n.snoop_write(t(0), addr, &7u32.to_le_bytes()), SnoopOutcome::Stalled);
         assert!(n.pop_outgoing(t(10_000)).is_none());
-        let lat = n.config().unpinned.map_in_latency;
+        let lat = MAP_IN_LATENCY;
         assert_eq!(n.next_deadline(), Some(t(0) + lat));
         // Map-in completes: the write replays stamped at completion.
         n.poll(t(0) + lat);
@@ -333,7 +335,7 @@ mod tests {
         // Two misses, ONE kernel round trip: the second write joined the
         // in-flight entry (flat pacing, no escalation).
         assert_eq!((s.misses, s.map_ins), (2, 1));
-        let lat = n.config().unpinned.map_in_latency;
+        let lat = MAP_IN_LATENCY;
         n.poll(t(0) + lat);
         assert!(n.pop_outgoing(t(0) + lat + SimDuration::from_us(1)).is_some());
         assert!(n.pop_outgoing(t(0) + lat + SimDuration::from_us(1)).is_some());
@@ -345,7 +347,7 @@ mod tests {
         map_out(&mut n, 2, 1, 9, UpdatePolicy::AutomaticSingle);
         let addr = PageNum::new(2).at_offset(8);
         n.snoop_write(t(0), addr, &[1; 4]);
-        let lat = n.config().unpinned.map_in_latency;
+        let lat = MAP_IN_LATENCY;
         n.poll(t(0) + lat);
         n.pop_outgoing(t(0) + lat + SimDuration::from_us(1)).unwrap();
         // Resident now: the next write queues immediately.
@@ -362,7 +364,7 @@ mod tests {
         for page in 2..5 {
             map_out(&mut n, page, 1, 9 + page, UpdatePolicy::AutomaticSingle);
         }
-        let lat = n.config().unpinned.map_in_latency;
+        let lat = MAP_IN_LATENCY;
         let mut now = t(0);
         for page in 2..5u64 {
             n.snoop_write(now, PageNum::new(page).base(), &[page as u8; 4]);
@@ -390,7 +392,7 @@ mod tests {
         map_out(&mut n, 2, 1, 9, UpdatePolicy::AutomaticSingle);
         n.snoop_write(t(0), PageNum::new(2).base(), &[1; 4]);
         n.unmap_out(PageNum::new(2), 0);
-        let lat = n.config().unpinned.map_in_latency;
+        let lat = MAP_IN_LATENCY;
         n.poll(t(0) + lat);
         assert!(
             n.pop_outgoing(t(0) + lat + SimDuration::from_us(1)).is_none(),
@@ -405,7 +407,7 @@ mod tests {
         map_out(&mut n, 6, 1, 12, UpdatePolicy::Deliberate);
         let data_addr = PageNum::new(6).base();
         let cmd = n.cmd_space.command_addr_for(data_addr);
-        let lat = n.config().unpinned.map_in_latency;
+        let lat = MAP_IN_LATENCY;
         let e = n
             .command_write(t(0), cmd, 4, |_, _| (Payload::from(vec![0; 16]), t(500)))
             .unwrap();

@@ -161,11 +161,6 @@ impl<E> EventQueue<E> {
         self.head.map(|((time, _), _)| time)
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
-    }
-
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.head.is_none()
@@ -256,8 +251,8 @@ mod tests {
         assert_eq!(q.peek_time(), None);
         q.push(t(42), ());
         assert_eq!(q.peek_time(), Some(t(42)));
-        assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+        assert_eq!(q.pop(), Some((t(42), ())));
     }
 
     /// Fills all four lanes with the tails 40, 30, 20, 15 and returns the
@@ -324,7 +319,6 @@ mod tests {
             }
         }
         assert!(q.heap.is_empty());
-        assert_eq!(q.len() as u64, 10_000 - popped);
         assert_eq!(drain(&mut q), (popped..10_000).collect::<Vec<_>>());
     }
 }

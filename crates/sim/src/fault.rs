@@ -34,6 +34,10 @@ pub const STREAM_KIND_NIC: u64 = 2 << 56;
 /// Stream-id tag for per-directed-link churn schedules.
 pub const STREAM_KIND_CHURN: u64 = 3 << 56;
 
+/// Number of bits flipped per link corruption event, drawn uniformly
+/// from this inclusive range. Positions are uniform over the wire image.
+pub const CORRUPT_BITS: (u32, u32) = (1, 4);
+
 /// Faults applied on every directed mesh link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFaultConfig {
@@ -44,11 +48,9 @@ pub struct LinkFaultConfig {
     /// packets on the same link are also dropped, drawn uniformly from
     /// the inclusive range. `(0, 0)` disables bursts.
     pub burst_extra: (u32, u32),
-    /// Probability that a packet crosses the link with flipped bits.
+    /// Probability that a packet crosses the link with flipped bits
+    /// ([`CORRUPT_BITS`] of them).
     pub corrupt_rate: f64,
-    /// Number of bits flipped per corruption event, drawn uniformly from
-    /// the inclusive range. Positions are uniform over the wire image.
-    pub corrupt_bits: (u32, u32),
     /// Probability that a packet sees extra propagation delay.
     pub jitter_rate: f64,
     /// Extra delay per jitter event, uniform over the inclusive range.
@@ -61,7 +63,6 @@ impl Default for LinkFaultConfig {
             drop_rate: 0.0,
             burst_extra: (0, 0),
             corrupt_rate: 0.0,
-            corrupt_bits: (1, 4),
             jitter_rate: 0.0,
             jitter: (SimDuration::ZERO, SimDuration::ZERO),
         }
@@ -273,8 +274,8 @@ impl LinkFaultSite {
             return fault;
         }
         if self.cfg.corrupt_rate > 0.0 && self.rng.chance(self.cfg.corrupt_rate) {
-            let (lo, hi) = self.cfg.corrupt_bits;
-            fault.corrupt_bits = self.rng.gen_range(lo.max(1)..=hi.max(lo.max(1)));
+            let (lo, hi) = CORRUPT_BITS;
+            fault.corrupt_bits = self.rng.gen_range(lo..=hi);
         }
         if self.cfg.jitter_rate > 0.0 && self.rng.chance(self.cfg.jitter_rate) {
             let (lo, hi) = self.cfg.jitter;

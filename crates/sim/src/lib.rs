@@ -10,8 +10,8 @@
 //! * [`EventQueue`] — a priority queue with deterministic FIFO tie-breaking
 //!   for events scheduled at the same instant. Pushes that arrive in time
 //!   order join FIFO lanes and skip its binary heap.
-//! * [`SerialResource`] and [`BandwidthResource`] — occupancy models for
-//!   one-at-a-time hardware (buses, links, DMA engines).
+//! * [`BandwidthResource`] — the occupancy model of one-at-a-time
+//!   hardware (buses, links, DMA engines).
 //! * [`SimRng`] — a seeded ChaCha RNG so workloads are reproducible.
 //!
 //! # Examples
@@ -37,7 +37,6 @@ pub mod metrics;
 pub mod profile;
 pub mod resource;
 pub mod rng;
-pub mod sched;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -52,9 +51,8 @@ pub use metrics::{
     validate_metrics_json, HistogramSummary, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
 pub use profile::{EnginePhase, EngineProfileReport, EngineProfiler};
-pub use resource::{BandwidthResource, SerialResource};
+pub use resource::BandwidthResource;
 pub use rng::SimRng;
-pub use sched::Scheduler;
 pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
 pub use trace::{

@@ -1,33 +1,13 @@
-//! Occupancy models for one-at-a-time hardware resources.
+//! The occupancy model for one-at-a-time hardware resources.
 //!
 //! A memory bus, a mesh link, or the NIC's single DMA engine can serve only
-//! one transaction at a time. [`SerialResource`] tracks when such a
-//! resource next becomes free and hands out back-to-back reservations;
-//! [`BandwidthResource`] layers a bytes-per-second rate on top so that
-//! transfer durations follow from payload size.
+//! one transaction at a time. [`BandwidthResource`] tracks when such a
+//! resource next becomes free and hands out back-to-back reservations
+//! whose durations follow from payload size at a bytes-per-second rate.
 
 use crate::time::{SimDuration, SimTime};
 
-/// A resource that serves one request at a time (a bus, a link, a DMA
-/// engine). Requests are serialized in the order they are reserved.
-///
-/// # Examples
-///
-/// ```
-/// use shrimp_sim::{SerialResource, SimTime, SimDuration};
-///
-/// let mut bus = SerialResource::new();
-/// let a = bus.reserve(SimTime::ZERO, SimDuration::from_ns(10));
-/// let b = bus.reserve(SimTime::ZERO, SimDuration::from_ns(10));
-/// assert_eq!(a.start, SimTime::ZERO);
-/// assert_eq!(b.start, a.end); // second transaction waits for the first
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SerialResource {
-    free_at: SimTime,
-}
-
-/// The time window granted to one reservation on a [`SerialResource`].
+/// The time window granted to one transfer on a [`BandwidthResource`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grant {
     /// When the resource starts serving this request.
@@ -36,48 +16,9 @@ pub struct Grant {
     pub end: SimTime,
 }
 
-impl Grant {
-    /// Total latency from request to completion.
-    pub fn latency(&self, requested_at: SimTime) -> SimDuration {
-        self.end.saturating_since(requested_at)
-    }
-}
-
-impl SerialResource {
-    /// Creates an idle resource.
-    pub fn new() -> Self {
-        SerialResource::default()
-    }
-
-    /// Reserves the resource at or after `now` for `duration`, returning
-    /// the granted service window.
-    pub fn reserve(&mut self, now: SimTime, duration: SimDuration) -> Grant {
-        let start = now.max(self.free_at);
-        let end = start + duration;
-        self.free_at = end;
-        Grant { start, end }
-    }
-
-    /// `n` reservations of `duration` each, the first requested at `now`
-    /// and every later one at the previous one's end, in closed form:
-    /// they run back to back, so the state ends exactly as after `n`
-    /// [`SerialResource::reserve`] calls. The grant spans the whole run.
-    fn reserve_run(&mut self, now: SimTime, n: u64, duration: SimDuration) -> Grant {
-        debug_assert!(n > 0, "a run reserves at least once");
-        let start = now.max(self.free_at);
-        let end = start + duration * n;
-        self.free_at = end;
-        Grant { start, end }
-    }
-
-    /// The next instant at which the resource is idle.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-}
-
-/// A serialized resource with a byte rate: transfer duration is computed
-/// from payload size, plus a fixed per-transaction overhead.
+/// A resource that serves one transfer at a time, in the order they are
+/// requested, with a byte rate: transfer duration is computed from
+/// payload size, plus a fixed per-transaction overhead.
 ///
 /// This models the EISA bus (33 MB/s burst), the Xpress memory bus, mesh
 /// links, and DMA engines.
@@ -91,18 +32,20 @@ impl SerialResource {
 /// let mut eisa = BandwidthResource::new(33_000_000, shrimp_sim::SimDuration::ZERO);
 /// let g = eisa.transfer(SimTime::ZERO, 33_000_000);
 /// assert!((g.end.as_micros_f64() - 1_000_000.0).abs() < 1.0); // ~1 second
+/// let next = eisa.transfer(SimTime::ZERO, 4);
+/// assert_eq!(next.start, g.end); // the second transfer waits for the first
 /// ```
 #[derive(Debug, Clone)]
 pub struct BandwidthResource {
-    inner: SerialResource,
+    free_at: SimTime,
     bytes_per_sec: u64,
     per_transaction: SimDuration,
     bytes_total: u64,
 }
 
 impl BandwidthResource {
-    /// Creates a resource with the given rate and fixed per-transaction
-    /// overhead (arbitration, setup).
+    /// Creates an idle resource with the given rate and fixed
+    /// per-transaction overhead (arbitration, setup).
     ///
     /// # Panics
     ///
@@ -110,7 +53,7 @@ impl BandwidthResource {
     pub fn new(bytes_per_sec: u64, per_transaction: SimDuration) -> Self {
         assert!(bytes_per_sec > 0, "bandwidth must be positive");
         BandwidthResource {
-            inner: SerialResource::new(),
+            free_at: SimTime::ZERO,
             bytes_per_sec,
             per_transaction,
             bytes_total: 0,
@@ -122,7 +65,7 @@ impl BandwidthResource {
     pub fn transfer(&mut self, now: SimTime, bytes: u64) -> Grant {
         let dur = self.duration_of(bytes);
         self.bytes_total += bytes;
-        self.inner.reserve(now, dur)
+        self.reserve(now, dur)
     }
 
     /// `n` back-to-back transfers of `bytes` each, the first requested at
@@ -131,9 +74,18 @@ impl BandwidthResource {
     /// with one duration computation instead of `n`. The grant runs from
     /// the first transfer's start to the last one's end.
     pub fn transfer_run(&mut self, now: SimTime, n: u64, bytes: u64) -> Grant {
+        debug_assert!(n > 0, "a run transfers at least once");
         let dur = self.duration_of(bytes);
         self.bytes_total += bytes * n;
-        self.inner.reserve_run(now, n, dur)
+        self.reserve(now, dur * n)
+    }
+
+    /// Reserves the resource at or after `now` for `duration`.
+    fn reserve(&mut self, now: SimTime, duration: SimDuration) -> Grant {
+        let start = now.max(self.free_at);
+        let end = start + duration;
+        self.free_at = end;
+        Grant { start, end }
     }
 
     /// The service time a transfer of `bytes` would take (overhead
@@ -144,7 +96,7 @@ impl BandwidthResource {
 
     /// The next instant at which the resource is idle.
     pub fn free_at(&self) -> SimTime {
-        self.inner.free_at()
+        self.free_at
     }
 
     /// Total bytes transferred so far.
@@ -171,11 +123,16 @@ mod tests {
         SimDuration::from_ns(n)
     }
 
+    /// A resource at 1 GB/s with no overhead: a byte takes 1 ns.
+    fn gigabyte() -> BandwidthResource {
+        BandwidthResource::new(1_000_000_000, SimDuration::ZERO)
+    }
+
     #[test]
-    fn serial_resource_serializes_back_to_back() {
-        let mut r = SerialResource::new();
-        let a = r.reserve(SimTime::ZERO, ns(10));
-        let b = r.reserve(SimTime::ZERO, ns(5));
+    fn transfers_serialize_back_to_back() {
+        let mut r = gigabyte();
+        let a = r.transfer(SimTime::ZERO, 10);
+        let b = r.transfer(SimTime::ZERO, 5);
         assert_eq!(a.start, SimTime::ZERO);
         assert_eq!(a.end, SimTime::ZERO + ns(10));
         assert_eq!(b.start, a.end);
@@ -185,21 +142,21 @@ mod tests {
 
     #[test]
     fn idle_gaps_are_respected() {
-        let mut r = SerialResource::new();
-        r.reserve(SimTime::ZERO, ns(10));
+        let mut r = gigabyte();
+        r.transfer(SimTime::ZERO, 10);
         // Next request arrives after the resource went idle.
-        let g = r.reserve(SimTime::ZERO + ns(100), ns(10));
+        let g = r.transfer(SimTime::ZERO + ns(100), 10);
         assert_eq!(g.start, SimTime::ZERO + ns(100));
         assert_eq!(r.free_at(), SimTime::ZERO + ns(110));
     }
 
     #[test]
-    fn grant_delay_accounting() {
-        let mut r = SerialResource::new();
-        r.reserve(SimTime::ZERO, ns(10));
-        let g = r.reserve(SimTime::ZERO + ns(2), ns(4));
+    fn a_busy_resource_queues_the_next_transfer() {
+        let mut r = gigabyte();
+        r.transfer(SimTime::ZERO, 10);
+        let g = r.transfer(SimTime::ZERO + ns(2), 4);
         assert_eq!(g.start, SimTime::ZERO + ns(10), "queued behind the first");
-        assert_eq!(g.latency(SimTime::ZERO + ns(2)), ns(12));
+        assert_eq!(g.end, SimTime::ZERO + ns(14));
     }
 
     #[test]

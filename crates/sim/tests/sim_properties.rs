@@ -2,11 +2,11 @@
 
 use proptest::prelude::*;
 
-use shrimp_sim::{BandwidthResource, EventQueue, Histogram, SerialResource, SimDuration, SimTime};
+use shrimp_sim::{BandwidthResource, EventQueue, Histogram, SimDuration, SimTime};
 
 /// Runs `ops` (`Some(time)` pushes, `None` pops) on an [`EventQueue`] and
 /// on a reference model (a list searched for the earliest time, then the
-/// earliest push), comparing every pop and, after every operation, `len`,
+/// earliest push), comparing every pop and, after every operation,
 /// `is_empty` and `peek_time`.
 fn check_queue_against_model(
     ops: impl IntoIterator<Item = Option<u64>>,
@@ -26,7 +26,6 @@ fn check_queue_against_model(
                 prop_assert_eq!(got, expect);
             }
         }
-        prop_assert_eq!(q.len(), model.len());
         prop_assert_eq!(q.is_empty(), model.is_empty());
         let earliest = model.iter().map(|&(t, _)| t).min();
         prop_assert_eq!(q.peek_time().map(SimTime::as_picos), earliest);
@@ -35,19 +34,21 @@ fn check_queue_against_model(
 }
 
 proptest! {
-    /// A serialized resource never double-books: grants are disjoint,
-    /// ordered, each as long as requested, and the resource frees when
-    /// the last one ends.
+    /// A bandwidth resource never double-books: grants are disjoint,
+    /// ordered, each as long as its transfer takes, and the resource
+    /// frees when the last one ends.
     #[test]
-    fn serial_resource_grants_are_disjoint(
+    fn bandwidth_grants_are_disjoint(
+        rate in 1u64..1_000_000_000,
+        overhead in 0u64..100,
         reqs in prop::collection::vec((0u64..10_000, 1u64..500), 1..100),
     ) {
-        let mut r = SerialResource::new();
+        let mut r = BandwidthResource::new(rate, SimDuration::from_picos(overhead));
         let mut grants = Vec::new();
-        for (at, dur) in reqs {
-            let g = r.reserve(SimTime::from_picos(at), SimDuration::from_picos(dur));
+        for (at, bytes) in reqs {
+            let g = r.transfer(SimTime::from_picos(at), bytes);
             prop_assert!(g.start >= SimTime::from_picos(at));
-            prop_assert_eq!(g.end.since(g.start).as_picos(), dur);
+            prop_assert_eq!(g.end.since(g.start), r.duration_of(bytes));
             prop_assert_eq!(r.free_at(), g.end);
             grants.push(g);
         }

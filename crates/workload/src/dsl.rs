@@ -109,13 +109,6 @@ pub struct DurRange {
     pub hi: SimDuration,
 }
 
-impl DurRange {
-    /// A degenerate range always drawing `d`.
-    pub fn fixed(d: SimDuration) -> Self {
-        DurRange { lo: d, hi: d }
-    }
-}
-
 /// What one session of a spec does between open and close.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionKind {

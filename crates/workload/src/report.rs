@@ -44,7 +44,7 @@ pub struct Report {
     pub deliveries: u64,
     /// Session payload bytes delivered.
     pub goodput_bytes: u64,
-    /// Scheduler events processed.
+    /// Machine events processed.
     pub events_processed: u64,
     /// Simulated end time, picoseconds.
     pub final_time_ps: u64,

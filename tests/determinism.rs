@@ -203,7 +203,6 @@ fn chaos_faults(seed: u64, drop_rate: f64, corrupt_rate: f64) -> FaultConfig {
             corrupt_rate,
             jitter_rate: 0.05,
             jitter: (SimDuration::from_ns(20), SimDuration::from_ns(400)),
-            ..LinkFaultConfig::default()
         },
         nic: NicFaultConfig {
             stall_rate: 0.002,

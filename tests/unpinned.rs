@@ -94,7 +94,7 @@ fn sum_counter(m: &shrimp::sim::MetricsSnapshot, nodes: u64, key: &str) -> u64 {
 #[test]
 fn tiny_iotlb_eviction_soak() {
     let sc = load_unpinned_scenario();
-    let (r, _) = run_scenario_tuned(&sc, None, |cfg| cfg.nic.unpinned.iotlb_entries = 1).unwrap();
+    let (r, _) = run_scenario_tuned(&sc, None, |cfg| cfg.nic.iotlb_entries = 1).unwrap();
     assert_eq!(r.sessions_completed, sc.total_sessions(), "soak must run all sessions to completion");
 
     let nodes = 4; // 2x2 mesh
@@ -113,7 +113,7 @@ fn tiny_iotlb_eviction_soak() {
 #[test]
 fn tiny_iotlb_sweep_is_deterministic() {
     let sc = load_unpinned_scenario();
-    let (r, _) = run_scenario_tuned(&sc, None, |cfg| cfg.nic.unpinned.iotlb_entries = 2).unwrap();
+    let (r, _) = run_scenario_tuned(&sc, None, |cfg| cfg.nic.iotlb_entries = 2).unwrap();
     assert_eq!(r.sessions_completed, sc.total_sessions());
     assert_eq!(r.deliveries, 240);
     assert_eq!(r.delivery_hash, 0x1954_1e55_a958_4073, "pinned hash (got 0x{:016x})", r.delivery_hash);
